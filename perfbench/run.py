@@ -3,8 +3,8 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload zoo-cold --seed 0 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload zoo-cold --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload all --seed 0 --seconds 25 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of a traced run (and writes its spans as Chrome trace-event JSON
@@ -22,6 +22,7 @@ import math
 import os
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -82,6 +83,9 @@ PER_LAYER = [
 
 MIN_PASSES = 3
 MIN_TRACED_PASSES = 2
+#: Samples a closed-loop pass needs for its latencies to be summarised as
+#: per-operation medians over the passes rather than pooled over passes.
+PER_PASS_TAIL_SAMPLES = 100
 
 
 # --------------------------------------------------------------------------- #
@@ -119,10 +123,17 @@ def end_to_end(
         "peak_rss_mb": peak_rss_mb,
     }
     if closed_loop:
-        # one load level: the operations arrive back to back; a pass holds
-        # too few operations (24 analysis jobs) for a tail, so the passes'
-        # samples are pooled
-        summaries = {"all": latency_summary([x for r in records for x in latencies(r)])}
+        # one load level: the operations arrive back to back, in the same
+        # order in every pass.  When a pass holds enough samples for a tail
+        # of its own (143 zoo verdicts), each sample is the median of its
+        # operation's latencies over the passes, so a stall must hit the
+        # same operation in most passes to move the tail; a pass with too
+        # few (24 analysis jobs) has its samples pooled with the other
+        # passes'
+        if min(len(r.latencies) for r in records) >= PER_PASS_TAIL_SAMPLES:
+            summaries = {"all": latency_summary(operation_medians([latencies(r) for r in records]))}
+        else:
+            summaries = {"all": latency_summary([x for r in records for x in latencies(r)])}
         for level in LEVELS:
             summaries[level] = summaries["all"]
         metrics["max_rate_per_s"] = metrics["throughput_per_s"]
@@ -149,6 +160,14 @@ def end_to_end(
         metrics[f"latency_p50_s.{level}"] = summaries[level]["p50"]
         metrics[f"latency_tail_s.{level}"] = summaries[level]["tail"]
     return metrics, summaries
+
+
+def operation_medians(groups: List[List[float]]) -> List[float]:
+    """Per position, the median over *groups* (one group per pass, the same
+    operations in the same order)."""
+    if len({len(group) for group in groups}) != 1:
+        raise ValueError("passes hold different numbers of samples")
+    return [statistics.median(column) for column in zip(*groups)]
 
 
 def median_summary(groups: List[List[float]]) -> Dict[str, float]:
@@ -303,7 +322,7 @@ _IMPORT_PROBE = (
     "import repro.analysis, repro.engine, repro.service, repro.workloads.zoo; "
     "print(time.perf_counter() - started)"
 )
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 
 def import_seconds() -> float:
@@ -474,7 +493,53 @@ def write_expected(expected, scratch: Path) -> None:
     expected.save()
 
 
+def stop_children(timeout_s: float = 10.0) -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The engine's close joins its workers, but a worker it had to terminate
+    is never joined, and the process backend's spawn context starts
+    multiprocessing's resource tracker, which would otherwise outlive this
+    process.  Workers still known to ``multiprocessing`` are terminated
+    (killed after *timeout_s*) and joined; the tracker is stopped the way
+    ``multiprocessing`` stops it (it ignores SIGTERM); any other child
+    that has already ended is reaped.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+    for child in multiprocessing.active_children():
+        child.join(timeout_s)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
+    while True:
+        try:
+            pid, _status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+
+
+def _exit_on_sigterm(signum: int, _frame: Any) -> None:
+    """Turn SIGTERM into SystemExit so the teardown in main() still runs."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        return _main(argv)
+    finally:
+        stop_children()
+
+
+def _main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=(*WORKLOAD_NAMES, "all"))
     parser.add_argument("--seed", type=int, required=True)

@@ -17,7 +17,7 @@ if str(ROOT / "src") not in sys.path:
 from perfbench import measure  # noqa: E402
 from perfbench.answers import ANALYSIS_ANSWERS, analysis_mismatches  # noqa: E402
 from perfbench.open_loop import drive  # noqa: E402
-from perfbench.run import count_mismatches, end_to_end  # noqa: E402
+from perfbench.run import count_mismatches, end_to_end, operation_medians  # noqa: E402
 from perfbench.trace import Tracer, interval_union, self_times  # noqa: E402
 from perfbench.workloads import PassRecord  # noqa: E402
 
@@ -199,6 +199,24 @@ def test_closed_loop_metrics_are_adjusted_and_fill_every_level():
     assert metrics["max_rate_per_s"] == metrics["throughput_per_s"]
     assert metrics["latency_tail_s.high"] == metrics["latency_tail_s"] == pytest.approx(0.05)
     assert summaries["all"]["samples"] == 20
+
+
+def test_large_closed_loop_passes_take_each_operations_median():
+    usual = [0.1] * 109 + [1.0] * 11
+    records = [_record(ops=120, latencies=list(usual), op_factors=[1.0] * 120)
+               for _ in range(2)]
+    records.append(_record(ops=120, latencies=[9.0] * 120, op_factors=[1.0] * 120))  # a stall
+    metrics, summaries = end_to_end(records, True, 0.0, True, 1.0)
+    assert summaries["all"]["samples"] == 120  # one sample per operation, not per pass
+    assert summaries["all"]["tail_percentile"] == 91
+    assert metrics["latency_p50_s"] == pytest.approx(0.1)
+    assert metrics["latency_tail_s"] == pytest.approx(1.0)
+
+
+def test_operation_medians_need_aligned_passes():
+    assert operation_medians([[1.0, 4.0], [3.0, 2.0], [2.0, 9.0]]) == [2.0, 4.0]
+    with pytest.raises(ValueError):
+        operation_medians([[1.0, 2.0], [1.0]])
 
 
 def test_each_latency_takes_the_factor_around_its_operation():
