@@ -128,9 +128,9 @@ class CompiledAutomaton:
     def dense_minimal_dfa(self) -> "DenseDFA":
         """The minimal DFA's flat-array kernel form (memoized on the DFA).
 
-        This is what the transport ships as a context seed and what the
-        batch/emptiness kernels run on; it is derived from (and cached with)
-        :meth:`minimal_dfa`, so it costs nothing extra after the first call.
+        This is what the batch/emptiness kernels run on; it is derived from
+        (and cached with) :meth:`minimal_dfa`, so it costs nothing extra
+        after the first call.
         """
         return self.minimal_dfa().dense()
 

@@ -93,12 +93,11 @@ class DFA:
     def from_dense(cls, table: SymbolTable, dense: DenseDFA) -> "DFA":
         """Reattach a :class:`~repro.core.kernels.DenseDFA`.
 
-        This is both the transport's seed path and the fast exit of the
-        construction pipeline (`determinize`/`trim`/`minimize` emit dense
-        tables directly).  The dense form comes out of a deterministic
-        construction, so the dict rows are rebuilt lazily — only if a
-        dict-walk consumer actually asks — without re-running the
-        nondeterminism check.
+        This is the fast exit of the construction pipeline
+        (`determinize`/`trim`/`minimize` emit dense tables directly).  The
+        dense form comes out of a deterministic construction, so the dict
+        rows are rebuilt lazily — only if a dict-walk consumer actually asks
+        — without re-running the nondeterminism check.
         """
         dfa = cls.__new__(cls)
         dfa.table = table

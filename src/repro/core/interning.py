@@ -82,19 +82,6 @@ class SymbolTable:
         """
         return self._keys[symbol_id]
 
-    def snapshot(self) -> Tuple[Symbol, ...]:
-        """The interned symbols in arrival order, as an immutable snapshot.
-
-        Taken under the lock so the tuple is a consistent prefix of the
-        table's history; position *i* of the snapshot is the symbol behind id
-        ``i``.  This is the transport seed's view of the table
-        (:mod:`repro.engine.transport`): a worker whose table starts with the
-        same prefix can consume transition arrays that use these positional
-        ids verbatim.
-        """
-        with self._lock:
-            return tuple(self._symbols)
-
     def intern_word(self, word: Iterable[Symbol]) -> Tuple[int, ...]:
         """Intern every symbol of *word*; returns the id tuple."""
         return tuple(self.intern(symbol) for symbol in word)

@@ -12,10 +12,9 @@ so those operations become array sweeps:
   an ``array('i')`` (``-1`` is the dead sink).  Columns are the automaton's
   used symbol ids in **canonical-key order**, so a left-to-right sweep over
   a row *is* the canonical symbol iteration and no sorting ever happens on a
-  hot path.  The backing buffer is contiguous and typed, which makes it
-  zero-copy shareable: the transport's context seeds ship ``tobytes()`` of
-  the table and the worker rebuilds with :meth:`DenseDFA.from_bytes`
-  (see :mod:`repro.engine.transport`).
+  hot path.  The backing buffer is contiguous and typed, so ``tobytes()``
+  and :meth:`DenseDFA.from_bytes` round-trip it without re-deriving a
+  transition.
 * int-bitset NFA state-set kernels — :func:`bitset_closure` (ε-closure /
   reachability over sparse edges), :func:`subset_construct` (the bitset
   subset construction behind :func:`repro.core.dfa.determinize`) and
@@ -109,10 +108,9 @@ class DenseDFA:
     deterministic symbol iteration every core operation sorts for.
 
     The object is purely numeric (states and symbol ids, no symbol objects,
-    no table reference), so it is safe to ship across process boundaries:
-    the transport pickles ``(num_states, initial, final, alphabet,
-    tobytes())`` and the worker reattaches with :meth:`from_bytes` without
-    re-deriving a single transition.
+    no table reference): ``(num_states, initial, final, alphabet,
+    tobytes())`` describes it completely, and :meth:`from_bytes` reattaches
+    that description without re-deriving a single transition.
     """
 
     __slots__ = (
@@ -193,13 +191,13 @@ class DenseDFA:
         alphabet: Sequence[int],
         buffer: bytes,
     ) -> "DenseDFA":
-        """Reattach a table shipped as :meth:`tobytes` output (the seed path)."""
+        """Reattach a table from its :meth:`tobytes` output."""
         table = array("i", bytes(0))
         table.frombytes(buffer)
         return cls(num_states, initial, final, alphabet, table)
 
     def tobytes(self) -> bytes:
-        """The flat table buffer — the transport's context-seed payload."""
+        """The flat table buffer (the inverse of :meth:`from_bytes`)."""
         return self.table.tobytes()
 
     # ------------------------------------------------------------------ #

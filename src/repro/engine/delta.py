@@ -26,16 +26,13 @@ keeps post-evolve verdicts bit-identical to a cold start:
 * a fingerprint-identical "edit" (rename, declaring an explicit ZERO) is
   trivial: every tier is kept in place and nothing is touched.
 
-:class:`InvalidationReport` is the structured replacement for
-:meth:`ContainmentEngine.invalidate_schema`'s former bare ``int`` return
-(per-tier counts; ``int(report)`` still yields the dropped-result count,
-with a :class:`DeprecationWarning`), and :class:`EvolveReport` is
+:class:`InvalidationReport` is the per-tier return value of
+:meth:`ContainmentEngine.invalidate_schema`, and :class:`EvolveReport` is
 :meth:`~ContainmentEngine.evolve`'s kept/invalidated/migrated accounting.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
@@ -179,10 +176,7 @@ class InvalidationReport:
 
     ``store_rows`` counts persistent-tier rows deleted (best-effort over the
     keys known in memory; the store is content-addressed, so any rows left
-    behind are dead weight, never stale).  ``int(report)`` returns the
-    dropped-result count — the method's former return value — and warns with
-    a :class:`DeprecationWarning`; compare/arithmetic via the report's fields
-    instead.
+    behind are dead weight, never stale).
     """
 
     schema_fingerprint: str
@@ -222,21 +216,6 @@ class InvalidationReport:
             f"{tiers}, store_rows={self.store_rows}"
         )
 
-    def _legacy_int(self) -> int:
-        warnings.warn(
-            "treating InvalidationReport as an int is deprecated; read "
-            "report.results (or the other per-tier fields) explicitly",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return self.results
-
-    def __int__(self) -> int:
-        return self._legacy_int()
-
-    def __index__(self) -> int:
-        return self._legacy_int()
-
 
 def _zero_tiers() -> Dict[str, int]:
     return {tier: 0 for tier in REPORT_TIERS}
@@ -256,9 +235,8 @@ class EvolveReport:
     * ``invalidation`` — the underlying :class:`InvalidationReport` for the
       old namespace (``None`` on a trivial evolve).
 
-    ``seeded_contexts`` counts refreshed context seeds broadcast to a live
-    worker pool over the transport; ``store_written`` counts migrated rows
-    written through to the persistent tier.
+    ``store_written`` counts migrated rows written through to the
+    persistent tier.
     """
 
     delta: SchemaDelta
@@ -267,7 +245,6 @@ class EvolveReport:
     invalidated: Dict[str, int] = field(default_factory=_zero_tiers)
     migrated: Dict[str, int] = field(default_factory=_zero_tiers)
     invalidation: Optional[InvalidationReport] = None
-    seeded_contexts: int = 0
     store_written: int = 0
     store_deleted: int = 0
     elapsed_seconds: float = 0.0
@@ -288,7 +265,6 @@ class EvolveReport:
             "kept": dict(self.kept),
             "invalidated": dict(self.invalidated),
             "migrated": dict(self.migrated),
-            "seeded_contexts": self.seeded_contexts,
             "store_written": self.store_written,
             "store_deleted": self.store_deleted,
             "elapsed_seconds": self.elapsed_seconds,
@@ -311,10 +287,7 @@ class EvolveReport:
             f"  kept:        {counts(self.kept)}",
             f"  migrated:    {counts(self.migrated)}",
             f"  invalidated: {counts(self.invalidated)}",
-            (
-                f"  store: {self.store_written} written, {self.store_deleted} deleted; "
-                f"contexts reseeded: {self.seeded_contexts}"
-            ),
+            f"  store: {self.store_written} written, {self.store_deleted} deleted",
         ]
         if not self.trivial:
             lines.insert(1, "  " + self.delta.summary().replace("\n", "\n  "))

@@ -51,8 +51,7 @@ Schema edits are first-class: :meth:`ContainmentEngine.evolve` diffs two
 schemas (:class:`~repro.engine.delta.SchemaDelta`), migrates the
 schema-content-independent artefacts — compiled automata, symbol tables,
 schema-blind verdicts — into the new fingerprint namespace across both
-cache tiers and any live worker pool, and conservatively invalidates the
-rest; :meth:`ContainmentEngine.invalidate_schema` reports its per-tier
+cache tiers, and conservatively invalidates the rest; :meth:`ContainmentEngine.invalidate_schema` reports its per-tier
 counts as a structured :class:`~repro.engine.delta.InvalidationReport`
 (see docs/ARCHITECTURE.md, "Schema evolution").
 """
@@ -610,12 +609,6 @@ class ContainmentEngine:
             # so workers can resolve the transport layer's schema references
             # from the shared read-only store even across pool restarts
             self._store.put_many("schemas", list(unique_schemas.items()))
-        with self._lock:
-            bundles = [bundle for _key, bundle in self._automata.items()]
-        # hand any warm automata for these schemas to the workers (symbol
-        # tables + computed DFAs via shared memory); a cold parent ships
-        # nothing and the workers compile locally, bit-identically
-        pool.seed(bundles, set(unique_schemas))
         results = pool.check_many(tasks)
         keys = [
             _result_key(task_schema, left, right, task_config or self.default_config)
@@ -790,8 +783,7 @@ class ContainmentEngine:
         addressing means they can never be replayed incorrectly).
 
         Returns an :class:`~repro.engine.delta.InvalidationReport` with the
-        per-tier counts; ``int(report)`` still yields the dropped-result
-        count (the former return value) with a :class:`DeprecationWarning`.
+        per-tier counts (``report.results`` is the dropped-result count).
         """
         return self._invalidate_fingerprint(schema.canonical_fingerprint())
 
@@ -833,14 +825,14 @@ class ContainmentEngine:
         automaton bundles (NFAs, DFAs, pumped word enumerations), the
         schema-fingerprint :class:`~repro.core.interning.SymbolTable`, and
         verdicts that never consulted the schema (the empty-left short
-        circuit) — are re-keyed into *new_schema*'s fingerprint namespace,
-        written through to the persistent store, and re-broadcast to live
-        workers as context seeds.  Everything else under the old namespace
-        is dropped (conservative rule: the Horn encoding ``T̂_S`` spans the
-        schema's full domain, so any semantic edit invalidates every
-        completed TBox and with it every non-trivial verdict — when in
-        doubt, invalidate), which is exactly what keeps post-evolve verdicts
-        and ``result_fingerprint``s bit-identical to a cold start.
+        circuit) — are re-keyed into *new_schema*'s fingerprint namespace
+        and written through to the persistent store.  Everything else under
+        the old namespace is dropped (conservative rule: the Horn encoding
+        ``T̂_S`` spans the schema's full domain, so any semantic edit
+        invalidates every completed TBox and with it every non-trivial
+        verdict — when in doubt, invalidate), which is exactly what keeps
+        post-evolve verdicts and ``result_fingerprint``s bit-identical to a
+        cold start.
 
         A fingerprint-identical edit (rename, explicitly declaring a ZERO
         constraint) is trivial: nothing moves, everything is kept.  The old
@@ -892,7 +884,6 @@ class ContainmentEngine:
         # so they migrate verbatim — provided both fingerprints resolve to
         # one table *object* (DFA cross-operations compare interned ids)
         migrated = {tier: 0 for tier in REPORT_TIERS}
-        seed_bundles = []
         table = adopt_context(old_fingerprint, new_fingerprint)
         if table is not None:
             for regex, bundle in old_bundles:
@@ -901,7 +892,6 @@ class ContainmentEngine:
                     # recompiling is the only safe option
                     continue
                 clone = install_compiled(rebase_compiled(bundle, new_fingerprint))
-                seed_bundles.append(clone)
                 with self._lock:
                     self._automata.put((new_fingerprint, regex), clone)
                 migrated["automata"] += 1
@@ -941,17 +931,6 @@ class ContainmentEngine:
             "automata": max(invalidation.automata - migrated["automata"], 0),
         }
 
-        # refresh live workers: the new fingerprint has never been seeded,
-        # so the migrated bundles (tables + computed DFAs) ship in full
-        seeded = 0
-        with self._lock:
-            pool = self._process_pool
-        if pool is not None and pool.started and not pool.closed and seed_bundles:
-            try:
-                seeded = pool.seed(seed_bundles, {new_fingerprint})
-            except Exception:
-                seeded = 0  # best effort — the next process batch reseeds
-
         return EvolveReport(
             delta=delta,
             trivial=False,
@@ -959,7 +938,6 @@ class ContainmentEngine:
             invalidated=invalidated,
             migrated=migrated,
             invalidation=invalidation,
-            seeded_contexts=seeded,
             store_written=store_written,
             store_deleted=invalidation.store_rows,
             elapsed_seconds=time.perf_counter() - started,

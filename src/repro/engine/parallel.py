@@ -28,10 +28,8 @@ Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
   for schemas of a persisting engine — the shared read-only
   :class:`~repro.store.ResultStore` (``"schemas"`` tier).  Unresolvable
   tokens degrade to full-payload transport via a ``"miss"`` round-trip, so
-  eviction and restarts cost latency, never correctness.  Warm parents
-  additionally broadcast a context *seed* (interned symbol tables plus
-  computed DFA transition arrays) through one shared-memory segment (pickle
-  fallback, ``REPRO_NO_SHM=1`` forces it).  On the way back, a result's
+  eviction and restarts cost latency, never correctness.  Workers compile
+  their own automata from the shipped regexes.  On the way back, a result's
   ``completion.tbox`` — the completed Horn TBox, easily hundreds of
   kilobytes and only ever consumed via ``canonical_fingerprint()``/
   ``size()`` — is replaced by a :class:`TBoxDigest` carrying exactly those
@@ -69,16 +67,11 @@ from ..containment.solver import ContainmentConfig, ContainmentResult, _as_union
 from .cache import CacheStats
 from .engine import ContainmentEngine, EngineStats
 from .transport import (
-    SeedSegment,
     TokenCatalog,
     TransportStats,
     WorkerTransportStats,
-    build_context_seed,
     decode_payload,
     encode_payload,
-    install_context_seed,
-    load_seed,
-    publish_seed,
     query_token,
     schema_token,
 )
@@ -413,14 +406,6 @@ def _worker_main(
                         (index, "error", f"{type(error).__name__}: {error}", traceback.format_exc())
                     )
             outbox.put(("results", worker_id, reply))
-        elif command == "seed":
-            # strictly an optimisation: a seed that fails to load or install
-            # (version skew, table mismatch) leaves the worker recompiling
-            # locally, which is bit-identical by determinism — never fatal
-            try:
-                install_context_seed(load_seed(message[1]), transport_stats)
-            except Exception:  # noqa: BLE001 - see above
-                transport_stats.contexts_skipped += 1
         elif command == "stats":
             outbox.put(("stats", worker_id, engine.stats, transport_stats.snapshot()))
         else:  # pragma: no cover - defensive: unknown control message
@@ -478,25 +463,19 @@ class WorkerPool:
         self._outbox: Optional[Any] = None
         self._closed = False
         # the cheap-transport bookkeeping (repro.engine.transport): which
-        # tokens each worker has been sent (the reference ledger), which
-        # contexts have been seeded, the live shared-memory segments, and
-        # the parent-side protocol counters
+        # tokens each worker has been sent (the reference ledger) and the
+        # parent-side protocol counters
         self._seen_tokens: List[set] = [set() for _ in range(self.workers)]
-        self._seeded_contexts: set = set()
-        self._segments: List[SeedSegment] = []
         self.transport_stats = TransportStats()
         self._worker_transport: Optional[WorkerTransportStats] = None
         _LIVE_POOLS.add(self)
         # a pool dropped without close() (e.g. its engine was discarded) must
-        # not leak its worker processes or shared-memory segments; the
-        # finalizer reaps both at GC time.  close() empties the shared lists,
-        # which makes the reap a no-op.
-        self._finalizer = weakref.finalize(
-            self, WorkerPool._reap, self._processes, self._inboxes, self._segments
-        )
+        # not leak its worker processes; the finalizer reaps them at GC time.
+        # close() empties the shared lists, which makes the reap a no-op.
+        self._finalizer = weakref.finalize(self, WorkerPool._reap, self._processes, self._inboxes)
 
     @staticmethod
-    def _reap(processes: List[Any], inboxes: List[Any], segments: List[SeedSegment]) -> None:
+    def _reap(processes: List[Any], inboxes: List[Any]) -> None:
         """GC-time teardown: runs without the pool lock (the pool is gone)."""
         for inbox in inboxes:
             try:
@@ -507,9 +486,6 @@ class WorkerPool:
             process.join(timeout=5)
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
-        for segment in segments:
-            segment.release()
-        segments.clear()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -575,12 +551,8 @@ class WorkerPool:
         self._release_locked()
 
     def _release_locked(self) -> None:
-        """The shared teardown tail: free the queues, forget the workers.
-
-        Runs on *every* teardown path — close, interrupt abort, dead-worker
-        teardown — so the shared-memory seed segments are reclaimed exactly
-        here (plus in the GC finalizer, for pools dropped without close).
-        """
+        """The shared teardown tail of every path — close, interrupt abort,
+        dead-worker teardown: free the queues, forget the workers."""
         for inbox in self._inboxes:
             inbox.close()
         if self._outbox is not None:
@@ -588,9 +560,6 @@ class WorkerPool:
         self._processes.clear()
         self._inboxes.clear()
         self._outbox = None
-        for segment in self._segments:
-            segment.release()
-        self._segments.clear()
 
     def _abort_locked(self) -> None:
         """Immediate teardown for an interrupted batch; caller holds the lock.
@@ -626,42 +595,6 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # batch execution
     # ------------------------------------------------------------------ #
-    def seed(self, bundles: Sequence[Any], contexts: Optional[set] = None) -> int:
-        """Broadcast a warm-context seed to every worker; returns the number
-        of contexts shipped.
-
-        *bundles* are :class:`~repro.core.CompiledAutomaton` objects from the
-        parent (typically its automata cache); only those with already
-        computed DFAs for a context in *contexts* (``None``: any context) not
-        yet seeded participate — seeding transfers work already done, it
-        never triggers new compilation.  The seed travels through one
-        shared-memory segment when available (``REPRO_NO_SHM=1`` or any
-        creation failure falls back to the queue pickle); the segment is
-        owned by the pool and reclaimed on every teardown path.  The seed
-        message is enqueued ahead of task messages (FIFO inboxes), so no
-        acknowledgement is needed.
-        """
-        with self._lock:
-            self._ensure_started()
-            wanted: Optional[set] = None
-            if contexts is not None:
-                wanted = set(contexts) - self._seeded_contexts
-                if not wanted:
-                    return 0
-            seed = build_context_seed(bundles, wanted)
-            for context in list(seed):
-                if context in self._seeded_contexts:
-                    del seed[context]
-            if not seed:
-                return 0
-            wire, segment = publish_seed(seed, self.transport_stats)
-            if segment is not None:
-                self._segments.append(segment)
-            for inbox in self._inboxes:
-                inbox.put(("seed", wire))
-            self._seeded_contexts.update(seed)
-            return len(seed)
-
     def run_batch(
         self,
         kind: str,

@@ -1,11 +1,11 @@
-"""Cheap transport for the process backend: references, catalogs, seeds.
+"""Cheap transport for the process backend: references and catalogs.
 
 The original worker protocol pickled every request whole — schema, both
 queries, config — into each worker's inbox, even though a long-lived pool
 decides thousands of requests over the *same* few schemas and queries.  On
 the workloads that matter the pickled schema dominates the message, which is
 how the headline parallel path ended up losing to serial (ROADMAP item 1).
-This module supplies the three mechanisms that make the boundary cheap
+This module supplies the two mechanisms that make the boundary cheap
 (docs/ARCHITECTURE.md, "The transport layer"):
 
 * **Canonical-fingerprint references.**  Every schema and query crossing the
@@ -28,72 +28,30 @@ This module supplies the three mechanisms that make the boundary cheap
   warm-start that already covered results and schema TBoxes now covers the
   request payloads themselves.
 
-* **Pre-seeded interning and automata contexts.**  A warm parent engine has
-  already paid for symbol interning and DFA construction; a freshly spawned
-  worker should not pay again.  :func:`build_context_seed` snapshots, per
-  schema context, the :class:`~repro.core.interning.SymbolTable` (symbols in
-  arrival order — ids are positional) and, for every compiled automaton, the
-  computed DFAs' flat dense tables (the already-built
-  :class:`~repro.core.kernels.DenseDFA` buffers, shipped as bytes — far
-  smaller than per-transition triples, and ``TransportStats`` reports both
-  sizes); :func:`publish_seed` ships the pickled
-  seed through one :mod:`multiprocessing.shared_memory` segment (one copy
-  for the whole pool, attached read-only by each worker) with a
-  pickle-through-queue fallback when shared memory is unavailable or
-  disabled via ``REPRO_NO_SHM=1``; :func:`install_context_seed` re-interns
-  the symbols and installs the DFAs onto the worker's compile-memo bundles.
-  Installation is guarded: if the worker's table prefix does not match the
-  seed (it interned symbols in a different order first), the context is
-  skipped and the worker recompiles locally — ``determinize``/``minimize``
-  are deterministic, so verdicts are bit-identical either way.
+Workers compile their own automata from the shipped regexes.  The solver
+only ever builds NFAs and pumped word enumerations, so there is no computed
+DFA worth shipping to a worker, and no context seed crosses the boundary.
 
-Every mechanism preserves the engine's core invariant: verdicts and
+Both mechanisms preserve the engine's core invariant: verdicts and
 ``result_fingerprint`` digests are bit-identical across serial, thread and
-process backends, with shared memory on or off.
+process backends.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import pickle
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
-
-from ..core.compile import CompiledAutomaton, compile_regex
-from ..core.dfa import DFA
-from ..core.interning import symbol_table
-from ..core.kernels import DenseDFA
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 __all__ = [
-    "SHM_DISABLE_VARIABLE",
-    "SeedSegment",
     "TokenCatalog",
     "TransportStats",
     "WorkerTransportStats",
-    "build_context_seed",
     "decode_payload",
     "encode_payload",
-    "install_context_seed",
-    "load_seed",
-    "publish_seed",
     "query_token",
     "schema_token",
-    "shared_memory_disabled",
 ]
-
-#: Setting this environment variable to anything but ``0``/empty forces the
-#: pickle-through-queue fallback for context seeds (the CI differential smoke
-#: runs the zoo corpus both ways and asserts fingerprint identity).
-SHM_DISABLE_VARIABLE = "REPRO_NO_SHM"
-
-#: Prefix of every shared-memory segment this module creates; the leak tests
-#: scan ``/dev/shm`` for it after crash/interrupt teardowns.
-SEED_SEGMENT_PREFIX = "repro_seed"
-
-_segment_counter = itertools.count()
 
 
 # --------------------------------------------------------------------------- #
@@ -107,10 +65,10 @@ class TransportStats:
     references_sent: int = 0  # slots shipped as bare tokens
     values_sent: int = 0  # slots shipped with their full object
     fallback_items: int = 0  # items re-sent with full payloads after a miss
-    seeds_published: int = 0
-    shm_segments: int = 0  # seeds that went through shared memory
-    seed_bytes: int = 0  # pickled seed size actually shipped (dense tables)
-    seed_bytes_legacy: int = 0  # what the per-transition triple encoding weighed
+    # Always 0: no context seed is shipped any more, and none ever carried a
+    # byte on any workload.  Kept because the end-to-end benchmark reads it;
+    # it goes when the benchmark stops reporting it.
+    seed_bytes: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
@@ -127,8 +85,6 @@ class WorkerTransportStats:
     store_hits: int = 0  # schema references resolved from the read-only store
     misses: int = 0  # references answered with a "miss" reply
     values_registered: int = 0
-    automata_seeded: int = 0  # DFAs installed from context seeds
-    contexts_skipped: int = 0  # seed contexts rejected by the prefix guard
 
     def as_dict(self) -> Dict[str, Any]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
@@ -278,250 +234,3 @@ def decode_payload(
     if missing:
         return None, missing
     return (resolved[0], resolved[1], resolved[2], encoded[3]), []
-
-
-# --------------------------------------------------------------------------- #
-# context seeds: symbol tables + DFA transition arrays
-# --------------------------------------------------------------------------- #
-def _dfa_spec(dfa: Optional[DFA]) -> Optional[Tuple]:
-    """A table-independent description of *dfa* (``None`` stays ``None``).
-
-    The payload is the automaton's dense kernel form: ``(num_states,
-    initial, final, alphabet ids, flat table bytes)``.  The byte string is
-    the :class:`~repro.core.kernels.DenseDFA` buffer the parent already
-    computed (``tobytes`` of the backing ``array('i')`` — no per-transition
-    re-derivation), and symbol ids are positions in the seed's symbol
-    snapshot — valid in any table whose arrival-order prefix matches it.
-    """
-    if dfa is None:
-        return None
-    dense = dfa.dense()
-    return (
-        dense.num_states,
-        dense.initial,
-        dense.final,
-        dense.alphabet,
-        dense.tobytes(),
-    )
-
-
-def _legacy_seed_bytes(seed: Dict[str, Dict[str, Any]]) -> int:
-    """The pickled size of *seed* under the old per-transition encoding.
-
-    Reconstructed from the dense specs themselves (rare — once per seed
-    publication) so ``TransportStats`` can report the payload shrink the
-    dense tables buy without keeping two encoders alive.
-    """
-    legacy: Dict[str, Dict[str, Any]] = {}
-    for context, entry in seed.items():
-        automata = []
-        for regex, dfa_spec, min_spec in entry["automata"]:
-            automata.append(
-                (regex, _triples_from_spec(dfa_spec), _triples_from_spec(min_spec))
-            )
-        legacy[context] = {"symbols": entry["symbols"], "automata": tuple(automata)}
-    return len(pickle.dumps(legacy, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _triples_from_spec(spec: Optional[Tuple]) -> Optional[Tuple]:
-    """The old ``(num_states, initial, final, sorted transition triples)`` form."""
-    if spec is None:
-        return None
-    num_states, initial, final, alphabet, buffer = spec
-    dense = DenseDFA.from_bytes(num_states, initial, final, alphabet, buffer)
-    width, flat = dense.width, dense.table
-    triples = sorted(
-        (state, alphabet[column], target)
-        for state in range(num_states)
-        for column in range(width)
-        if (target := flat[state * width + column]) >= 0
-    )
-    return (num_states, initial, tuple(sorted(final)), tuple(triples))
-
-
-def build_context_seed(
-    bundles: Iterable[CompiledAutomaton],
-    contexts: Optional[Set[str]] = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Snapshot the warm automata state of *bundles*, grouped by context.
-
-    Only bundles with a named context (a schema fingerprint) and at least
-    one *computed* DFA participate — seeding is strictly a transfer of work
-    already done, never a trigger for new work.  The symbol snapshot is
-    taken after the spec extraction, so every id referenced by a shipped
-    transition array is covered by the snapshot.
-    """
-    per_context: Dict[str, Dict[str, Any]] = {}
-    for bundle in bundles:
-        context = bundle.context
-        if context is None or (contexts is not None and context not in contexts):
-            continue
-        dfa_spec = _dfa_spec(bundle._dfa)
-        min_spec = _dfa_spec(bundle._min_dfa)
-        if dfa_spec is None and min_spec is None:
-            continue
-        entry = per_context.setdefault(context, {"automata": []})
-        entry["automata"].append((bundle.regex, dfa_spec, min_spec))
-    for context, entry in per_context.items():
-        entry["symbols"] = symbol_table(context).snapshot()
-        entry["automata"] = tuple(entry["automata"])
-    return per_context
-
-
-def _dfa_from_spec(table: Any, spec: Tuple) -> DFA:
-    """Reattach one shipped dense table as a worker-side :class:`DFA`."""
-    num_states, initial, final, alphabet, buffer = spec
-    dense = DenseDFA.from_bytes(num_states, initial, final, alphabet, buffer)
-    return DFA.from_dense(table, dense)
-
-
-def install_context_seed(
-    seed: Dict[str, Dict[str, Any]], stats: Optional[WorkerTransportStats] = None
-) -> int:
-    """Install *seed* into this process's tables and compile memo.
-
-    Returns the number of DFAs installed.  Per context, the local symbol
-    table must start with exactly the seed's symbols (interning the tail if
-    the local table is shorter) — a positional-id mismatch means the shipped
-    transition arrays would be read against the wrong alphabet, so the whole
-    context is skipped and its automata recompile locally (bit-identical by
-    determinism of the subset construction).  Already-computed local DFAs
-    are never overwritten.
-    """
-    stats = stats if stats is not None else WorkerTransportStats()
-    installed = 0
-    for context, entry in seed.items():
-        table = symbol_table(context)
-        symbols = entry["symbols"]
-        compatible = True
-        for position, symbol in enumerate(symbols):
-            if position < len(table):
-                if table.symbol(position) != symbol:
-                    compatible = False
-                    break
-            elif table.intern(symbol) != position:  # pragma: no cover - racing intern
-                compatible = False
-                break
-        if not compatible:
-            stats.contexts_skipped += 1
-            continue
-        for regex, dfa_spec, min_spec in entry["automata"]:
-            bundle = compile_regex(regex, context)
-            if dfa_spec is not None and bundle._dfa is None:
-                bundle._dfa = _dfa_from_spec(table, dfa_spec)
-                installed += 1
-            if min_spec is not None and bundle._min_dfa is None:
-                bundle._min_dfa = _dfa_from_spec(table, min_spec)
-                installed += 1
-    stats.automata_seeded += installed
-    return installed
-
-
-# --------------------------------------------------------------------------- #
-# shared-memory publication (with the pickle fallback)
-# --------------------------------------------------------------------------- #
-def shared_memory_disabled() -> bool:
-    """``True`` when ``REPRO_NO_SHM`` forces the pickle fallback."""
-    return os.environ.get(SHM_DISABLE_VARIABLE, "").strip() not in ("", "0")
-
-
-class SeedSegment:
-    """One owned shared-memory segment; the parent unlinks it exactly once.
-
-    Workers attach by name, copy, and detach immediately; the parent keeps
-    the segment alive for the pool's lifetime (a late-starting worker may
-    attach long after publication) and reclaims it on every teardown path —
-    close, interrupt abort, worker-death teardown, GC finalizer, atexit.
-    """
-
-    def __init__(self, shm: Any) -> None:
-        self._shm = shm
-        self.name: str = shm.name
-        self._lock = threading.Lock()
-        self._released = False
-
-    def release(self) -> None:
-        """Close and unlink (idempotent; never raises)."""
-        with self._lock:
-            if self._released:
-                return
-            self._released = True
-        for action in (self._shm.close, self._shm.unlink):
-            try:
-                action()
-            except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-                pass
-
-
-def publish_seed(seed: Dict[str, Any], stats: TransportStats) -> Tuple[Tuple, Optional[SeedSegment]]:
-    """Pickle *seed* and choose its transport.
-
-    Returns ``(("shm", name, size), segment)`` when a shared-memory segment
-    was created (the caller owns the segment and must eventually
-    :meth:`~SeedSegment.release` it), or ``(("pickle", blob), None)`` on the
-    fallback — shared memory unavailable, creation failed, or disabled via
-    ``REPRO_NO_SHM``.
-    """
-    blob = pickle.dumps(seed, protocol=pickle.HIGHEST_PROTOCOL)
-    stats.seeds_published += 1
-    stats.seed_bytes += len(blob)
-    try:
-        stats.seed_bytes_legacy += _legacy_seed_bytes(seed)
-    except Exception:  # noqa: BLE001 - accounting must never block a publish
-        stats.seed_bytes_legacy += len(blob)
-    if not shared_memory_disabled():
-        try:
-            from multiprocessing import shared_memory
-
-            name = f"{SEED_SEGMENT_PREFIX}_{os.getpid()}_{next(_segment_counter)}"
-            shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)), name=name)
-            shm.buf[: len(blob)] = blob
-            stats.shm_segments += 1
-            return ("shm", shm.name, len(blob)), SeedSegment(shm)
-        except Exception:  # noqa: BLE001 - any failure falls back to the queue
-            pass
-    return ("pickle", blob), None
-
-
-def load_seed(wire: Tuple) -> Dict[str, Any]:
-    """The worker-side inverse of :func:`publish_seed`."""
-    if wire[0] == "pickle":
-        return pickle.loads(wire[1])
-    _, name, size = wire
-    from multiprocessing import shared_memory
-
-    try:
-        # 3.13+: attach untracked — the parent owns the segment's lifetime
-        shm = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack_segment(name)
-    try:
-        blob = bytes(shm.buf[:size])
-    finally:
-        shm.close()
-    return pickle.loads(blob)
-
-
-def _untrack_segment(name: str) -> None:  # pragma: no cover - Python < 3.13 path
-    """Undo the resource tracker's attach-side registration.
-
-    Before 3.13 every attach registers the segment with the process's
-    resource tracker, which would try to unlink it again at worker exit —
-    after the parent (the owner) already has — and spam warnings.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:  # noqa: BLE001 - tracking cosmetics must never break a worker
-        pass
-
-
-def live_seed_segments(directory: str = "/dev/shm") -> List[str]:
-    """Names of this machine's live seed segments (the leak-test probe)."""
-    try:
-        names = os.listdir(directory)
-    except OSError:  # pragma: no cover - non-Linux or exotic container
-        return []
-    return sorted(name for name in names if name.startswith(SEED_SEGMENT_PREFIX))

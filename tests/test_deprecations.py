@@ -1,11 +1,11 @@
-"""The deprecation ledger: what is gone, and what still warns.
+"""The deprecation ledger: what is gone stays gone.
 
-The PR 3/4 shims (``nfa_cache_size`` on the engine and the worker pool, the
-``_build_nfa`` solver hook, the module-level ``trim`` alias) finished their
-cycle and are removed — the first half of this file pins that down, so a
-shim cannot quietly come back.  The second half covers the one *current*
-deprecation: ``int(InvalidationReport)``, the back-compat bridge from
-``invalidate_schema``'s former bare-``int`` return.
+The retired shims (``nfa_cache_size`` on the engine and the worker pool, the
+``_build_nfa`` solver hook, the module-level ``trim`` alias, and
+``int(InvalidationReport)``, the bridge from ``invalidate_schema``'s former
+bare-``int`` return) finished their cycle and are removed — the first half
+of this file pins that down, so a shim cannot quietly come back.  The second
+half checks that the supported replacements stay silent.
 """
 
 import warnings
@@ -17,15 +17,6 @@ from repro.engine import ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
 from repro.rpq import build_nfa, parse_regex
 from repro.workloads import medical
-
-
-def _exactly_one_deprecation(recorded):
-    deprecations = [w for w in recorded if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, (
-        f"expected exactly one DeprecationWarning, got {len(deprecations)}: "
-        f"{[str(w.message) for w in deprecations]}"
-    )
-    return deprecations[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -53,17 +44,16 @@ def test_module_level_trim_is_gone():
     assert build_nfa(parse_regex("a . b")).trim().state_count() > 0
 
 
-# --------------------------------------------------------------------------- #
-# the current deprecation: int(InvalidationReport)
-# --------------------------------------------------------------------------- #
-def test_invalidation_report_int_warns_and_yields_the_result_count():
+def test_invalidation_report_int_is_gone():
     report = InvalidationReport("f" * 64, results=3, completions=2, automata=5)
-    with warnings.catch_warnings(record=True) as recorded:
-        warnings.simplefilter("always")
-        legacy = int(report)
-    warning = _exactly_one_deprecation(recorded)
-    assert "InvalidationReport" in str(warning.message)
-    assert legacy == 3  # the former return value: dropped result entries
+    with pytest.raises(TypeError):
+        int(report)
+    assert report.results == 3  # the supported field for the former return value
+
+
+# --------------------------------------------------------------------------- #
+# the supported replacements
+# --------------------------------------------------------------------------- #
 
 
 def test_invalidate_schema_returns_a_structured_report():
@@ -78,7 +68,7 @@ def test_invalidate_schema_returns_a_structured_report():
 
 
 def test_modern_paths_emit_no_deprecation_warnings():
-    """The supported APIs must stay silent — only the shim warns when used."""
+    """The supported APIs must stay silent."""
     schema = medical.source_schema()
     engine = ContainmentEngine(automaton_cache_size=16)
     solver = engine.solver(schema)

@@ -269,8 +269,6 @@ def test_clear_and_invalidate_schema():
     report = engine.invalidate_schema(schema)
     assert report.results == 1
     assert report.schema_fingerprint == schema.canonical_fingerprint()
-    with pytest.warns(DeprecationWarning, match="InvalidationReport"):
-        assert int(report) == 1  # legacy bare-int view of the report
     assert engine.cache_sizes()["results"] == 1
     engine.clear()
     assert all(count == 0 for count in engine.cache_sizes().values())

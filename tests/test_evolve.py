@@ -160,13 +160,12 @@ def test_empty_left_verdicts_migrate(corpus):
     assert migrated.schema_name == new_schema.name
 
 
-def test_worker_pool_is_reseeded_after_evolve(corpus, cold_baseline):
+def test_live_worker_pool_answers_correctly_after_evolve(corpus, cold_baseline):
     """An already-started process pool answers post-evolve requests correctly."""
     old_schema, new_schema, pairs = corpus
     with ContainmentEngine(max_workers=2) as engine:
         engine.check_many(pairs, schema=old_schema, parallel="process")
-        report = engine.evolve(old_schema, new_schema)
-        assert report.seeded_contexts >= 0
+        engine.evolve(old_schema, new_schema)
         results = engine.check_many(pairs, schema=new_schema, parallel="process")
     assert [result_fingerprint(result) for result in results] == cold_baseline
 

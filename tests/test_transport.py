@@ -1,35 +1,23 @@
-"""The cheap worker transport: tokens, catalogs, context seeds, shared memory.
+"""The cheap worker transport: tokens and catalogs.
 
 Unit tests exercise the wire pieces of ``repro.engine.transport`` directly;
 the pool-level tests then force the interesting degradations — catalog
 misses falling back to full payloads, schema references resolved from the
-read-only store, ``REPRO_NO_SHM=1`` pushing seeds through the queue — and
-assert the invariant that makes all of it safe: verdicts stay bit-identical
-to serial, and no shared-memory segment outlives its pool on any teardown
-path.
+read-only store — and assert the invariant that makes all of it safe:
+verdicts stay bit-identical to serial.
 """
 
 import pytest
 
 from repro.containment.solver import _as_union
-from repro.core import compile_regex
-from repro.core.interning import symbol_table
 from repro.engine import ContainmentEngine, TransportStats, WorkerTransportStats, result_fingerprint
 from repro.engine.transport import (
-    SHM_DISABLE_VARIABLE,
     TokenCatalog,
-    build_context_seed,
     decode_payload,
     encode_payload,
-    install_context_seed,
-    live_seed_segments,
-    load_seed,
-    publish_seed,
     query_token,
     schema_token,
-    shared_memory_disabled,
 )
-from repro.rpq import parse_regex
 from repro.workloads.batches import containment_batch
 
 
@@ -146,121 +134,6 @@ def test_schema_references_resolve_from_the_store_only_on_name_match():
 
 
 # --------------------------------------------------------------------------- #
-# context seeds
-# --------------------------------------------------------------------------- #
-def warm_bundle(spec, context):
-    bundle = compile_regex(parse_regex(spec), context)
-    bundle.dfa()
-    bundle.minimal_dfa()
-    return bundle
-
-
-def test_seed_ships_only_computed_dfas():
-    cold = compile_regex(parse_regex("a . b"), "test-seed-cold")
-    assert build_context_seed([cold]) == {}  # nothing computed, nothing shipped
-    assert build_context_seed([warm_bundle("a . b*", None)]) == {}  # no context
-
-    warm = warm_bundle("a . (b + c)*", "test-seed-warm")
-    seed = build_context_seed([warm, cold])
-    assert set(seed) == {"test-seed-warm"}
-    assert seed["test-seed-warm"]["symbols"] == symbol_table("test-seed-warm").snapshot()
-    ((regex, dfa_spec, min_spec),) = seed["test-seed-warm"]["automata"]
-    assert regex == warm.regex and dfa_spec is not None and min_spec is not None
-    assert build_context_seed([warm], contexts={"other"}) == {}
-
-
-def test_install_reconstructs_the_same_dfas_in_a_fresh_context():
-    from repro.engine.transport import _dfa_spec
-
-    warm = warm_bundle("a . (b + c)* . d", "test-install-source")
-    seed = build_context_seed([warm])
-    # re-key the seed onto a context this process has never touched — the
-    # same situation a freshly spawned worker is in
-    transplanted = {"test-install-target": seed["test-install-source"]}
-    stats = WorkerTransportStats()
-    assert install_context_seed(transplanted, stats) == 2
-    assert stats.automata_seeded == 2 and stats.contexts_skipped == 0
-    # the installed DFAs are structurally identical to what a cold local
-    # compile would have produced (determinize/minimize are deterministic
-    # and symbols intern in the same arrival order)
-    installed = compile_regex(warm.regex, "test-install-target")
-    recompiled = warm_bundle("a . (b + c)* . d", "test-install-control")
-    assert _dfa_spec(installed._dfa) == _dfa_spec(recompiled._dfa)
-    assert _dfa_spec(installed._min_dfa) == _dfa_spec(recompiled._min_dfa)
-    # a second install is a no-op: computed DFAs are never overwritten
-    assert install_context_seed(transplanted, stats) == 0
-
-
-def test_install_skips_contexts_whose_symbol_prefix_mismatches():
-    warm = warm_bundle("a . b", "test-skew-source")
-    seed = build_context_seed([warm])
-    symbols = seed["test-skew-source"]["symbols"]
-    assert len(symbols) >= 2
-    # the target table interned the seed's symbols in a different arrival
-    # order, so the shipped positional transition ids would be misread
-    symbol_table("test-skew-target").intern(symbols[-1])
-    transplanted = {"test-skew-target": seed["test-skew-source"]}
-    stats = WorkerTransportStats()
-    assert install_context_seed(transplanted, stats) == 0
-    assert stats.contexts_skipped == 1 and stats.automata_seeded == 0
-    # the skipped worker recompiles locally and stays language-identical
-    local = warm_bundle("a . b", "test-skew-target")
-    control = warm_bundle("a . b", "test-skew-control")
-    assert local.minimal_dfa().num_states == control.minimal_dfa().num_states
-    assert local._min_dfa is not None
-
-
-# --------------------------------------------------------------------------- #
-# shared-memory publication
-# --------------------------------------------------------------------------- #
-def test_shm_disable_variable_parsing(monkeypatch):
-    for value, disabled in (("", False), ("0", False), ("1", True), ("yes", True)):
-        monkeypatch.setenv(SHM_DISABLE_VARIABLE, value)
-        assert shared_memory_disabled() is disabled
-    monkeypatch.delenv(SHM_DISABLE_VARIABLE)
-    assert shared_memory_disabled() is False
-
-
-def test_publish_and_load_roundtrip_through_shared_memory():
-    seed = build_context_seed([warm_bundle("a . b*", "test-shm-roundtrip")])
-    stats = TransportStats()
-    wire, segment = publish_seed(seed, stats)
-    if segment is None:  # pragma: no cover - no /dev/shm in this container
-        pytest.skip("shared memory unavailable")
-    try:
-        assert wire[0] == "shm" and stats.shm_segments == 1
-        assert segment.name in live_seed_segments()
-        assert load_seed(wire) == seed
-        assert load_seed(wire) == seed  # attaching is repeatable
-    finally:
-        segment.release()
-        segment.release()  # idempotent
-    assert segment.name not in live_seed_segments()
-
-
-def test_publish_falls_back_to_pickle_when_disabled(monkeypatch):
-    monkeypatch.setenv(SHM_DISABLE_VARIABLE, "1")
-    seed = build_context_seed([warm_bundle("a+", "test-pickle-fallback")])
-    stats = TransportStats()
-    wire, segment = publish_seed(seed, stats)
-    assert wire[0] == "pickle" and segment is None
-    assert stats.seeds_published == 1 and stats.shm_segments == 0
-    assert load_seed(wire) == seed
-
-
-def test_dense_seed_payload_is_smaller_than_the_legacy_triples(monkeypatch):
-    monkeypatch.setenv(SHM_DISABLE_VARIABLE, "1")
-    seed = build_context_seed(
-        [warm_bundle("(a + b + c)* . d . (a + b)*", "test-seed-size")]
-    )
-    stats = TransportStats()
-    publish_seed(seed, stats)
-    # the dense byte-table encoding must undercut the per-transition triple
-    # lists it replaced; both sizes are reported so the shrink stays visible
-    assert 0 < stats.seed_bytes < stats.seed_bytes_legacy
-
-
-# --------------------------------------------------------------------------- #
 # the pool under degraded transport
 # --------------------------------------------------------------------------- #
 def poison_ledgers(pool, schema, pairs, queries=True):
@@ -324,77 +197,29 @@ def test_schema_references_resolve_from_the_shared_store(tmp_path):
         engine.close()
 
 
-def seeded_engine_and_pool(schema, pairs):
-    """An engine whose automata cache holds computed DFAs for *schema* — the
-    state a warm parent is in when it seeds a fresh pool."""
-    engine = ContainmentEngine(max_workers=1)
-    engine.check_many(pairs, schema=schema)  # warm the automata cache
+def test_serial_runs_compute_no_dfas():
+    """The solver's automaton work is NFA-only, so a warm parent holds no
+    computed DFA a worker could be spared — which is why nothing but the
+    regex crosses the process boundary."""
+    schema, pairs = containment_batch("medical")
+    engine = ContainmentEngine()
+    engine.check_many(pairs, schema=schema)
     with engine._lock:
         bundles = [bundle for _key, bundle in engine._automata.items()]
     assert bundles, "the serial run must have compiled automata"
-    for bundle in bundles:
-        bundle.dfa()
-        bundle.minimal_dfa()
-    return engine
+    assert all(bundle._dfa is None and bundle._min_dfa is None for bundle in bundles)
 
 
-@pytest.mark.parametrize("no_shm", [False, True], ids=["shm", "pickle-fallback"])
-def test_seeded_process_runs_are_bit_identical(monkeypatch, no_shm):
-    if no_shm:
-        monkeypatch.setenv(SHM_DISABLE_VARIABLE, "1")
+def test_process_batch_from_a_warm_parent_matches_cold_serial():
     schema, pairs = containment_batch("medical")
     serial = ContainmentEngine().check_many(pairs, schema=schema)
-    engine = seeded_engine_and_pool(schema, pairs)
+    engine = ContainmentEngine(max_workers=1)
     try:
+        engine.check_many(pairs, schema=schema)  # warm the parent's caches
         results = engine.check_many(pairs, schema=schema, parallel="process")
         assert fingerprints(results) == fingerprints(serial)
-        pool = engine.process_pool()
-        assert pool.transport_stats.seeds_published == 1
-        assert pool.transport_stats.shm_segments == (0 if no_shm else 1)
-        assert pool.worker_transport().automata_seeded >= 1
-        # a second batch over the same schema does not re-seed
-        engine.check_many(pairs[:2], schema=schema, parallel="process")
-        assert pool.transport_stats.seeds_published == 1
     finally:
         engine.shutdown()
-
-
-def test_interrupted_pool_releases_its_seed_segments(monkeypatch):
-    """KeyboardInterrupt mid-batch must reclaim shared memory, not just the
-    worker processes (companion to the lifecycle test in test_parallel)."""
-    schema, pairs = containment_batch("medical")
-    engine = seeded_engine_and_pool(schema, pairs)
-    try:
-        engine.check_many(pairs[:2], schema=schema, parallel="process")
-        pool = engine.process_pool()
-        segment_names = [segment.name for segment in pool._segments]
-        if segment_names:  # skip-free: under REPRO_NO_SHM there is no segment
-            assert set(segment_names) <= set(live_seed_segments())
-
-        def interrupted_receive():
-            raise KeyboardInterrupt()
-
-        monkeypatch.setattr(pool, "_receive", interrupted_receive)
-        with pytest.raises(KeyboardInterrupt):
-            engine.check_many(pairs[:2], schema=schema, parallel="process")
-        assert pool.closed and not pool._segments
-        assert not set(segment_names) & set(live_seed_segments())
-    finally:
-        engine.shutdown()
-
-
-def test_dropped_pool_reaps_segments_without_close():
-    import gc
-
-    schema, pairs = containment_batch("medical")
-    engine = seeded_engine_and_pool(schema, pairs)
-    engine.check_many(pairs[:2], schema=schema, parallel="process")
-    pool = engine.process_pool()
-    segment_names = [segment.name for segment in pool._segments]
-    engine._process_pool = None  # drop without close(): only the GC finalizer runs
-    del pool
-    gc.collect()
-    assert not set(segment_names) & set(live_seed_segments())
 
 
 def test_transport_report_shapes():
