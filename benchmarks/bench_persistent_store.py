@@ -5,7 +5,7 @@ Two claims are checked on the mixed workload
 synthetic, four schemas, every request distinct):
 
 1. **determinism** — verdicts are fingerprint-identical with the store off,
-   cold, and warm, and across the serial/thread/process backends with the
+   cold, and warm, and across the serial and process backends with the
    store behind the engine (always asserted, any machine);
 2. **speedup** — a second run of the batch against the now-populated store
    file, from a fresh engine with the process-wide compile memo cleared
@@ -74,12 +74,12 @@ def test_warm_store_speedup_gate(store_path):
 
 
 def test_fingerprints_identical_across_backends_with_store(store_path):
-    """persist-off / persist-on × serial / thread / process all agree."""
+    """persist-off / persist-on × serial / process all agree."""
     requests = mixed_batch(length=3)
     baseline = ContainmentEngine().check_many(requests)
     fingerprints = [result_fingerprint(result) for result in baseline]
 
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         engine = ContainmentEngine(persist=store_path, max_workers=2)
         try:
             results = engine.check_many(requests, parallel=backend)

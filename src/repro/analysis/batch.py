@@ -4,13 +4,9 @@ at fleet scale).
 A served deployment does not type check one migration at a time — it
 validates whole catalogues of transformations against schema registries.
 :func:`type_check_many` and :func:`check_equivalence_many` run such batches
-across the same three backends as
-:meth:`repro.engine.ContainmentEngine.check_many`:
+on two of the backends of :meth:`repro.engine.ContainmentEngine.check_many`:
 
-* ``"serial"`` — one shared engine, jobs in order (the baseline);
-* ``"thread"`` — a thread pool over one shared engine; overlaps only
-  allocator/cache-bound work under the GIL, but every job warms the same
-  caches;
+* ``"serial"`` (the default) — one shared engine, jobs in order;
 * ``"process"`` — each *job* ships whole to a
   :class:`~repro.engine.parallel.WorkerPool` worker (routed by source-schema
   fingerprint, so a registry of schemas shards cleanly), runs against that
@@ -18,15 +14,15 @@ across the same three backends as
   statement entailments, per-difference containment results — is pickled
   back.
 
-All backends produce identical analysis outcomes; the process backend is the
-one that scales with cores because each job's many containment calls run in
-a separate interpreter.
+``"auto"`` is not offered here: its cost model prices single containment
+tests, not whole jobs.  Any other value raises :class:`ValueError`.  Both
+backends produce identical analysis outcomes; the process backend is the one
+that scales with cores because each job's many containment calls run in a
+separate interpreter.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..containment.solver import ContainmentConfig
@@ -43,12 +39,15 @@ def _run_jobs(
     payloads: Sequence[Tuple],
     routing_schemas: Sequence[Schema],
     serial_runner,
-    parallel: Union[bool, str],
+    parallel: str,
     engine: Optional[ContainmentEngine],
     max_workers: Optional[int],
     persist: Optional[Any] = None,
 ) -> List[Any]:
-    backend = ContainmentEngine._normalise_backend(parallel)
+    if parallel not in ("serial", "process"):
+        raise ValueError(
+            f"{kind} batch: unknown backend {parallel!r} (expected 'serial' or 'process')"
+        )
     owned: Optional[ContainmentEngine] = None
     if engine is None and persist is not None:
         # a one-shot persisting engine for this batch; callers running many
@@ -57,7 +56,7 @@ def _run_jobs(
         owned = engine = ContainmentEngine(persist=persist)
     resolved_engine = engine or default_engine()
     try:
-        if backend == "process" and payloads:
+        if parallel == "process" and payloads:
             pool: WorkerPool = resolved_engine.process_pool(max_workers)
             # the tertiary routing token must be deterministic run-to-run (the
             # plan_routing contract), so it is built from the schema fingerprint
@@ -68,11 +67,6 @@ def _run_jobs(
                 schema_fp = schema.canonical_fingerprint()
                 keys.append((schema_fp, "", f"{schema_fp}\x1f{position}"))
             return pool.run_batch(kind, list(payloads), keys)
-        if backend == "thread" and len(payloads) > 1:
-            workers = max_workers or min(32, (os.cpu_count() or 2))
-            workers = min(workers, len(payloads))
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(lambda p: serial_runner(resolved_engine, p), payloads))
         return [serial_runner(resolved_engine, payload) for payload in payloads]
     finally:
         if owned is not None:
@@ -83,7 +77,7 @@ def type_check_many(
     jobs: Sequence[Union[Tuple, Any]],
     *,
     config: Optional[ContainmentConfig] = None,
-    parallel: Union[bool, str] = False,
+    parallel: str = "serial",
     engine: Optional[ContainmentEngine] = None,
     max_workers: Optional[int] = None,
     persist: Optional[Any] = None,
@@ -91,8 +85,8 @@ def type_check_many(
     """Type check a batch of ``(transformation, source, target[, config])``
     jobs; results keep job order.
 
-    ``parallel`` selects the backend exactly as in ``check_many`` (see the
-    module docstring); ``engine`` defaults to the process-wide engine, whose
+    ``parallel`` is ``"serial"`` or ``"process"`` (see the module
+    docstring); ``engine`` defaults to the process-wide engine, whose
     persistent worker pool serves the ``"process"`` backend.  ``persist``
     (a store path, only without ``engine``) runs the batch on a one-shot
     engine backed by the disk store, so the containment verdicts inside the
@@ -120,7 +114,7 @@ def check_equivalence_many(
     jobs: Sequence[Union[Tuple, Any]],
     *,
     config: Optional[ContainmentConfig] = None,
-    parallel: Union[bool, str] = False,
+    parallel: str = "serial",
     engine: Optional[ContainmentEngine] = None,
     max_workers: Optional[int] = None,
     persist: Optional[Any] = None,

@@ -8,7 +8,7 @@ Seven subcommands over the library's hot paths:
   migration (or a transformation/schema file triple);
 * ``batch`` — a containment batch through
   :meth:`~repro.engine.ContainmentEngine.check_many` on a chosen backend
-  (``serial``/``thread``/``process``), with JSON timing + cache-stats
+  (``serial``/``process``/``auto``), with JSON timing + cache-stats
   reports;
 * ``bench`` — the same batch across *all* requested backends, asserting
   fingerprint-identical verdicts and reporting per-backend speedups; with
@@ -74,6 +74,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from .core import clear_compile_memo
 from .engine import ContainmentEngine, result_fingerprint
 from .engine.parallel import default_worker_count
 from .rpq.parser import parse_c2rpq
@@ -89,7 +90,8 @@ from .workloads.batches import (
 
 __all__ = ["main"]
 
-BACKENDS = ("serial", "thread", "process", "auto")
+BACKENDS = ("serial", "process", "auto")
+DEFAULT_BENCH_BACKENDS = "serial,process"
 
 #: The RNG seed recorded in (and applied before) every bench report, so any
 #: randomised corpus or tie-breaking is reproducible run to run.
@@ -174,6 +176,19 @@ def _run_backend(
     started = time.perf_counter()
     results = engine.check_many(pairs, schema=schema, parallel=backend, max_workers=workers)
     return results, time.perf_counter() - started
+
+
+def _requested_backends(args: argparse.Namespace) -> List[str]:
+    """The parsed ``bench --backends`` list (``serial,process`` when unset)."""
+    backends = [
+        backend.strip()
+        for backend in (args.backends or DEFAULT_BENCH_BACKENDS).split(",")
+        if backend.strip()
+    ]
+    unknown = [backend for backend in backends if backend not in BACKENDS]
+    if unknown:
+        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown)}")
+    return backends
 
 
 def _stats_block(engine: ContainmentEngine, backend: str) -> Dict[str, Any]:
@@ -368,15 +383,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     label, schema, pairs = _resolve_batch(args)
-    backends = [backend.strip() for backend in args.backends.split(",") if backend.strip()]
-    unknown = [backend for backend in backends if backend not in BACKENDS]
-    if unknown:
-        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown)}")
+    backends = _requested_backends(args)
 
     context = _context_block()  # seeds the RNG before any backend runs
     runs: Dict[str, Dict[str, Any]] = {}
     fingerprints = {}
     for backend in backends:
+        clear_compile_memo()  # every arm starts cold, whatever ran before it
         with ContainmentEngine() as engine:
             results, elapsed = _run_backend(engine, backend, schema, pairs, args.workers)
             fingerprints[backend] = _batch_fingerprint(results)
@@ -426,7 +439,7 @@ def _cmd_bench_automata(args: argparse.Namespace) -> int:
         ignored.append("--length")
     if args.spec:
         ignored.append("--spec")
-    if args.backends != "serial,thread,process":
+    if args.backends is not None:
         ignored.append("--backends")
     if args.workers is not None:
         ignored.append("--workers")
@@ -462,10 +475,8 @@ def _cmd_bench_store(args: argparse.Namespace) -> int:
     The headline number is ``speedup`` (cold / warm); the suite also asserts
     the three passes fingerprint-identical, which is the exit code.
     """
-    from .core import clear_compile_memo
-
     ignored = []
-    if args.backends != "serial,thread,process":
+    if args.backends is not None:
         ignored.append("--backends")
     if args.workers is not None:
         ignored.append("--workers")
@@ -585,10 +596,7 @@ def _cmd_bench_zoo(args: argparse.Namespace) -> int:
             "(it runs the seeded zoo corpus); ignoring",
             file=sys.stderr,
         )
-    backends = [backend.strip() for backend in args.backends.split(",") if backend.strip()]
-    unknown = [backend for backend in backends if backend not in BACKENDS]
-    if unknown:
-        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown)}")
+    backends = _requested_backends(args)
 
     context = _context_block()
     property_pairs = args.requests if args.requests is not None else 72
@@ -602,6 +610,7 @@ def _cmd_bench_zoo(args: argparse.Namespace) -> int:
     runs: Dict[str, Dict[str, Any]] = {}
     fingerprints: Dict[str, str] = {}
     for backend in backends:
+        clear_compile_memo()  # every arm starts cold, whatever ran before it
         with ContainmentEngine() as engine:
             results, elapsed = _run_backend(engine, backend, None, requests, args.workers)
             fingerprints[backend] = _batch_fingerprint(results)
@@ -656,7 +665,6 @@ def _cmd_bench_evolve(args: argparse.Namespace) -> int:
     """
     from .chase.solver import SatisfiabilityConfig
     from .containment.solver import ContainmentConfig
-    from .core import clear_compile_memo
     from .workloads.zoo import HEAVY_EVOLUTION_WORD_CAP, heavy_evolution_corpus
 
     ignored = []
@@ -668,7 +676,7 @@ def _cmd_bench_evolve(args: argparse.Namespace) -> int:
         ignored.append("--length")
     if args.persist:
         ignored.append("--persist")
-    if args.backends != "serial,thread,process":
+    if args.backends is not None:
         ignored.append("--backends")
     if ignored:
         print(
@@ -753,13 +761,12 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     ``check_many`` baseline — the ≥ 2× gate itself lives in
     ``benchmarks/bench_service_throughput.py``, which skips on < 4 cores.
     """
-    from .core import clear_compile_memo
     from .service import ContainmentService
     from .workloads.replay import latency_percentiles
     from .workloads.streams import closed_loop, request_stream
 
     ignored = []
-    if args.backends != "serial,thread,process":
+    if args.backends is not None:
         ignored.append("--backends")
     if args.repeats is not None:
         ignored.append("--repeats")
@@ -1101,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--backend", choices=BACKENDS, default="serial", help="execution backend (default: serial)"
     )
-    batch.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    batch.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
     batch.add_argument(
         "--repeat", type=int, default=1, help="repeat the batch N times, report the last (warm) run"
     )
@@ -1134,10 +1141,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--spec", help="JSON spec file (overrides --workload)")
     bench.add_argument(
         "--backends",
-        default="serial,thread,process",
-        help="comma-separated backends to compare (default: serial,thread,process)",
+        default=None,
+        help=(
+            "backends and zoo suites: comma-separated backends to compare "
+            f"(default: {DEFAULT_BENCH_BACKENDS})"
+        ),
     )
-    bench.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    bench.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
     bench.add_argument(
         "--repeats",
         type=int,
@@ -1200,11 +1210,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "backend coalesced batches run on; 'auto' measures per-item solve "
-            "and serialization cost and picks serial/thread/process per batch "
+            "and serialization cost and picks serial or process per batch "
             "(default: auto)"
         ),
     )
-    serve.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    serve.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
     serve.add_argument(
         "--coalesce-window",
         type=float,
@@ -1274,7 +1284,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pick from measured cost (default: serial)"
         ),
     )
-    replay.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    replay.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
     replay.add_argument(
         "--coalesce-window",
         type=float,

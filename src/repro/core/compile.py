@@ -9,7 +9,7 @@ structural regex, whose hash and canonical token are themselves cached on
 the expression).
 
 Two invariants matter for verdict stability (the engine's fingerprints are
-asserted bit-identical across serial/thread/process backends *and* across
+asserted bit-identical across the serial and process backends *and* across
 cached/uncached runs):
 
 * the NFA is exactly ``build_nfa(regex)`` — memoization changes *when* it is

@@ -5,7 +5,7 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
 
 * :class:`ContainmentEngine` — owns the fingerprint-keyed caches (verdicts,
   completions + chase engines, schema TBox encodings, compiled automata) and the
-  ``check_many`` batch API with serial/thread/process/auto backends; constructed
+  ``check_many`` batch API with serial/process/auto backends; constructed
   with ``persist=path`` it adds the disk-persistent second tier
   (:class:`repro.store.ResultStore`) that worker processes warm-start from;
 * :class:`ContainmentRequest` — one ``(left, right, schema, config)`` unit of

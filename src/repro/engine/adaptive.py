@@ -1,4 +1,4 @@
-"""Adaptive backend selection: measure, then choose serial/thread/process.
+"""Adaptive backend selection: measure, then choose serial or process.
 
 ``check_many(parallel="auto")`` — and the containment service, whose default
 this is — should not make the user guess whether a batch is worth a worker
@@ -20,14 +20,11 @@ exceeded per-item solve cost.  So the engine measures both and decides:
 
       serial  ≈ n·s
       process ≈ dispatch + n·t + n·s/w   (+ spawn penalty if the pool is cold)
-      thread  ≈ dispatch/4 + n·s/w       (only on free-threaded builds —
-                                          under the GIL threads cannot
-                                          overlap the CPU-bound chase)
 
-  The cheapest estimate wins, but a non-serial backend must beat serial by a
-  :data:`margin <SERIAL_MARGIN>` — estimates are noisy, and when they are
-  close, serial's predictability (and the absence of worker processes) is
-  worth more than a few projected milliseconds.
+  Process wins only when it beats serial by a :data:`margin <SERIAL_MARGIN>`
+  — estimates are noisy, and when they are close, serial's predictability
+  (and the absence of worker processes) is worth more than a few projected
+  milliseconds.
 
 Degenerate cases short-circuit to serial: single-item batches, single-core
 boxes, unpicklable payloads (transport cost ``inf``), and schemas with no
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -61,7 +57,7 @@ DISPATCH_OVERHEAD_SECONDS = 0.002
 #: fresh interpreter per worker (spawn method) plus the first warm-up imports.
 SPAWN_PENALTY_SECONDS = 0.25
 
-#: A non-serial backend must project at least this speedup over serial —
+#: The process backend must project at least this speedup over serial —
 #: close calls go to serial, whose estimate has the least variance.
 SERIAL_MARGIN = 1.2
 
@@ -77,29 +73,19 @@ class CostProfile:
     transport_seconds: float
 
 
-def _gil_enabled() -> bool:
-    try:
-        return sys._is_gil_enabled()  # free-threaded 3.13+: may be False
-    except AttributeError:  # pragma: no cover - depends on the interpreter
-        return True
-
-
 class AdaptiveSelector:
-    """Per-schema cost profiles plus the serial/thread/process decision rule.
+    """Per-schema cost profiles plus the serial/process decision rule.
 
     Thread-safe (the service's coalescer flushes from a worker thread).
-    ``cpu_count`` and ``gil_enabled`` are injectable for tests — forcing a
-    profile and a core count makes every decision deterministic.
+    ``cpu_count`` is injectable for tests — forcing a profile and a core
+    count makes every decision deterministic.
     """
 
-    def __init__(
-        self, cpu_count: Optional[int] = None, gil_enabled: Optional[bool] = None
-    ) -> None:
+    def __init__(self, cpu_count: Optional[int] = None) -> None:
         self.cpu_count = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-        self.gil_enabled = gil_enabled if gil_enabled is not None else _gil_enabled()
         self._lock = threading.Lock()
         self._profiles: Dict[str, CostProfile] = {}
-        self.decisions: Dict[str, int] = {"serial": 0, "thread": 0, "process": 0}
+        self.decisions: Dict[str, int] = {"serial": 0, "process": 0}
         self.probes = 0
         self.last_decision: Optional[Dict[str, Any]] = None
 
@@ -168,12 +154,12 @@ class AdaptiveSelector:
         workers: Optional[int] = None,
         pool_ready: bool = False,
     ) -> str:
-        """Pick ``"serial"``, ``"thread"`` or ``"process"`` for this batch."""
+        """Pick ``"serial"`` or ``"process"`` for this batch."""
         effective_workers = max(1, min(workers or self.cpu_count, self.cpu_count, batch_size))
         if batch_size <= 1 or self.cpu_count < 2 or profile is None:
             return self._record("serial", batch_size, profile, None)
 
-        estimates = {"serial": batch_size * profile.solve_seconds}
+        serial = batch_size * profile.solve_seconds
         process = (
             DISPATCH_OVERHEAD_SECONDS
             + batch_size * profile.transport_seconds
@@ -181,17 +167,10 @@ class AdaptiveSelector:
         )
         if not pool_ready:
             process += SPAWN_PENALTY_SECONDS
-        estimates["process"] = process
-        if not self.gil_enabled:
-            # free-threaded build: no pickling, shared caches, cheap dispatch
-            estimates["thread"] = (
-                DISPATCH_OVERHEAD_SECONDS / 4
-                + batch_size * profile.solve_seconds / effective_workers
-            )
-        choice = min(estimates, key=lambda backend: (estimates[backend], backend))
-        if choice != "serial" and estimates[choice] * SERIAL_MARGIN > estimates["serial"]:
-            choice = "serial"
-        return self._record(choice, batch_size, profile, estimates)
+        choice = "process" if process * SERIAL_MARGIN <= serial else "serial"
+        return self._record(
+            choice, batch_size, profile, {"serial": serial, "process": process}
+        )
 
     def _record(
         self,
@@ -225,7 +204,6 @@ class AdaptiveSelector:
         with self._lock:
             return {
                 "cpu_count": self.cpu_count,
-                "gil_enabled": self.gil_enabled,
                 "profiles": len(self._profiles),
                 "probes": self.probes,
                 "decisions": dict(self.decisions),

@@ -34,8 +34,8 @@ composition and invalidation rules):
 Because all keys are content fingerprints, mutating a schema or query after a
 call can never make the caches return stale answers — a mutated object simply
 fingerprints to a new key.  :meth:`ContainmentEngine.check_many` evaluates
-batches (optionally on a :class:`~concurrent.futures.ThreadPoolExecutor`) and
-:data:`default_engine` provides the process-wide instance behind the
+batches (serially, or on the worker processes of the ``"process"`` backend)
+and :data:`default_engine` provides the process-wide instance behind the
 stateless :func:`repro.containment.contains` wrapper.
 
 ``ContainmentEngine(persist=path)`` adds a **second, disk-persistent tier**
@@ -60,10 +60,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -314,8 +312,9 @@ class ContainmentEngine:
     The engine is schema-agnostic: pass the schema per call (or bind one with
     :meth:`solver`), and artefacts are cached under content fingerprints, so
     one engine can serve any number of schemas concurrently.  All cache
-    access is serialised by an internal lock; :meth:`check_many` may fan a
-    batch out over threads.
+    access is serialised by an internal lock, so callers on several threads
+    (the service's coalescer flusher and its HTTP handlers) may share one
+    engine.
     """
 
     def __init__(
@@ -428,7 +427,7 @@ class ContainmentEngine:
         requests: Iterable[Union[ContainmentRequest, Sequence]],
         schema: Optional[Schema] = None,
         config: Optional[ContainmentConfig] = None,
-        parallel: Union[bool, str] = False,
+        parallel: str = "serial",
         max_workers: Optional[int] = None,
     ) -> List[ContainmentResult]:
         """Decide a batch of containment tests; results keep request order.
@@ -438,12 +437,7 @@ class ContainmentEngine:
         ``schema`` and ``config`` arguments fill in whatever a request leaves
         unset.  ``parallel`` selects the execution backend:
 
-        * ``False`` / ``"serial"`` — this thread, in request order;
-        * ``True`` / ``"thread"`` — a
-          :class:`~concurrent.futures.ThreadPoolExecutor`; under CPython's
-          GIL this overlaps at most allocator- and cache-bound work, so it
-          helps mixed workloads and free-threaded builds, not the CPU-bound
-          chase;
+        * ``"serial"`` (the default) — this thread, in request order;
         * ``"process"`` — the engine's persistent
           :class:`~repro.engine.parallel.WorkerPool` of worker processes,
           sharded by schema fingerprint (see docs/ARCHITECTURE.md).  Worker
@@ -458,12 +452,13 @@ class ContainmentEngine:
         * ``"auto"`` — measure, then choose: the first batch over a schema
           pays a calibration probe (its first item solved serially, timed,
           plus one timed pickle of the request) and the
-          :class:`~repro.engine.adaptive.AdaptiveSelector` picks one of the
-          three backends per batch from the recorded per-schema cost
-          profile, the batch size, the core count and the pool state.
+          :class:`~repro.engine.adaptive.AdaptiveSelector` picks serial or
+          process per batch from the recorded per-schema cost profile, the
+          batch size, the core count and the pool state.
 
-        All backends return bit-identical results (asserted by
-        fingerprint in the tests and ``benchmarks/bench_parallel_scaling.py``).
+        Any other value raises :class:`ValueError`.  All backends return
+        bit-identical results (asserted by fingerprint in the tests and
+        ``benchmarks/bench_parallel_scaling.py``).
         """
         self._ensure_open()
         backend = self._normalise_backend(parallel)
@@ -494,40 +489,16 @@ class ContainmentEngine:
             return self._check_many_adaptive(normalized, max_workers)
         if backend == "process" and normalized:
             return self._check_many_in_processes(normalized, max_workers)
-        if backend in ("auto", "process"):
-            backend = "serial"  # empty batch: nothing to fan out
-        return self._check_many_local(normalized, backend, max_workers)
-
-    def _check_many_local(
-        self,
-        normalized: List[Tuple[Any, Any, Schema, Optional[ContainmentConfig]]],
-        backend: str,
-        max_workers: Optional[int],
-    ) -> List[ContainmentResult]:
-        """The in-process backends: serial, or a thread pool."""
-
-        def run(task: Tuple[Any, Any, Schema, Optional[ContainmentConfig]]) -> ContainmentResult:
-            left, right, task_schema, task_config = task
-            return self.contains(left, right, task_schema, task_config)
-
-        if backend == "thread" and len(normalized) > 1:
-            workers = max_workers or self.max_workers or min(32, (os.cpu_count() or 2))
-            workers = min(workers, len(normalized))
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(run, normalized))
-        return [run(task) for task in normalized]
+        # serial, or an empty auto/process batch: nothing to fan out
+        return [self.contains(*task) for task in normalized]
 
     @staticmethod
-    def _normalise_backend(parallel: Union[bool, str]) -> str:
-        if parallel is False or parallel == "serial":
-            return "serial"
-        if parallel is True or parallel == "thread":
-            return "thread"
-        if parallel in ("process", "auto"):
+    def _normalise_backend(parallel: str) -> str:
+        if parallel in ("serial", "process", "auto"):
             return parallel
         raise ValueError(
             f"check_many: unknown backend {parallel!r} "
-            "(expected False/'serial', True/'thread', 'process' or 'auto')"
+            "(expected 'serial', 'process' or 'auto')"
         )
 
     def _check_many_adaptive(
@@ -576,11 +547,10 @@ class ContainmentEngine:
         )
         if backend == "process":
             return probed + self._check_many_in_processes(remainder, max_workers)
-        results = self._check_many_local(remainder, backend, max_workers)
-        if backend == "serial":
-            # free refresh of the solve estimate (transport stays as measured)
-            for fingerprint, result in zip(remainder_fps, results):
-                selector.observe(fingerprint, result.elapsed_seconds)
+        results = [self.contains(*task) for task in remainder]
+        # free refresh of the solve estimate (transport stays as measured)
+        for fingerprint, result in zip(remainder_fps, results):
+            selector.observe(fingerprint, result.elapsed_seconds)
         return probed + results
 
     def _check_many_in_processes(

@@ -1,7 +1,7 @@
 """Process-parallel batch execution for the containment engine.
 
-:class:`~repro.engine.ContainmentEngine.check_many` with ``parallel="thread"``
-cannot beat the GIL on the CPU-bound chase, so this module supplies the
+:class:`~repro.engine.ContainmentEngine.check_many` cannot beat the GIL on
+the CPU-bound chase within one interpreter, so this module supplies the
 *process* backend: a persistent :class:`WorkerPool` whose workers each own a
 warm :class:`~repro.engine.ContainmentEngine` in a separate interpreter.
 
@@ -42,7 +42,7 @@ Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
   digests every verdict-relevant field (including witness/counterexample
   payloads and the completed TBox fingerprint, excluding only wall-clock
   timings) and the tests and ``benchmarks/bench_parallel_scaling.py`` assert
-  serial/thread/process fingerprint identity on every workload.
+  serial/process fingerprint identity on every workload.
 
 Aggregate cache statistics are merged back with :func:`merge_stats`, so
 ``WorkerPool.stats()`` reports pool-wide hit/miss/eviction counters in the
@@ -185,7 +185,7 @@ def result_fingerprint(result: ContainmentResult) -> str:
 
     Wall-clock timing (``elapsed_seconds``) is excluded; everything else —
     including the witness pattern, the finite counterexample payload and the
-    completed TBox fingerprint — is part of the digest, so serial, thread and
+    completed TBox fingerprint — is part of the digest, so the serial and
     process backends must agree bit-for-bit to fingerprint equal.
     """
     counterexample = result.finite_counterexample

@@ -33,7 +33,7 @@ only ever builds NFAs and pumped word enumerations, so there is no computed
 DFA worth shipping to a worker, and no context seed crosses the boundary.
 
 Both mechanisms preserve the engine's core invariant: verdicts and
-``result_fingerprint`` digests are bit-identical across serial, thread and
+``result_fingerprint`` digests are bit-identical across the serial and
 process backends.
 """
 

@@ -66,8 +66,8 @@ class ContainmentService:
 
     ``parallel`` selects the backend flushed batches run on: ``"auto"`` (the
     default — the engine measures per-item solve and serialization cost and
-    picks serial/thread/process per batch, see ``repro.engine.adaptive``),
-    or a pinned ``"serial"``/``"thread"``/``"process"`` (the process pool is
+    picks serial or process per batch, see ``repro.engine.adaptive``), or a
+    pinned ``"serial"``/``"process"`` (the process pool is
     spawned eagerly so the first request does not pay for it; under
     ``"auto"`` the pool spawns only once the measured costs actually favour
     it).  ``persist`` puts the disk store behind the engine;

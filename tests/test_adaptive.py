@@ -1,6 +1,6 @@
 """The adaptive backend selector behind ``parallel="auto"``.
 
-Unit tests force cost profiles, core counts and GIL state into
+Unit tests force cost profiles and core counts into
 :class:`repro.engine.AdaptiveSelector` so every decision is deterministic;
 the integration tests then assert the one invariant that makes a wrong
 guess harmless — ``"auto"`` verdicts are bit-identical to serial — and that
@@ -22,8 +22,8 @@ def fingerprints(results):
 # --------------------------------------------------------------------------- #
 # the decision rule, with forced inputs
 # --------------------------------------------------------------------------- #
-def selector(cpus=8, gil=True):
-    return AdaptiveSelector(cpu_count=cpus, gil_enabled=gil)
+def selector(cpus=8):
+    return AdaptiveSelector(cpu_count=cpus)
 
 
 CHEAP_TRANSPORT = CostProfile(solve_seconds=0.1, transport_seconds=1e-6)
@@ -67,15 +67,6 @@ def test_spawn_penalty_tips_small_batches_to_serial():
     assert chooser.choose(4, profile, pool_ready=False) == "serial"
     assert chooser.last_decision["estimates"]["process"] > SPAWN_PENALTY_SECONDS
     assert chooser.choose(4, profile, pool_ready=True) == "process"
-
-
-def test_threads_are_an_option_only_without_the_gil():
-    with_gil = selector(gil=True)
-    with_gil.choose(16, CHEAP_TRANSPORT, pool_ready=True)
-    assert "thread" not in with_gil.last_decision["estimates"]
-    free_threaded = selector(gil=False)
-    # no pickling cost at all: threads beat even the cheap process transport
-    assert free_threaded.choose(16, CHEAP_TRANSPORT, pool_ready=True) == "thread"
 
 
 def test_close_calls_go_serial_by_margin():
@@ -138,7 +129,8 @@ def test_report_is_json_ready_and_counts_decisions():
     report = chooser.report()
     assert report["cpu_count"] == 2 and report["profiles"] == 1
     assert sum(report["decisions"].values()) == 1
-    assert report["last_decision"]["backend"] in ("serial", "thread", "process")
+    assert report["last_decision"]["backend"] in ("serial", "process")
+    assert set(report["decisions"]) == {"serial", "process"}
     json.dumps(report)  # must serialise for /stats
 
 
@@ -164,7 +156,7 @@ def test_auto_routes_to_the_process_pool_when_the_profile_says_so():
     serial = ContainmentEngine().check_many(pairs, schema=schema)
     engine = ContainmentEngine(max_workers=2)
     try:
-        engine._selector = AdaptiveSelector(cpu_count=8, gil_enabled=True)
+        engine._selector = AdaptiveSelector(cpu_count=8)
         engine.selector.observe(
             schema.canonical_fingerprint(), solve_seconds=0.5, transport_seconds=1e-6
         )

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core import clear_compile_memo
 from repro.schema.parser import schema_to_text
 from repro.workloads import medical
 
@@ -119,12 +121,13 @@ def test_batch_rejects_malformed_specs(tmp_path):
 
 def test_bench_asserts_backend_agreement(capsys):
     code = main(
-        ["bench", "--workload", "social", "--backends", "serial,thread", "--json", "-"]
+        ["bench", "--workload", "social", "--backends", "serial,process", "--workers", "2",
+         "--json", "-"]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts_identical"] is True
-    assert set(report["backends"]) == {"serial", "thread"}
+    assert set(report["backends"]) == {"serial", "process"}
     assert len(set(report["fingerprints"].values())) == 1
     assert report["backends"]["serial"]["speedup_vs_serial"] == 1.0
 
@@ -302,16 +305,39 @@ def test_serve_stdio_round_trip(monkeypatch, capsys):
 
 def test_bench_zoo_suite_json_report(capsys):
     code = main(
-        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,thread",
-         "--json", "-"]
+        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,process",
+         "--workers", "2", "--json", "-"]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["suite"] == "zoo"
     assert set(report["families"]) == {"property", "tree-device", "atm-fragments"}
     assert report["verdicts_identical"] is True
-    assert set(report["backends"]) == {"serial", "thread"}
+    assert set(report["backends"]) == {"serial", "process"}
     assert len(set(report["fingerprints"].values())) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--workload", "social", "--backends", "serial,auto"],
+        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,auto"],
+    ],
+    ids=["backends", "zoo"],
+)
+def test_bench_arms_each_start_with_a_cold_compile_memo(argv, monkeypatch, capsys):
+    """A memo left warm by one arm would make the next arm look faster."""
+    calls = []
+
+    def spy():
+        calls.append(1)
+        return clear_compile_memo()
+
+    # raising=False: a cli that never clears the memo fails on the count below
+    monkeypatch.setattr(cli, "clear_compile_memo", spy, raising=False)
+    assert main(argv + ["--json", "-"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2  # one per arm
 
 
 def test_replay_record_then_replay_round_trip(tmp_path, capsys):

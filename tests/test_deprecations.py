@@ -3,9 +3,11 @@
 The retired shims (``nfa_cache_size`` on the engine and the worker pool, the
 ``_build_nfa`` solver hook, the module-level ``trim`` alias, and
 ``int(InvalidationReport)``, the bridge from ``invalidate_schema``'s former
-bare-``int`` return) finished their cycle and are removed — the first half
-of this file pins that down, so a shim cannot quietly come back.  The second
-half checks that the supported replacements stay silent.
+bare-``int`` return) finished their cycle and are removed, as is the
+``"thread"`` batch backend with its boolean ``parallel`` spellings and the
+selector's ``gil_enabled`` switch — the first half of this file pins that
+down, so a shim cannot quietly come back.  The second half checks that the
+supported replacements stay silent.
 """
 
 import warnings
@@ -13,10 +15,11 @@ import warnings
 import pytest
 
 from repro.containment.solver import ContainmentSolver
-from repro.engine import ContainmentEngine, InvalidationReport
+from repro.engine import AdaptiveSelector, ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
 from repro.rpq import build_nfa, parse_regex
 from repro.workloads import medical
+from repro.workloads.batches import containment_batch
 
 
 # --------------------------------------------------------------------------- #
@@ -49,6 +52,16 @@ def test_invalidation_report_int_is_gone():
     with pytest.raises(TypeError):
         int(report)
     assert report.results == 3  # the supported field for the former return value
+
+
+def test_thread_backend_is_gone():
+    schema, pairs = containment_batch("medical")
+    engine = ContainmentEngine()
+    for removed in (True, False, "thread"):
+        with pytest.raises(ValueError, match="expected 'serial', 'process' or 'auto'"):
+            engine.check_many(pairs, schema=schema, parallel=removed)
+    with pytest.raises(TypeError, match="gil_enabled"):
+        AdaptiveSelector(cpu_count=2, gil_enabled=False)
 
 
 # --------------------------------------------------------------------------- #

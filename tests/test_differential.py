@@ -4,7 +4,7 @@ Every prior PR asserted "fingerprints verified identical across backends"
 as a manual ritual — one bench run, eyeballed.  This layer makes the claim
 an enforced, seeded, reproducible test: one fixed-seed corpus of 200+
 generated (schema, query) pairs plus the adversarial families, decided on
-every execution backend (serial / thread / process) crossed with the
+every execution backend (serial / process) crossed with the
 persistence axis (no store / cold store / warm store), asserting
 bit-identical verdicts **and** ``result_fingerprint``s against the serial
 no-store baseline.
@@ -21,7 +21,7 @@ import pytest
 from repro.engine import ContainmentEngine, result_fingerprint
 from repro.workloads.zoo import ZOO_SEED, property_corpus, zoo_corpus
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: ≥200 generated pairs, the acceptance floor for this layer.
 SCHEMAS = 10
@@ -114,7 +114,7 @@ def test_warm_store_replay_matches_baseline(corpus, baseline, tmp_path):
     assert hits == len(corpus)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 def test_adversarial_families_match_serial(backend):
     """The hardness-derived suites agree across backends too.
 

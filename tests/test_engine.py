@@ -7,6 +7,9 @@ every verdict-relevant field) from one computed by a fresh, cache-free
 warmed the caches beforehand.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,11 +25,13 @@ from repro.engine import (
     LRUCache,
     default_engine,
     reset_default_engine,
+    result_fingerprint,
 )
 from repro.rpq import C2RPQ, UC2RPQ, Atom, parse_c2rpq
 from repro.rpq.regex import concat, edge, node, star, union
 from repro.schema import Schema
 from repro.workloads import fhir, medical, synthetic
+from repro.workloads.batches import containment_batch
 
 
 def verdict(result):
@@ -300,16 +305,29 @@ def test_check_many_preserves_order_and_matches_sequential():
     assert engine.stats.batches == 1
 
 
-def test_check_many_parallel_matches_sequential():
-    schema, batch = _batch_and_schema()
-    sequential = ContainmentEngine().check_many(batch, schema=schema)
-    parallel = ContainmentEngine().check_many(batch, schema=schema, parallel=True, max_workers=4)
-    assert [verdict(r) for r in parallel] == [verdict(r) for r in sequential]
-    # and on a warm engine too
+def test_one_engine_serves_concurrent_callers():
+    """Several threads share one engine, as the service's coalescer flusher
+    and its HTTP handlers do: verdicts match serial and the result cache
+    counts every lookup exactly once, however the threads interleave."""
+    schema, pairs = containment_batch("medical")
+    serial = ContainmentEngine().check_many(pairs, schema=schema)
     engine = ContainmentEngine()
-    engine.check_many(batch, schema=schema)
-    warm_parallel = engine.check_many(batch, schema=schema, parallel=True)
-    assert [verdict(r) for r in warm_parallel] == [verdict(r) for r in sequential]
+    lookups = pairs * 3  # repeats so threads race on hits as well as misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            results = list(executor.map(
+                lambda pair: engine.contains(pair[0], pair[1], schema), lookups, timeout=120
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result_fingerprint(r) for r in results] == [
+        result_fingerprint(r) for r in serial * 3
+    ]
+    cache = engine.stats.results
+    assert cache.hits + cache.misses == len(lookups)
+    assert engine.stats.contains_calls == len(lookups)
 
 
 def test_check_many_accepts_requests_and_mixed_schemas():

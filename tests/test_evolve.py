@@ -2,7 +2,7 @@
 
 The contract under test is bit-identity: after ``evolve(old, new)``, every
 verdict and every ``result_fingerprint`` against the new schema must equal
-what a cold-started engine computes — across the serial/thread/process
+what a cold-started engine computes — across the serial and process
 backends crossed with the persistence axis, on the seeded zoo evolution
 corpus.  The migration is only worth shipping if it is *also* non-trivial,
 so a small edit must actually keep entries (compiled automata survive a
@@ -22,7 +22,7 @@ from repro.rpq.queries import UC2RPQ
 from repro.workloads import medical
 from repro.workloads.zoo import evolution_corpus, single_axiom_edit
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 QUERIES = 16
 
 

@@ -2,7 +2,7 @@
 pickling boundaries, stats merging and failure propagation.
 
 The central invariant mirrors `tests/test_engine.py`'s: whatever backend
-evaluates a batch — serial, thread pool or the schema-sharded worker pool —
+evaluates a batch — serial or the schema-sharded worker pool —
 the `ContainmentResult`s must be bit-identical, which
 :func:`repro.engine.result_fingerprint` makes checkable as string equality
 (every verdict-relevant field including witness graphs, finite
@@ -144,9 +144,7 @@ def test_merge_stats_sums_counters():
 def test_backends_are_fingerprint_identical(workload, shared_process_engine):
     schema, pairs = containment_batch(workload, length=4)
     serial = ContainmentEngine().check_many(pairs, schema=schema)
-    threaded = ContainmentEngine().check_many(pairs, schema=schema, parallel="thread")
     processed = shared_process_engine.check_many(pairs, schema=schema, parallel="process")
-    assert fingerprints(threaded) == fingerprints(serial)
     assert fingerprints(processed) == fingerprints(serial)
 
 
@@ -225,6 +223,17 @@ def test_unknown_backend_is_rejected():
     schema, pairs = containment_batch("medical")
     with pytest.raises(ValueError):
         ContainmentEngine().check_many(pairs, schema=schema, parallel="fork")
+    # the analysis batches take serial or process only: "auto" prices single
+    # containment tests, so it must fail loudly instead of running serially
+    jobs = [(medical.migration(), medical.source_schema(), medical.target_schema())]
+    with pytest.raises(ValueError, match="unknown backend 'auto'"):
+        type_check_many(jobs, parallel="auto", engine=ContainmentEngine())
+    with pytest.raises(ValueError, match="unknown backend 'auto'"):
+        check_equivalence_many(
+            [(medical.migration(), medical.migration(), medical.source_schema())],
+            parallel="auto",
+            engine=ContainmentEngine(),
+        )
 
 
 def test_engine_replaces_a_pool_whose_worker_died():
@@ -299,12 +308,10 @@ def test_type_check_many_matches_serial_across_backends(shared_process_engine):
         (medical.redundant_migration(), medical.source_schema(), medical.target_schema()),
     ]
     serial = type_check_many(jobs, engine=ContainmentEngine())
-    threaded = type_check_many(jobs, parallel="thread", engine=ContainmentEngine())
     processed = type_check_many(jobs, parallel="process", engine=shared_process_engine)
     assert [r.well_typed for r in serial] == [True, False, True]
-    for variant in (threaded, processed):
-        assert [r.well_typed for r in variant] == [r.well_typed for r in serial]
-        assert [r.containment_calls for r in variant] == [r.containment_calls for r in serial]
+    assert [r.well_typed for r in processed] == [r.well_typed for r in serial]
+    assert [r.containment_calls for r in processed] == [r.containment_calls for r in serial]
     # the pickled result still carries the structured failure detail
     assert processed[1].failed_statements()
     assert processed[1].failed_statements()[0].statement is not None

@@ -56,7 +56,8 @@ SUITES = (
     ("automata", ["bench", "--suite", "automata", "--repeats", "3", "--requests", "20"]),
     ("store", ["bench", "--suite", "store", "--length", "6"]),
     ("service", ["bench", "--suite", "service", "--requests", "48", "--length", "4"]),
-    ("zoo", ["bench", "--suite", "zoo", "--requests", "24", "--backends", "serial,thread"]),
+    ("zoo", ["bench", "--suite", "zoo", "--requests", "24", "--backends", "serial,process",
+             "--workers", "2"]),
     ("evolve", ["bench", "--suite", "evolve", "--requests", "4"]),
 )
 
