@@ -104,7 +104,7 @@ class ContainmentSolver:
     def __init__(self, schema: Schema, config: Optional[ContainmentConfig] = None) -> None:
         self.schema = schema
         self.config = config or ContainmentConfig()
-        self._intern_context: Optional[str] = None
+        self._memo_context: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -233,17 +233,17 @@ class ContainmentSolver:
     def _compile_automaton(self, regex) -> CompiledAutomaton:
         """Stage 5 prerequisite — compile one atom regex (cacheable).
 
-        Returns the :class:`repro.core.CompiledAutomaton` bundle (NFA, lazy
-        minimal DFA, cycle/emptiness flags, memoized pumped word lists);
-        symbols intern into the table of this solver's schema fingerprint.
+        Returns the :class:`repro.core.CompiledAutomaton` bundle (NFA,
+        cycle/emptiness flags, memoized pumped word lists), memoized under
+        this solver's schema fingerprint.
         :class:`repro.engine.ContainmentEngine` overrides this to serve the
         bundle from its automaton cache.  (The pre-core ``_build_nfa`` hook
         finished its deprecation cycle and is gone; subclasses substitute
         automata by overriding this method.)
         """
-        if self._intern_context is None:
-            self._intern_context = self.schema.canonical_fingerprint()
-        return compile_regex(regex, self._intern_context)
+        if self._memo_context is None:
+            self._memo_context = self.schema.canonical_fingerprint()
+        return compile_regex(regex, self._memo_context)
 
     # ------------------------------------------------------------------ #
     # satisfiability of the reduced left-hand side

@@ -1,29 +1,24 @@
-"""The compiled automaton core: interned symbols, DFAs and shared compilation.
+"""The compiled automaton core: shared, memoized regex compilation.
 
 This layer sits between the regex AST (:mod:`repro.rpq.regex`) and every
 automaton consumer — query evaluation, the chase solver's witness
 enumeration, the containment pipeline and the caching engine (see
 docs/ARCHITECTURE.md, "The compiled automaton core"):
 
-* :class:`SymbolTable` / :func:`symbol_table` — signed role labels and
-  concept names interned as small ints, one shared table per schema
-  fingerprint plus a process-wide default;
-* :class:`DFA` / :func:`determinize` — deterministic automata over interned
-  symbols with minimize / complement / product / emptiness /
-  shortest-witness / language-enumeration operations;
 * :class:`CompiledAutomaton` / :func:`compile_regex` — the memoized bundle
-  of NFA, minimal DFA, cycle/emptiness flags and pumped word lists per
-  structural regex (:func:`clear_compile_memo` resets it for cold runs;
-  :func:`rebase_compiled` / :func:`install_compiled` / :func:`adopt_context`
-  are the schema-evolution hooks that migrate bundles and their symbol
-  table between fingerprint namespaces);
+  of NFA, cycle/emptiness flags and pumped word lists per structural regex
+  and schema context (:func:`clear_compile_memo` resets it for cold runs;
+  :func:`rebase_compiled` / :func:`install_compiled` are the
+  schema-evolution hooks that migrate bundles between fingerprint
+  namespaces);
 * :func:`has_productive_cycle` — the shared finiteness test;
 * :class:`PrefixPruner` — verdict-preserving prefix sharing for the
   solvers' pattern enumeration.
 
-``repro.core.benchmarks`` (imported on demand, not re-exported) holds the
-automata benchmark harness behind ``python -m repro bench --suite automata``
-and ``benchmarks/bench_automaton_compile.py``.
+``repro.core.kernels`` holds the int-bitset kernels behind NFA construction
+and word enumeration.  ``repro.core.benchmarks`` (imported on demand, not
+re-exported) holds the automata benchmark harness behind ``python -m repro
+bench --suite automata`` and ``benchmarks/bench_automaton_compile.py``.
 """
 
 from .compile import (
@@ -34,21 +29,14 @@ from .compile import (
     install_compiled,
     rebase_compiled,
 )
-from .dfa import DFA, determinize
-from .interning import SymbolTable, adopt_context, symbol_table
 from .prefix import PrefixPruner
 
 __all__ = [
     "CompiledAutomaton",
-    "DFA",
     "PrefixPruner",
-    "SymbolTable",
-    "adopt_context",
     "clear_compile_memo",
     "compile_regex",
-    "determinize",
     "has_productive_cycle",
     "install_compiled",
     "rebase_compiled",
-    "symbol_table",
 ]

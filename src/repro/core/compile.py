@@ -2,11 +2,10 @@
 
 One :class:`CompiledAutomaton` bundles everything the solvers repeatedly
 derive from an atom's regular expression — the ε-free Thompson NFA, the
-trimmed minimal DFA, the productive-cycle and emptiness flags and the
-pumped-normal-form word lists — computed lazily, each exactly once, and
-shared process-wide through the :func:`compile_regex` memo (keyed by the
-structural regex, whose hash and canonical token are themselves cached on
-the expression).
+productive-cycle and emptiness flags and the pumped-normal-form word lists
+— computed lazily, each exactly once, and shared process-wide through the
+:func:`compile_regex` memo (keyed by the structural regex, whose hash and
+canonical token are themselves cached on the expression).
 
 Two invariants matter for verdict stability (the engine's fingerprints are
 asserted bit-identical across the serial and process backends *and* across
@@ -16,15 +15,12 @@ cached/uncached runs):
   built, never *what* is built, so state numbering (which leaks into the
   rolled-up TBox's fresh concept names) is unchanged;
 * :meth:`CompiledAutomaton.words` returns the NFA's pumped-normal-form
-  enumeration verbatim (same words, same order) — the DFA accelerates
-  language-level queries, it does not redefine the solver's completeness
-  bound.
+  enumeration verbatim (same words, same order) — the memo changes when the
+  words are computed, never the solver's completeness bound.
 
 Pickling a compiled automaton ships only its regex and context
-(:meth:`CompiledAutomaton.__reduce__`); the receiving process re-interns the
-symbols into *its* tables and recompiles through its own memo, so worker
-processes rebuild from interned tables instead of unpickling transition
-maps.
+(:meth:`CompiledAutomaton.__reduce__`); the receiving process recompiles
+through its own memo instead of unpickling transition maps.
 """
 
 from __future__ import annotations
@@ -35,9 +31,6 @@ from typing import Dict, Optional, Tuple
 
 from ..rpq.automaton import NFA, build_nfa
 from ..rpq.regex import Regex, Symbol, canonical_token
-from .dfa import DFA, determinize
-from .interning import SymbolTable, symbol_table
-from .kernels import DenseDFA
 
 __all__ = [
     "CompiledAutomaton",
@@ -83,11 +76,8 @@ class CompiledAutomaton:
     __slots__ = (
         "regex",
         "context",
-        "table",
         "nfa",
         "_token",
-        "_dfa",
-        "_min_dfa",
         "_has_cycle",
         "_is_empty",
         "_words",
@@ -96,11 +86,8 @@ class CompiledAutomaton:
     def __init__(self, regex: Regex, context: Optional[str] = None) -> None:
         self.regex = regex
         self.context = context
-        self.table: SymbolTable = symbol_table(context)
         self.nfa: NFA = build_nfa(regex)
         self._token: Optional[str] = None
-        self._dfa: Optional[DFA] = None
-        self._min_dfa: Optional[DFA] = None
         self._has_cycle: Optional[bool] = None
         self._is_empty: Optional[bool] = None
         self._words: Dict[Tuple[int, int, int], Tuple[Tuple[Symbol, ...], ...]] = {}
@@ -113,27 +100,6 @@ class CompiledAutomaton:
             self._token = canonical_token(self.regex)
         return self._token
 
-    def dfa(self) -> DFA:
-        """The subset-construction DFA (unminimised, reachable part only)."""
-        if self._dfa is None:
-            self._dfa = determinize(self.nfa, self.table)
-        return self._dfa
-
-    def minimal_dfa(self) -> DFA:
-        """The trimmed minimal DFA — the canonical form of the language."""
-        if self._min_dfa is None:
-            self._min_dfa = self.dfa().minimize()
-        return self._min_dfa
-
-    def dense_minimal_dfa(self) -> "DenseDFA":
-        """The minimal DFA's flat-array kernel form (memoized on the DFA).
-
-        This is what the batch/emptiness kernels run on; it is derived from
-        (and cached with) :meth:`minimal_dfa`, so it costs nothing extra
-        after the first call.
-        """
-        return self.minimal_dfa().dense()
-
     def has_productive_cycle(self) -> bool:
         """Cached :func:`has_productive_cycle` of the NFA (infinite language?)."""
         if self._has_cycle is None:
@@ -145,10 +111,6 @@ class CompiledAutomaton:
         if self._is_empty is None:
             self._is_empty = self.nfa.is_empty_language()
         return self._is_empty
-
-    def shortest_witness(self) -> Optional[Tuple[Symbol, ...]]:
-        """A shortest accepted word via DFA BFS (``None`` for the empty language)."""
-        return self.minimal_dfa().shortest_witness()
 
     def words(
         self, max_length: int, max_state_repeats: int, max_words: int
@@ -175,8 +137,8 @@ class CompiledAutomaton:
 
     # ------------------------------------------------------------------ #
     def __reduce__(self):
-        # rebuild from the regex in the receiving process: symbols re-intern
-        # into that process's tables and the compile memo deduplicates
+        # rebuild from the regex in the receiving process: the compile memo
+        # deduplicates
         return (compile_regex, (self.regex, self.context))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -195,11 +157,10 @@ _memo: "OrderedDict[Tuple[Optional[str], Regex], CompiledAutomaton]" = OrderedDi
 def compile_regex(regex: Regex, context: Optional[str] = None) -> CompiledAutomaton:
     """The shared :class:`CompiledAutomaton` for *regex* (bounded LRU memo).
 
-    *context* selects the symbol table (callers pass a schema fingerprint so
-    one schema's automata intern into one table); the memo key includes it,
-    so the same regex compiled under two schemas yields two entries — each
-    pinned to its table — while lookups by structural equality make
-    separately-constructed equal regexes share one compilation.
+    *context* partitions the memo (callers pass a schema fingerprint): the
+    same regex compiled under two schemas yields two entries, while lookups
+    by structural equality make separately-constructed equal regexes share
+    one compilation.
     """
     key = (context, regex)
     with _memo_lock:
@@ -219,25 +180,18 @@ def compile_regex(regex: Regex, context: Optional[str] = None) -> CompiledAutoma
 
 
 def rebase_compiled(bundle: CompiledAutomaton, context: Optional[str]) -> CompiledAutomaton:
-    """A clone of *bundle* under a new intern context, sharing every artefact.
+    """A clone of *bundle* under a new memo context, sharing every artefact.
 
     The schema-evolution path uses this to migrate automata between
-    fingerprint namespaces: the NFA, DFAs, flags and pumped word lists are
+    fingerprint namespaces: the NFA, flags and pumped word lists are
     schema-content-independent (they derive from the regex alone), so the
-    clone references them directly — only the context string changes.  The
-    caller must have arranged (via :func:`repro.core.interning.adopt_context`)
-    that the new context resolves to the *same* :class:`SymbolTable` object;
-    the clone pins ``bundle.table`` verbatim either way, so cross-automaton
-    DFA operations keep comparing ids from one table.
+    clone references them directly — only the context string changes.
     """
     clone = CompiledAutomaton.__new__(CompiledAutomaton)
     clone.regex = bundle.regex
     clone.context = context
-    clone.table = bundle.table
     clone.nfa = bundle.nfa
     clone._token = bundle._token
-    clone._dfa = bundle._dfa
-    clone._min_dfa = bundle._min_dfa
     clone._has_cycle = bundle._has_cycle
     clone._is_empty = bundle._is_empty
     # an independent dict: later enumerations under one context must not

@@ -16,9 +16,8 @@ keeps post-evolve verdicts bit-identical to a cold start:
   edit changes ``T̂_S``, hence every completed TBox fingerprint, hence every
   non-trivial ``result_fingerprint`` — those artefacts are always
   invalidated, never migrated;
-* compiled automata, their pumped word enumerations and the per-context
-  :class:`~repro.core.interning.SymbolTable` depend only on the *query*
-  regexes and the fingerprint string used as intern context — schema
+* compiled automata and their pumped word enumerations depend only on the
+  *query* regexes and the fingerprint string used as memo context — schema
   *content* never enters them — so they migrate to the new fingerprint
   namespace verbatim;
 * cached verdicts whose decision never consulted the schema (the empty-left

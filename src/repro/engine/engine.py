@@ -23,9 +23,9 @@ composition and invalidation rules):
   chase engines (whose tree-extendability memos stay warm) per
   ``(extended schema, right query, completion config)``;
 * **schema-tboxes** — the Horn encoding ``T̂_S`` per extended schema;
-* **automata** — :class:`repro.core.CompiledAutomaton` bundles (NFA, lazy
-  minimal DFA, cycle/emptiness flags, memoized pumped word lists) keyed by
-  ``(schema intern context, regex)``.  This cache *fronts* the process-wide
+* **automata** — :class:`repro.core.CompiledAutomaton` bundles (NFA,
+  cycle/emptiness flags, memoized pumped word lists) keyed by
+  ``(schema fingerprint, regex)``.  This cache *fronts* the process-wide
   :func:`repro.core.compile_regex` memo (which shares bundles across engines
   and rebuilds them in worker processes): its hit/miss stats measure
   engine-level reuse, while the memory bound for compiled bundles is the
@@ -49,7 +49,7 @@ docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
 Schema edits are first-class: :meth:`ContainmentEngine.evolve` diffs two
 schemas (:class:`~repro.engine.delta.SchemaDelta`), migrates the
-schema-content-independent artefacts — compiled automata, symbol tables,
+schema-content-independent artefacts — compiled automata and
 schema-blind verdicts — into the new fingerprint namespace across both
 cache tiers, and conservatively invalidates the rest; :meth:`ContainmentEngine.invalidate_schema` reports its per-tier
 counts as a structured :class:`~repro.engine.delta.InvalidationReport`
@@ -73,7 +73,6 @@ from ..containment.solver import (
     _as_union,
 )
 from ..core.compile import install_compiled, rebase_compiled
-from ..core.interning import adopt_context
 from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..store import ResultStore, StoreStats
@@ -291,12 +290,11 @@ class _CachingSolver(ContainmentSolver):
 
     def _compile_automaton(self, regex):
         engine = self.engine
-        # key by (intern context, regex) like the core memo: a bundle is
-        # pinned to its schema's symbol table, so one engine serving several
-        # schemas must not hand schema A's bundle to schema B's solver
-        if self._intern_context is None:
-            self._intern_context = self.schema.canonical_fingerprint()
-        key = (self._intern_context, regex)
+        # key by (schema fingerprint, regex) like the core memo, so the
+        # cache partitions per schema exactly as the memo does
+        if self._memo_context is None:
+            self._memo_context = self.schema.canonical_fingerprint()
+        key = (self._memo_context, regex)
         with engine._lock:
             cached = engine._automata.get(key)
         if cached is None:
@@ -792,8 +790,7 @@ class ContainmentEngine:
         The delta-aware counterpart of :meth:`invalidate_schema` for the
         "one constraint changed, re-check everything" scenario: artefacts
         whose content is independent of the schema's axioms — compiled
-        automaton bundles (NFAs, DFAs, pumped word enumerations), the
-        schema-fingerprint :class:`~repro.core.interning.SymbolTable`, and
+        automaton bundles (NFAs, flags, pumped word enumerations) and
         verdicts that never consulted the schema (the empty-left short
         circuit) — are re-keyed into *new_schema*'s fingerprint namespace
         and written through to the persistent store.  Everything else under
@@ -850,21 +847,13 @@ class ContainmentEngine:
                 if key[0] == old_fingerprint
             ]
 
-        # automata and their symbol table: schema axioms never enter them,
-        # so they migrate verbatim — provided both fingerprints resolve to
-        # one table *object* (DFA cross-operations compare interned ids)
+        # automata: schema axioms never enter them, so they migrate verbatim
         migrated = {tier: 0 for tier in REPORT_TIERS}
-        table = adopt_context(old_fingerprint, new_fingerprint)
-        if table is not None:
-            for regex, bundle in old_bundles:
-                if bundle.table is not table:
-                    # pinned to a table since evicted from the registry;
-                    # recompiling is the only safe option
-                    continue
-                clone = install_compiled(rebase_compiled(bundle, new_fingerprint))
-                with self._lock:
-                    self._automata.put((new_fingerprint, regex), clone)
-                migrated["automata"] += 1
+        for regex, bundle in old_bundles:
+            clone = install_compiled(rebase_compiled(bundle, new_fingerprint))
+            with self._lock:
+                self._automata.put((new_fingerprint, regex), clone)
+            migrated["automata"] += 1
 
         # verdicts that never consulted the schema: the empty-left short
         # circuit (no TBox, no patterns, no witness — replay refreshes the

@@ -28,9 +28,8 @@ This module supplies the two mechanisms that make the boundary cheap
   warm-start that already covered results and schema TBoxes now covers the
   request payloads themselves.
 
-Workers compile their own automata from the shipped regexes.  The solver
-only ever builds NFAs and pumped word enumerations, so there is no computed
-DFA worth shipping to a worker, and no context seed crosses the boundary.
+Workers compile their own automata (NFAs and pumped word enumerations) from
+the shipped regexes, so no compiled artefact crosses the boundary.
 
 Both mechanisms preserve the engine's core invariant: verdicts and
 ``result_fingerprint`` digests are bit-identical across the serial and

@@ -150,17 +150,6 @@ class NFA:
             transitions,
         )
 
-    def to_dfa(self, table=None):
-        """Compile to a :class:`repro.core.DFA` (subset construction).
-
-        *table* is an optional :class:`repro.core.SymbolTable`; the process
-        default is used otherwise.  Prefer :func:`repro.core.compile_regex`
-        when starting from a regex — it memoizes the whole compilation.
-        """
-        from ..core.dfa import determinize  # deferred: core builds on this module
-
-        return determinize(self, table)
-
     # ------------------------------------------------------------------ #
     # word enumeration (pumped normal form)
     # ------------------------------------------------------------------ #

@@ -103,11 +103,11 @@ class Regex:
 
     # -- hashing and serialisation -------------------------------------------
     # Expressions are used as cache keys throughout (the engine's automaton
-    # cache, the compile memo of repro.core, symbol interning), so hashing a
-    # deep tree must not recurse on every lookup.  The structural hash and the
-    # canonical token are each computed once per node and cached on the
-    # (frozen) instance; sub-expressions reuse their own cached values, so the
-    # cost is O(size) on first use and O(1) afterwards.  Equality stays the
+    # cache, the compile memo of repro.core), so hashing a deep tree must not
+    # recurse on every lookup.  The structural hash and the canonical token
+    # are each computed once per node and cached on the (frozen) instance;
+    # sub-expressions reuse their own cached values, so the cost is O(size)
+    # on first use and O(1) afterwards.  Equality stays the
     # dataclass-generated structural comparison.
     def __hash__(self) -> int:
         cached = self.__dict__.get("_structural_hash")

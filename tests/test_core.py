@@ -2,205 +2,16 @@
 
 import pickle
 
-import pytest
-
 from repro.chase import SatisfiabilityConfig, SatisfiabilitySolver
 from repro.core import (
-    DFA,
     PrefixPruner,
-    SymbolTable,
     clear_compile_memo,
     compile_regex,
-    determinize,
     has_productive_cycle,
-    symbol_table,
 )
 from repro.dl import NoExistsCI, TBox, conj
 from repro.graph import forward
 from repro.rpq import build_nfa, parse_c2rpq, parse_regex
-from repro.rpq.regex import EdgeStep, NodeTest
-
-
-def w(text):
-    """Build a word (tuple of symbols) from a whitespace-separated string."""
-    from repro.graph.labels import SignedLabel
-
-    result = []
-    for token in text.split():
-        if token[:1].isupper():
-            result.append(NodeTest(token))
-        else:
-            result.append(EdgeStep(SignedLabel.parse(token)))
-    return tuple(result)
-
-
-def dfa_of(text):
-    return determinize(build_nfa(parse_regex(text)), SymbolTable())
-
-
-# --------------------------------------------------------------------------- #
-# symbol interning
-# --------------------------------------------------------------------------- #
-class TestSymbolTable:
-    def test_intern_is_idempotent(self):
-        table = SymbolTable()
-        symbol = w("r")[0]
-        first = table.intern(symbol)
-        assert table.intern(symbol) == first
-        assert len(table) == 1
-
-    def test_roundtrip_word(self):
-        table = SymbolTable()
-        word = w("a b A c-")
-        ids = table.intern_word(word)
-        assert table.word(ids) == word
-        assert all(table.symbol(i) == s for i, s in zip(ids, word))
-
-    def test_known_does_not_intern(self):
-        table = SymbolTable()
-        assert table.known(w("a")[0]) is None
-        assert len(table) == 0
-
-    def test_sort_key_is_canonical_not_arrival_order(self):
-        table = SymbolTable()
-        b, a = table.intern(w("b")[0]), table.intern(w("a")[0])
-        # arrival order says b < a, canonical key order says a < b
-        assert sorted([b, a], key=table.sort_key) == [a, b]
-
-    def test_registry_shares_per_context(self):
-        one = symbol_table("ctx-test-shared")
-        two = symbol_table("ctx-test-shared")
-        assert one is two
-        assert one is not symbol_table("ctx-test-other")
-
-    def test_default_table_is_stable(self):
-        assert symbol_table() is symbol_table(None)
-
-
-# --------------------------------------------------------------------------- #
-# determinization and DFA queries
-# --------------------------------------------------------------------------- #
-class TestDeterminize:
-    @pytest.mark.parametrize(
-        "spec",
-        ["a . b* . c", "(a + b)* . c", "(a . b)+ + a . b . a . b", "A . (a . b-)*", "a*"],
-    )
-    def test_dfa_accepts_exactly_the_nfa_language(self, spec):
-        nfa = build_nfa(parse_regex(spec))
-        dfa = determinize(nfa, SymbolTable())
-        for word in nfa.enumerate_words(max_length=6, max_state_repeats=3):
-            assert dfa.accepts(word)
-        for word in dfa.enumerate_words(max_length=6):
-            assert nfa.accepts(word)
-
-    def test_construction_is_deterministic(self):
-        first = dfa_of("(a + b)* . c")
-        second = dfa_of("(a + b)* . c")
-        assert first.num_states == second.num_states
-        assert first.final == second.final
-        assert sorted(
-            (s, first.table.sort_key(i), t) for s, i, t in first.transitions()
-        ) == sorted((s, second.table.sort_key(i), t) for s, i, t in second.transitions())
-
-    def test_rejects_unknown_letters(self):
-        dfa = dfa_of("a . b")
-        assert not dfa.accepts(w("a z"))
-
-    def test_nondeterministic_transitions_rejected(self):
-        table = SymbolTable()
-        symbol = table.intern(w("a")[0])
-        with pytest.raises(ValueError):
-            DFA(table, 2, 0, [1], [(0, symbol, 0), (0, symbol, 1)])
-
-
-class TestLanguageQueries:
-    def test_emptiness(self):
-        assert dfa_of("<empty> . a").is_empty()
-        assert not dfa_of("a?").is_empty()
-
-    def test_shortest_witness_and_epsilon(self):
-        assert dfa_of("a*").shortest_witness() == ()
-        assert dfa_of("a . b* . c").shortest_witness() == w("a c")
-        assert dfa_of("<empty>").shortest_witness() is None
-
-    def test_shortest_witness_tie_break_is_canonical(self):
-        # both b and a reach acceptance in one step; the canonical order wins
-        assert dfa_of("b + a").shortest_witness() == w("a")
-
-    def test_enumeration_is_duplicate_free_and_length_ordered(self):
-        dfa = dfa_of("(a + b)* . c")
-        words = list(dfa.enumerate_words(max_length=4))
-        assert len(words) == len(set(words))
-        lengths = [len(word) for word in words]
-        assert lengths == sorted(lengths)
-        assert all(dfa.accepts(word) for word in words)
-
-    def test_enumeration_respects_caps(self):
-        words = list(dfa_of("(a + b)*").enumerate_words(max_length=10, max_words=7))
-        assert len(words) == 7
-
-    def test_enumeration_with_zero_word_budget_yields_nothing(self):
-        assert list(dfa_of("a*").enumerate_words(max_length=5, max_words=0)) == []
-        assert list(dfa_of("a*").enumerate_words(max_length=5, max_words=1)) == [()]
-
-
-class TestBooleanOperations:
-    def test_complement_flips_membership(self):
-        dfa = dfa_of("a . b")
-        complement = dfa.complement()
-        for word in [(), w("a"), w("a b"), w("a b a"), w("b")]:
-            assert complement.accepts(word) != dfa.accepts(word)
-
-    def test_product_intersection(self):
-        table = SymbolTable()
-        starred = determinize(build_nfa(parse_regex("(a + b)*")), table)
-        ends_b = determinize(build_nfa(parse_regex("(a + b)* . b")), table)
-        both = starred.product(ends_b, "intersection")
-        assert both.accepts(w("a b"))
-        assert not both.accepts(w("b a"))
-
-    def test_product_union(self):
-        table = SymbolTable()
-        just_a = determinize(build_nfa(parse_regex("a")), table)
-        just_b = determinize(build_nfa(parse_regex("b")), table)
-        either = just_a.product(just_b, "union")
-        assert either.accepts(w("a")) and either.accepts(w("b"))
-        assert not either.accepts(w("a b"))
-
-    def test_product_requires_shared_table(self):
-        with pytest.raises(ValueError):
-            dfa_of("a").product(dfa_of("a"))
-
-    def test_equivalence(self):
-        table = SymbolTable()
-        one = determinize(build_nfa(parse_regex("(a . b)+ + a . b . a . b")), table)
-        two = determinize(build_nfa(parse_regex("(a . b)+")), table)
-        three = determinize(build_nfa(parse_regex("(a . b)*")), table)
-        assert one.equivalent(two)
-        assert not one.equivalent(three)
-
-
-class TestMinimize:
-    def test_minimize_preserves_language(self):
-        dfa = dfa_of("(a . b)+ + a . b . a . b")
-        minimal = dfa.minimize()
-        assert minimal.equivalent(dfa)
-        assert minimal.num_states <= dfa.num_states
-
-    def test_minimize_is_idempotent(self):
-        minimal = dfa_of("(a + b)* . c").minimize()
-        again = minimal.minimize()
-        assert again.num_states == minimal.num_states
-        assert again.final == minimal.final
-        assert sorted(again.transitions()) == sorted(minimal.transitions())
-
-    def test_known_minimal_size(self):
-        # words over {a,b} ending in b: the canonical 2-state DFA
-        assert dfa_of("(a + b)* . b").minimize().num_states == 2
-
-    def test_minimize_drops_dead_branches(self):
-        # the 0-branch contributes states that can never accept
-        assert dfa_of("a + <empty> . b . c").minimize().num_states == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -238,9 +49,6 @@ class TestCompileRegex:
         assert not compile_regex(parse_regex("a . b")).has_productive_cycle()
         assert compile_regex(parse_regex("<empty> . a")).is_empty()
         assert not compile_regex(parse_regex("a")).is_empty()
-
-    def test_shortest_witness_via_dfa(self):
-        assert compile_regex(parse_regex("a . b* . c")).shortest_witness() == w("a c")
 
     def test_pickle_rebuilds_through_the_memo(self):
         clear_compile_memo()

@@ -5,19 +5,25 @@ The retired shims (``nfa_cache_size`` on the engine and the worker pool, the
 ``int(InvalidationReport)``, the bridge from ``invalidate_schema``'s former
 bare-``int`` return) finished their cycle and are removed, as is the
 ``"thread"`` batch backend with its boolean ``parallel`` spellings and the
-selector's ``gil_enabled`` switch — the first half of this file pins that
+selector's ``gil_enabled`` switch, as is the DFA layer the solver never
+reached (``repro.core.dfa``, ``DenseDFA``, the optional numpy accelerator
+and the per-schema symbol tables) — the first half of this file pins that
 down, so a shim cannot quietly come back.  The second half checks that the
 supported replacements stay silent.
 """
 
+import importlib.util
 import warnings
 
 import pytest
 
+import repro.core
+import repro.core.kernels
 from repro.containment.solver import ContainmentSolver
+from repro.core import CompiledAutomaton
 from repro.engine import AdaptiveSelector, ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
-from repro.rpq import build_nfa, parse_regex
+from repro.rpq import NFA, build_nfa, parse_regex
 from repro.workloads import medical
 from repro.workloads.batches import containment_batch
 
@@ -62,6 +68,18 @@ def test_thread_backend_is_gone():
             engine.check_many(pairs, schema=schema, parallel=removed)
     with pytest.raises(TypeError, match="gil_enabled"):
         AdaptiveSelector(cpu_count=2, gil_enabled=False)
+
+
+def test_dfa_layer_is_gone():
+    for name in ("DFA", "determinize", "SymbolTable", "symbol_table", "adopt_context"):
+        assert not hasattr(repro.core, name), name
+    for module in ("repro.core.dfa", "repro.core.interning"):
+        assert importlib.util.find_spec(module) is None, module
+    for name in ("DenseDFA", "numpy_module", "subset_construct"):
+        assert not hasattr(repro.core.kernels, name), name
+    for name in ("dfa", "minimal_dfa", "shortest_witness"):
+        assert not hasattr(CompiledAutomaton, name), name
+    assert not hasattr(NFA, "to_dfa")
 
 
 # --------------------------------------------------------------------------- #

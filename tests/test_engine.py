@@ -453,7 +453,7 @@ def test_tbox_fingerprint_ignores_statement_order():
 
 
 def test_automata_cache_is_keyed_by_schema_context():
-    """One engine serving two schemas must not share pinned symbol tables."""
+    """One engine serving two schemas keeps one bundle per schema context."""
     engine = ContainmentEngine()
     schema_a = medical.source_schema()
     schema_b = medical.target_schema()
@@ -475,9 +475,9 @@ def test_compile_automaton_override_substitutes_bundles():
 
     class CountingSolver(ContainmentSolver):
         def _compile_automaton(self, regex):
-            if self._intern_context is None:
-                self._intern_context = self.schema.canonical_fingerprint()
-            bundle = compile_regex(regex, self._intern_context)
+            if self._memo_context is None:
+                self._memo_context = self.schema.canonical_fingerprint()
+            bundle = compile_regex(regex, self._memo_context)
             compiled.append(bundle)
             return bundle
 

@@ -1,36 +1,20 @@
-"""Tests for the dense/bitset automaton kernels (:mod:`repro.core.kernels`).
+"""Tests for the bitset/NFA automaton kernels (:mod:`repro.core.kernels`).
 
-Three layers of coverage:
+Two layers of coverage:
 
-* direct edge cases of :class:`DenseDFA` that the happy-path corpus never
-  builds — empty alphabets, automata without final states, single-state
-  loops, words carrying symbol ids the automaton has never seen;
-* dense ↔ dict-walk equivalence: hypothesis-driven random regexes and the
-  seeded zoo corpus generator, asserting word-for-word identical
-  enumerations and acceptance verdicts between the kernel paths the public
-  API routes through and the historical dict-walk references kept verbatim;
-* numpy-path identity: the optional accelerator must return bit-identical
-  results to the stdlib kernels (it is gated by ``REPRO_NO_NUMPY`` and by
-  size thresholds, so the private implementations are exercised directly —
-  the thresholds would otherwise hide the numpy code on small automata).
+* :func:`~repro.core.kernels.bitset_closure` on a hand-built edge list;
+* kernel ↔ dict-walk equivalence: hypothesis-driven random regexes and the
+  seeded zoo corpus generator, asserting that the NFA's kernel-backed
+  ``enumerate_words`` yields word-for-word the same sequence as the
+  historical dict-walk reference kept verbatim on the NFA.
 """
 
 import random
-from array import array
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.dfa import DFA, determinize
-from repro.core.interning import SymbolTable
-from repro.core.kernels import (
-    NUMPY_DISABLE_VARIABLE,
-    DenseDFA,
-    bitset_closure,
-    numpy_disabled,
-    numpy_module,
-)
+from repro.core.kernels import bitset_closure
 from repro.rpq.automaton import build_nfa
 from repro.rpq.parser import parse_regex
 from repro.workloads.zoo import random_regex
@@ -38,106 +22,6 @@ from repro.workloads.zoo import random_regex
 MAX_LENGTH = 6
 MAX_STATE_REPEATS = 2
 MAX_WORDS = 200
-
-
-def fresh_table() -> SymbolTable:
-    """A private table per test: no cross-test id leakage."""
-    return SymbolTable()
-
-
-# --------------------------------------------------------------------------- #
-# DenseDFA edge cases
-# --------------------------------------------------------------------------- #
-def test_empty_alphabet_accepting_initial():
-    # ε-only language: one state, no columns, initial is final
-    dense = DenseDFA(1, 0, [0], (), array("i"))
-    assert dense.width == 0
-    assert dense.transitions == 0
-    assert dense.accepts_ids(()) is True
-    assert dense.accepts_ids((7,)) is False
-    assert dense.accepts_batch([(), (7,), (0, 1)]) == [True, False, False]
-    assert not dense.is_empty()
-    assert dense.shortest_witness_ids() == ()
-    assert dense.reachable() == {0}
-    assert dense.distance_to_final() == (0,)
-
-
-def test_empty_alphabet_through_dfa_wrapper():
-    table = fresh_table()
-    dfa = DFA.from_dense(table, DenseDFA(1, 0, [0], (), array("i")))
-    assert dfa.alphabet_ids() == ()
-    assert dfa.transition_count() == 0
-    assert list(dfa.enumerate_words(MAX_LENGTH, MAX_WORDS)) == [()]
-    assert list(dfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_WORDS)) == [()]
-    # the lazy dict rows rebuild correctly for a zero-width table
-    assert dfa._delta == ({},)
-
-
-def test_no_final_state_is_the_empty_language():
-    table = fresh_table()
-    a = table.intern(parse_regex("a"))  # intern one symbol id
-    dense = DenseDFA(2, 0, [], (a,), array("i", [1, 1]))
-    assert dense.is_empty()
-    assert dense.shortest_witness_ids() is None
-    assert dense.distance_to_final() == (-1, -1)
-    assert dense.accepts_batch([(), (a,), (a, a)]) == [False, False, False]
-    dfa = DFA.from_dense(table, dense)
-    assert list(dfa.enumerate_words(MAX_LENGTH, MAX_WORDS)) == []
-    assert list(dfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_WORDS)) == []
-    minimal = dfa.minimize()
-    assert minimal.is_empty()
-
-
-def test_single_state_loop_enumerates_a_star():
-    table = fresh_table()
-    a = table.intern(parse_regex("a"))
-    dense = DenseDFA(1, 0, [0], (a,), array("i", [0]))
-    assert dense.accepts_ids((a,) * 50)
-    assert dense.distance_to_final() == (0,)
-    dfa = DFA.from_dense(table, dense)
-    words = list(dfa.enumerate_words(3, MAX_WORDS))
-    symbol = table.symbol(a)
-    assert words == [(), (symbol,), (symbol, symbol), (symbol, symbol, symbol)]
-    assert words == list(dfa._enumerate_words_dictwalk(3, MAX_WORDS))
-
-
-def test_unknown_symbol_ids_are_rejected_not_errors():
-    table = fresh_table()
-    a = table.intern(parse_regex("a"))
-    dense = DenseDFA(1, 0, [0], (a,), array("i", [0]))
-    unknown = a + 999
-    assert dense.successor(0, unknown) == -1
-    assert dense.column(unknown) == -1
-    assert dense.accepts_ids((a, unknown, a)) is False
-    # batch path must agree, including ids far beyond the table's range
-    words = [(a,), (unknown,), (a, unknown), (-5,), ()]
-    assert dense.accepts_batch(words) == [dense.accepts_ids(word) for word in words]
-
-
-def test_dense_bytes_roundtrip_preserves_everything():
-    table = fresh_table()
-    nfa = build_nfa(parse_regex("(a + b)* . c"))
-    dfa = determinize(nfa, table).minimize()
-    dense = dfa.dense()
-    clone = DenseDFA.from_bytes(
-        dense.num_states, dense.initial, dense.final, dense.alphabet, dense.tobytes()
-    )
-    assert clone.table == dense.table
-    assert clone.final == dense.final
-    assert clone.alphabet == dense.alphabet
-    assert clone.transitions == dense.transitions
-    assert clone.distance_to_final() == dense.distance_to_final()
-    reattached = DFA.from_dense(table, clone)
-    assert list(reattached.enumerate_words(MAX_LENGTH, MAX_WORDS)) == list(
-        dfa.enumerate_words(MAX_LENGTH, MAX_WORDS)
-    )
-
-
-def test_from_rows_matches_manual_table():
-    rows = [{5: 1, 9: 0}, {9: 1}]
-    dense = DenseDFA.from_rows(2, 0, [1], (5, 9), rows)
-    assert list(dense.table) == [1, 0, -1, 1]
-    assert dense.transitions == 3
 
 
 def test_bitset_closure_reflexive_transitive():
@@ -148,22 +32,11 @@ def test_bitset_closure_reflexive_transitive():
     assert closure[3] == 0b1000
 
 
-def test_subset_construct_mirrors_determinize():
-    table = fresh_table()
-    nfa = build_nfa(parse_regex("(a . b)+ + a . b . a . b"))
-    dfa = determinize(nfa, table)
-    # the DFA's dense form came out of subset_construct; its alphabet must be
-    # exactly the used symbol ids in canonical order
-    assert dfa.dense().alphabet == dfa.alphabet_ids()
-    for word in dfa.enumerate_words(MAX_LENGTH, MAX_WORDS):
-        assert nfa.accepts(word)
-
-
 # --------------------------------------------------------------------------- #
-# dense ↔ dict equivalence (hypothesis + zoo corpus)
+# kernel ↔ dict-walk equivalence (hypothesis + zoo corpus)
 # --------------------------------------------------------------------------- #
-def assert_kernels_match_dictwalk(regex, table: SymbolTable) -> None:
-    """Every kernel output equals its dict-walk reference for *regex*."""
+def assert_kernels_match_dictwalk(regex) -> None:
+    """The NFA enumeration kernel equals its dict-walk reference for *regex*."""
     nfa = build_nfa(regex)
     kernel_words = tuple(
         nfa.enumerate_words(
@@ -174,22 +47,6 @@ def assert_kernels_match_dictwalk(regex, table: SymbolTable) -> None:
         nfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
     )
     assert kernel_words == reference_words
-
-    dfa = determinize(nfa, table).minimize()
-    dense = dfa.dense()
-    kernel_dfa_words = tuple(dfa.enumerate_words(MAX_LENGTH, MAX_WORDS))
-    assert kernel_dfa_words == tuple(dfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_WORDS))
-
-    # acceptance parity over accepted words, truncations and an unknown id
-    id_words = [tuple(table.known(symbol) for symbol in word) for word in kernel_dfa_words]
-    id_words.extend(word[1:] for word in id_words if word)
-    id_words.append((max(dense.alphabet, default=0) + 17,))
-    assert dense.accepts_batch(id_words) == [dfa.accepts_ids(word) for word in id_words]
-
-    # structural invariants of the dense form
-    assert dense.alphabet == dfa.alphabet_ids()
-    assert dense.transitions == dfa.transition_count()
-    assert dfa.is_empty() == (len(kernel_dfa_words) == 0)
 
 
 @st.composite
@@ -203,11 +60,11 @@ def zoo_regexes(draw):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(zoo_regexes())
-def test_dense_equals_dictwalk_over_zoo_regexes(regex):
-    assert_kernels_match_dictwalk(regex, SymbolTable())
+def test_nfa_kernel_equals_dictwalk_over_zoo_regexes(regex):
+    assert_kernels_match_dictwalk(regex)
 
 
-def test_dense_equals_dictwalk_over_fixed_corpus():
+def test_nfa_kernel_equals_dictwalk_over_fixed_corpus():
     for spec in (
         "a*",
         "(a + b)* . c",
@@ -215,35 +72,4 @@ def test_dense_equals_dictwalk_over_fixed_corpus():
         "b- . (a + c)* . b",
         "(a . (b + c))* . d?",
     ):
-        assert_kernels_match_dictwalk(parse_regex(spec), fresh_table())
-
-
-# --------------------------------------------------------------------------- #
-# numpy path identity
-# --------------------------------------------------------------------------- #
-def test_numpy_disable_variable_parsing(monkeypatch):
-    for value, expected in (("1", True), ("true", True), ("0", False), ("", False)):
-        monkeypatch.setenv(NUMPY_DISABLE_VARIABLE, value)
-        assert numpy_disabled() is expected
-        if expected:
-            assert numpy_module() is None
-    monkeypatch.delenv(NUMPY_DISABLE_VARIABLE)
-
-
-def test_numpy_paths_match_stdlib_bit_for_bit(monkeypatch):
-    monkeypatch.delenv(NUMPY_DISABLE_VARIABLE, raising=False)
-    np = numpy_module()
-    if np is None:
-        pytest.skip("numpy not importable in this environment")
-    table = fresh_table()
-    for spec in ("(a + b + c)* . d . (a + b)*", "a . b . c+ . d . a", "(a . b)+"):
-        dfa = determinize(build_nfa(parse_regex(spec)), table).minimize()
-        dense = dfa.dense()
-        # the size thresholds would route these small automata to the stdlib
-        # loops, so call both implementations directly
-        assert dense._distance_to_final_numpy(np) == dense._distance_to_final_stdlib()
-        words = [tuple(table.known(s) for s in word) for word in dfa.enumerate_words(5, 50)]
-        words.append((10_000,))
-        words.append(())
-        stdlib_verdicts = [dense.accepts_ids(word) for word in words]
-        assert dense._accepts_batch_numpy(np, words) == stdlib_verdicts
+        assert_kernels_match_dictwalk(parse_regex(spec))

@@ -197,19 +197,6 @@ def test_schema_references_resolve_from_the_shared_store(tmp_path):
         engine.close()
 
 
-def test_serial_runs_compute_no_dfas():
-    """The solver's automaton work is NFA-only, so a warm parent holds no
-    computed DFA a worker could be spared — which is why nothing but the
-    regex crosses the process boundary."""
-    schema, pairs = containment_batch("medical")
-    engine = ContainmentEngine()
-    engine.check_many(pairs, schema=schema)
-    with engine._lock:
-        bundles = [bundle for _key, bundle in engine._automata.items()]
-    assert bundles, "the serial run must have compiled automata"
-    assert all(bundle._dfa is None and bundle._min_dfa is None for bundle in bundles)
-
-
 def test_process_batch_from_a_warm_parent_matches_cold_serial():
     schema, pairs = containment_batch("medical")
     serial = ContainmentEngine().check_many(pairs, schema=schema)
