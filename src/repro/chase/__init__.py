@@ -3,7 +3,8 @@
 Re-exports:
 
 * :class:`TBoxIndex` — statements indexed by kind and role, with the label
-  closure operation every chase phase consults;
+  closure operation every chase phase consults and ``∀``/``⊥`` overlays
+  for the entailment reductions;
 * :class:`TreeChecker` / :class:`TreeOutcome` — coinductive
   tree-extendability of deferred existential requirements (Appendix E);
 * :class:`ChaseEngine` / :class:`ChaseResult` — the four-phase chase over

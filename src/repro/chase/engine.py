@@ -30,7 +30,7 @@ within a finite lattice and merges only decrease the number of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..dl.tbox import TBox
 from ..exceptions import SolverError
@@ -57,12 +57,16 @@ class ChaseResult:
 
 
 class ChaseEngine:
-    """Chases finite patterns modulo a fixed Horn-ALCIF TBox."""
+    """Chases finite patterns modulo a fixed Horn-ALCIF TBox.
 
-    def __init__(self, tbox: TBox, max_rounds: int = 100_000) -> None:
-        if not tbox.is_horn():
-            raise SolverError("the chase engine only accepts Horn TBoxes")
-        self.index = TBoxIndex(tbox)
+    *tbox* is a Horn TBox or a prepared :class:`TBoxIndex` of one (indexing
+    a TBox raises :class:`SolverError` when it is not Horn).  Each engine
+    has its own tree-extendability memo, so engines sharing one index never
+    share tree outcomes.
+    """
+
+    def __init__(self, tbox: Union[TBox, TBoxIndex], max_rounds: int = 100_000) -> None:
+        self.index = tbox if isinstance(tbox, TBoxIndex) else TBoxIndex(tbox)
         self.tree = TreeChecker(self.index)
         self.max_rounds = max_rounds
 

@@ -9,7 +9,8 @@ tree-extendability check share.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import copy
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..dl.concepts import (
     AtMostOneCI,
@@ -21,6 +22,7 @@ from ..dl.concepts import (
     SubclassOfBottom,
 )
 from ..dl.tbox import TBox
+from ..exceptions import SolverError
 from ..graph.labels import SignedLabel
 
 __all__ = ["TBoxIndex"]
@@ -31,11 +33,13 @@ class TBoxIndex:
 
     The index is the single object shared by the pattern chase and the
     tree-extendability procedure; it also memoises closures of label sets,
-    which dominates the running time on larger inputs.
+    which dominates the running time on larger inputs.  Building an index
+    from a TBox is where the chase checks that the TBox is Horn.
     """
 
     def __init__(self, tbox: TBox) -> None:
-        self.tbox = tbox
+        if not tbox.is_horn():
+            raise SolverError("the chase engine only accepts Horn TBoxes")
         self.subclass: List[SubclassOf] = list(tbox.subclass_statements())
         self.bottoms: List[SubclassOfBottom] = list(tbox.bottom_statements())
         self.forall: List[ForAllCI] = list(tbox.forall_statements())
@@ -56,6 +60,31 @@ class TBoxIndex:
         self.exists_by_role: Dict[SignedLabel, List[ExistsCI]] = {}
         for statement in self.exists:
             self.exists_by_role.setdefault(statement.role, []).append(statement)
+
+    def overlay(self, statements: Iterable[Union[ForAllCI, SubclassOfBottom]]) -> "TBoxIndex":
+        """The index of this TBox plus some ``∀`` and ``⊥`` statements.
+
+        The result shares every bucket the extra statements leave alone,
+        including the closure cache: :meth:`close` reads only the ``K ⊑ A``
+        statements, which an overlay cannot add.  Any other statement kind
+        raises :class:`ValueError`.  The entailment reductions (Corollary
+        E.7) use overlays to ask many queries of one indexed TBox without
+        copying and re-indexing it per query.
+        """
+        result = copy.copy(self)
+        result.forall = list(self.forall)
+        result.bottoms = list(self.bottoms)
+        result.forall_by_role = dict(self.forall_by_role)
+        for statement in statements:
+            if isinstance(statement, ForAllCI):
+                result.forall.append(statement)
+                bucket = result.forall_by_role.get(statement.role, [])
+                result.forall_by_role[statement.role] = [*bucket, statement]
+            elif isinstance(statement, SubclassOfBottom):
+                result.bottoms.append(statement)
+            else:
+                raise ValueError(f"an index overlay only adds ∀ and ⊥ statements, not {statement}")
+        return result
 
     # ------------------------------------------------------------------ #
     def close(self, labels: Iterable[str]) -> ConceptNames:

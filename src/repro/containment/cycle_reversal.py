@@ -56,7 +56,11 @@ class CompletionConfig:
 
 @dataclass
 class CompletionResult:
-    """The completion ``T*`` together with bookkeeping for benchmarks."""
+    """The completion ``T*`` together with bookkeeping for benchmarks.
+
+    ``entailment_checks`` counts the Corollary E.7 chase queries actually
+    run; answers carried over from an earlier round are not counted.
+    """
 
     tbox: TBox
     reversed_cycles: int = 0
@@ -167,6 +171,21 @@ def complete(
     result = CompletionResult(work)
     extra_seeds = list(extra_seeds)
 
+    # Entailment is monotone in the TBox and ``work`` only grows inside the
+    # loop, so a query answered positively stays answered; only negative
+    # answers are asked again on a later round's index.
+    entailed: Set[Tuple[object, ConceptNames, SignedLabel, ConceptNames]] = set()
+
+    def entails(query, index: TBoxIndex, body, role, head) -> bool:
+        key = (query, body, role, head)
+        if key in entailed:
+            return True
+        result.entailment_checks += 1
+        if query(index, body, role, head):
+            entailed.add(key)
+            return True
+        return False
+
     for round_index in range(config.max_rounds):
         result.rounds = round_index + 1
         index = TBoxIndex(work)
@@ -184,10 +203,9 @@ def complete(
                 if not any(statement.body <= body for statement in index.exists_by_role.get(role, ())):
                     continue
                 for head in candidates:
-                    result.entailment_checks += 2
-                    if not entails_exists(work, body, role, head):
+                    if not entails(entails_exists, index, body, role, head):
                         continue
-                    if not entails_at_most(work, head, role.inverse(), body):
+                    if not entails(entails_at_most, index, head, role.inverse(), body):
                         continue
                     edges.setdefault((body, role), []).append(head)
                     edge_list.append((body, role, head))
@@ -198,10 +216,10 @@ def complete(
             reverse_at_most = AtMostOneCI(body, role, head)
             if reverse_exists in work and reverse_at_most in work:
                 continue
-            if not _path_exists(edges, head, body):
+            path = _find_cycle(edges, head, body)
+            if path is None:
                 continue
-            cycle = _find_cycle(edges, head, body)
-            cycle = [(body, role, head)] + cycle
+            cycle = [(body, role, head)] + path
             result.reversed_cycles += 1
             for step_body, step_role, step_head in cycle:
                 for statement in (
@@ -226,14 +244,6 @@ def complete(
     simplify_s_driven(work, schema)
     result.tbox = work
     return result
-
-
-def _path_exists(
-    edges: Dict[Tuple[ConceptNames, SignedLabel], List[ConceptNames]],
-    start: ConceptNames,
-    goal: ConceptNames,
-) -> bool:
-    return _find_cycle(edges, start, goal) is not None if start != goal else True
 
 
 def _find_cycle(
@@ -299,7 +309,8 @@ def simplify_s_driven(tbox: TBox, schema: Schema) -> TBox:
         ):
             removable.append(statement)
     if removable:
-        keep = [s for s in tbox.statements() if s not in set(removable)]
+        removable_set = set(removable)
+        keep = [s for s in tbox.statements() if s not in removable_set]
         tbox._statements = list(keep)  # noqa: SLF001 - internal, documented simplification
         tbox._seen = set(keep)
     return tbox

@@ -6,25 +6,39 @@ tiny C2RPQs modulo a slightly extended TBox.  Because those queries are
 star-free, their witness patterns are unique and the chase decides the
 resulting satisfiability questions exactly; entailment checking is therefore
 exact in this implementation.
+
+Every function takes a TBox or a prepared :class:`repro.chase.TBoxIndex` of
+one.  The two entailment reductions extend the TBox only by ``∀`` and ``⊥``
+statements, so they answer each query on an overlay of the index
+(:meth:`TBoxIndex.overlay`) instead of a copied and re-indexed TBox; the
+completion passes one index per round and asks all of its queries on it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Union
 
 from ..dl.concepts import ForAllCI, SubclassOfBottom, conj
 from ..dl.tbox import TBox
 from ..graph.graph import Graph
 from ..graph.labels import SignedLabel
 from ..chase.engine import ChaseEngine
+from ..chase.labelsets import TBoxIndex
 
 __all__ = ["entails_exists", "entails_at_most", "label_set_satisfiable", "triple_satisfiable"]
 
 _FRESH_B = "__entail_B"
 _FRESH_B_PRIME = "__entail_B2"
+_MARKERS_DISJOINT = SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME))
+
+TBoxLike = Union[TBox, TBoxIndex]
 
 
-def label_set_satisfiable(tbox: TBox, labels: Iterable[str]) -> bool:
+def _index(tbox: TBoxLike) -> TBoxIndex:
+    return tbox if isinstance(tbox, TBoxIndex) else TBoxIndex(tbox)
+
+
+def label_set_satisfiable(tbox: TBoxLike, labels: Iterable[str]) -> bool:
     """``True`` when some (possibly infinite) model of *tbox* has a node whose
     label set includes *labels*."""
     engine = ChaseEngine(tbox)
@@ -32,7 +46,7 @@ def label_set_satisfiable(tbox: TBox, labels: Iterable[str]) -> bool:
 
 
 def triple_satisfiable(
-    tbox: TBox, body: Iterable[str], role: SignedLabel, head: Iterable[str]
+    tbox: TBoxLike, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
     """Satisfiability of the triple ``(K, R, K')`` (Section 5): some model has
     an ``R``-edge from a ``K``-node to a ``K'``-node."""
@@ -48,7 +62,7 @@ def triple_satisfiable(
 
 
 def entails_exists(
-    tbox: TBox, body: Iterable[str], role: SignedLabel, head: Iterable[str]
+    tbox: TBoxLike, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
     """``T ⊨ K ⊑ ∃R.K'`` via the Corollary E.7 reduction.
 
@@ -58,9 +72,9 @@ def entails_exists(
     """
     body = frozenset(body)
     head = frozenset(head)
-    extended = tbox.copy(name=f"{tbox.name}+entail∃")
-    extended.add(ForAllCI(head, role.inverse(), conj(_FRESH_B_PRIME)))
-    extended.add(SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME)))
+    extended = _index(tbox).overlay(
+        (ForAllCI(head, role.inverse(), conj(_FRESH_B_PRIME)), _MARKERS_DISJOINT)
+    )
     pattern = Graph()
     pattern.add_node("u", body | {_FRESH_B})
     engine = ChaseEngine(extended)
@@ -68,7 +82,7 @@ def entails_exists(
 
 
 def entails_at_most(
-    tbox: TBox, body: Iterable[str], role: SignedLabel, head: Iterable[str]
+    tbox: TBoxLike, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
     """``T ⊨ K ⊑ ∃≤1R.K'`` via the Corollary E.7 reduction.
 
@@ -80,8 +94,7 @@ def entails_at_most(
     """
     body = frozenset(body)
     head = frozenset(head)
-    extended = tbox.copy(name=f"{tbox.name}+entail≤1")
-    extended.add(SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME)))
+    extended = _index(tbox).overlay((_MARKERS_DISJOINT,))
     pattern = Graph()
     pattern.add_node("u", body)
     pattern.add_node("v1", head | {_FRESH_B})

@@ -61,6 +61,49 @@ class TestTBoxIndex:
         stats = TBoxIndex(medical_tbox).statistics()
         assert stats["exists"] > 0 and stats["no_exists"] > 0 and stats["bottom"] > 0
 
+    def test_requires_horn_tbox(self):
+        from repro.dl import label_coverage_statement
+
+        with pytest.raises(SolverError):
+            TBoxIndex(TBox([label_coverage_statement(["A", "B"])]))
+
+    def test_overlay_matches_index_of_extended_tbox(self, medical_tbox):
+        extra = [
+            ForAllCI(conj("Vaccine"), forward("designTarget"), conj("Marker")),
+            SubclassOfBottom(conj("Marker", "Other")),
+        ]
+        base = TBoxIndex(medical_tbox)
+        overlay = base.overlay(extra)
+        extended_tbox = medical_tbox.copy()
+        extended_tbox.extend(extra)
+        extended = TBoxIndex(extended_tbox)
+        assert overlay.forall == extended.forall
+        assert overlay.bottoms == extended.bottoms
+        assert overlay.forall_by_role == extended.forall_by_role
+        assert overlay.statistics() == extended.statistics()
+        # the base index is left as it was
+        assert base.statistics() == TBoxIndex(medical_tbox).statistics()
+        assert extra[0] not in base.forall_by_role.get(forward("designTarget"), [])
+
+    def test_overlay_shares_the_closure_cache(self):
+        base = TBoxIndex(TBox([SubclassOf(conj("A"), "B")]))
+        overlay = base.overlay([SubclassOfBottom(conj("A", "C"))])
+        assert overlay.close({"A"}) == {"A", "B"}
+        assert frozenset({"A"}) in base._closure_cache
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            SubclassOf(conj("A"), "B"),
+            ExistsCI(conj("A"), forward("r"), conj("B")),
+            NoExistsCI(conj("A"), forward("r"), conj("B")),
+            AtMostOneCI(conj("A"), forward("r"), conj("B")),
+        ],
+    )
+    def test_overlay_rejects_other_statement_kinds(self, statement):
+        with pytest.raises(ValueError):
+            TBoxIndex(TBox()).overlay([statement])
+
 
 class TestTreeChecker:
     def test_simple_existential_chain_is_extendable(self):
@@ -134,6 +177,16 @@ class TestChaseEngine:
         tbox = TBox([label_coverage_statement(["A", "B"])])
         with pytest.raises(SolverError):
             ChaseEngine(tbox)
+
+    def test_accepts_a_prepared_index(self):
+        tbox = TBox([SubclassOfBottom(conj("A", "B"))])
+        index = TBoxIndex(tbox)
+        first, second = ChaseEngine(index), ChaseEngine(index)
+        assert first.index is index and second.index is index
+        assert first.tree is not second.tree
+        pattern = GraphBuilder().node("x", "A", "B").build()
+        assert not first.check_pattern(pattern).consistent
+        assert not ChaseEngine(index.overlay([])).check_pattern(pattern).consistent
 
     def test_saturation_propagates_labels(self):
         tbox = TBox(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chase import ChaseEngine, TBoxIndex
 from repro.containment import (
     complete,
     entails_at_most,
@@ -11,18 +12,24 @@ from repro.containment import (
     simplify_s_driven,
     triple_satisfiable,
 )
+from repro.containment import cycle_reversal
 from repro.containment.cycle_reversal import CompletionConfig
+from repro.containment.solver import ContainmentSolver
 from repro.dl import (
     AtMostOneCI,
     ExistsCI,
     ForAllCI,
+    SubclassOfBottom,
     TBox,
     conj,
+    label_coverage_statement,
     schema_to_extended_tbox,
 )
-from repro.graph import forward, inverse
+from repro.exceptions import SolverError
+from repro.graph import Graph, forward, inverse
 from repro.schema import Schema
 from repro.workloads import medical, synthetic
+from repro.workloads.zoo import ZOO_SEED, property_corpus
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +166,139 @@ class TestSDrivenSimplification:
             and s.body <= example52_schema.node_labels and s.head <= example52_schema.node_labels
         ]
         assert len(single_label_at_most) <= bound
+
+
+# --------------------------------------------------------------------------- #
+# completion's entailment queries on the per-round index overlay
+# --------------------------------------------------------------------------- #
+def _copy_entails_exists(tbox, body, role, head):
+    """Corollary E.7 for ``K ⊑ ∃R.K'`` on a copied, re-indexed TBox."""
+    extended = tbox.copy()
+    extended.add(ForAllCI(frozenset(head), role.inverse(), conj("__entail_B2")))
+    extended.add(SubclassOfBottom(conj("__entail_B", "__entail_B2")))
+    pattern = Graph()
+    pattern.add_node("u", frozenset(body) | {"__entail_B"})
+    return not ChaseEngine(extended).check_pattern(pattern).consistent
+
+
+def _copy_entails_at_most(tbox, body, role, head):
+    """Corollary E.7 for ``K ⊑ ∃≤1R.K'`` on a copied, re-indexed TBox."""
+    extended = tbox.copy()
+    extended.add(SubclassOfBottom(conj("__entail_B", "__entail_B2")))
+    pattern = Graph()
+    pattern.add_node("u", frozenset(body))
+    pattern.add_node("v1", frozenset(head) | {"__entail_B"})
+    pattern.add_node("v2", frozenset(head) | {"__entail_B2"})
+    for successor in ("v1", "v2"):
+        if role.is_inverse:
+            pattern.add_edge(successor, role.label, "u")
+        else:
+            pattern.add_edge("u", role.label, successor)
+    return not ChaseEngine(extended).check_pattern(pattern).consistent
+
+
+class _QueryRecorder:
+    """Records every entailment query ``complete()`` issues, per round.
+
+    Each round builds one index; the recorder snapshots the TBox it was
+    built from, which is the TBox every query of that round is asked of.
+    """
+
+    def __init__(self, monkeypatch):
+        self.rounds = []  # [(index, TBox snapshot, [(kind, body, role, head, answer)])]
+        recorder = self
+
+        class SnapshotIndex(TBoxIndex):
+            def __init__(self, tbox):
+                super().__init__(tbox)
+                recorder.rounds.append((self, tbox.copy(), []))
+
+        def recording(kind, query):
+            def wrapper(index, body, role, head):
+                answer = query(index, body, role, head)
+                round_index, _, queries = recorder.rounds[-1]
+                assert index is round_index
+                queries.append((kind, body, role, head, answer))
+                return answer
+            return wrapper
+
+        monkeypatch.setattr(cycle_reversal, "TBoxIndex", SnapshotIndex)
+        monkeypatch.setattr(cycle_reversal, "entails_exists", recording("∃", entails_exists))
+        monkeypatch.setattr(cycle_reversal, "entails_at_most", recording("≤1", entails_at_most))
+
+    def queries(self):
+        return [query for _, _, queries in self.rounds for query in queries]
+
+
+_COPY_REDUCTIONS = {"∃": _copy_entails_exists, "≤1": _copy_entails_at_most}
+
+
+class TestCompletionQueries:
+    def test_overlay_answers_match_the_copy_based_reduction(self, monkeypatch):
+        recorder = _QueryRecorder(monkeypatch)
+        for left, right, schema in property_corpus(ZOO_SEED, schemas=10, queries_per_schema=1):
+            ContainmentSolver(schema).contains(left, right)
+        answers = [answer for *_, answer in recorder.queries()]
+        assert answers.count(True) >= 10 and answers.count(False) >= 100
+        assert {kind for kind, *_ in recorder.queries()} == {"∃", "≤1"}
+        for _, tbox, queries in recorder.rounds:
+            for kind, body, role, head, answer in queries:
+                assert _COPY_REDUCTIONS[kind](tbox, body, role, head) == answer, (
+                    kind, sorted(body), role, sorted(head)
+                )
+
+    def test_positive_answers_are_not_asked_again(self, monkeypatch):
+        recorder = _QueryRecorder(monkeypatch)
+        schema = synthetic.cycle_schema(2)
+        tbox = schema_to_extended_tbox(schema)
+        result = complete(tbox, schema, config=CompletionConfig(max_candidates=12, max_rounds=3))
+        assert result.rounds >= 2 and len(recorder.rounds) == result.rounds
+        assert result.entailment_checks == len(recorder.queries())
+        rounds = [queries for _, _, queries in recorder.rounds]
+        for earlier, later in zip(rounds, rounds[1:]):
+            positives = {query[:4] for query in earlier if query[4]}
+            assert positives
+            assert not positives & {query[:4] for query in later}
+        # the carried answers still hold of every later round's TBox
+        for k, (_, _, queries) in enumerate(recorder.rounds):
+            for _, later_tbox, _ in recorder.rounds[k + 1:]:
+                for kind, body, role, head, answer in queries:
+                    if answer:
+                        assert _COPY_REDUCTIONS[kind](later_tbox, body, role, head)
+
+    def test_entailment_checks_count_only_queries_run(self, monkeypatch):
+        recorder = _QueryRecorder(monkeypatch)
+        schema = synthetic.cycle_schema(2)
+        result = complete(schema_to_extended_tbox(schema), schema)
+        kinds = [kind for kind, *_ in recorder.queries()]
+        assert result.entailment_checks == len(kinds)
+        # an ≤1 query runs only after its ∃ query succeeded
+        assert kinds.count("≤1") < kinds.count("∃")
+
+
+class TestHornCheck:
+    def _non_horn(self, schema):
+        tbox = schema_to_extended_tbox(schema)
+        tbox.add(label_coverage_statement(sorted(schema.node_labels)))
+        return tbox
+
+    def test_completion_rejects_a_non_horn_tbox(self):
+        schema = synthetic.cycle_schema(2)
+        assert schema_has_finmod_cycle(schema)
+        with pytest.raises(SolverError):
+            complete(self._non_horn(schema), schema)
+
+    def test_entailment_rejects_a_non_horn_tbox(self):
+        tbox = self._non_horn(synthetic.cycle_schema(2))
+        with pytest.raises(SolverError):
+            entails_exists(tbox, ["L0"], forward("next"), ["L1"])
+        with pytest.raises(SolverError):
+            entails_at_most(tbox, ["L0"], forward("next"), ["L1"])
+
+    def test_entailment_accepts_a_prepared_index(self, medical_tbox):
+        index = TBoxIndex(medical_tbox)
+        assert entails_exists(index, ["Vaccine"], forward("designTarget"), ["Antigen"])
+        assert entails_at_most(index, ["Vaccine"], forward("designTarget"), ["Antigen"])
+        assert not entails_exists(index, ["Antigen"], forward("crossReacting"), ["Antigen"])
+        # the queries leave the index unextended
+        assert index.statistics() == TBoxIndex(medical_tbox).statistics()
