@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench docs-check trend coverage check
+.PHONY: test lint bench-smoke bench docs-check coverage check
 
 # tier-1 test suite (the gate every change must keep green)
 test:
@@ -39,14 +39,6 @@ bench:
 # execute README/docs code blocks and validate internal doc references
 docs-check:
 	$(PY) tools/docs_check.py
-
-# collect the five bench suites (backends, automata, store, service, zoo)
-# into BENCH_current.json and compare the timings against the committed
-# baseline (benchmarks/trend/BENCH_*.json); regressions in the blocking
-# suites (backends, service) fail the target, the rest print warnings
-trend:
-	$(PY) tools/bench_trend.py collect --output BENCH_current.json
-	$(PY) tools/bench_trend.py compare --current BENCH_current.json
 
 # tier-1 suite under coverage (requires pytest-cov; CI compares the total
 # against the recorded baseline in .github/coverage-baseline.txt)

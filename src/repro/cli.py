@@ -10,18 +10,12 @@ Seven subcommands over the library's hot paths:
   :meth:`~repro.engine.ContainmentEngine.check_many` on a chosen backend
   (``serial``/``process``/``auto``), with JSON timing + cache-stats
   reports;
-* ``bench`` — the same batch across *all* requested backends, asserting
-  fingerprint-identical verdicts and reporting per-backend speedups; with
-  ``--suite automata`` it instead reports the compiled-automaton-core
-  timings (cold vs memoized compilation, enumeration reuse, prefix
-  sharing — harness in :mod:`repro.core.benchmarks`), with
-  ``--suite store`` the cold-vs-warm contrast of the disk-persistent
-  result store on a mixed workload, and with ``--suite zoo`` the workload
-  zoo (:mod:`repro.workloads.zoo`: the seeded property-based corpus plus
-  the hardness-derived adversarial families) across backends with
-  fingerprint identity as the exit code.  Every bench report embeds a
-  ``context`` block (CPU count, Python version, platform, the fixed RNG
-  seed) so trend comparisons across runners are interpretable;
+* ``bench`` — the serving layer's benchmark: coalesced versus
+  per-request throughput of the containment service under closed-loop
+  client threads, with p50/p95/p99 latency percentiles per mode and verdict
+  fingerprints asserted identical to a serial baseline.  The report embeds
+  a ``context`` block (CPU count, Python version, platform, the fixed RNG
+  seed) so numbers from different machines are interpretable;
 * ``cache`` — manage a persistent store file: ``stats``, ``clear``,
   ``export`` (entry metadata as JSON) and ``warm`` (pre-populate from a
   workload or spec file);
@@ -31,10 +25,7 @@ Seven subcommands over the library's hot paths:
   ``/stats``) or newline-delimited JSON on stdio (``--stdio``), with
   ``--parallel``/``--workers`` for the batch backend, ``--persist`` for the
   disk store and ``--coalesce-window``/``--max-batch`` for the
-  micro-batching shape.  ``bench --suite service`` measures it: coalesced
-  versus per-request throughput under closed-loop client threads with
-  p50/p95/p99 latency percentiles per mode, verdict fingerprints asserted
-  identical to a serial baseline;
+  micro-batching shape;
 * ``replay`` — record and replay NDJSON traffic traces
   (:mod:`repro.workloads.replay`): ``replay --record trace.ndjson``
   generates a seeded multi-tenant trace (hot/cold mixes, bursts,
@@ -43,16 +34,16 @@ Seven subcommands over the library's hot paths:
   every verdict bit-identical to the recording (the exit code) and
   reporting latency percentiles plus the coalescer's dedup counters.
 
-``contain``, ``typecheck`` and ``batch`` accept ``--persist PATH`` to put
-the disk store behind the engine (see :mod:`repro.store`); ``bench`` uses
-``--persist`` for the store suite's file.
+``contain``, ``typecheck``, ``batch``, ``serve`` and ``replay`` accept
+``--persist PATH`` to put the disk store behind the engine (see
+:mod:`repro.store`).
 
 Every subcommand accepts ``--json`` (``-`` for stdout, otherwise a path) and
 prints a human summary otherwise.  :func:`main` takes an ``argv`` list and
 returns an exit code — it never calls ``sys.exit`` itself, so it is directly
 callable from tests and executable documentation blocks.
 
-Spec files for ``batch``/``bench``/``cache warm`` are JSON documents::
+Spec files for ``batch`` and ``cache warm`` are JSON documents::
 
     {
       "schema": "schema S { nodes A; edge A -r-> A [*, *]; }",
@@ -69,7 +60,6 @@ import os
 import platform
 import random
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -81,17 +71,11 @@ from .rpq.parser import parse_c2rpq
 from .schema.parser import parse_schema
 from .schema.schema import Schema
 from .store import ResultStore
-from .workloads.batches import (
-    BUILTIN_WORKLOADS,
-    containment_batch,
-    mixed_batch,
-    workload_schemas,
-)
+from .workloads.batches import BUILTIN_WORKLOADS, containment_batch, workload_schemas
 
 __all__ = ["main"]
 
 BACKENDS = ("serial", "process", "auto")
-DEFAULT_BENCH_BACKENDS = "serial,process"
 
 #: The RNG seed recorded in (and applied before) every bench report, so any
 #: randomised corpus or tie-breaking is reproducible run to run.
@@ -99,12 +83,11 @@ BENCH_SEED = 1729
 
 
 def _context_block() -> Dict[str, Any]:
-    """Machine/runtime metadata embedded in every bench JSON report.
+    """Machine/runtime metadata embedded in the bench JSON report.
 
-    Timings from different runners are only comparable with this block in
-    hand; the trend tracker (tools/bench_trend.py) prints it alongside any
-    regression warning.  Seeding is a side effect on purpose: every bench
-    run starts from the same RNG state.
+    Timings from different machines are only comparable with this block in
+    hand.  Seeding is a side effect on purpose: every bench run starts from
+    the same RNG state.
     """
     random.seed(BENCH_SEED)
     return {
@@ -176,19 +159,6 @@ def _run_backend(
     started = time.perf_counter()
     results = engine.check_many(pairs, schema=schema, parallel=backend, max_workers=workers)
     return results, time.perf_counter() - started
-
-
-def _requested_backends(args: argparse.Namespace) -> List[str]:
-    """The parsed ``bench --backends`` list (``serial,process`` when unset)."""
-    backends = [
-        backend.strip()
-        for backend in (args.backends or DEFAULT_BENCH_BACKENDS).split(",")
-        if backend.strip()
-    ]
-    unknown = [backend for backend in backends if backend not in BACKENDS]
-    if unknown:
-        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown)}")
-    return backends
 
 
 def _stats_block(engine: ContainmentEngine, backend: str) -> Dict[str, Any]:
@@ -360,386 +330,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "automata":
-        return _cmd_bench_automata(args)
-    if args.suite == "store":
-        return _cmd_bench_store(args)
-    if args.suite == "service":
-        return _cmd_bench_service(args)
-    if args.suite == "zoo":
-        return _cmd_bench_zoo(args)
-    if args.suite == "evolve":
-        return _cmd_bench_evolve(args)
-    if args.repeats is not None or args.requests is not None:
-        print(
-            "bench: --repeats/--requests only apply to --suite "
-            "automata/service/zoo/evolve; ignoring",
-            file=sys.stderr,
-        )
-    if args.persist:
-        print(
-            "bench: --persist only applies to --suite store (a shared store would "
-            "warm later backends and skew the comparison); ignoring",
-            file=sys.stderr,
-        )
-    label, schema, pairs = _resolve_batch(args)
-    backends = _requested_backends(args)
-
-    context = _context_block()  # seeds the RNG before any backend runs
-    runs: Dict[str, Dict[str, Any]] = {}
-    fingerprints = {}
-    for backend in backends:
-        clear_compile_memo()  # every arm starts cold, whatever ran before it
-        with ContainmentEngine() as engine:
-            results, elapsed = _run_backend(engine, backend, schema, pairs, args.workers)
-            fingerprints[backend] = _batch_fingerprint(results)
-            runs[backend] = {
-                "elapsed_seconds": elapsed,
-                "throughput_per_second": len(pairs) / elapsed if elapsed else None,
-                "stats": _stats_block(engine, backend),
-            }
-
-    identical = len(set(fingerprints.values())) == 1
-    baseline = runs.get("serial") or runs[backends[0]]
-    for backend, run in runs.items():
-        run["speedup_vs_serial"] = (
-            baseline["elapsed_seconds"] / run["elapsed_seconds"] if run["elapsed_seconds"] else None
-        )
-    report = {
-        "suite": "backends",
-        "workload": label,
-        "tasks": len(pairs),
-        "workers": args.workers or default_worker_count(),
-        "backends": runs,
-        "fingerprints": fingerprints,
-        "verdicts_identical": identical,
-        "context": context,
-    }
-    lines = [f"{label}: {len(pairs)} containment tests"]
-    for backend in backends:
-        run = runs[backend]
-        speedup = run["speedup_vs_serial"]
-        lines.append(
-            f"  {backend:8s} {run['elapsed_seconds'] * 1000:9.1f} ms  "
-            f"{f'{speedup:.2f}x' if speedup is not None else 'inf'} vs serial"
-        )
-    lines.append(f"  verdicts identical across backends: {identical}")
-    _emit(report, args.json, "\n".join(lines))
-    return 0 if identical else 1
-
-
-def _cmd_bench_automata(args: argparse.Namespace) -> int:
-    """``bench --suite automata`` — the compiled-automaton-core report."""
-    from .core import benchmarks
-
-    ignored = []
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.length != 8:
-        ignored.append("--length")
-    if args.spec:
-        ignored.append("--spec")
-    if args.backends is not None:
-        ignored.append("--backends")
-    if args.workers is not None:
-        ignored.append("--workers")
-    if args.persist:
-        ignored.append("--persist")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite automata "
-            "(it runs a fixed built-in corpus); ignoring",
-            file=sys.stderr,
-        )
-    context = _context_block()
-    report = benchmarks.run_report(
-        repeats=args.repeats if args.repeats is not None else 5,
-        requests=args.requests if args.requests is not None else 50,
-    )
-    report["context"] = context
-    _emit(report, args.json, benchmarks.summary(report))
-    return 0
-
-
-def _cmd_bench_store(args: argparse.Namespace) -> int:
-    """``bench --suite store`` — cold vs persistent-warm on a mixed workload.
-
-    Three passes over the same mixed-workload batch, rebuilt from scratch
-    each time (fresh query/schema objects, fresh engine, cleared compile
-    memo — everything a new process would not have):
-
-    1. a **baseline** run with no store at all;
-    2. a **cold** run against an empty store file (solves + writes back);
-    3. a **warm** run against that now-populated file (disk replays).
-
-    The headline number is ``speedup`` (cold / warm); the suite also asserts
-    the three passes fingerprint-identical, which is the exit code.
-    """
-    ignored = []
-    if args.backends is not None:
-        ignored.append("--backends")
-    if args.workers is not None:
-        ignored.append("--workers")
-    if args.repeats is not None or args.requests is not None:
-        ignored.append("--repeats/--requests")
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite store "
-            "(it runs the mixed workload serially); ignoring",
-            file=sys.stderr,
-        )
-    context = _context_block()
-
-    temp_dir: Optional[tempfile.TemporaryDirectory] = None
-    if args.persist:
-        store_path = Path(args.persist)
-        scratch = ResultStore(store_path)
-        dropped = scratch.clear()
-        scratch.close()
-        if dropped:
-            print(
-                f"bench: cleared {dropped} entries from {store_path} for a cold start",
-                file=sys.stderr,
-            )
-    else:
-        temp_dir = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-        store_path = Path(temp_dir.name) / "store.db"
-
-    def run(persist: Optional[Path]) -> Tuple[str, float, Dict[str, Any]]:
-        requests = mixed_batch(length=args.length)
-        clear_compile_memo()
-        with ContainmentEngine(persist=persist) as engine:
-            if engine.store is not None and engine.store.disabled:
-                # measuring "cold vs warm" against a store that never opened
-                # would report a plausible ~1x number that measured nothing
-                raise SystemExit(
-                    f"bench: cannot open store {persist}: {engine.store.disabled_reason}"
-                )
-            started = time.perf_counter()
-            results = engine.check_many(requests)
-            elapsed = time.perf_counter() - started
-            block: Dict[str, Any] = {"elapsed_seconds": elapsed}
-            if engine.store is not None:
-                block["store"] = engine.store.stats.as_dict()
-            return _batch_fingerprint(results), elapsed, block
-
-    try:
-        tasks = len(mixed_batch(length=args.length))
-        baseline_fp, baseline_seconds, baseline_block = run(None)
-        cold_fp, cold_seconds, cold_block = run(store_path)
-        warm_fp, warm_seconds, warm_block = run(store_path)
-        identical = baseline_fp == cold_fp == warm_fp
-        store_view = ResultStore(store_path, mode="ro")
-        report = {
-            "suite": "store",
-            "workload": f"mixed(length={args.length})",
-            "tasks": tasks,
-            "baseline": baseline_block,
-            "cold": cold_block,
-            "warm": warm_block,
-            "speedup": cold_seconds / warm_seconds if warm_seconds else None,
-            "store": {
-                "path": str(store_path),
-                "file_bytes": store_view.file_size(),
-                "tiers": store_view.counts(),
-            },
-            "fingerprints_identical": identical,
-            "context": context,
-        }
-        store_view.close()
-        speedup_text = f"{report['speedup']:.1f}x" if report["speedup"] is not None else "inf"
-        summary = (
-            f"persistent store: {tasks} mixed containment tests — "
-            f"baseline {baseline_seconds * 1000:.1f} ms, "
-            f"cold {cold_seconds * 1000:.1f} ms, warm {warm_seconds * 1000:.1f} ms "
-            f"({speedup_text} warm speedup)\n"
-            f"  verdicts identical across baseline/cold/warm: {identical}"
-        )
-        _emit(report, args.json, summary)
-    finally:
-        if temp_dir is not None:
-            temp_dir.cleanup()
-    return 0 if identical else 1
-
-
-def _cmd_bench_zoo(args: argparse.Namespace) -> int:
-    """``bench --suite zoo`` — the workload zoo across execution backends.
-
-    Runs the full zoo corpus (:func:`repro.workloads.zoo.zoo_corpus`: the
-    seeded property-based pairs plus the tree-device and ATM-fragment
-    adversarial families) through every requested backend on a fresh
-    engine, and asserts the flattened verdict fingerprint identical across
-    backends — the differential check of ``tests/test_differential.py`` as
-    a runnable benchmark.  ``--requests`` scales the property corpus
-    (pairs ≈ requests; the adversarial families ride along at fixed size).
-    """
-    from .workloads.zoo import zoo_corpus
-
-    ignored = []
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.length != 8:
-        ignored.append("--length")
-    if args.repeats is not None:
-        ignored.append("--repeats")
-    if args.persist:
-        ignored.append("--persist")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite zoo "
-            "(it runs the seeded zoo corpus); ignoring",
-            file=sys.stderr,
-        )
-    backends = _requested_backends(args)
-
-    context = _context_block()
-    property_pairs = args.requests if args.requests is not None else 72
-    queries_per_schema = 12
-    schemas = max(1, property_pairs // queries_per_schema)
-    corpus = zoo_corpus(schemas=schemas, queries_per_schema=queries_per_schema)
-    requests = [
-        (left, right, schema) for family in corpus.values() for left, right, schema in family
-    ]
-
-    runs: Dict[str, Dict[str, Any]] = {}
-    fingerprints: Dict[str, str] = {}
-    for backend in backends:
-        clear_compile_memo()  # every arm starts cold, whatever ran before it
-        with ContainmentEngine() as engine:
-            results, elapsed = _run_backend(engine, backend, None, requests, args.workers)
-            fingerprints[backend] = _batch_fingerprint(results)
-            runs[backend] = {
-                "elapsed_seconds": elapsed,
-                "throughput_per_second": len(requests) / elapsed if elapsed else None,
-                "stats": _stats_block(engine, backend),
-            }
-    identical = len(set(fingerprints.values())) == 1
-    baseline = runs.get("serial") or runs[backends[0]]
-    for run in runs.values():
-        run["speedup_vs_serial"] = (
-            baseline["elapsed_seconds"] / run["elapsed_seconds"] if run["elapsed_seconds"] else None
-        )
-    report = {
-        "suite": "zoo",
-        "families": {name: {"tasks": len(family)} for name, family in corpus.items()},
-        "tasks": len(requests),
-        "workers": args.workers or default_worker_count(),
-        "backends": runs,
-        "fingerprints": fingerprints,
-        "verdicts_identical": identical,
-        "context": context,
-    }
-    family_text = ", ".join(f"{name}: {len(family)}" for name, family in corpus.items())
-    lines = [f"zoo: {len(requests)} containment tests ({family_text})"]
-    for backend in backends:
-        run = runs[backend]
-        speedup = run["speedup_vs_serial"]
-        lines.append(
-            f"  {backend:8s} {run['elapsed_seconds'] * 1000:9.1f} ms  "
-            f"{f'{speedup:.2f}x' if speedup is not None else 'inf'} vs serial"
-        )
-    lines.append(f"  verdicts identical across backends: {identical}")
-    _emit(report, args.json, "\n".join(lines))
-    return 0 if identical else 1
-
-
-def _cmd_bench_evolve(args: argparse.Namespace) -> int:
-    """``bench --suite evolve`` — warm ``evolve()`` versus a cold re-run.
-
-    One schema edit, measured twice: run the heavy evolution corpus
-    (:func:`repro.workloads.zoo.heavy_evolution_corpus` — wide balanced-union
-    regexes where automaton compilation dominates) against the old schema,
-    call :meth:`~repro.engine.ContainmentEngine.evolve` to the single-axiom
-    edit, and re-run against the new schema on (a) the evolved engine and
-    (b) a fresh engine with the process-wide compile memo cleared.  Verdict
-    fingerprints are asserted identical between the two before any timing
-    claim; the exit code reports that identity, the speedup is data for the
-    trend tracker (the hard ≥2x gate lives in
-    ``benchmarks/bench_schema_evolution.py``).
-    """
-    from .chase.solver import SatisfiabilityConfig
-    from .containment.solver import ContainmentConfig
-    from .workloads.zoo import HEAVY_EVOLUTION_WORD_CAP, heavy_evolution_corpus
-
-    ignored = []
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.length != 8:
-        ignored.append("--length")
-    if args.persist:
-        ignored.append("--persist")
-    if args.backends is not None:
-        ignored.append("--backends")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite evolve "
-            "(it runs the seeded heavy evolution corpus serially); ignoring",
-            file=sys.stderr,
-        )
-
-    context = _context_block()
-    queries = args.requests if args.requests is not None else 8
-    old_schema, new_schema, pairs = heavy_evolution_corpus(queries=queries)
-    config = ContainmentConfig(
-        satisfiability=SatisfiabilityConfig(max_words_per_atom=HEAVY_EVOLUTION_WORD_CAP)
-    )
-
-    def run(engine: ContainmentEngine, schema: Schema) -> Tuple[List[Any], float]:
-        started = time.perf_counter()
-        results = [engine.contains(left, right, schema, config) for left, right in pairs]
-        return results, time.perf_counter() - started
-
-    clear_compile_memo()
-    engine = ContainmentEngine()
-    try:
-        _, warm_old_seconds = run(engine, old_schema)
-        evolve_report = engine.evolve(old_schema, new_schema)
-        warm_results, warm_seconds = run(engine, new_schema)
-    finally:
-        engine.close()
-    clear_compile_memo()
-    cold_engine = ContainmentEngine()
-    try:
-        cold_results, cold_seconds = run(cold_engine, new_schema)
-    finally:
-        cold_engine.close()
-
-    identical = _batch_fingerprint(warm_results) == _batch_fingerprint(cold_results)
-    speedup = cold_seconds / warm_seconds if warm_seconds else None
-    report = {
-        "suite": "evolve",
-        "tasks": len(pairs),
-        "evolve": evolve_report.as_dict(),
-        "warm_old_seconds": warm_old_seconds,
-        "warm_seconds": warm_seconds,
-        "cold_seconds": cold_seconds,
-        "speedup": speedup,
-        "verdicts_identical": identical,
-        "context": context,
-    }
-    speedup_text = f"{speedup:.1f}x" if speedup is not None else "inf"
-    summary = (
-        f"evolve: {len(pairs)} containment tests across one schema edit — "
-        f"old-schema warm-up {warm_old_seconds * 1000:.1f} ms, "
-        f"post-evolve {warm_seconds * 1000:.1f} ms, "
-        f"cold re-run {cold_seconds * 1000:.1f} ms ({speedup_text} warm speedup)\n"
-        + "\n".join("  " + line for line in evolve_report.summary().splitlines())
-        + f"\n  verdicts identical warm/cold: {identical}"
-    )
-    _emit(report, args.json, summary)
-    return 0 if identical else 1
-
-
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    """``bench --suite service`` — coalesced versus per-request throughput.
+    """``bench`` — coalesced versus per-request service throughput.
 
     Closed-loop client threads replay the same deterministic mixed-schema
     request stream (:func:`repro.workloads.streams.request_stream`) through
@@ -765,25 +356,8 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     from .workloads.replay import latency_percentiles
     from .workloads.streams import closed_loop, request_stream
 
-    ignored = []
-    if args.backends is not None:
-        ignored.append("--backends")
-    if args.repeats is not None:
-        ignored.append("--repeats")
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.persist:
-        ignored.append("--persist")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite service "
-            "(it replays the fixed mixed-schema request stream); ignoring",
-            file=sys.stderr,
-        )
     context = _context_block()
-    request_count = args.requests if args.requests is not None else 96
+    request_count = args.requests
     clients = args.clients
     workers = args.workers or min(os.cpu_count() or 1, 8)
 
@@ -1037,6 +611,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # the parser
 # --------------------------------------------------------------------------- #
+def _positive_int(text: str) -> int:
+    """The argparse type of every count flag: a bad value is a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
@@ -1046,7 +627,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--length",
-        type=int,
+        type=_positive_int,
         default=8,
         help="chain length for the synthetic workload (default: 8)",
     )
@@ -1108,9 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--backend", choices=BACKENDS, default="serial", help="execution backend (default: serial)"
     )
-    batch.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
     batch.add_argument(
-        "--repeat", type=int, default=1, help="repeat the batch N times, report the last (warm) run"
+        "--workers", type=_positive_int, default=None, help="worker count for the process backend"
+    )
+    batch.add_argument(
+        "--repeat", type=_positive_int, default=1, help="repeat the batch N times, report the last (warm) run"
     )
     _add_persist_argument(
         batch,
@@ -1120,73 +703,35 @@ def build_parser() -> argparse.ArgumentParser:
     batch.set_defaults(handler=_cmd_batch)
 
     bench = subparsers.add_parser(
-        "bench", help="compare backends on one workload, assert identical verdicts"
+        "bench",
+        help="coalesced versus per-request service throughput, verdicts checked against serial",
     )
-    _add_workload_arguments(bench)
     bench.add_argument(
-        "--suite",
-        choices=("backends", "automata", "store", "service", "zoo", "evolve"),
-        default="backends",
-        help=(
-            "benchmark suite: 'backends' compares execution backends on a workload, "
-            "'automata' reports the compiled-automaton-core timings, 'store' the "
-            "cold-vs-warm contrast of the persistent result store, 'service' the "
-            "coalesced-vs-per-request throughput of the serving layer with "
-            "p50/p95/p99 latency percentiles, 'zoo' the property-based plus "
-            "adversarial workload zoo across backends, 'evolve' the warm "
-            "engine.evolve() versus cold re-run contrast across a schema edit "
-            "(default: backends)"
-        ),
+        "--requests", type=_positive_int, default=96, help="streamed request count (default: 96)"
     )
-    bench.add_argument("--spec", help="JSON spec file (overrides --workload)")
     bench.add_argument(
-        "--backends",
+        "--clients", type=_positive_int, default=8, help="closed-loop client threads (default: 8)"
+    )
+    bench.add_argument(
+        "--workers",
+        type=_positive_int,
         default=None,
-        help=(
-            "backends and zoo suites: comma-separated backends to compare "
-            f"(default: {DEFAULT_BENCH_BACKENDS})"
-        ),
-    )
-    bench.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="automata suite: timing repetitions per measurement (default: 5)",
+        help="worker count for the process backend (default: the CPU count, at most 8)",
     )
     bench.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help=(
-            "automata suite: word-list requests per regex in the enumeration timing "
-            "(default: 50); service suite: streamed request count (default: 96); "
-            "zoo suite: property-based pair count (default: 72); evolve suite: "
-            "heavy corpus pair count (default: 8)"
-        ),
-    )
-    bench.add_argument(
-        "--clients",
-        type=int,
+        "--length",
+        type=_positive_int,
         default=8,
-        help="service suite: closed-loop client threads (default: 8)",
+        help="chain length of the stream's synthetic schema (default: 8)",
     )
     bench.add_argument(
         "--coalesce-window",
         type=float,
         default=5.0,
-        help="service suite: coalescing window in milliseconds (default: 5)",
+        help="coalescing window in milliseconds (default: 5)",
     )
     bench.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="service suite: max coalesced batch size (default: 32)",
-    )
-    _add_persist_argument(
-        bench,
-        "store suite: the store file to measure (cleared for a cold start; "
-        "default: a temporary file)",
+        "--max-batch", type=_positive_int, default=32, help="max coalesced batch size (default: 32)"
     )
     _add_report_argument(bench)
     bench.set_defaults(handler=_cmd_bench)
@@ -1214,7 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: auto)"
         ),
     )
-    serve.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
+    serve.add_argument(
+        "--workers", type=_positive_int, default=None, help="worker count for the process backend"
+    )
     serve.add_argument(
         "--coalesce-window",
         type=float,
@@ -1222,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coalescing window in milliseconds; 0 disables waiting (default: 5)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=64, help="max coalesced batch size (default: 64)"
+        "--max-batch", type=_positive_int, default=64, help="max coalesced batch size (default: 64)"
     )
     _add_persist_argument(
         serve, "disk-persistent result store file behind the service's engine"
@@ -1245,13 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a seeded trace and write it to the trace path instead of replaying",
     )
     replay.add_argument(
-        "--requests", type=int, default=120, help="record: trace length (default: 120)"
+        "--requests", type=_positive_int, default=120, help="record: trace length (default: 120)"
     )
     replay.add_argument(
         "--seed", type=int, default=20230808, help="record: trace RNG seed (default: 20230808)"
     )
     replay.add_argument(
-        "--tenants", type=int, default=6, help="record: tenant count (default: 6)"
+        "--tenants", type=_positive_int, default=6, help="record: tenant count (default: 6)"
     )
     replay.add_argument(
         "--no-stamp",
@@ -1264,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay: re-stamp expected fingerprints serially before replaying",
     )
     replay.add_argument(
-        "--clients", type=int, default=8, help="replay: closed-loop client threads (default: 8)"
+        "--clients", type=_positive_int, default=8, help="replay: closed-loop client threads (default: 8)"
     )
     replay.add_argument(
         "--pace",
@@ -1284,7 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
             "pick from measured cost (default: serial)"
         ),
     )
-    replay.add_argument("--workers", type=int, default=None, help="worker count for the process backend")
+    replay.add_argument(
+        "--workers", type=_positive_int, default=None, help="worker count for the process backend"
+    )
     replay.add_argument(
         "--coalesce-window",
         type=float,
@@ -1292,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay: coalescing window in milliseconds (default: 5)",
     )
     replay.add_argument(
-        "--max-batch", type=int, default=64, help="replay: max coalesced batch size (default: 64)"
+        "--max-batch", type=_positive_int, default=64, help="replay: max coalesced batch size (default: 64)"
     )
     _add_persist_argument(
         replay, "replay: disk-persistent result store file behind the service's engine"

@@ -16,9 +16,8 @@ docs/ARCHITECTURE.md, "The compiled automaton core"):
   solvers' pattern enumeration.
 
 ``repro.core.kernels`` holds the int-bitset kernels behind NFA construction
-and word enumeration.  ``repro.core.benchmarks`` (imported on demand, not
-re-exported) holds the automata benchmark harness behind ``python -m repro
-bench --suite automata`` and ``benchmarks/bench_automaton_compile.py``.
+and word enumeration; ``benchmarks/bench_automaton_compile.py`` measures
+this layer.
 """
 
 from .compile import (

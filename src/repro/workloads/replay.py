@@ -355,12 +355,7 @@ class ReplayReport:
 
 
 def latency_percentiles(latencies: Sequence[float]) -> Dict[str, float]:
-    """Nearest-rank p50/p95/p99, keyed ``p50_seconds`` etc.
-
-    The ``_seconds`` suffix is load-bearing: it is what
-    ``tools/bench_trend.py`` walks for, so percentile fields join the trend
-    comparison the first time both sides carry them.
-    """
+    """Nearest-rank p50/p95/p99, keyed ``p50_seconds`` etc."""
     if not latencies:
         return {"p50_seconds": 0.0, "p95_seconds": 0.0, "p99_seconds": 0.0}
     ordered = sorted(latencies)

@@ -106,8 +106,8 @@ def closed_loop(
     """Drive ``call(item)`` over *items* from closed-loop client threads.
 
     The load-generator shape shared by the service throughput benchmark,
-    the CLI's ``bench --suite service``, the service tests and the CI smoke
-    check: *clients* threads each keep exactly **one** request outstanding,
+    the CLI's ``bench``, the service tests and the CI smoke check:
+    *clients* threads each keep exactly **one** request outstanding,
     pulling the next item off a shared cursor until the stream is
     exhausted.  Returns the results in item order.  A failing call stops
     its client (the others finish the stream) and the first failure — in

@@ -33,9 +33,8 @@ that spectrum:
 
 :func:`zoo_corpus` concatenates the families into the ``(left, right,
 schema)`` triple format of :meth:`~repro.engine.ContainmentEngine.check_many`
-— the input shape shared by ``python -m repro bench --suite zoo``, the
-differential test layer (``tests/test_differential.py``) and the replay
-trace generator.
+— the input shape shared by the differential test layer
+(``tests/test_differential.py``) and the replay trace generator.
 """
 
 from __future__ import annotations
@@ -292,11 +291,11 @@ def evolution_corpus(
 
     Returns ``(old_schema, new_schema, pairs)`` where every ``(left,
     right)`` pair is well-formed over both schemas (the edit preserves the
-    label sets).  This is the fixture behind ``bench --suite evolve``,
-    ``benchmarks/bench_schema_evolution.py`` and the evolve smoke check:
-    deep, star-heavy left regexes make automaton compilation and the pumped
-    enumeration the dominant per-pair cost — exactly the artefacts
-    :meth:`~repro.engine.ContainmentEngine.evolve` migrates.
+    label sets).  This is the fixture behind ``tests/test_evolve.py`` and
+    the evolve smoke check: deep, star-heavy left regexes make automaton
+    compilation and the pumped enumeration the dominant per-pair cost —
+    exactly the artefacts :meth:`~repro.engine.ContainmentEngine.evolve`
+    migrates.
     """
     if queries < 1:
         raise ValueError("evolution_corpus needs queries >= 1")
@@ -316,7 +315,7 @@ def evolution_corpus(
 
 
 #: Word cap for the heavy evolution corpus: every consumer (the ≥2x bench
-#: gate, ``bench --suite evolve``) must pass
+#: gate in ``benchmarks/bench_schema_evolution.py``) must pass
 #: ``SatisfiabilityConfig(max_words_per_atom=HEAVY_EVOLUTION_WORD_CAP)`` so
 #: the chase stays bounded while the automata stay big — and so their
 #: fingerprints agree.

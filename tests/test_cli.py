@@ -1,13 +1,11 @@
 """The ``python -m repro`` command line: subcommand behaviour, report
-formats, spec-file loading and backend agreement."""
+formats, spec-file loading and argument validation."""
 
 import json
 
 import pytest
 
-from repro import cli
 from repro.cli import main
-from repro.core import clear_compile_memo
 from repro.schema.parser import schema_to_text
 from repro.workloads import medical
 
@@ -119,97 +117,41 @@ def test_batch_rejects_malformed_specs(tmp_path):
         main(["batch", "--spec", str(spec_file)])
 
 
-def test_bench_asserts_backend_agreement(capsys):
-    code = main(
-        ["bench", "--workload", "social", "--backends", "serial,process", "--workers", "2",
-         "--json", "-"]
-    )
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["verdicts_identical"] is True
-    assert set(report["backends"]) == {"serial", "process"}
-    assert len(set(report["fingerprints"].values())) == 1
-    assert report["backends"]["serial"]["speedup_vs_serial"] == 1.0
-
-
-def test_bench_includes_process_backend(capsys):
-    code = main(
-        [
-            "bench",
-            "--workload", "medical",
-            "--backends", "serial,process",
-            "--workers", "2",
-            "--json", "-",
-        ]
-    )
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["verdicts_identical"] is True
-    assert "workers" in report["backends"]["process"]["stats"]
-
-
-def test_bench_rejects_unknown_backends():
-    with pytest.raises(SystemExit):
-        main(["bench", "--workload", "medical", "--backends", "serial,warp"])
-
-
 def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         main(["conquer"])
 
 
-def test_bench_automata_suite_json_report(capsys):
-    code = main(["bench", "--suite", "automata", "--repeats", "1", "--requests", "2", "--json", "-"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["suite"] == "automata"
-    assert set(report) == {"suite", "compile", "enumeration", "kernels", "prefix_sharing", "context"}
-    assert report["context"]["cpu_count"] >= 1
-    assert report["context"]["rng_seed"] == 1729
-    assert report["compile"]["regexes"] > 0
-    assert report["compile"]["speedup"] > 0
-    # the kernel row carries both sides of the comparison (equality is
-    # asserted inside the harness; speed gates live in bench_automaton_compile.py)
-    row = report["kernels"]["nfa_enumeration"]
-    assert row["words"] > 0
-    assert row["speedup"] > 0
-    # the pruned run is observationally identical (asserted inside the harness)
-    assert report["prefix_sharing"]["satisfiable"] is False
-    assert report["prefix_sharing"]["patterns_checked"] > 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "--backend", "process", "--workers", "-1"],
+        ["batch", "--repeat", "0"],
+        ["batch", "--length", "many"],
+        ["bench", "--requests", "0"],
+        ["bench", "--clients", "0"],
+        ["bench", "--max-batch", "-3"],
+        ["serve", "--stdio", "--max-batch", "0"],
+        ["replay", "--record", "trace.ndjson", "--tenants", "0"],
+    ],
+    ids=["batch-workers", "batch-repeat", "batch-length", "bench-requests", "bench-clients",
+         "bench-max-batch", "serve-max-batch", "replay-tenants"],
+)
+def test_count_flags_reject_non_positive_values(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
-def test_bench_automata_suite_text_summary(capsys):
-    code = main(["bench", "--suite", "automata", "--repeats", "1", "--requests", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "compile:" in out and "prefix sharing:" in out and "kernels" in out
-
-
-def test_bench_backends_report_carries_context(capsys):
-    code = main(["bench", "--workload", "social", "--backends", "serial", "--json", "-"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["suite"] == "backends"
-    context = report["context"]
-    assert context["cpu_count"] >= 1
-    assert context["python_version"].count(".") == 2
-    assert context["rng_seed"] == 1729
-
-
-def test_bench_store_suite_json_report(tmp_path, capsys):
-    store_file = tmp_path / "bench-store.db"
-    code = main(
-        ["bench", "--suite", "store", "--length", "2", "--persist", str(store_file), "--json", "-"]
-    )
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["suite"] == "store"
-    assert report["fingerprints_identical"] is True
-    assert report["cold"]["store"]["writes"] >= report["tasks"]
-    assert report["warm"]["store"]["hits"] == report["tasks"]
-    assert report["store"]["tiers"]["results"] == report["tasks"]
-    assert report["context"]["rng_seed"] == 1729
-    assert store_file.exists()
+@pytest.mark.parametrize(
+    "argv", [["bench", "--suite", "zoo"], ["bench", "--backends", "serial"]], ids=["suite", "backends"]
+)
+def test_bench_rejects_the_retired_suite_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_batch_with_persist_reports_and_reuses_the_store(tmp_path, capsys):
@@ -247,16 +189,6 @@ def test_cache_subcommand_round_trip(tmp_path, capsys):
     assert "results" not in json.loads(capsys.readouterr().out)["tiers"]
 
 
-def test_bench_store_suite_refuses_an_unopenable_store(tmp_path):
-    blocker = tmp_path / "not-a-directory"
-    blocker.write_text("parent is a file, the store can never open")
-    with pytest.raises(SystemExit, match="cannot open store"):
-        main(
-            ["bench", "--suite", "store", "--length", "2",
-             "--persist", str(blocker / "store.db")]
-        )
-
-
 def test_cache_stats_on_missing_store_reports_unavailable(tmp_path, capsys):
     code = main(["cache", "stats", "--persist", str(tmp_path / "nope.db")])
     assert code == 0
@@ -269,8 +201,8 @@ def test_cache_export_on_missing_store_fails(tmp_path):
 
 def test_bench_service_suite_json_report(capsys):
     code = main(
-        ["bench", "--suite", "service", "--requests", "10", "--clients", "4",
-         "--workers", "2", "--length", "2", "--json", "-"]
+        ["bench", "--requests", "10", "--clients", "4", "--workers", "2", "--length", "2",
+         "--json", "-"]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -299,43 +231,6 @@ def test_serve_stdio_round_trip(monkeypatch, capsys):
     assert responses[0]["contained"] is True
     assert responses[0]["id"] == 1
     assert responses[-1] == {"ok": True}
-
-
-def test_bench_zoo_suite_json_report(capsys):
-    code = main(
-        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,process",
-         "--workers", "2", "--json", "-"]
-    )
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["suite"] == "zoo"
-    assert set(report["families"]) == {"property", "tree-device", "atm-fragments"}
-    assert report["verdicts_identical"] is True
-    assert set(report["backends"]) == {"serial", "process"}
-    assert len(set(report["fingerprints"].values())) == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bench", "--workload", "social", "--backends", "serial,auto"],
-        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,auto"],
-    ],
-    ids=["backends", "zoo"],
-)
-def test_bench_arms_each_start_with_a_cold_compile_memo(argv, monkeypatch, capsys):
-    """A memo left warm by one arm would make the next arm look faster."""
-    calls = []
-
-    def spy():
-        calls.append(1)
-        return clear_compile_memo()
-
-    # raising=False: a cli that never clears the memo fails on the count below
-    monkeypatch.setattr(cli, "clear_compile_memo", spy, raising=False)
-    assert main(argv + ["--json", "-"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 2  # one per arm
 
 
 def test_replay_record_then_replay_round_trip(tmp_path, capsys):
