@@ -12,7 +12,8 @@ on two of the backends of :meth:`repro.engine.ContainmentEngine.check_many`:
   fingerprint, so a registry of schemas shards cleanly), runs against that
   worker's warm engine, and the full result object — coverage reports,
   statement entailments, per-difference containment results — is pickled
-  back.
+  back.  The containment verdicts a worker solved come back with it, and a
+  persisting engine writes them to its store.
 
 ``"auto"`` is not offered here: its cost model prices single containment
 tests, not whole jobs.  Any other value raises :class:`ValueError`.  Both
@@ -66,7 +67,10 @@ def _run_jobs(
             for position, schema in enumerate(routing_schemas):
                 schema_fp = schema.canonical_fingerprint()
                 keys.append((schema_fp, "", f"{schema_fp}\x1f{position}"))
-            return pool.run_batch(kind, list(payloads), keys)
+            results, rows = pool.run_batch(kind, list(payloads), keys)
+            if resolved_engine.store is not None:
+                resolved_engine.store.put_many("results", rows)
+            return results
         return [serial_runner(resolved_engine, payload) for payload in payloads]
     finally:
         if owned is not None:

@@ -70,7 +70,7 @@ from .engine.parallel import default_worker_count
 from .rpq.parser import parse_c2rpq
 from .schema.parser import parse_schema
 from .schema.schema import Schema
-from .store import ResultStore
+from .store import TIERS, ResultStore
 from .workloads.batches import BUILTIN_WORKLOADS, containment_batch, workload_schemas
 
 __all__ = ["main"]
@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_persist_argument(cache_clear, "the store file to clear", required=True)
     cache_clear.add_argument(
         "--tier",
-        choices=("results", "schema-tboxes", "schemas"),
+        choices=TIERS,
         default=None,
         help="clear only one tier (default: everything)",
     )

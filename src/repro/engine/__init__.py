@@ -14,12 +14,13 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
 * :class:`LRUCache` — the bounded cache primitive;
 * :class:`WorkerPool` / :class:`WorkerError` — the process-parallel backend:
   persistent worker processes, each with its own warm engine, sharded by
-  schema fingerprint (``repro.engine.parallel``), fed through the cheap
-  reference transport of ``repro.engine.transport``;
+  schema fingerprint (``repro.engine.parallel``), fed through the
+  fingerprint-reference transport of ``repro.engine.transport``, whose
+  per-worker ledgers mirror the workers' token catalogs exactly;
 * :class:`AdaptiveSelector` / :class:`CostProfile` — the measured cost model
   behind ``parallel="auto"`` (``repro.engine.adaptive``);
-* :class:`TransportStats` / :class:`WorkerTransportStats` — the reference
-  protocol's parent- and worker-side counters;
+* :class:`TransportStats` — the reference protocol's counters, kept by the
+  parent (``engine.transport_report()``);
 * :func:`merge_stats` / :func:`result_fingerprint` — pool-wide statistics
   aggregation and the verdict digest used to assert backend determinism;
 * :class:`SchemaDelta` / :class:`EvolveReport` / :class:`InvalidationReport`
@@ -42,7 +43,7 @@ from .engine import (
     reset_default_engine,
 )
 from .parallel import WorkerError, WorkerPool, merge_stats, result_fingerprint
-from .transport import TransportStats, WorkerTransportStats
+from .transport import TransportStats
 
 __all__ = [
     "AdaptiveSelector",
@@ -58,7 +59,6 @@ __all__ = [
     "TransportStats",
     "WorkerError",
     "WorkerPool",
-    "WorkerTransportStats",
     "merge_stats",
     "result_fingerprint",
     "default_engine",

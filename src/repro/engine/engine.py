@@ -223,6 +223,8 @@ class _CachingSolver(ContainmentSolver):
             engine._results.put(key, result)
         if engine._store is not None:
             engine._store.put("results", _store_token(key), result)
+        if engine._solved_rows is not None:
+            engine._solved_rows.append((_store_token(key), result))
         return result
 
     def _replay(self, cached: ContainmentResult, elapsed: float) -> ContainmentResult:
@@ -351,6 +353,9 @@ class ContainmentEngine:
         self._store: Optional[ResultStore] = (
             ResultStore(persist, mode=persist_mode) if persist is not None else None
         )
+        # a pool worker records the verdicts it solves here, for its parent
+        # to persist (repro.engine.parallel); None when not recording
+        self._solved_rows: Optional[List[Tuple[str, ContainmentResult]]] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -568,15 +573,6 @@ class ContainmentEngine:
             (_as_union(left, "P"), _as_union(right, "Q"), task_schema, task_config)
             for left, right, task_schema, task_config in normalized
         ]
-        unique_schemas: Dict[str, Schema] = {}
-        for _, _, task_schema, _ in tasks:
-            fingerprint = task_schema.canonical_fingerprint()
-            unique_schemas.setdefault(fingerprint, task_schema)
-        if self._store is not None:
-            # persist the batch's schemas (content-addressed, skip-if-present)
-            # so workers can resolve the transport layer's schema references
-            # from the shared read-only store even across pool restarts
-            self._store.put_many("schemas", list(unique_schemas.items()))
         results = pool.check_many(tasks)
         keys = [
             _result_key(task_schema, left, right, task_config or self.default_config)
@@ -645,7 +641,7 @@ class ContainmentEngine:
             pool = self._process_pool
         if pool is None:
             return None
-        return pool.transport_report()
+        return pool.transport_stats.as_dict()
 
     def shutdown(self) -> None:
         """Stop the worker pool, if one was created (caches are kept).
@@ -771,7 +767,6 @@ class ContainmentEngine:
                 "results", [_store_token(key) for key in result_keys]
             )
             store_rows += self._store.delete("schema-tboxes", sorted(extended))
-            store_rows += self._store.delete("schemas", [fingerprint])
         return InvalidationReport(
             fingerprint,
             results=results,
@@ -875,11 +870,10 @@ class ContainmentEngine:
 
         store_written = 0
         if self._store is not None:
-            store_written += self._store.put_many(
+            store_written = self._store.put_many(
                 "results",
                 [(_store_token(key), result) for key, result in migrated_results],
             )
-            store_written += self._store.put_many("schemas", [(new_fingerprint, new_schema)])
 
         # everything else under the old namespace is superseded
         invalidation = self._invalidate_fingerprint(old_fingerprint)

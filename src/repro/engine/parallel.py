@@ -21,21 +21,22 @@ Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
 * **The process boundary is cheap: references out, digests back.**
   Workers are started via the ``spawn`` method so they never inherit locks
   or caches from the parent; each receives its whole shard as one message
+  (pickled in the calling thread, so an unpicklable payload raises at once)
   and replies with one message.  Containment requests ship through the
   reference protocol of :mod:`repro.engine.transport`: a schema or query the
-  worker has already seen crosses as a canonical-fingerprint *token* instead
-  of a pickled object, resolved worker-side against a bounded catalog and —
-  for schemas of a persisting engine — the shared read-only
-  :class:`~repro.store.ResultStore` (``"schemas"`` tier).  Unresolvable
-  tokens degrade to full-payload transport via a ``"miss"`` round-trip, so
-  eviction and restarts cost latency, never correctness.  Workers compile
-  their own automata from the shipped regexes.  On the way back, a result's
-  ``completion.tbox`` — the completed Horn TBox, easily hundreds of
-  kilobytes and only ever consumed via ``canonical_fingerprint()``/
-  ``size()`` — is replaced by a :class:`TBoxDigest` carrying exactly those
-  two answers (computed worker-side from the real bits); the full TBox
-  stays in the worker's completion cache.  Worker-side exceptions travel
-  back as :class:`WorkerError` with the remote traceback attached.
+  worker already holds crosses as a canonical-fingerprint *token* instead
+  of a pickled object.  The parent's per-worker ledger mirrors the worker's
+  bounded catalog operation for operation, so a reference always resolves.
+  Workers compile their own automata from the shipped regexes.  On the way
+  back, a result's ``completion.tbox`` — the completed Horn TBox, easily
+  hundreds of kilobytes and only ever consumed via
+  ``canonical_fingerprint()``/``size()`` — is replaced by a
+  :class:`TBoxDigest` carrying exactly those two answers (computed
+  worker-side from the real bits); the full TBox stays in the worker's
+  completion cache.  Workers open the parent's store read-only, so the
+  verdicts an analysis job solves travel back with its reply and the
+  parent writes them.  Worker-side exceptions travel back as
+  :class:`WorkerError` with the remote traceback attached.
 
 * **Verdicts are bit-identical to the serial path.**  Workers run the exact
   same ``ContainmentEngine.contains`` code; :func:`result_fingerprint`
@@ -56,6 +57,7 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
 import threading
 import traceback
@@ -69,7 +71,6 @@ from .engine import ContainmentEngine, EngineStats
 from .transport import (
     TokenCatalog,
     TransportStats,
-    WorkerTransportStats,
     decode_payload,
     encode_payload,
     query_token,
@@ -367,8 +368,12 @@ def _worker_main(
     *persist* (a path or ``None``) is the parent engine's store file; the
     worker opens it **read-only**, so a spawned process warm-starts from
     every verdict and schema TBox persisted by earlier runs without ever
-    contending for the write lock.  Write-backs of fresh worker verdicts
-    happen in the parent, on merge (single-writer discipline).
+    contending for the write lock.  The parent writes fresh worker verdicts
+    back (single-writer discipline): a containment batch's verdicts are its
+    results, and an analysis batch's come back as rows with each reply.  A
+    reference the catalog cannot resolve would mean the mirror broke; it
+    kills the worker, and the parent's dead-worker detection replaces the
+    pool.
     """
     engine = ContainmentEngine(
         config,
@@ -380,24 +385,21 @@ def _worker_main(
         persist_mode="ro",
     )
     catalog = TokenCatalog()
-    transport_stats = WorkerTransportStats()
     while True:
         message = inbox.get()
         if message is None:
             break
         command = message[0]
         if command == "tasks":
-            _, kind, chunk, mode = message
+            kind, chunk, mode = pickle.loads(message[1])
             reply: List[Tuple] = []
             digest_memo: Dict[int, TBoxDigest] = {}
+            # record the verdicts an analysis job solves, for the parent to
+            # persist; a containment batch's results already are its verdicts
+            engine._solved_rows = [] if kind != "contain" and engine.store is not None else None
             for index, payload in chunk:
                 if mode == "ref":
-                    payload, missing = decode_payload(payload, catalog, engine.store, transport_stats)
-                    if missing:
-                        # unresolvable tokens (catalog eviction, cold store):
-                        # ask the parent for the full payload instead
-                        reply.append((index, "miss", tuple(missing)))
-                        continue
+                    payload = decode_payload(payload, catalog)
                 try:
                     value = _lighten_for_transport(kind, _run_task(engine, kind, payload), digest_memo)
                     reply.append((index, "ok", value))
@@ -405,11 +407,18 @@ def _worker_main(
                     reply.append(
                         (index, "error", f"{type(error).__name__}: {error}", traceback.format_exc())
                     )
-            outbox.put(("results", worker_id, reply))
+            rows = [
+                (token, _lighten_containment(result, digest_memo))
+                for token, result in engine._solved_rows or ()
+            ]
+            engine._solved_rows = None
+            outbox.put(("results", worker_id, reply, rows))
         elif command == "stats":
-            outbox.put(("stats", worker_id, engine.stats, transport_stats.snapshot()))
+            outbox.put(("stats", worker_id, engine.stats))
         else:  # pragma: no cover - defensive: unknown control message
-            outbox.put(("results", worker_id, [(None, "error", f"unknown command {command!r}", "")]))
+            outbox.put(
+                ("results", worker_id, [(None, "error", f"unknown command {command!r}", "")], [])
+            )
 
 
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
@@ -462,12 +471,10 @@ class WorkerPool:
         self._inboxes: List[Any] = []
         self._outbox: Optional[Any] = None
         self._closed = False
-        # the cheap-transport bookkeeping (repro.engine.transport): which
-        # tokens each worker has been sent (the reference ledger) and the
-        # parent-side protocol counters
-        self._seen_tokens: List[set] = [set() for _ in range(self.workers)]
+        # the reference protocol (repro.engine.transport): one ledger per
+        # worker mirroring that worker's token catalog, and the counters
+        self._ledgers: List[TokenCatalog] = [TokenCatalog() for _ in range(self.workers)]
         self.transport_stats = TransportStats()
-        self._worker_transport: Optional[WorkerTransportStats] = None
         _LIVE_POOLS.add(self)
         # a pool dropped without close() (e.g. its engine was discarded) must
         # not leak its worker processes; the finalizer reaps them at GC time.
@@ -601,19 +608,24 @@ class WorkerPool:
         payloads: Sequence[Tuple],
         routing_keys: Sequence[Tuple[str, str, str]],
         transport_tokens: Optional[Sequence[Tuple[str, str, str]]] = None,
-    ) -> List[Any]:
-        """Route *payloads* to workers and gather results in request order.
+    ) -> Tuple[List[Any], List[Tuple[str, ContainmentResult]]]:
+        """Route *payloads* to workers; returns ``(results, rows)``.
+
+        *results* keep request order.  *rows* are the ``(store key, result)``
+        verdicts the workers solved for an analysis batch, lightened like
+        every shipped result, for the caller to persist (a containment
+        batch's rows are its results, so it gets none).
 
         Each participating worker receives its whole shard as **one** message
         and replies with one message.  With *transport_tokens* (one
         ``(left, right, schema)`` token triple per payload — the ``contain``
-        path) payloads are encoded through the reference protocol: slots
-        whose token the worker already holds ship as bare tokens, the rest
-        ship once as values.  A worker that cannot resolve a reference
-        replies ``"miss"`` for that item and the parent re-sends exactly
-        those items with every slot as a value — full-payload fallback, one
-        extra round-trip, bit-identical results.  Without tokens (the
-        analysis kinds) payloads ship raw, as before.
+        path) payloads are encoded through the reference protocol against
+        the worker's ledger: slots the worker already holds ship as bare
+        tokens, the rest ship once as values.  Without tokens (the analysis
+        kinds) payloads ship raw.  Chunks are pickled here, before any is
+        sent: a payload that cannot be pickled (or an interrupt while
+        encoding) closes the pool, whose ledgers already count the batch as
+        sent, and the error propagates.
 
         One batch at a time: submissions are serialised under the pool lock
         so interleaved batches cannot steal each other's replies.  A
@@ -630,56 +642,41 @@ class WorkerPool:
         if transport_tokens is not None and len(transport_tokens) != len(payloads):
             raise ValueError("run_batch: payloads and transport tokens must align")
         if not payloads:
-            return []
+            return [], []
         with self._lock:
             self._ensure_started()
             assignment = plan_routing(routing_keys, self.workers)
             mode = "raw" if transport_tokens is None else "ref"
             chunks: Dict[int, List[Tuple[int, Tuple]]] = {}
-            for index, (payload, worker) in enumerate(zip(payloads, assignment)):
-                if transport_tokens is not None:
-                    payload = encode_payload(
-                        payload, transport_tokens[index], self._seen_tokens[worker],
-                        self.transport_stats,
-                    )
-                chunks.setdefault(worker, []).append((index, payload))
+            try:
+                for index, (payload, worker) in enumerate(zip(payloads, assignment)):
+                    if transport_tokens is not None:
+                        payload = encode_payload(
+                            payload, transport_tokens[index], self._ledgers[worker],
+                            self.transport_stats,
+                        )
+                    chunks.setdefault(worker, []).append((index, payload))
+                # pickled here rather than in the queue's feeder thread, which
+                # would drop an unpicklable chunk and leave its worker idle
+                blobs = {
+                    worker: pickle.dumps((kind, chunk, mode), pickle.HIGHEST_PROTOCOL)
+                    for worker, chunk in chunks.items()
+                }
+            except BaseException:
+                # the ledgers already count these chunks as sent: a pool kept
+                # alive would reference tokens its workers never received
+                self._teardown_locked()
+                raise
             results: List[Any] = [None] * len(payloads)
             errors: List[Tuple[int, int, str, str]] = []
-            missed: Dict[int, List[int]] = {}
+            rows: List[Tuple[str, ContainmentResult]] = []
             try:
                 # the abort window opens before the first put: once any chunk
                 # is in flight, an un-aborted pool would hold replies a later
                 # batch could misattribute to its own indices
-                for worker, chunk in chunks.items():
-                    self._inboxes[worker].put(("tasks", kind, chunk, mode))
-                self._gather(len(chunks), results, errors, missed)
-                if missed:
-                    # full-payload fallback: re-send exactly the missed items
-                    # to their workers, every slot as a value (re-registering
-                    # whatever the catalog evicted), and collect once more
-                    fallback: Dict[int, List[Tuple[int, Tuple]]] = {}
-                    for worker, indices in missed.items():
-                        ledger = self._seen_tokens[worker]
-                        fallback[worker] = [
-                            (
-                                index,
-                                encode_payload(
-                                    payloads[index], transport_tokens[index], ledger,
-                                    self.transport_stats, force_values=True,
-                                ),
-                            )
-                            for index in sorted(indices)
-                        ]
-                        self.transport_stats.fallback_items += len(indices)
-                    for worker, chunk in fallback.items():
-                        self._inboxes[worker].put(("tasks", kind, chunk, "ref"))
-                    still_missed: Dict[int, List[int]] = {}
-                    self._gather(len(fallback), results, errors, still_missed)
-                    if still_missed:  # pragma: no cover - all-value items cannot miss
-                        raise WorkerError(
-                            "worker(s) reported unresolvable references on a "
-                            f"full-payload fallback: {sorted(still_missed)}"
-                        )
+                for worker, blob in blobs.items():
+                    self._inboxes[worker].put(("tasks", blob))
+                self._gather(len(blobs), results, errors, rows)
             except (KeyboardInterrupt, SystemExit):
                 # the workers are mid-chase and their replies are now
                 # unclaimable; leaving them alive would burn CPU until the
@@ -694,43 +691,35 @@ class WorkerPool:
                     f"worker {worker_id} failed on request {index}: {description}{suffix}",
                     remote_traceback,
                 )
-            return results
+            return results, rows
 
     def _gather(
         self,
         replies: int,
         results: List[Any],
         errors: List[Tuple[int, int, str, str]],
-        missed: Dict[int, List[int]],
+        rows: List[Tuple[str, ContainmentResult]],
     ) -> None:
-        """Collect *replies* worker messages into the three outcome buckets.
-
-        A ``"miss"`` entry also retires the unresolvable tokens from that
-        worker's ledger, so the fallback (and any later batch) ships them as
-        values again instead of as references that would miss forever.
-        """
+        """Collect *replies* worker messages into results, errors and rows."""
         for _ in range(replies):
             message = self._receive()
             if message[0] != "results":  # pragma: no cover - defensive
                 raise WorkerError(f"unexpected reply while running a batch: {message[0]!r}")
-            _, worker_id, reply = message
+            _, worker_id, reply, worker_rows = message
             for entry in reply:
                 if entry[1] == "ok":
                     results[entry[0]] = entry[2]
-                elif entry[1] == "miss":
-                    for token in entry[2]:
-                        self._seen_tokens[worker_id].discard(token)
-                    missed.setdefault(worker_id, []).append(entry[0])
                 else:
                     errors.append((entry[0], worker_id, entry[2], entry[3]))
+            rows.extend(worker_rows)
 
     def _receive(self) -> Tuple:
         """One reply from the outbox, watching for dead workers.
 
         A worker that dies without replying (killed, import failure in the
-        spawned interpreter, unpicklable payload) would otherwise block the
-        parent forever; polling its liveness turns that into a
-        :class:`WorkerError` naming the exit code.  Because replies from the
+        spawned interpreter, a reference its catalog cannot resolve) would
+        otherwise block the parent forever; polling its liveness turns that
+        into a :class:`WorkerError` naming the exit code.  Because replies from the
         *surviving* workers of the aborted batch may still be in flight, the
         pool is torn down before raising — a half-alive pool would hand
         those stale replies to the next batch as its own results.
@@ -786,51 +775,26 @@ class WorkerPool:
                 )
             )
             tasks.append((left, right, schema, config))
-        return self.run_batch("contain", tasks, keys, transport_tokens=tokens)
+        results, _ = self.run_batch("contain", tasks, keys, transport_tokens=tokens)
+        return results
 
     # ------------------------------------------------------------------ #
     # statistics
     # ------------------------------------------------------------------ #
     def worker_stats(self) -> List[EngineStats]:
-        """Per-worker engine statistics (in worker order).
-
-        The same exchange refreshes the worker-side transport counters
-        (:meth:`worker_transport`).
-        """
+        """Per-worker engine statistics (in worker order)."""
         with self._lock:
             self._ensure_started()
             for inbox in self._inboxes:
                 inbox.put(("stats",))
             snapshots: List[Optional[EngineStats]] = [None] * self.workers
-            transport = WorkerTransportStats()
             for _ in range(self.workers):
                 message = self._receive()
                 if message[0] != "stats":  # pragma: no cover - defensive
                     raise WorkerError(f"unexpected reply while collecting stats: {message[0]!r}")
-                _, worker_id, stats, worker_transport = message
+                _, worker_id, stats = message
                 snapshots[worker_id] = stats
-                transport.merge(worker_transport)
-            self._worker_transport = transport
             return [snapshot for snapshot in snapshots if snapshot is not None]
-
-    def worker_transport(self) -> WorkerTransportStats:
-        """Pool-wide worker-side transport counters (fresh collection)."""
-        self.worker_stats()
-        assert self._worker_transport is not None
-        return self._worker_transport
-
-    def transport_report(self) -> Dict[str, Any]:
-        """Parent- and worker-side transport counters, JSON-ready.
-
-        The worker block is the most recent :meth:`worker_stats` collection
-        (``None`` before the first one) — reading it must not block on a
-        round-trip to possibly-busy workers.
-        """
-        report: Dict[str, Any] = {"parent": self.transport_stats.as_dict()}
-        report["workers"] = (
-            self._worker_transport.as_dict() if self._worker_transport is not None else None
-        )
-        return report
 
     def stats(self) -> EngineStats:
         """Pool-wide aggregate of every worker's cache counters."""

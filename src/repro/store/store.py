@@ -2,19 +2,14 @@
 
 One :class:`ResultStore` is one SQLite file (WAL mode) holding pickled,
 content-addressed artefacts keyed by the same canonical fingerprints the
-in-memory engine caches use.  Two tiers are persisted:
+in-memory engine caches use.  Two tiers are persisted (:data:`TIERS`):
 
 * ``results`` — full :class:`~repro.containment.solver.ContainmentResult`
   verdicts, lightened for storage exactly like the process backend lightens
   them for transport (the completed TBox travels as a
   :class:`~repro.engine.parallel.TBoxDigest`), so a verdict replayed from
   disk fingerprints bit-identically to one replayed from memory;
-* ``schema-tboxes`` — the Horn encodings ``T̂_S`` per extended schema;
-* ``schemas`` — the extended schemas themselves, keyed by canonical
-  fingerprint.  Written by the parent before a process batch so workers can
-  resolve the transport layer's schema *references*
-  (:mod:`repro.engine.transport`) from disk even when the object never
-  crossed their queue.
+* ``schema-tboxes`` — the Horn encodings ``T̂_S`` per extended schema.
 
 Completions (chase engines with live memos) and compiled automata are *not*
 persisted: a result-tier hit skips both entirely, and an automaton's pickle
@@ -35,7 +30,7 @@ Safety over speed, always:
   what they are — and never whether they arrive.
 * **Single-writer discipline.**  Parent engines open read-write; worker
   processes open ``mode="ro"`` so a pool warm-starts from disk without ever
-  contending for the write lock.
+  contending for the write lock; the parent writes the verdicts they solve.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-__all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
+__all__ = ["STORE_FORMAT_VERSION", "TIERS", "ResultStore", "StoreStats"]
 
 #: Bump when the on-disk layout or the pickled payload shapes change; every
 #: open compares it (together with the library version) against the file's
@@ -58,7 +53,7 @@ __all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
 STORE_FORMAT_VERSION = 1
 
 #: The tiers :meth:`ResultStore.put` accepts (anything else is a bug).
-TIERS = ("results", "schema-tboxes", "schemas")
+TIERS = ("results", "schema-tboxes")
 
 
 def _library_version() -> str:

@@ -163,7 +163,7 @@ def test_auto_routes_to_the_process_pool_when_the_profile_says_so():
         auto = engine.check_many(pairs, schema=schema, parallel="auto")
         assert fingerprints(auto) == fingerprints(serial)
         assert engine.selector.decisions["process"] >= 1
-        assert engine.transport_report() is not None  # the pool really ran
+        assert engine.process_stats() is not None  # the pool really ran
     finally:
         engine.shutdown()
 

@@ -9,6 +9,8 @@ the `ContainmentResult`s must be bit-identical, which
 counterexamples and the completed-TBox fingerprint; wall-clock excluded).
 """
 
+import threading
+
 import pytest
 
 from repro.analysis import check_equivalence_many, type_check_many
@@ -37,6 +39,13 @@ def shared_process_engine():
 
 def fingerprints(results):
     return [result_fingerprint(result) for result in results]
+
+
+@pytest.fixture(scope="module")
+def medical_serial():
+    """The medical batch and its cold serial fingerprints."""
+    schema, pairs = containment_batch("medical")
+    return schema, pairs, fingerprints(ContainmentEngine().check_many(pairs, schema=schema))
 
 
 # --------------------------------------------------------------------------- #
@@ -254,6 +263,51 @@ def test_engine_replaces_a_pool_whose_worker_died():
         serial = ContainmentEngine().check_many(pairs[:2], schema=schema)
         assert fingerprints(results) == fingerprints(serial)
         assert engine.process_pool() is not pool
+    finally:
+        engine.shutdown()
+
+
+def test_unpicklable_payload_raises_and_the_next_batch_runs(medical_serial):
+    """A payload that cannot be pickled raises at once instead of leaving
+    the parent waiting on a worker that never got its chunk, and the
+    engine's next process batch runs on a fresh pool."""
+    schema, pairs, serial = medical_serial
+    poisoned = schema.copy()
+    poisoned.note = lambda: None
+    engine = ContainmentEngine(max_workers=2)
+    outcome = {}
+
+    def failing_batch():
+        try:
+            engine.check_many(pairs[:2], schema=poisoned, parallel="process")
+        except Exception as error:  # noqa: BLE001 - inspected below
+            outcome["error"] = error
+
+    try:
+        pool = engine.process_pool().start()
+        runner = threading.Thread(target=failing_batch, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        if runner.is_alive():  # unblock the stuck batch, then fail
+            for process in pool._processes:
+                process.terminate()
+            runner.join(timeout=10)
+            pytest.fail("the unpicklable batch blocked")
+        assert "pickle" in repr(outcome.get("error")).lower()
+        assert pool.closed
+        results = engine.check_many(pairs, schema=schema, parallel="process")
+        assert fingerprints(results) == serial
+    finally:
+        engine.shutdown()
+
+
+def test_process_batch_from_a_warm_parent_matches_cold_serial(medical_serial):
+    schema, pairs, serial = medical_serial
+    engine = ContainmentEngine(max_workers=1)
+    try:
+        engine.check_many(pairs, schema=schema)  # warm the parent's caches
+        results = engine.check_many(pairs, schema=schema, parallel="process")
+        assert fingerprints(results) == serial
     finally:
         engine.shutdown()
 

@@ -322,3 +322,44 @@ def test_process_backend_merges_worker_verdicts_into_the_store(store_path):
     assert _fingerprints(warm) == _fingerprints(cold)
     assert reader.stats.store.hits == len(pairs)
     reader.close()
+
+
+def _nested_fingerprints(type_check_result):
+    """Every containment verdict inside a type-check result, fingerprinted."""
+    results = [
+        entailment.containment
+        for entailment in type_check_result.statement_results
+        if entailment.containment is not None
+    ]
+    if type_check_result.coverage is not None:
+        results.extend(
+            check.result for check in type_check_result.coverage.checks if check.result is not None
+        )
+    return _fingerprints(results)
+
+
+def test_process_analysis_batches_write_worker_verdicts_to_the_store(store_path):
+    """Workers return the verdicts an analysis job solved and the parent
+    persists them, so a fresh engine answers the same job from disk alone."""
+    from repro.analysis import type_check_many
+    from repro.workloads import medical
+
+    jobs = [(medical.migration(), medical.source_schema(), medical.target_schema())]
+    engine = ContainmentEngine(persist=store_path, max_workers=2)
+    try:
+        processed = type_check_many(jobs, parallel="process", engine=engine)
+        solved = engine.process_stats().results.misses
+        assert solved > 0
+        assert engine.stats.store.writes == solved
+    finally:
+        engine.close()
+
+    fresh = ContainmentEngine(persist=store_path)
+    try:
+        replayed = type_check_many(jobs, engine=fresh)
+        assert fresh.stats.store.misses == 0
+        assert fresh.stats.store.hits == solved
+        assert _nested_fingerprints(replayed[0]) == _nested_fingerprints(processed[0])
+        assert replayed[0].well_typed == processed[0].well_typed
+    finally:
+        fresh.close()
