@@ -30,11 +30,12 @@ within a finite lattice and merges only decrease the number of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..dl.tbox import TBox
 from ..exceptions import SolverError
 from ..graph.graph import Graph, NodeId
+from ..graph.labels import SignedLabel
 from .labelsets import TBoxIndex
 from .tree import TreeChecker
 
@@ -117,6 +118,10 @@ class ChaseEngine:
     # ------------------------------------------------------------------ #
     def _saturate(self, graph: Graph, variable_map: Dict[str, NodeId]) -> Optional[str]:
         index = self.index
+        # saturation only adds node labels, so a role whose base label labels
+        # no edge now has no successor anywhere for the whole sweep
+        forall_roles = _roles_on_edges(index.forall_by_role, graph)
+        no_exists_roles = _roles_on_edges(index.no_exists_by_role, graph)
         changed = True
         while changed:
             changed = False
@@ -130,11 +135,14 @@ class ChaseEngine:
             # ∀-propagation along existing edges
             for node in list(graph.nodes()):
                 labels = graph.labels(node)
-                for role in index.forall_by_role:
+                for role in forall_roles:
+                    successors = graph.successors(node, role)
+                    if not successors:
+                        continue
                     forced = index.forall_targets(labels, role)
                     if not forced:
                         continue
-                    for successor in graph.successors(node, role):
+                    for successor in successors:
                         missing = forced - graph.labels(successor)
                         if missing:
                             for label in missing:
@@ -143,7 +151,7 @@ class ChaseEngine:
         # ¬∃ violations are final
         for node in graph.nodes():
             labels = graph.labels(node)
-            for role in index.no_exists_by_role:
+            for role in no_exists_roles:
                 for successor in graph.successors(node, role):
                     conflict = index.no_exists_conflicts(labels, role, graph.labels(successor))
                     if conflict is not None:
@@ -159,13 +167,15 @@ class ChaseEngine:
         self, graph: Graph, variable_map: Dict[str, NodeId]
     ) -> Tuple[int, Optional[str]]:
         index = self.index
+        # merging never adds an edge label, so this filter holds for every restart
+        at_most_roles = _roles_on_edges(index.at_most_by_role, graph)
         merges = 0
         restart = True
         while restart:
             restart = False
             for node in list(graph.nodes()):
                 labels = graph.labels(node)
-                for role in index.at_most_by_role:
+                for role in at_most_roles:
                     for statement in index.applicable_at_most(labels, role):
                         matching = [
                             successor
@@ -276,3 +286,13 @@ class ChaseEngine:
         graph = Graph()
         graph.add_node("n0", labels)
         return self.check_pattern(graph).consistent
+
+
+def _roles_on_edges(roles: Iterable[SignedLabel], graph: Graph) -> List[SignedLabel]:
+    """The *roles*, in order, whose base label labels some edge of *graph*.
+
+    Any other role has no successor at any node, so a loop over roles that
+    only acts on successors can skip it without changing what it does.
+    """
+    present = graph.edge_labels()
+    return [role for role in roles if role.label in present]

@@ -10,7 +10,7 @@ tree-extendability check share.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..dl.concepts import (
     AtMostOneCI,
@@ -33,8 +33,9 @@ class TBoxIndex:
 
     The index is the single object shared by the pattern chase and the
     tree-extendability procedure; it also memoises closures of label sets,
-    which dominates the running time on larger inputs.  Building an index
-    from a TBox is where the chase checks that the TBox is Horn.
+    which dominates the running time on larger inputs, and the labels each
+    ``∀`` role forces from a label set.  Building an index from a TBox is
+    where the chase checks that the TBox is Horn.
     """
 
     def __init__(self, tbox: TBox) -> None:
@@ -47,6 +48,7 @@ class TBoxIndex:
         self.no_exists: List[NoExistsCI] = list(tbox.no_exists_statements())
         self.at_most: List[AtMostOneCI] = list(tbox.at_most_statements())
         self._closure_cache: Dict[ConceptNames, ConceptNames] = {}
+        self._forall_cache: Dict[Tuple[ConceptNames, SignedLabel], ConceptNames] = {}
         # group role-guarded statements by role for quick lookup
         self.forall_by_role: Dict[SignedLabel, List[ForAllCI]] = {}
         for statement in self.forall:
@@ -66,15 +68,18 @@ class TBoxIndex:
 
         The result shares every bucket the extra statements leave alone,
         including the closure cache: :meth:`close` reads only the ``K ⊑ A``
-        statements, which an overlay cannot add.  Any other statement kind
-        raises :class:`ValueError`.  The entailment reductions (Corollary
-        E.7) use overlays to ask many queries of one indexed TBox without
-        copying and re-indexing it per query.
+        statements, which an overlay cannot add.  It gets a fresh
+        :meth:`forall_targets` memo, since its ``∀`` statements differ and
+        the two memos must never answer for each other.  Any other
+        statement kind raises :class:`ValueError`.  The entailment
+        reductions (Corollary E.7) use overlays to ask many queries of one
+        indexed TBox without copying and re-indexing it per query.
         """
         result = copy.copy(self)
         result.forall = list(self.forall)
         result.bottoms = list(self.bottoms)
         result.forall_by_role = dict(self.forall_by_role)
+        result._forall_cache = {}
         for statement in statements:
             if isinstance(statement, ForAllCI):
                 result.forall.append(statement)
@@ -111,11 +116,16 @@ class TBoxIndex:
 
     def forall_targets(self, labels: ConceptNames, role: SignedLabel) -> ConceptNames:
         """Labels forced onto every *role*-successor of a node with *labels*."""
+        key = (labels, role)
+        cached = self._forall_cache.get(key)
+        if cached is not None:
+            return cached
         forced: set = set()
         for statement in self.forall_by_role.get(role, ()):
             if statement.body <= labels:
                 forced |= statement.head
-        return frozenset(forced)
+        result = self._forall_cache[key] = frozenset(forced)
+        return result
 
     def no_exists_conflicts(
         self, labels: ConceptNames, role: SignedLabel, successor_labels: ConceptNames

@@ -100,13 +100,20 @@ class TBox:
 
     def union(self, other: "TBox", name: Optional[str] = None) -> "TBox":
         """Union of two TBoxes."""
-        result = TBox(self._statements, name=name or f"{self.name}∪{other.name}")
+        result = self.copy(name=name or f"{self.name}∪{other.name}")
         result.extend(other._statements)
         return result
 
     def copy(self, name: Optional[str] = None) -> "TBox":
-        """A shallow copy (statements are immutable)."""
-        return TBox(self._statements, name=name or self.name)
+        """A shallow copy (statements are immutable).
+
+        The statements were checked when they were added here, so the copy
+        takes the list and the membership set as they are.
+        """
+        result = TBox(name=name or self.name)
+        result._statements = list(self._statements)
+        result._seen = set(self._seen)
+        return result
 
     # ------------------------------------------------------------------ #
     # inspection

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -53,6 +54,10 @@ class Direction(Enum):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Direction.{self.name}"
 
+    # members are singletons (unpickling returns the same member), so identity
+    # hashing agrees with equality and skips Enum's Python-level __hash__
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class SignedLabel:
@@ -82,7 +87,9 @@ class SignedLabel:
 
     def inverse(self) -> "SignedLabel":
         """Return the same base label traversed in the opposite direction."""
-        return SignedLabel(self.label, self.direction.flip())
+        if self.direction is Direction.FORWARD:
+            return inverse(self.label)
+        return forward(self.label)
 
     @classmethod
     def parse(cls, text: str) -> "SignedLabel":
@@ -100,11 +107,19 @@ class SignedLabel:
         return f"SignedLabel({str(self)!r})"
 
 
+# Signed labels are immutable values, so the shorthands hand out one shared
+# instance per label and validate each label once; the bound keeps a stream of
+# fresh labels from growing the caches without limit.
+_LABEL_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
 def forward(label: str) -> SignedLabel:
     """Shorthand for the forward-directed signed label of *label*."""
     return SignedLabel(label, Direction.FORWARD)
 
 
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
 def inverse(label: str) -> SignedLabel:
     """Shorthand for the inverse-directed signed label of *label*."""
     return SignedLabel(label, Direction.INVERSE)

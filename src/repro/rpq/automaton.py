@@ -337,14 +337,21 @@ def build_nfa(expr: Regex) -> NFA:
         ),
     )
 
-    transitions: List[Tuple[int, Symbol, int]] = []
-    for source, symbol, target in builder.labelled:
-        source_bit = 1 << source
-        for origin in range(builder.counter):
-            if closures[origin] & source_bit:
-                transitions.append((origin, symbol, target))
+    # invert the closures once: origins[state] lists, ascending, every state
+    # whose ε-closure contains *state*, so each labelled transition is copied
+    # to exactly its origins, in ascending origin order
+    origins: List[List[int]] = [[] for _ in range(builder.counter)]
+    for origin, mask in enumerate(closures):
+        while mask:
+            low = mask & -mask
+            origins[low.bit_length() - 1].append(origin)
+            mask ^= low
 
-    end_bit = 1 << fragment.end
-    final = {state for state in range(builder.counter) if closures[state] & end_bit}
+    transitions = [
+        (origin, symbol, target)
+        for source, symbol, target in builder.labelled
+        for origin in origins[source]
+    ]
+    final = origins[fragment.end]
     # keep only states reachable from the start to stay small
     return NFA(range(builder.counter), {fragment.start}, final, transitions).trim()

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from ..exceptions import SchemaError
-from ..graph.labels import SignedLabel, forward, signed_closure
+from ..graph.labels import SignedLabel, forward, inverse, signed_closure
 
 __all__ = ["Multiplicity", "Schema", "ConstraintTriple"]
 
@@ -165,7 +165,7 @@ class Schema:
         Figure 1, e.g. ``A --r[* 1]--> B``.
         """
         self.set(source, forward(label), target, out_multiplicity)
-        self.set(target, SignedLabel.parse(f"{label}-"), source, in_multiplicity)
+        self.set(target, inverse(label), source, in_multiplicity)
 
     def multiplicity(
         self, source: str, signed: Union[SignedLabel, str], target: str
@@ -204,7 +204,7 @@ class Schema:
         """
         if self.multiplicity(source, forward(label), target).forbids:
             return True
-        return self.multiplicity(target, SignedLabel.parse(f"{label}-"), source).forbids
+        return self.multiplicity(target, inverse(label), source).forbids
 
     # ------------------------------------------------------------------ #
     # misc

@@ -1,9 +1,14 @@
 """Tests for the Glushkov/Thompson NFAs over Γ ∪ Σ±."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from repro.rpq import build_nfa, concat, edge, parse_regex, plus, star, union
+from repro.core.kernels import bitset_closure
+from repro.rpq import UC2RPQ, build_nfa, concat, edge, node, parse_regex, plus, star, union
+from repro.rpq.automaton import NFA, _Builder
 from repro.rpq.regex import EMPTY, EPSILON, EdgeStep, NodeTest
+from repro.workloads.zoo import ZOO_SEED, zoo_corpus
 
 
 def w(text):
@@ -197,3 +202,80 @@ class TestEnumerationDeterminism:
                 build_nfa(regex).enumerate_words(max_length=6, max_state_repeats=2, max_words=50)
             )
             assert compile_regex(regex).words(6, 2, 50) == direct, spec
+
+
+# --------------------------------------------------------------------------- #
+# build_nfa against the ε-elimination it replaced
+# --------------------------------------------------------------------------- #
+def quadratic_build_nfa(expr):
+    """The earlier ε-elimination: every state is tested as the origin of every
+    labelled transition.  Kept here only as the reference for build_nfa."""
+    builder = _Builder()
+    fragment = builder.build(expr)
+    closures = bitset_closure(
+        builder.counter,
+        (
+            (source, target)
+            for source, targets in builder.epsilon.items()
+            for target in targets
+        ),
+    )
+    transitions = []
+    for source, symbol, target in builder.labelled:
+        source_bit = 1 << source
+        for origin in range(builder.counter):
+            if closures[origin] & source_bit:
+                transitions.append((origin, symbol, target))
+    end_bit = 1 << fragment.end
+    final = {state for state in range(builder.counter) if closures[state] & end_bit}
+    return NFA(range(builder.counter), {fragment.start}, final, transitions).trim()
+
+
+def assert_matches_quadratic_builder(regex) -> None:
+    built = build_nfa(regex)
+    reference = quadratic_build_nfa(regex)
+    assert list(built.transitions()) == list(reference.transitions()), str(regex)
+    assert built.initial == reference.initial
+    assert built.final == reference.final
+    assert built.states == reference.states
+
+
+def zoo_corpus_regexes():
+    """Every distinct atom regex of the default zoo corpus's queries, in order."""
+    regexes = []
+    for pairs in zoo_corpus(ZOO_SEED).values():
+        for left, right, _ in pairs:
+            for query in (left, right):
+                disjuncts = query.disjuncts if isinstance(query, UC2RPQ) else (query,)
+                for disjunct in disjuncts:
+                    regexes.extend(atom.regex for atom in disjunct.atoms)
+    return list(dict.fromkeys(regexes))
+
+
+def test_build_nfa_matches_quadratic_builder_on_the_zoo_corpus():
+    regexes = zoo_corpus_regexes()
+    assert len(regexes) > 100
+    for regex in regexes:
+        assert_matches_quadratic_builder(regex)
+
+
+_leaf_regexes = st.one_of(
+    st.sampled_from(["a", "b", "a-", "b-"]).map(edge),
+    st.sampled_from(["A", "B"]).map(node),
+)
+_regexes = st.recursive(
+    _leaf_regexes,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda pair: concat(*pair)),
+        st.tuples(inner, inner).map(lambda pair: union(*pair)),
+        inner.map(star),
+        inner.map(plus),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_regexes)
+def test_build_nfa_matches_quadratic_builder_on_random_regexes(regex):
+    assert_matches_quadratic_builder(regex)

@@ -91,6 +91,33 @@ class TestTBoxIndex:
         assert overlay.close({"A"}) == {"A", "B"}
         assert frozenset({"A"}) in base._closure_cache
 
+    def test_overlay_answers_forall_targets_from_its_own_memo(self):
+        base = TBoxIndex(TBox([ForAllCI(conj("A"), forward("r"), conj("C"))]))
+        labels = frozenset({"A", "K"})
+        # warm the base memo before the overlay exists
+        assert base.forall_targets(labels, forward("r")) == {"C"}
+        overlay = base.overlay([ForAllCI(conj("K"), forward("r"), conj("B"))])
+        assert overlay.forall_targets(labels, forward("r")) == {"B", "C"}
+        assert base.forall_targets(labels, forward("r")) == {"C"}
+
+    def test_base_forall_memo_ignores_an_overlay_queried_first(self):
+        base = TBoxIndex(TBox([ForAllCI(conj("A"), forward("r"), conj("C"))]))
+        labels = frozenset({"A", "K"})
+        overlay = base.overlay([ForAllCI(conj("K"), forward("r"), conj("B"))])
+        assert overlay.forall_targets(labels, forward("r")) == {"B", "C"}
+        assert base.forall_targets(labels, forward("r")) == {"C"}
+        assert overlay.forall_targets(labels, forward("r")) == {"B", "C"}
+
+    def test_forall_overlay_still_shares_the_closure_cache(self):
+        base = TBoxIndex(
+            TBox([SubclassOf(conj("A"), "B"), ForAllCI(conj("A"), forward("r"), conj("C"))])
+        )
+        overlay = base.overlay([ForAllCI(conj("B"), forward("r"), conj("D"))])
+        assert overlay._closure_cache is base._closure_cache
+        assert overlay._forall_cache is not base._forall_cache
+        assert overlay.close({"A"}) == {"A", "B"}
+        assert frozenset({"A"}) in base._closure_cache
+
     @pytest.mark.parametrize(
         "statement",
         [
@@ -199,6 +226,23 @@ class TestChaseEngine:
         result = ChaseEngine(tbox).check_pattern(pattern)
         assert result.consistent
         assert result.pattern.has_label("y", "C")
+
+    def test_role_filter_keeps_inverse_roles_of_present_edges(self):
+        # only r-edges exist: ∀r⁻ and ¬∃r⁻ act through them, ∀s has no successor
+        tbox = TBox(
+            [
+                ForAllCI(conj("B"), inverse("r"), conj("C")),
+                ForAllCI(conj("A"), forward("s"), conj("D")),
+                NoExistsCI(conj("B"), inverse("r"), conj("E")),
+            ]
+        )
+        pattern = GraphBuilder().node("x", "A").node("y", "B").edge("x", "r", "y").build()
+        result = ChaseEngine(tbox).check_pattern(pattern)
+        assert result.consistent
+        assert result.pattern.labels("x") == {"A", "C"}
+        assert result.pattern.labels("y") == {"B"}
+        clash = GraphBuilder().node("x", "E").node("y", "B").edge("x", "r", "y").build()
+        assert not ChaseEngine(tbox).check_pattern(clash).consistent
 
     def test_bottom_violation_detected(self):
         tbox = TBox([SubclassOfBottom(conj("A", "B"))])

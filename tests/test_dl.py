@@ -97,6 +97,49 @@ class TestTBox:
         assert len(union) == 2
         assert len(left.copy()) == 1
 
+    def test_copy_and_union_keep_order_and_membership(self):
+        left = TBox(
+            [SubclassOf(conj("A"), "B"), ForAllCI(conj("B"), forward("r"), conj("C"))]
+        )
+        right = TBox([SubclassOfBottom(conj("C")), SubclassOf(conj("A"), "B")])
+        copied = left.copy(name="copy")
+        assert copied.statements() == left.statements()
+        assert copied.name == "copy"
+        assert all(statement in copied for statement in left)
+        union = left.union(right)
+        assert union.statements() == (*left.statements(), SubclassOfBottom(conj("C")))
+        assert all(statement in union for statement in (*left, *right))
+        assert union.name == "T∪T"
+
+    @pytest.mark.parametrize("make", [lambda tbox: tbox.copy(), lambda tbox: tbox.union(TBox())])
+    def test_adding_to_a_copy_leaves_the_original_alone(self, make):
+        original = TBox([SubclassOf(conj("A"), "B")])
+        before = original.statements()
+        extra = SubclassOfBottom(conj("B"))
+        derived = make(original)
+        assert derived.add(extra)
+        assert extra in derived
+        assert original.statements() == before
+        assert extra not in original
+        # and the other way round
+        assert original.add(SubclassOf(conj("C"), "D"))
+        assert SubclassOf(conj("C"), "D") not in derived
+
+    def test_simplifying_a_copy_leaves_the_original_alone(self, medical_source_schema):
+        from repro.containment import simplify_s_driven
+
+        composite = AtMostOneCI(
+            conj("Vaccine", "Extra"), forward("designTarget"), conj("Antigen", "More")
+        )
+        original = TBox(
+            [AtMostOneCI(conj("Vaccine"), forward("designTarget"), conj("Antigen")), composite]
+        )
+        before = original.statements()
+        copied = simplify_s_driven(original.copy(), medical_source_schema)
+        assert composite not in copied
+        assert original.statements() == before
+        assert composite in original
+
     def test_concept_and_role_names(self):
         tbox = TBox([ForAllCI(conj("A"), forward("r"), conj("B"))])
         assert tbox.concept_names() == {"A", "B"}

@@ -1,8 +1,11 @@
 """Tests for signed edge labels (Σ±)."""
 
+import pickle
+
 import pytest
 
 from repro.graph.labels import Direction, SignedLabel, forward, inverse, is_valid_label, signed_closure
+from repro.workloads.zoo import ZOO_SEED, zoo_corpus
 
 
 class TestValidity:
@@ -82,3 +85,64 @@ class TestSignedClosure:
     def test_labels_are_ordered_and_hashable(self):
         assert len({forward("a"), forward("a")}) == 1
         assert sorted([inverse("b"), forward("a")]) == [forward("a"), inverse("b")]
+
+
+class TestSharedInstances:
+    """forward/inverse hand out cached instances; validation still applies."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: forward(""),
+            lambda: inverse("a b"),
+            lambda: inverse("a-"),
+            lambda: SignedLabel.parse("a--"),
+            lambda: SignedLabel("x y"),
+        ],
+    )
+    def test_invalid_labels_still_raise(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_invalid_label_raises_again_after_a_failed_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                forward("bad label")
+
+    @pytest.mark.parametrize("label", [forward("r"), inverse("r"), SignedLabel("s", Direction.INVERSE)])
+    def test_double_inverse_is_identity(self, label):
+        assert label.inverse().inverse() == label
+        assert label.inverse() != label
+
+    @pytest.mark.parametrize("label", [forward("r"), inverse("r")])
+    def test_hash_survives_pickling(self, label):
+        restored = pickle.loads(pickle.dumps(label))
+        assert restored == label
+        assert hash(restored) == hash(label)
+        assert pickle.loads(pickle.dumps(label.direction)) is label.direction
+
+
+def _zoo_schemas(count):
+    schemas = []
+    for pairs in zoo_corpus(ZOO_SEED).values():
+        for _, _, schema in pairs:
+            if all(schema is not seen for seen in schemas):
+                schemas.append(schema)
+            if len(schemas) == count:
+                return schemas
+    return schemas
+
+
+@pytest.mark.parametrize("schema", _zoo_schemas(3), ids=lambda schema: schema.name)
+def test_forbids_edge_reads_both_directions_of_the_table(schema):
+    checked = 0
+    for source in sorted(schema.node_labels):
+        for label in sorted(schema.edge_labels):
+            for target in sorted(schema.node_labels):
+                explicit = (
+                    schema.multiplicity(source, SignedLabel(label, Direction.FORWARD), target).forbids
+                    or schema.multiplicity(target, SignedLabel(label, Direction.INVERSE), source).forbids
+                )
+                assert schema.forbids_edge(source, label, target) == explicit
+                checked += 1
+    assert checked > 0
