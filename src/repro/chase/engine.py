@@ -9,7 +9,10 @@ the canonical-model construction for Horn description logics:
 1. *saturation*: close node label sets under ``K ⊑ A``; propagate
    ``K ⊑ ∀R.K'`` along existing edges; detect violations of ``K ⊑ ⊥`` and
    ``K ⊑ ¬∃R.K'`` (these can never be repaired, because labels only grow and
-   edges are never removed);
+   edges are never removed).  It runs on a worklist: every node is visited
+   once, and again only after a ``∀`` role pushed labels onto it.  The
+   Horn least fixpoint is unique, so the saturated pattern does not depend
+   on the visiting order;
 2. *functionality*: when ``K ⊑ ∃≤1R.K'`` applies and two pattern successors
    match, merge them (without the unique-name assumption, merging is the
    canonical repair);
@@ -29,6 +32,7 @@ within a finite lattice and merges only decrease the number of nodes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -119,35 +123,38 @@ class ChaseEngine:
     def _saturate(self, graph: Graph, variable_map: Dict[str, NodeId]) -> Optional[str]:
         index = self.index
         # saturation only adds node labels, so a role whose base label labels
-        # no edge now has no successor anywhere for the whole sweep
+        # no edge now has no successor anywhere for the whole pass
         forall_roles = _roles_on_edges(index.forall_by_role, graph)
         no_exists_roles = _roles_on_edges(index.no_exists_by_role, graph)
-        changed = True
-        while changed:
-            changed = False
-            for node in list(graph.nodes()):
-                closed = index.close(graph.labels(node))
-                for label in closed - graph.labels(node):
-                    graph.add_label(node, label)
-                    changed = True
-                if index.violates_bottom(closed):
-                    return f"node {node!r} violates a ⊥-statement (labels {sorted(closed)})"
+        # a node's closure and its ∀ pushes depend only on its own labels, so
+        # a node needs another visit only after a ∀ role pushed labels onto it
+        pending = deque(graph.nodes())
+        queued = set(pending)
+        while pending:
+            node = pending.popleft()
+            queued.discard(node)
+            labels = graph.labels(node)
+            closed = index.close(labels)
+            for label in closed - labels:
+                graph.add_label(node, label)
+            if index.violates_bottom(closed):
+                return f"node {node!r} violates a ⊥-statement (labels {sorted(closed)})"
             # ∀-propagation along existing edges
-            for node in list(graph.nodes()):
-                labels = graph.labels(node)
-                for role in forall_roles:
-                    successors = graph.successors(node, role)
-                    if not successors:
-                        continue
-                    forced = index.forall_targets(labels, role)
-                    if not forced:
-                        continue
-                    for successor in successors:
-                        missing = forced - graph.labels(successor)
-                        if missing:
-                            for label in missing:
-                                graph.add_label(successor, label)
-                            changed = True
+            for role in forall_roles:
+                successors = graph.successors(node, role)
+                if not successors:
+                    continue
+                forced = index.forall_targets(closed, role)
+                if not forced:
+                    continue
+                for successor in successors:
+                    missing = forced - graph.labels(successor)
+                    if missing:
+                        for label in missing:
+                            graph.add_label(successor, label)
+                        if successor not in queued:
+                            queued.add(successor)
+                            pending.append(successor)
         # ¬∃ violations are final
         for node in graph.nodes():
             labels = graph.labels(node)

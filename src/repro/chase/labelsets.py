@@ -39,29 +39,36 @@ class TBoxIndex:
     """
 
     def __init__(self, tbox: TBox) -> None:
-        if not tbox.is_horn():
-            raise SolverError("the chase engine only accepts Horn TBoxes")
-        self.subclass: List[SubclassOf] = list(tbox.subclass_statements())
-        self.bottoms: List[SubclassOfBottom] = list(tbox.bottom_statements())
-        self.forall: List[ForAllCI] = list(tbox.forall_statements())
-        self.exists: List[ExistsCI] = list(tbox.exists_statements())
-        self.no_exists: List[NoExistsCI] = list(tbox.no_exists_statements())
-        self.at_most: List[AtMostOneCI] = list(tbox.at_most_statements())
+        self.subclass: List[SubclassOf] = []
+        self.bottoms: List[SubclassOfBottom] = []
+        self.forall: List[ForAllCI] = []
+        self.exists: List[ExistsCI] = []
+        self.no_exists: List[NoExistsCI] = []
+        self.at_most: List[AtMostOneCI] = []
+        # role-guarded statements are also grouped by role for quick lookup
+        self.forall_by_role: Dict[SignedLabel, List[ForAllCI]] = {}
+        self.exists_by_role: Dict[SignedLabel, List[ExistsCI]] = {}
+        self.no_exists_by_role: Dict[SignedLabel, List[NoExistsCI]] = {}
+        self.at_most_by_role: Dict[SignedLabel, List[AtMostOneCI]] = {}
+        buckets = {
+            SubclassOf: (self.subclass, None),
+            SubclassOfBottom: (self.bottoms, None),
+            ForAllCI: (self.forall, self.forall_by_role),
+            ExistsCI: (self.exists, self.exists_by_role),
+            NoExistsCI: (self.no_exists, self.no_exists_by_role),
+            AtMostOneCI: (self.at_most, self.at_most_by_role),
+        }
+        # one pass over the statements; a kind without a bucket is not Horn
+        for statement in tbox:
+            found = buckets.get(type(statement))
+            if found is None:
+                raise SolverError("the chase engine only accepts Horn TBoxes")
+            bucket, by_role = found
+            bucket.append(statement)
+            if by_role is not None:
+                by_role.setdefault(statement.role, []).append(statement)
         self._closure_cache: Dict[ConceptNames, ConceptNames] = {}
         self._forall_cache: Dict[Tuple[ConceptNames, SignedLabel], ConceptNames] = {}
-        # group role-guarded statements by role for quick lookup
-        self.forall_by_role: Dict[SignedLabel, List[ForAllCI]] = {}
-        for statement in self.forall:
-            self.forall_by_role.setdefault(statement.role, []).append(statement)
-        self.no_exists_by_role: Dict[SignedLabel, List[NoExistsCI]] = {}
-        for statement in self.no_exists:
-            self.no_exists_by_role.setdefault(statement.role, []).append(statement)
-        self.at_most_by_role: Dict[SignedLabel, List[AtMostOneCI]] = {}
-        for statement in self.at_most:
-            self.at_most_by_role.setdefault(statement.role, []).append(statement)
-        self.exists_by_role: Dict[SignedLabel, List[ExistsCI]] = {}
-        for statement in self.exists:
-            self.exists_by_role.setdefault(statement.role, []).append(statement)
 
     def overlay(self, statements: Iterable[Union[ForAllCI, SubclassOfBottom]]) -> "TBoxIndex":
         """The index of this TBox plus some ``∀`` and ``⊥`` statements.

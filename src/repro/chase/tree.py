@@ -188,6 +188,8 @@ class TreeChecker:
     ) -> List[ConceptNames]:
         """Merge fresh-child seeds that an at-most constraint forces to coincide."""
         merged = [self.index.close(seed) for seed in seeds]
+        if len(merged) < 2:
+            return merged  # an at-most constraint merges two matching seeds or none
         changed = True
         while changed:
             changed = False

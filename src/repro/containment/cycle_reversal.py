@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..chase.labelsets import TBoxIndex
 from ..dl.concepts import AtMostOneCI, ConceptNames, ExistsCI
 from ..dl.tbox import TBox
-from ..graph.labels import SignedLabel, signed_closure
+from ..graph.labels import SignedLabel
 from ..schema.schema import Schema
 from .entailment import entails_at_most, entails_exists
 
@@ -84,30 +84,39 @@ def schema_has_finmod_cycle(schema: Schema) -> bool:
     contributes ∀-statements), the absence of a cycle here implies the absence
     of satisfiable finmod cycles in the combined TBox, so the completion is
     the TBox itself.
+
+    Only declared entries can require a successor (an undeclared one is
+    ``0``), so the edges come from one walk over the declared δ entries, and
+    the cycle search is an iterative DFS, safe on arbitrarily long schemas.
     """
     adjacency: Dict[str, Set[str]] = {label: set() for label in schema.node_labels}
-    for source in schema.node_labels:
-        for signed in signed_closure(sorted(schema.edge_labels)):
-            for target in schema.node_labels:
-                forward_mult = schema.multiplicity(source, signed, target)
-                backward_mult = schema.multiplicity(target, signed.inverse(), source)
-                if forward_mult.requires_at_least_one and backward_mult.requires_at_most_one:
-                    adjacency[source].add(target)
-    # detect a cycle (self-loops included) with a DFS colouring
+    for source, signed, target, forward_mult in schema.declared_constraints():
+        if not forward_mult.requires_at_least_one:
+            continue
+        if schema.multiplicity(target, signed.inverse(), source).requires_at_most_one:
+            adjacency[source].add(target)
+    # detect a cycle (self-loops included) with a DFS colouring: 1 while a
+    # label is on the DFS path, 2 once everything below it is explored
     colour: Dict[str, int] = {}
-
-    def dfs(node: str) -> bool:
-        colour[node] = 1
-        for successor in adjacency[node]:
-            state = colour.get(successor, 0)
-            if state == 1:
-                return True
-            if state == 0 and dfs(successor):
-                return True
-        colour[node] = 2
-        return False
-
-    return any(dfs(label) for label in schema.node_labels if colour.get(label, 0) == 0)
+    for root in adjacency:
+        if root in colour:
+            continue
+        colour[root] = 1
+        path = [(root, iter(adjacency[root]))]
+        while path:
+            node, successors = path[-1]
+            for successor in successors:
+                state = colour.get(successor, 0)
+                if state == 1:
+                    return True
+                if state == 0:
+                    colour[successor] = 1
+                    path.append((successor, iter(adjacency[successor])))
+                    break
+            else:
+                colour[node] = 2
+                path.pop()
+    return False
 
 
 # --------------------------------------------------------------------------- #

@@ -7,15 +7,18 @@ Thompson automaton, and the pumped-normal-form word enumeration of
 Theorem 6.1.  This module runs both over ints:
 
 * :func:`bitset_closure` — per-state reflexive-transitive closure masks over
-  sparse edges (the ε-closure kernel of :func:`repro.rpq.automaton.build_nfa`);
+  sparse edges (the ε-closure kernel of :func:`repro.rpq.automaton.build_nfa`),
+  computed in one iterative Tarjan pass over the strongly connected
+  components, O(states + edges) big-int ORs;
 * :func:`enumerate_nfa_words` — the pumped-normal-form enumeration of
   :meth:`repro.rpq.automaton.NFA.enumerate_words`, run over precomputed
   sorted adjacency (:func:`nfa_enumeration_tables`), int-tuple partial words
   and byte-lane visit counters packed into one int, instead of per-step
   ``repr``-keyed sorts and dict copies.
 
-Every kernel is stdlib-only and word-for-word identical to the dict-walk
-reference it replaces.
+Every kernel is stdlib-only.  The enumeration is word-for-word identical to
+the dict-walk reference it replaces; the closure returns exactly the
+reachability masks.
 """
 
 from __future__ import annotations
@@ -37,27 +40,65 @@ def bitset_closure(num_states: int, edges: Iterable[Tuple[int, int]]) -> List[in
     ``result[i]`` has bit ``j`` set iff state ``j`` is reachable from ``i``
     (every state reaches itself).  This is the ε-closure kernel: the Thompson
     builder feeds its ε-edges in and reads each state's closure off one int.
+
+    One iterative Tarjan pass finds the strongly connected components in
+    reverse topological order, so when a component closes every component
+    it reaches already has its final mask: the component's mask is the OR of
+    its members' bits and those masks, shared by all its members.  That is
+    O(states + edges) big-int ORs, and no recursion, whatever the depth.
     """
-    direct = [1 << state for state in range(num_states)]
+    successors: List[List[int]] = [[] for _ in range(num_states)]
     for source, target in edges:
-        direct[source] |= 1 << target
-    closures = list(direct)
-    # iterate to fixpoint: closing over a closed row is idempotent, and each
-    # pass propagates reachability one join further
-    changed = True
-    while changed:
-        changed = False
-        for state in range(num_states):
-            mask = closures[state]
-            union = mask
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                union |= closures[low.bit_length() - 1]
-                remaining ^= low
-            if union != mask:
-                closures[state] = union
-                changed = True
+        successors[source].append(target)
+    closures = [0] * num_states
+    order = [-1] * num_states  # DFS discovery number, -1 while unvisited
+    low = [0] * num_states
+    on_stack = [False] * num_states
+    stack: List[int] = []
+    counter = 0
+    for root in range(num_states):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
+        while work:
+            state, targets = work[-1]
+            for target in targets:
+                if order[target] < 0:
+                    order[target] = low[target] = counter
+                    counter += 1
+                    stack.append(target)
+                    on_stack[target] = True
+                    work.append((target, iter(successors[target])))
+                    break
+                if on_stack[target] and order[target] < low[state]:
+                    low[state] = order[target]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[state] < low[parent]:
+                        low[parent] = low[state]
+                if low[state] != order[state]:
+                    continue
+                # *state* roots a component: pop it and close it in one go
+                members = []
+                mask = 0
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    members.append(member)
+                    mask |= 1 << member
+                    if member == state:
+                        break
+                for member in members:
+                    for target in successors[member]:
+                        mask |= closures[target]  # 0 for members: not closed yet
+                for member in members:
+                    closures[member] = mask
     return closures
 
 

@@ -305,17 +305,6 @@ class _Builder:
             return _Fragment(start, end)
         raise TypeError(f"unknown regex node: {expr!r}")
 
-    def epsilon_closure(self, state: int) -> Set[int]:
-        closure = {state}
-        frontier = [state]
-        while frontier:
-            current = frontier.pop()
-            for target in self.epsilon.get(current, ()):
-                if target not in closure:
-                    closure.add(target)
-                    frontier.append(target)
-        return closure
-
 
 def build_nfa(expr: Regex) -> NFA:
     """Compile a two-way regular expression to an ε-free NFA.
@@ -327,7 +316,7 @@ def build_nfa(expr: Regex) -> NFA:
     builder = _Builder()
     fragment = builder.build(expr)
     # all ε-closures at once as int bitsets (bit j of closures[i] ⇔ j is in
-    # the closure of i) — same sets the per-state DFS produced
+    # the closure of i)
     closures = bitset_closure(
         builder.counter,
         (

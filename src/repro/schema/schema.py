@@ -121,6 +121,9 @@ class Schema:
         if not all(isinstance(label, str) and label for label in self.edge_labels):
             raise SchemaError("edge labels must be non-empty strings")
         self._delta: Dict[ConstraintTriple, Multiplicity] = {}
+        # canonical_fingerprint() memo; set() is the only writer of _delta
+        # and clears it
+        self._fingerprint: Optional[str] = None
         for (source, signed, target), mult in (constraints or {}).items():
             self.set(source, signed, target, mult)
 
@@ -147,6 +150,7 @@ class Schema:
             signed = SignedLabel.parse(signed)
         self._check_triple(source, signed, target)
         self._delta[(source, signed, target)] = Multiplicity.parse(multiplicity)
+        self._fingerprint = None
 
     def set_edge(
         self,
@@ -244,8 +248,14 @@ class Schema:
         return f"schema[{nodes}][{edges}][{constraints}]"
 
     def canonical_fingerprint(self) -> str:
-        """SHA-256 digest of :meth:`canonical_token` (cache-key material)."""
-        return hashlib.sha256(self.canonical_token().encode("utf-8")).hexdigest()
+        """SHA-256 digest of :meth:`canonical_token` (cache-key material).
+
+        Computed once per schema object and memoised until the next
+        :meth:`set` (which :meth:`set_edge` goes through).
+        """
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha256(self.canonical_token().encode("utf-8")).hexdigest()
+        return self._fingerprint
 
     def copy(self, name: Optional[str] = None) -> "Schema":
         """Return a copy of the schema."""

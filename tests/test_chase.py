@@ -1,6 +1,8 @@
 """Tests for the Horn-ALCIF chase: label sets, tree-extendability, pattern
 consistency (the engine room of the satisfiability procedure)."""
 
+import random
+
 import pytest
 
 from repro.chase import ChaseEngine, TBoxIndex, TreeChecker
@@ -16,7 +18,8 @@ from repro.dl import (
     schema_to_extended_tbox,
 )
 from repro.exceptions import SolverError
-from repro.graph import GraphBuilder, forward, inverse
+from repro.chase.engine import _roles_on_edges
+from repro.graph import Graph, GraphBuilder, forward, inverse
 from repro.workloads import medical
 
 
@@ -66,6 +69,44 @@ class TestTBoxIndex:
 
         with pytest.raises(SolverError):
             TBoxIndex(TBox([label_coverage_statement(["A", "B"])]))
+        mixed = TBox(
+            [
+                SubclassOf(conj("A"), "B"),
+                label_coverage_statement(["A", "B"]),
+                ExistsCI(conj("A"), forward("r"), conj("B")),
+            ]
+        )
+        with pytest.raises(SolverError):
+            TBoxIndex(mixed)
+
+    def test_buckets_keep_statement_order_per_kind(self, medical_tbox):
+        tbox = TBox(
+            [
+                ForAllCI(conj("Vaccine"), forward("designTarget"), conj("Marker")),
+                *medical_tbox,
+                SubclassOf(conj("Vaccine"), "Marker"),
+                ForAllCI(conj("Antigen"), inverse("designTarget"), conj("Marker")),
+                SubclassOf(conj("Antigen", "Marker"), "Other"),
+            ]
+        )
+        index = TBoxIndex(tbox)
+        assert all(index.statistics().values())
+        assert index.subclass == list(tbox.subclass_statements())
+        assert index.bottoms == list(tbox.bottom_statements())
+        assert index.forall == list(tbox.forall_statements())
+        assert index.exists == list(tbox.exists_statements())
+        assert index.no_exists == list(tbox.no_exists_statements())
+        assert index.at_most == list(tbox.at_most_statements())
+        for statements, by_role in (
+            (index.forall, index.forall_by_role),
+            (index.exists, index.exists_by_role),
+            (index.no_exists, index.no_exists_by_role),
+            (index.at_most, index.at_most_by_role),
+        ):
+            grouped = {}
+            for statement in statements:
+                grouped.setdefault(statement.role, []).append(statement)
+            assert by_role == grouped
 
     def test_overlay_matches_index_of_extended_tbox(self, medical_tbox):
         extra = [
@@ -189,6 +230,23 @@ class TestTreeChecker:
         )
         checker = TreeChecker(TBoxIndex(tbox))
         assert not checker.check(conj("A")).ok
+
+    def test_fewer_than_two_seeds_come_back_closed(self):
+        tbox = TBox(
+            [
+                SubclassOf(conj("B"), "C"),
+                AtMostOneCI(conj("A"), forward("r"), conj("B")),
+            ]
+        )
+        checker = TreeChecker(TBoxIndex(tbox))
+        assert checker._merge_functional_seeds(conj("A"), forward("r"), []) == []
+        assert checker._merge_functional_seeds(conj("A"), forward("r"), [conj("B")]) == [
+            frozenset({"B", "C"})
+        ]
+        # two matching seeds still merge
+        assert checker._merge_functional_seeds(
+            conj("A"), forward("r"), [conj("B"), conj("B", "D")]
+        ) == [frozenset({"B", "C", "D"})]
 
     def test_cache_grows(self):
         tbox = TBox([ExistsCI(conj("A"), forward("r"), conj("A"))])
@@ -349,3 +407,98 @@ class TestChaseEngine:
             AtMostOneCI(conj(A, Brs), forward("s"), conj(A, Brs)),
         )])
         assert ChaseEngine(without).check_pattern(loop).consistent
+
+
+# --------------------------------------------------------------------------- #
+# the worklist saturation against the full-sweep saturation it replaced
+# --------------------------------------------------------------------------- #
+def sweep_saturate(index, graph):
+    """The earlier saturation: re-sweep every node until nothing changes.
+    Kept here only as the reference for ``ChaseEngine._saturate``."""
+    forall_roles = _roles_on_edges(index.forall_by_role, graph)
+    no_exists_roles = _roles_on_edges(index.no_exists_by_role, graph)
+    changed = True
+    while changed:
+        changed = False
+        for node in list(graph.nodes()):
+            closed = index.close(graph.labels(node))
+            for label in closed - graph.labels(node):
+                graph.add_label(node, label)
+                changed = True
+            if index.violates_bottom(closed):
+                return f"node {node!r} violates a ⊥-statement"
+        for node in list(graph.nodes()):
+            labels = graph.labels(node)
+            for role in forall_roles:
+                successors = graph.successors(node, role)
+                if not successors:
+                    continue
+                forced = index.forall_targets(labels, role)
+                for successor in successors:
+                    missing = forced - graph.labels(successor)
+                    if missing:
+                        for label in missing:
+                            graph.add_label(successor, label)
+                        changed = True
+    for node in graph.nodes():
+        labels = graph.labels(node)
+        for role in no_exists_roles:
+            for successor in graph.successors(node, role):
+                conflict = index.no_exists_conflicts(labels, role, graph.labels(successor))
+                if conflict is not None:
+                    return f"edge {node!r} -{role}-> {successor!r} violates {conflict}"
+    return None
+
+
+CONCEPTS = ("A", "B", "C", "D", "E", "F")
+ROLES = (forward("r"), inverse("r"), forward("s"), inverse("s"))
+
+
+def _random_conj(rng, low=0, high=2):
+    return frozenset(rng.sample(CONCEPTS, rng.randint(low, high)))
+
+
+def random_horn_tbox(rng):
+    statements = []
+    for _ in range(rng.randint(0, 8)):
+        statements.append(SubclassOf(_random_conj(rng), rng.choice(CONCEPTS)))
+    for _ in range(rng.randint(0, 8)):
+        statements.append(ForAllCI(_random_conj(rng), rng.choice(ROLES), _random_conj(rng, 1)))
+    for _ in range(rng.randint(0, 2)):
+        statements.append(SubclassOfBottom(_random_conj(rng, 2, 3)))
+    for _ in range(rng.randint(0, 2)):
+        statements.append(NoExistsCI(_random_conj(rng, 1), rng.choice(ROLES), _random_conj(rng, 1)))
+    return TBox(statements)
+
+
+def random_pattern(rng):
+    graph = Graph()
+    nodes = [f"n{i}" for i in range(rng.randint(1, 8))]
+    for node in nodes:
+        graph.add_node(node, _random_conj(rng, 0, 1))
+    for _ in range(rng.randint(0, 2 * len(nodes))):
+        graph.add_edge(rng.choice(nodes), rng.choice("rs"), rng.choice(nodes))
+    return graph
+
+
+def test_worklist_saturation_matches_the_full_sweep():
+    rng = random.Random(20)
+    outcomes = {"saturated": 0, "bottom": 0, "no-exists": 0}
+    for _ in range(1500):
+        tbox = random_horn_tbox(rng)
+        pattern = random_pattern(rng)
+        worklist, sweep = pattern.copy(), pattern.copy()
+        verdict = ChaseEngine(tbox)._saturate(worklist, {})
+        reference = sweep_saturate(TBoxIndex(tbox), sweep)
+        assert (verdict is None) == (reference is None), (tbox.describe(), verdict, reference)
+        if verdict is not None and "⊥" in verdict:
+            # which node reports ⊥ first may differ; that ⊥ is reached may not
+            assert "⊥" in reference
+            outcomes["bottom"] += 1
+            continue
+        # no ⊥: both reached the same least fixpoint and read ¬∃ off it
+        assert verdict == reference
+        for node in pattern.nodes():
+            assert worklist.labels(node) == sweep.labels(node)
+        outcomes["saturated" if verdict is None else "no-exists"] += 1
+    assert min(outcomes.values()) >= 50, outcomes

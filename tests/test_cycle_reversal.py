@@ -1,5 +1,8 @@
 """Tests for CI entailment (Corollary E.7) and cycle reversing (Section 5)."""
 
+import random
+import time
+
 import pytest
 
 from repro.chase import ChaseEngine, TBoxIndex
@@ -101,6 +104,60 @@ class TestFinmodCycleDetection:
 
     def test_chain_schema_has_no_cycle(self):
         assert not schema_has_finmod_cycle(synthetic.chain_schema(4))
+
+    def test_long_chain_needs_no_recursion(self):
+        size = 1600
+        labels = [f"A{i}" for i in range(size)]
+        schema = Schema(labels, ["r"], name="LongChain")
+        for source, target in zip(labels, labels[1:]):
+            schema.set_edge(source, "r", target, "1", "?")
+        started = time.perf_counter()
+        assert not schema_has_finmod_cycle(schema)
+        assert time.perf_counter() - started < 0.5
+        schema.set_edge(labels[-1], "r", labels[0], "1", "?")
+        assert schema_has_finmod_cycle(schema)
+
+    def test_declared_walk_matches_all_triples_definition(self):
+        rng = random.Random(20)
+        found = {True: 0, False: 0}
+        for _ in range(400):
+            schema = _random_schema(rng)
+            expected = _all_triples_finmod_cycle(schema)
+            assert schema_has_finmod_cycle(schema) is expected, schema.describe()
+            found[expected] += 1
+        assert min(found.values()) >= 50, found
+
+
+def _all_triples_finmod_cycle(schema):
+    """The definition read off every triple of Γ × Σ± × Γ, with a recursive
+    DFS: the reference for :func:`schema_has_finmod_cycle`."""
+    adjacency = {label: set() for label in schema.node_labels}
+    for source, signed, target, forward_mult in schema.all_constraints():
+        backward_mult = schema.multiplicity(target, signed.inverse(), source)
+        if forward_mult.requires_at_least_one and backward_mult.requires_at_most_one:
+            adjacency[source].add(target)
+    colour = {}
+
+    def dfs(node):
+        colour[node] = 1
+        for successor in adjacency[node]:
+            state = colour.get(successor, 0)
+            if state == 1 or (state == 0 and dfs(successor)):
+                return True
+        colour[node] = 2
+        return False
+
+    return any(dfs(label) for label in sorted(schema.node_labels) if label not in colour)
+
+
+def _random_schema(rng):
+    labels = [f"N{i}" for i in range(rng.randint(1, 5))]
+    edges = ["r", "s"][: rng.randint(1, 2)]
+    schema = Schema(labels, edges, name="Random")
+    for _ in range(rng.randint(0, 8)):
+        signed = rng.choice(edges) + rng.choice(("", "-"))
+        schema.set(rng.choice(labels), signed, rng.choice(labels), rng.choice("01?+*"))
+    return schema
 
 
 class TestCompletion:

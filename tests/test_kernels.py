@@ -2,7 +2,10 @@
 
 Two layers of coverage:
 
-* :func:`~repro.core.kernels.bitset_closure` on a hand-built edge list;
+* :func:`~repro.core.kernels.bitset_closure` on a hand-built edge list,
+  against naive per-state BFS on random digraphs (cycles, self-loops,
+  isolated states) and on the ε-edges of a 2,080-state Thompson NFA from
+  the zoo's ATM fragments;
 * kernel ↔ dict-walk equivalence: hypothesis-driven random regexes and the
   seeded zoo corpus generator, asserting that the NFA's kernel-backed
   ``enumerate_words`` yields word-for-word the same sequence as the
@@ -30,6 +33,76 @@ def test_bitset_closure_reflexive_transitive():
     assert closure[1] == 0b0110
     assert closure[2] == 0b0100
     assert closure[3] == 0b1000
+    assert bitset_closure(3, [(1, 1)]) == [0b001, 0b010, 0b100]
+    assert bitset_closure(0, []) == []
+    # two cycles joined one way: each cycle shares one mask
+    closure = bitset_closure(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
+    assert closure[0] == closure[1] == 0b01111
+    assert closure[2] == closure[3] == 0b01100
+    assert closure[4] == 0b10000
+
+
+def bfs_closure(num_states, edges):
+    """Reference: per-state BFS reachability, as int masks."""
+    successors = [[] for _ in range(num_states)]
+    for source, target in edges:
+        successors[source].append(target)
+    closures = []
+    for start in range(num_states):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            state = frontier.pop()
+            for target in successors[state]:
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        closures.append(sum(1 << state for state in seen))
+    return closures
+
+
+def random_digraph(rng):
+    """A random digraph mixing a long cycle, self-loops, random edges and
+    isolated states (states past the last edge endpoint)."""
+    num_states = rng.randint(0, 40)
+    edges = []
+    if num_states:
+        used = rng.randint(1, num_states)
+        cycle = rng.sample(range(used), rng.randint(1, used))
+        edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
+        edges.extend((state, state) for state in rng.sample(range(used), rng.randint(0, used)))
+        edges.extend(
+            (rng.randrange(used), rng.randrange(used)) for _ in range(rng.randint(0, 2 * used))
+        )
+        rng.shuffle(edges)
+    return num_states, edges
+
+
+def test_bitset_closure_equals_bfs_on_random_digraphs():
+    rng = random.Random(20)
+    for _ in range(3000):
+        num_states, edges = random_digraph(rng)
+        assert bitset_closure(num_states, edges) == bfs_closure(num_states, edges), (
+            num_states,
+            edges,
+        )
+
+
+def test_bitset_closure_equals_bfs_on_an_atm_thompson_nfa():
+    from repro.hardness.atm import alternating_and_or_machine
+    from repro.hardness.reduction import build_instance
+    from repro.rpq.automaton import _Builder
+
+    instance = build_instance(alternating_and_or_machine(), "11", space=2)
+    builder = _Builder()
+    builder.build(instance.negative.atoms[0].regex)
+    edges = [
+        (source, target)
+        for source, targets in builder.epsilon.items()
+        for target in targets
+    ]
+    assert builder.counter >= 2000
+    assert bitset_closure(builder.counter, edges) == bfs_closure(builder.counter, edges)
 
 
 # --------------------------------------------------------------------------- #

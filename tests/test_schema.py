@@ -96,6 +96,38 @@ class TestSchema:
         assert restricted.edge_labels == {"designTarget"}
         assert restricted.multiplicity("Vaccine", "designTarget", "Antigen") is Multiplicity.ONE
 
+    def test_set_and_set_edge_reset_the_fingerprint_memo(self):
+        schema = Schema(["A", "B"], ["r"])
+        schema.set_edge("A", "r", "B", "1", "?")
+        before = schema.canonical_fingerprint()
+        assert schema.canonical_fingerprint() is before  # memoised
+        schema.set("A", "r", "B", "+")
+        after_set = schema.canonical_fingerprint()
+        assert after_set != before
+        schema.set_edge("B", "r", "A", "*", "*")
+        after_edge = schema.canonical_fingerprint()
+        assert after_edge not in (before, after_set)
+        rebuilt = Schema(["A", "B"], ["r"])
+        rebuilt.set("A", "r", "B", "+")
+        rebuilt.set("B", "r-", "A", "?")
+        rebuilt.set_edge("B", "r", "A", "*", "*")
+        assert rebuilt.canonical_fingerprint() == after_edge
+
+    def test_copy_and_restrict_get_their_own_fingerprint_memo(self, medical_source_schema):
+        original = medical_source_schema.copy()
+        fingerprint = original.canonical_fingerprint()
+        clone = original.copy()
+        assert clone.canonical_fingerprint() == fingerprint
+        clone.set("Antigen", "crossReacting", "Antigen", "+")
+        assert clone.canonical_fingerprint() != fingerprint
+        assert original.canonical_fingerprint() == fingerprint
+        restricted = original.restrict(["Vaccine", "Antigen"], ["designTarget"])
+        restricted_fingerprint = restricted.canonical_fingerprint()
+        assert restricted_fingerprint != fingerprint
+        restricted.set("Antigen", "designTarget-", "Vaccine", "1")
+        assert restricted.canonical_fingerprint() != restricted_fingerprint
+        assert original.canonical_fingerprint() == fingerprint
+
     def test_describe_lists_constraints(self, medical_source_schema):
         text = medical_source_schema.describe()
         assert "designTarget" in text and "Vaccine" in text
