@@ -1,6 +1,6 @@
 """Compiled automaton core benchmark: cold vs memoized compilation.
 
-Four claims are checked, each on a fixed literal corpus (no randomness, no
+Three claims are checked, each on a fixed literal corpus (no randomness, no
 environment probing, so two runs on one machine measure the same work):
 
 1. **compile memoization** — replaying the corpus against the warm
@@ -11,27 +11,25 @@ environment probing, so two runs on one machine measure the same work):
    ``NFA.enumerate_words`` per request;
 3. **NFA kernel** — the uncached per-word cost of the NFA's pumped search
    (the dominant Theorem 6.1 cost) is **≥ 5×** lower than the historical
-   dict-walk implementation, word lists checked identical inside the
-   harness before any clock starts;
-4. **prefix sharing** — on a sparse-witness instance (every pattern refuted,
-   the refutation visible on a two-atom prefix) the
-   :class:`repro.core.PrefixPruner` enumeration is **≥ 2× faster** than
-   chasing every combination independently, with verdict, regime and
-   pattern counter asserted bit-identical inside the harness.
+   dict-walk implementation (``enumerate_words_dictwalk``, kept verbatim in
+   ``tests/test_kernels.py``), word lists checked identical inside the
+   harness before any clock starts.
 
 The gate figures are acceptance thresholds below the typical measurement
 (see the printed report lines).
 """
 
+import sys
 import time
+from pathlib import Path
 from typing import Any, Dict, Tuple
 
-from repro.chase.solver import SatisfiabilityConfig, SatisfiabilitySolver
 from repro.core import clear_compile_memo, compile_regex
-from repro.dl import NoExistsCI, TBox, conj
-from repro.graph import forward
 from repro.rpq.automaton import build_nfa
-from repro.rpq.parser import parse_c2rpq, parse_regex
+from repro.rpq.parser import parse_regex
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_kernels import enumerate_words_dictwalk  # noqa: E402
 
 GATE_SPEEDUP = 2.0
 GATE_NFA_KERNEL_SPEEDUP = 5.0
@@ -185,7 +183,7 @@ def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
     nfa_words = 0
     for nfa in nfas:
         reference = tuple(
-            nfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
+            enumerate_words_dictwalk(nfa, MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
         )
         kernel = tuple(
             nfa.enumerate_words(
@@ -218,7 +216,7 @@ def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
 
     def nfa_dictwalk_round() -> None:
         for nfa in nfas:
-            tuple(nfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS))
+            tuple(enumerate_words_dictwalk(nfa, MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS))
 
     def nfa_kernel_round() -> None:
         for nfa in nfas:
@@ -236,75 +234,6 @@ def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
     return {
         "requests_per_regex": requests,
         "nfa_enumeration": _kernel_row(nfa_dictwalk, nfa_kernel, nfa_words * requests),
-    }
-
-
-def _sparse_witness_instance() -> Tuple[TBox, Any, SatisfiabilityConfig]:
-    """An unsatisfiable sparse-witness instance where prefixes refute early.
-
-    The TBox forbids any outgoing ``r`` edge from an ``A``-labeled node, the
-    query's leading atoms force exactly that edge, and the trailing atoms
-    contribute large pumped word lists — so every one of the (up to)
-    ``max_patterns`` enumerated patterns is inconsistent, and the
-    inconsistency is already visible on the two-atom prefix the pruner
-    chases once per word.
-    """
-    tbox = TBox([NoExistsCI(conj("A"), forward("r"), conj())])
-    query = parse_c2rpq(
-        "q() := A(x), (r . (s + t)*)(x, y), ((s + t)* . u?)(y, z)"
-    ).boolean()
-    config = SatisfiabilityConfig(
-        max_word_length=8,
-        max_state_repeats=2,
-        max_words_per_atom=40,
-        max_patterns=5_000,
-    )
-    return tbox, query, config
-
-
-def prefix_sharing_benchmark() -> Dict[str, Any]:
-    """The witness enumeration with and without prefix sharing.
-
-    Raises :class:`RuntimeError` if sharing changes the verdict, the regime
-    or the pattern counter — the pruning must be observationally invisible
-    apart from time.  (A real exception, not ``assert``: the check must
-    survive ``python -O``.)
-    """
-    tbox, query, config = _sparse_witness_instance()
-
-    independent_config = SatisfiabilityConfig(
-        max_word_length=config.max_word_length,
-        max_state_repeats=config.max_state_repeats,
-        max_words_per_atom=config.max_words_per_atom,
-        max_patterns=config.max_patterns,
-        share_prefixes=False,
-    )
-    started = time.perf_counter()
-    independent = SatisfiabilitySolver(tbox, independent_config).is_satisfiable(query)
-    independent_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    shared = SatisfiabilitySolver(tbox, config).is_satisfiable(query)
-    shared_seconds = time.perf_counter() - started
-
-    if (
-        shared.satisfiable != independent.satisfiable
-        or shared.regime != independent.regime
-        or shared.patterns_checked != independent.patterns_checked
-    ):
-        raise RuntimeError(
-            "prefix sharing changed the observable outcome: "
-            f"shared=({shared.satisfiable}, {shared.regime}, {shared.patterns_checked}) "
-            f"independent=({independent.satisfiable}, {independent.regime}, "
-            f"{independent.patterns_checked})"
-        )
-    return {
-        "satisfiable": shared.satisfiable,
-        "regime": shared.regime,
-        "patterns_checked": shared.patterns_checked,
-        "independent_seconds": independent_seconds,
-        "shared_seconds": shared_seconds,
-        "speedup": (independent_seconds / shared_seconds) if shared_seconds else float("inf"),
     }
 
 
@@ -343,18 +272,4 @@ def test_kernel_speedups():
     assert nfa["speedup"] >= GATE_NFA_KERNEL_SPEEDUP, (
         f"NFA enumeration kernel speedup {nfa['speedup']:.2f}x "
         f"< required {GATE_NFA_KERNEL_SPEEDUP}x"
-    )
-
-
-def test_prefix_sharing_speedup():
-    # the harness itself asserts verdict/regime/pattern-counter identity
-    report = prefix_sharing_benchmark()
-    print(
-        f"\nprefix sharing: {report['patterns_checked']} patterns — independent "
-        f"{report['independent_seconds'] * 1000:.1f} ms, shared "
-        f"{report['shared_seconds'] * 1000:.1f} ms ({report['speedup']:.1f}x)"
-    )
-    assert not report["satisfiable"] and report["regime"] in ("exact", "pumped")
-    assert report["speedup"] >= GATE_SPEEDUP, (
-        f"prefix-sharing speedup {report['speedup']:.2f}x < required {GATE_SPEEDUP}x"
     )

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import PrefixPruner, compile_regex
+from ..core import compile_regex
 from ..dl.tbox import TBox
 from ..exceptions import SolverError
 from ..graph.graph import Graph, NodeId
@@ -48,28 +48,14 @@ __all__ = ["SatisfiabilityConfig", "SatisfiabilityResult", "SatisfiabilitySolver
 class SatisfiabilityConfig:
     """Resource bounds of the satisfiability solver.
 
-    ``share_prefixes`` enables the prefix-sharing enumeration
-    (:class:`repro.core.PrefixPruner`): combinations below an inconsistent
-    word prefix are counted but not re-chased.  Pruning is verdict- and
-    count-preserving, so the flag only trades time — it exists for the
-    benchmarks' with/without comparison.
+    ``max_state_repeats`` must lie in 0..255: the enumeration kernel keeps
+    one byte per automaton state for its visit counts.
     """
 
     max_word_length: int = 14
     max_state_repeats: int = 2
     max_words_per_atom: int = 200
     max_patterns: int = 50_000
-    share_prefixes: bool = True
-
-    def relaxed(self, factor: int = 2) -> "SatisfiabilityConfig":
-        """A configuration with all bounds multiplied by *factor*."""
-        return SatisfiabilityConfig(
-            max_word_length=self.max_word_length * factor,
-            max_state_repeats=self.max_state_repeats + (factor - 1),
-            max_words_per_atom=self.max_words_per_atom * factor,
-            max_patterns=self.max_patterns * factor,
-            share_prefixes=self.share_prefixes,
-        )
 
 
 @dataclass
@@ -157,29 +143,12 @@ class SatisfiabilitySolver:
             regime = _weakest_regime(regime, atom_regime)
             word_lists.append(words)
 
-        # prefix sharing: chase each distinct word prefix once and skip (but
-        # still count) every combination below an inconsistent one — pruned
-        # combinations are exactly those the full chase would refute anyway,
-        # so verdicts, counters and the witness order are unchanged
-        pruner: Optional[PrefixPruner] = None
-        if config.share_prefixes and len(atoms) >= 2:
-            pruner = PrefixPruner(
-                atoms,
-                word_lists,
-                build_pattern,
-                lambda graph: self.engine.check_pattern(graph).consistent,
-            )
-            if not pruner.useful:
-                pruner = None
-
         patterns_checked = 0
         for combination in itertools.product(*word_lists):
             if patterns_checked >= config.max_patterns:
                 regime = "truncated"
                 break
             patterns_checked += 1
-            if pruner is not None and pruner.prunes(combination):
-                continue
             pattern, assignment = build_pattern(atoms, combination)
             chase = self.engine.check_pattern(pattern, assignment)
             if chase.consistent:

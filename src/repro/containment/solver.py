@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..chase.engine import ChaseEngine
 from ..chase.solver import SatisfiabilityConfig, build_pattern
-from ..core import CompiledAutomaton, PrefixPruner, compile_regex
+from ..core import CompiledAutomaton, compile_regex
 from ..dl.schema_tbox import schema_to_extended_tbox
 from ..dl.tbox import TBox
 from ..exceptions import AcyclicityError, QueryError
@@ -280,32 +280,15 @@ class ContainmentSolver:
                 continue
             if not disjunct.atoms:
                 word_lists = []
-            atoms = list(disjunct.atoms)
-            # prefix sharing (see repro.core.prefix): an inconsistent prefix
-            # pattern refutes its whole subtree of combinations, so those are
-            # counted — label branching included — without being chased
-            pruner: Optional[PrefixPruner] = None
-            if config.share_prefixes and len(atoms) >= 2:
-                pruner = PrefixPruner(
-                    atoms,
-                    word_lists,
-                    build_pattern,
-                    lambda graph: engine.check_pattern(graph).consistent,
-                )
-                if not pruner.useful:
-                    pruner = None
             combinations = itertools.product(*word_lists) if word_lists else iter([()])
             for combination in combinations:
                 if patterns_checked >= config.max_patterns:
                     regime = _weakest(regime, "truncated")
                     break
-                base_pattern, assignment = build_pattern(atoms, list(combination))
+                base_pattern, assignment = build_pattern(disjunct.atoms, list(combination))
                 if not disjunct.atoms:
                     base_pattern = Graph()
                     base_pattern.add_node("n0")
-                if pruner is not None and pruner.prunes(combination):
-                    patterns_checked += self._count_label_assignments(base_pattern, schema)
-                    continue
                 for labelled in self._label_assignments(base_pattern, schema):
                     patterns_checked += 1
                     chase = engine.check_pattern(labelled, assignment)
@@ -319,8 +302,8 @@ class ContainmentSolver:
         """The unlabeled nodes and their locally compatible schema labels.
 
         ``None`` when some node admits no label at all (the pattern has no
-        conforming labelling).  Shared by :meth:`_label_assignments` and the
-        prefix-pruned counting path, which must agree exactly.
+        conforming labelling).  Shared by :meth:`_label_assignments` and
+        :meth:`_count_label_assignments`, which must agree exactly.
         """
         unlabeled = [
             node
@@ -339,13 +322,9 @@ class ContainmentSolver:
             candidate_lists.append(candidates)
         return unlabeled, candidate_lists
 
+    # Unused by the solver; kept because perfbench/trace.py wraps it by name.
     def _count_label_assignments(self, pattern: Graph, schema: Schema) -> int:
-        """How many labelled patterns :meth:`_label_assignments` would yield.
-
-        Used when a word-prefix already refutes the pattern: the subtree is
-        skipped but the counter must advance exactly as if every labelled
-        variant had been chased.
-        """
+        """How many labelled patterns :meth:`_label_assignments` would yield."""
         candidates = self._label_candidates(pattern, schema)
         if candidates is None:
             return 0

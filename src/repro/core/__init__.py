@@ -11,9 +11,7 @@ docs/ARCHITECTURE.md, "The compiled automaton core"):
   :func:`rebase_compiled` / :func:`install_compiled` are the
   schema-evolution hooks that migrate bundles between fingerprint
   namespaces);
-* :func:`has_productive_cycle` — the shared finiteness test;
-* :class:`PrefixPruner` — verdict-preserving prefix sharing for the
-  solvers' pattern enumeration.
+* :func:`has_productive_cycle` — the shared finiteness test.
 
 ``repro.core.kernels`` holds the int-bitset kernels behind NFA construction
 and word enumeration; ``benchmarks/bench_automaton_compile.py`` measures
@@ -28,11 +26,9 @@ from .compile import (
     install_compiled,
     rebase_compiled,
 )
-from .prefix import PrefixPruner
 
 __all__ = [
     "CompiledAutomaton",
-    "PrefixPruner",
     "clear_compile_memo",
     "compile_regex",
     "has_productive_cycle",

@@ -212,14 +212,15 @@ def enumerate_nfa_words(
 ):
     """Pumped-normal-form enumeration over precomputed adjacency.
 
-    Word-for-word identical to the dict-walk
-    :meth:`~repro.rpq.automaton.NFA.enumerate_words` — same words, same
-    order, same cap semantics — but the per-expansion ``repr``-keyed sort
-    becomes a table lookup, the visit-count dict copies become byte lanes of
-    one int, partial words are int tuples (the duplicate check hashes small
-    ints, not symbol objects), and frontier entries whose state provably
-    cannot reach acceptance within the remaining length budget (a pure
-    lower-bound check) are never built at all.
+    Word-for-word identical to the historical dict walk (kept as the
+    reference ``enumerate_words_dictwalk`` in ``tests/test_kernels.py``) —
+    same words, same order, same cap semantics — but the per-expansion
+    ``repr``-keyed sort becomes a table lookup, the visit-count dict copies
+    become byte lanes of one int, partial words are int tuples (the
+    duplicate check hashes small ints, not symbol objects), and frontier
+    entries whose state provably cannot reach acceptance within the
+    remaining length budget (a pure lower-bound check) are never built at
+    all.
     """
     tables = getattr(nfa, "_enum_tables", None)
     if tables is None:

@@ -167,64 +167,16 @@ class NFA:
         bound, see docs/ARCHITECTURE.md, stage 5 "Chase"); *max_length* and
         *max_words* are additional hard caps.
 
-        The search runs on the kernel fast path
-        (:func:`repro.core.kernels.enumerate_nfa_words`: adjacency sorted
-        once per automaton, ``bytes`` visit counters) whenever the repeat
-        bound fits a byte; word set and order are identical to
-        :meth:`_enumerate_words_dictwalk`, the historical implementation
-        kept as the benchmark and property-test reference.
+        The search runs on the kernel
+        (:func:`repro.core.kernels.enumerate_nfa_words`), which keeps one
+        byte per state for the visit counts: a *max_state_repeats* outside
+        0..255 raises ``ValueError``.
         """
-        if 0 <= max_state_repeats <= 255:
-            from ..core.kernels import enumerate_nfa_words  # deferred: core builds on this module
+        if not 0 <= max_state_repeats <= 255:
+            raise ValueError(f"max_state_repeats must lie in 0..255, got {max_state_repeats}")
+        from ..core.kernels import enumerate_nfa_words  # deferred: core builds on this module
 
-            return enumerate_nfa_words(self, max_length, max_state_repeats, max_words)
-        return self._enumerate_words_dictwalk(max_length, max_state_repeats, max_words)
-
-    def _enumerate_words_dictwalk(
-        self,
-        max_length: int = 12,
-        max_state_repeats: int = 2,
-        max_words: int = 10_000,
-    ) -> Iterator[Tuple[Symbol, ...]]:
-        """The historical dict-walk enumeration, kept verbatim.
-
-        :meth:`enumerate_words` must stay word-for-word identical to this
-        (it also serves repeat bounds beyond the kernel's byte counters).
-        """
-        emitted = 0
-        seen_words: Set[Tuple[Symbol, ...]] = set()
-        # breadth-first search over (state, word, visit-counts)
-        start: List[Tuple[int, Tuple[Symbol, ...], Tuple[Tuple[int, int], ...]]] = [
-            (state, (), ((state, 1),)) for state in sorted(self.initial)
-        ]
-        frontier = start
-        if self.accepts_epsilon() and () not in seen_words:
-            seen_words.add(())
-            emitted += 1
-            yield ()
-        length = 0
-        while frontier and length < max_length and emitted < max_words:
-            length += 1
-            next_frontier: List[Tuple[int, Tuple[Symbol, ...], Tuple[Tuple[int, int], ...]]] = []
-            for state, word, counts in frontier:
-                count_map = dict(counts)
-                for symbol, target in sorted(
-                    self.transitions_from(state), key=lambda pair: (repr(pair[0]), pair[1])
-                ):
-                    visits = count_map.get(target, 0) + 1
-                    if visits > max_state_repeats:
-                        continue
-                    new_word = word + (symbol,)
-                    new_counts = dict(count_map)
-                    new_counts[target] = visits
-                    if target in self.final and new_word not in seen_words:
-                        seen_words.add(new_word)
-                        emitted += 1
-                        yield new_word
-                        if emitted >= max_words:
-                            return
-                    next_frontier.append((target, new_word, tuple(sorted(new_counts.items()))))
-            frontier = next_frontier
+        return enumerate_nfa_words(self, max_length, max_state_repeats, max_words)
 
     def shortest_word(self) -> Tuple[Symbol, ...]:
         """Return one shortest accepted word (raises ``ValueError`` if none)."""

@@ -8,11 +8,17 @@ Two layers of coverage:
   the zoo's ATM fragments;
 * kernel ↔ dict-walk equivalence: hypothesis-driven random regexes and the
   seeded zoo corpus generator, asserting that the NFA's kernel-backed
-  ``enumerate_words`` yields word-for-word the same sequence as the
-  historical dict-walk reference kept verbatim on the NFA.
+  ``enumerate_words`` yields word-for-word the same sequence as
+  :func:`enumerate_words_dictwalk`, the historical implementation kept
+  verbatim here (``benchmarks/bench_automaton_compile.py`` times the kernel
+  against it), and that repeat bounds the kernel's byte counters cannot
+  hold are rejected.
 """
 
 import random
+from typing import Iterator, List, Set, Tuple
+
+import pytest
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.kernels import bitset_closure
 from repro.rpq.automaton import build_nfa
 from repro.rpq.parser import parse_regex
+from repro.rpq.regex import Symbol
 from repro.workloads.zoo import random_regex
 
 MAX_LENGTH = 6
@@ -108,6 +115,53 @@ def test_bitset_closure_equals_bfs_on_an_atm_thompson_nfa():
 # --------------------------------------------------------------------------- #
 # kernel ↔ dict-walk equivalence (hypothesis + zoo corpus)
 # --------------------------------------------------------------------------- #
+def enumerate_words_dictwalk(
+    nfa,
+    max_length: int = 12,
+    max_state_repeats: int = 2,
+    max_words: int = 10_000,
+) -> Iterator[Tuple[Symbol, ...]]:
+    """The historical dict-walk enumeration, kept verbatim.
+
+    :meth:`repro.rpq.automaton.NFA.enumerate_words` must stay word-for-word
+    identical to this.
+    """
+    emitted = 0
+    seen_words: Set[Tuple[Symbol, ...]] = set()
+    # breadth-first search over (state, word, visit-counts)
+    start: List[Tuple[int, Tuple[Symbol, ...], Tuple[Tuple[int, int], ...]]] = [
+        (state, (), ((state, 1),)) for state in sorted(nfa.initial)
+    ]
+    frontier = start
+    if nfa.accepts_epsilon() and () not in seen_words:
+        seen_words.add(())
+        emitted += 1
+        yield ()
+    length = 0
+    while frontier and length < max_length and emitted < max_words:
+        length += 1
+        next_frontier: List[Tuple[int, Tuple[Symbol, ...], Tuple[Tuple[int, int], ...]]] = []
+        for state, word, counts in frontier:
+            count_map = dict(counts)
+            for symbol, target in sorted(
+                nfa.transitions_from(state), key=lambda pair: (repr(pair[0]), pair[1])
+            ):
+                visits = count_map.get(target, 0) + 1
+                if visits > max_state_repeats:
+                    continue
+                new_word = word + (symbol,)
+                new_counts = dict(count_map)
+                new_counts[target] = visits
+                if target in nfa.final and new_word not in seen_words:
+                    seen_words.add(new_word)
+                    emitted += 1
+                    yield new_word
+                    if emitted >= max_words:
+                        return
+                next_frontier.append((target, new_word, tuple(sorted(new_counts.items()))))
+        frontier = next_frontier
+
+
 def assert_kernels_match_dictwalk(regex) -> None:
     """The NFA enumeration kernel equals its dict-walk reference for *regex*."""
     nfa = build_nfa(regex)
@@ -117,7 +171,7 @@ def assert_kernels_match_dictwalk(regex) -> None:
         )
     )
     reference_words = tuple(
-        nfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
+        enumerate_words_dictwalk(nfa, MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
     )
     assert kernel_words == reference_words
 
@@ -146,3 +200,22 @@ def test_nfa_kernel_equals_dictwalk_over_fixed_corpus():
         "(a . (b + c))* . d?",
     ):
         assert_kernels_match_dictwalk(parse_regex(spec))
+
+
+def test_nfa_kernel_equals_dictwalk_when_visit_counts_reach_255():
+    # words long enough for a cycle state to fill its byte lane: each
+    # automaton accepts exactly 256 words under the bound
+    for spec in ("a*", "(a . b)*", "A . (a . b-)*"):
+        nfa = build_nfa(parse_regex(spec))
+        kernel_words = tuple(
+            nfa.enumerate_words(max_length=600, max_state_repeats=255, max_words=1000)
+        )
+        assert kernel_words == tuple(enumerate_words_dictwalk(nfa, 600, 255, 1000))
+        assert len(kernel_words) == 256
+
+
+@pytest.mark.parametrize("max_state_repeats", [256, -1])
+def test_enumerate_words_rejects_repeat_bounds_outside_a_byte(max_state_repeats):
+    nfa = build_nfa(parse_regex("a*"))
+    with pytest.raises(ValueError, match="max_state_repeats"):
+        nfa.enumerate_words(max_length=3, max_state_repeats=max_state_repeats)

@@ -140,12 +140,6 @@ class TestSatisfiability:
         unsat_result = is_satisfiable(unsat, medical_tbox)
         assert not unsat_result.satisfiable and unsat_result.conclusive
 
-    def test_config_relaxation(self):
-        config = SatisfiabilityConfig(max_word_length=4)
-        relaxed = config.relaxed(2)
-        assert relaxed.max_word_length == 8
-        assert relaxed.max_state_repeats == config.max_state_repeats + 1
-
     def test_solver_counts_patterns(self, medical_tbox):
         solver = SatisfiabilitySolver(medical_tbox)
         result = solver.is_satisfiable(parse_c2rpq("q() := (crossReacting*)(x, y)").boolean())

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker (the ``make docs-check`` target).
 
-Four validations over the repo's markdown:
+Five validations over the repo's markdown:
 
 1. every fenced ``python`` code block in README.md and docs/*.md executes
    (blocks within one file share a namespace, so later blocks may reuse
@@ -15,13 +15,18 @@ Four validations over the repo's markdown:
    single-underscore attribute (``engine._results``) or an
    underscore-prefixed import (``from repro.x import _helper``) in an
    example teaches readers to depend on internals the ``__all__`` contract
-   deliberately excludes.  Dunders (``__version__``) are exempt.
+   deliberately excludes.  Dunders (``__version__``) are exempt;
+5. every backticked dotted ``repro.…`` name (``repro.core.compile_regex``,
+   optionally called: ``repro.engine.default_engine()``) imports as a module
+   or resolves as an attribute of one, so a doc naming a deleted or renamed
+   object fails.
 
 Exits non-zero, listing every failure, when any check fails.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 import traceback
@@ -34,6 +39,7 @@ SRC = ROOT / "src"
 PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_SPAN = re.compile(r"`((?:src|tests|benchmarks|examples|docs|tools)/[^`\s]*)`")
+DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 
 
 def markdown_files() -> List[Path]:
@@ -107,6 +113,31 @@ def check_links(path: Path, failures: List[str]) -> int:
     return checked
 
 
+def resolves(dotted: str) -> bool:
+    """``True`` when *dotted* is a module or an attribute path below one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_dotted_names(path: Path, failures: List[str]) -> int:
+    """Verify that every backticked ``repro.…`` name still exists."""
+    names = DOTTED_NAME.findall(path.read_text(encoding="utf-8"))
+    for name in names:
+        if not resolves(name):
+            failures.append(f"{path.relative_to(ROOT)}: unresolved name `{name}`")
+    return len(names)
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     failures: List[str] = []
@@ -114,6 +145,7 @@ def main() -> int:
     for path in markdown_files():
         blocks += run_python_blocks(path, failures)
         links += check_links(path, failures)
+        links += check_dotted_names(path, failures)
         check_public_names(path, failures)
     if failures:
         print(f"docs-check: {len(failures)} failure(s)", file=sys.stderr)
