@@ -3,10 +3,11 @@
 Re-exports:
 
 * :class:`TBoxIndex` — statements indexed by kind and role, with the label
-  closure operation every chase phase consults and ``∀``/``⊥`` overlays
-  for the entailment reductions;
+  closure operation every chase phase consults;
 * :class:`TreeChecker` / :class:`TreeOutcome` — coinductive
-  tree-extendability of deferred existential requirements (Appendix E);
+  tree-extendability of deferred existential requirements (Appendix E),
+  the fresh children a node creates for them, and the labels those
+  children end with;
 * :class:`ChaseEngine` / :class:`ChaseResult` — the four-phase chase over
   finite witness patterns;
 * :class:`SatisfiabilitySolver` / :func:`is_satisfiable` with

@@ -255,18 +255,15 @@ class ChaseEngine:
         grew = False
         for node in list(graph.nodes()):
             labels = graph.labels(node)
-            pending: Dict = {}
-            for statement in index.required_successors(labels):
-                role, head = statement.role, statement.head
-                if any(
-                    head <= graph.labels(successor)
-                    for successor in graph.successors(node, role)
-                ):
-                    continue
-                pending.setdefault(role, []).append(head)
-            for role, heads in sorted(pending.items(), key=lambda item: str(item[0])):
-                seeds = [index.child_seed(labels, role, head) for head in heads]
-                seeds = self.tree._merge_functional_seeds(labels, role, seeds)
+            unwitnessed = [
+                statement
+                for statement in index.required_successors(labels)
+                if not any(
+                    statement.head <= graph.labels(successor)
+                    for successor in graph.successors(node, statement.role)
+                )
+            ]
+            for role, seeds in self.tree.fresh_children(labels, unwitnessed):
                 for seed in seeds:
                     outcome = self.tree.check(seed, role.inverse(), labels)
                     if not outcome.ok:

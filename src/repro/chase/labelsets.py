@@ -9,8 +9,7 @@ tree-extendability check share.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dl.concepts import (
     AtMostOneCI,
@@ -69,34 +68,6 @@ class TBoxIndex:
                 by_role.setdefault(statement.role, []).append(statement)
         self._closure_cache: Dict[ConceptNames, ConceptNames] = {}
         self._forall_cache: Dict[Tuple[ConceptNames, SignedLabel], ConceptNames] = {}
-
-    def overlay(self, statements: Iterable[Union[ForAllCI, SubclassOfBottom]]) -> "TBoxIndex":
-        """The index of this TBox plus some ``∀`` and ``⊥`` statements.
-
-        The result shares every bucket the extra statements leave alone,
-        including the closure cache: :meth:`close` reads only the ``K ⊑ A``
-        statements, which an overlay cannot add.  It gets a fresh
-        :meth:`forall_targets` memo, since its ``∀`` statements differ and
-        the two memos must never answer for each other.  Any other
-        statement kind raises :class:`ValueError`.  The entailment
-        reductions (Corollary E.7) use overlays to ask many queries of one
-        indexed TBox without copying and re-indexing it per query.
-        """
-        result = copy.copy(self)
-        result.forall = list(self.forall)
-        result.bottoms = list(self.bottoms)
-        result.forall_by_role = dict(self.forall_by_role)
-        result._forall_cache = {}
-        for statement in statements:
-            if isinstance(statement, ForAllCI):
-                result.forall.append(statement)
-                bucket = result.forall_by_role.get(statement.role, [])
-                result.forall_by_role[statement.role] = [*bucket, statement]
-            elif isinstance(statement, SubclassOfBottom):
-                result.bottoms.append(statement)
-            else:
-                raise ValueError(f"an index overlay only adds ∀ and ⊥ statements, not {statement}")
-        return result
 
     # ------------------------------------------------------------------ #
     def close(self, labels: Iterable[str]) -> ConceptNames:

@@ -19,8 +19,10 @@ Re-exports, one per pipeline stage (see docs/ARCHITECTURE.md):
   :func:`schema_has_finmod_cycle` / :func:`simplify_s_driven` — stage 4,
   cycle reversal and the S-driven simplification (Theorem 5.4, Lemma D.5);
 * :func:`entails_exists` / :func:`entails_at_most` /
-  :func:`label_set_satisfiable` / :func:`triple_satisfiable` — the
-  Corollary E.7 entailment reductions the completion builds on;
+  :func:`label_set_satisfiable` / :func:`triple_satisfiable` — CI
+  entailment (Corollary E.7) by chasing unmarked tiny patterns, which the
+  completion asks through one :class:`~repro.containment.entailment.EntailmentChecker`
+  per round;
 * :func:`find_counterexample` / :class:`Counterexample` /
   :func:`enumerate_conforming_graphs` — finite counterexample search for
   non-containment diagnostics.

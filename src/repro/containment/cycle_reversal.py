@@ -23,24 +23,25 @@ schema labels extended with the heads of ∀-statements (the query concepts the
 rolling-up propagates), of caller-provided seeds (the label sets appearing in
 chased witness patterns), and of the child seeds generated from those — a
 lazily grown, capped candidate family.  Entailment of the defining conditions
-is checked exactly with the Corollary E.7 reductions.  Lemma D.6's S-driven
-invariant is preserved: whenever a reversed cycle projects to unique schema
-labels, the corresponding single-label statements are added as well, and the
-S-driven simplification of Lemma D.5 keeps the number of at-most constraints
-polynomial.
+is checked exactly (:mod:`repro.containment.entailment`), on one chase engine
+per round that chases each candidate body once for all its ``∃`` queries.
+Lemma D.6's S-driven invariant is preserved: whenever a reversed cycle
+projects to unique schema labels, the corresponding single-label statements
+are added as well, and the S-driven simplification of Lemma D.5 keeps the
+number of at-most constraints polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..chase.labelsets import TBoxIndex
 from ..dl.concepts import AtMostOneCI, ConceptNames, ExistsCI
 from ..dl.tbox import TBox
 from ..graph.labels import SignedLabel
 from ..schema.schema import Schema
-from .entailment import entails_at_most, entails_exists
+from .entailment import EntailmentChecker
 
 __all__ = ["CompletionResult", "CompletionConfig", "complete", "schema_has_finmod_cycle", "simplify_s_driven"]
 
@@ -58,8 +59,10 @@ class CompletionConfig:
 class CompletionResult:
     """The completion ``T*`` together with bookkeeping for benchmarks.
 
-    ``entailment_checks`` counts the Corollary E.7 chase queries actually
-    run; answers carried over from an earlier round are not counted.
+    ``entailment_checks`` counts the entailment chases actually run: one
+    per (round, candidate body) whose ``∃`` queries needed a chase, plus one
+    per ``≤1`` query asked.  Answers carried over from an earlier round are
+    not counted.
     """
 
     tbox: TBox
@@ -181,23 +184,22 @@ def complete(
     extra_seeds = list(extra_seeds)
 
     # Entailment is monotone in the TBox and ``work`` only grows inside the
-    # loop, so a query answered positively stays answered; only negative
-    # answers are asked again on a later round's index.
-    entailed: Set[Tuple[object, ConceptNames, SignedLabel, ConceptNames]] = set()
+    # loop, so a statement found entailed stays entailed; only statements
+    # found not entailed are asked again of a later round's TBox.
+    entailed: Set[Union[ExistsCI, AtMostOneCI]] = set()
 
-    def entails(query, index: TBoxIndex, body, role, head) -> bool:
-        key = (query, body, role, head)
-        if key in entailed:
+    def entails(statement: Union[ExistsCI, AtMostOneCI], query: Callable[..., bool]) -> bool:
+        if statement in entailed:
             return True
-        result.entailment_checks += 1
-        if query(index, body, role, head):
-            entailed.add(key)
+        if query(statement.body, statement.role, statement.head):
+            entailed.add(statement)
             return True
         return False
 
     for round_index in range(config.max_rounds):
         result.rounds = round_index + 1
         index = TBoxIndex(work)
+        checker = EntailmentChecker(index)
         candidates = _candidate_label_sets(index, schema, extra_seeds, config)
         result.candidate_count = len(candidates)
         roles = sorted(
@@ -212,12 +214,13 @@ def complete(
                 if not any(statement.body <= body for statement in index.exists_by_role.get(role, ())):
                     continue
                 for head in candidates:
-                    if not entails(entails_exists, index, body, role, head):
+                    if not entails(ExistsCI(body, role, head), checker.entails_exists):
                         continue
-                    if not entails(entails_at_most, index, head, role.inverse(), body):
+                    if not entails(AtMostOneCI(head, role.inverse(), body), checker.entails_at_most):
                         continue
                     edges.setdefault((body, role), []).append(head)
                     edge_list.append((body, role, head))
+        result.entailment_checks += checker.chases
 
         added_this_round = 0
         for body, role, head in edge_list:

@@ -1,41 +1,45 @@
 """Unrestricted entailment of concept inclusions modulo Horn-ALCIF TBoxes.
 
 Corollary E.7 of the paper reduces entailment of the two kinds of concept
-inclusions needed by the cycle-reversing procedure to (un)satisfiability of
-tiny C2RPQs modulo a slightly extended TBox.  Because those queries are
-star-free, their witness patterns are unique and the chase decides the
-resulting satisfiability questions exactly; entailment checking is therefore
-exact in this implementation.
+inclusions needed by the cycle-reversing procedure to unsatisfiability of
+tiny patterns modulo the TBox extended by fresh marker names.  Horn-ALCIF has
+universal models, so the chase of the unmarked pattern already shows what
+the markers would detect, and both queries run on the TBox itself:
 
+* ``T ⊨ K ⊑ ∃R.K'`` holds iff chasing a lone ``K``-node is inconsistent, or
+  some ``R``-child of that node ends with labels ``⊇ K'``.  The children are
+  the node's fresh children (:meth:`repro.chase.TreeChecker.fresh_children`)
+  and their labels are the ones their tree check reaches, so one chase
+  answers the query for every ``R`` and every ``K'``;
+* ``T ⊨ K ⊑ ∃≤1R.K'`` holds iff chasing a ``K``-node with two
+  ``R``-successors satisfying ``K'`` is inconsistent or merges the two.
+
+The chase decides both patterns exactly, so entailment checking is exact.
 Every function takes a TBox or a prepared :class:`repro.chase.TBoxIndex` of
-one.  The two entailment reductions extend the TBox only by ``∀`` and ``⊥``
-statements, so they answer each query on an overlay of the index
-(:meth:`TBoxIndex.overlay`) instead of a copied and re-indexed TBox; the
-completion passes one index per round and asks all of its queries on it.
+one.  :class:`EntailmentChecker` asks many queries of one TBox on one chase
+engine and chases each ``∃`` body once; the completion builds one per round.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Dict, Iterable, List, Optional, Union
 
-from ..dl.concepts import ForAllCI, SubclassOfBottom, conj
+from ..dl.concepts import ConceptNames
 from ..dl.tbox import TBox
 from ..graph.graph import Graph
 from ..graph.labels import SignedLabel
 from ..chase.engine import ChaseEngine
 from ..chase.labelsets import TBoxIndex
 
-__all__ = ["entails_exists", "entails_at_most", "label_set_satisfiable", "triple_satisfiable"]
-
-_FRESH_B = "__entail_B"
-_FRESH_B_PRIME = "__entail_B2"
-_MARKERS_DISJOINT = SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME))
+__all__ = [
+    "EntailmentChecker",
+    "entails_exists",
+    "entails_at_most",
+    "label_set_satisfiable",
+    "triple_satisfiable",
+]
 
 TBoxLike = Union[TBox, TBoxIndex]
-
-
-def _index(tbox: TBoxLike) -> TBoxIndex:
-    return tbox if isinstance(tbox, TBoxIndex) else TBoxIndex(tbox)
 
 
 def label_set_satisfiable(tbox: TBoxLike, labels: Iterable[str]) -> bool:
@@ -43,6 +47,14 @@ def label_set_satisfiable(tbox: TBoxLike, labels: Iterable[str]) -> bool:
     label set includes *labels*."""
     engine = ChaseEngine(tbox)
     return engine.label_set_is_satisfiable(frozenset(labels))
+
+
+def _edge(pattern: Graph, source: str, role: SignedLabel, target: str) -> None:
+    """Add an edge making *target* a *role*-successor of *source*."""
+    if role.is_inverse:
+        pattern.add_edge(target, role.label, source)
+    else:
+        pattern.add_edge(source, role.label, target)
 
 
 def triple_satisfiable(
@@ -53,57 +65,78 @@ def triple_satisfiable(
     pattern = Graph()
     pattern.add_node("u", body)
     pattern.add_node("v", head)
-    if role.is_inverse:
-        pattern.add_edge("v", role.label, "u")
-    else:
-        pattern.add_edge("u", role.label, "v")
+    _edge(pattern, "u", role, "v")
     engine = ChaseEngine(tbox)
     return engine.check_pattern(pattern).consistent
+
+
+class EntailmentChecker:
+    """Answers ``∃`` and ``≤1`` entailment queries of one TBox on one chase
+    engine.
+
+    The chase of each lone ``∃`` body is memoised, so all ``∃`` queries
+    about one body cost one chase; ``chases`` counts the chases run.  The
+    queries may share the engine's tree memo because a tree outcome does not
+    depend on which contexts were checked before it (:mod:`repro.chase.tree`).
+    """
+
+    def __init__(self, tbox: TBoxLike) -> None:
+        self.engine = ChaseEngine(tbox)
+        self.chases = 0
+        self._children: Dict[ConceptNames, Optional[Dict[SignedLabel, List[ConceptNames]]]] = {}
+
+    def entails_exists(self, body: Iterable[str], role: SignedLabel, head: Iterable[str]) -> bool:
+        """``T ⊨ K ⊑ ∃R.K'``: the lone ``K``-node is unsatisfiable or has an
+        ``R``-child whose labels include ``K'``."""
+        body = frozenset(body)
+        if body not in self._children:
+            self._children[body] = self._chase_children(body)
+        children = self._children[body]
+        head = frozenset(head)
+        return children is None or any(head <= labels for labels in children.get(role, ()))
+
+    def _chase_children(self, body: ConceptNames) -> Optional[Dict[SignedLabel, List[ConceptNames]]]:
+        """The final labels of a lone *body*-node's fresh children, per role,
+        or ``None`` when no model has a *body*-node."""
+        self.chases += 1
+        pattern = Graph()
+        pattern.add_node("u", body)
+        chased = self.engine.check_pattern(pattern)
+        if not chased.consistent:
+            return None
+        labels = chased.pattern.labels("u")
+        tree = self.engine.tree
+        requirements = self.engine.index.required_successors(labels)
+        # the chase's last phase 4 checked these contexts: memo hits
+        return {
+            role: [tree.check(seed, role.inverse(), labels).labels for seed in seeds]
+            for role, seeds in tree.fresh_children(labels, requirements)
+        }
+
+    def entails_at_most(self, body: Iterable[str], role: SignedLabel, head: Iterable[str]) -> bool:
+        """``T ⊨ K ⊑ ∃≤1R.K'``: a ``K``-node with two ``R``-successors in
+        ``K'`` is unsatisfiable or the chase merges the two."""
+        self.chases += 1
+        pattern = Graph()
+        pattern.add_node("u", body)
+        for successor in ("v1", "v2"):
+            pattern.add_node(successor, head)
+            _edge(pattern, "u", role, successor)
+        chased = self.engine.check_pattern(pattern, {"a": "v1", "b": "v2"})
+        return not chased.consistent or chased.assignment["a"] == chased.assignment["b"]
 
 
 def entails_exists(
     tbox: TBoxLike, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
-    """``T ⊨ K ⊑ ∃R.K'`` via the Corollary E.7 reduction.
-
-    The entailment holds iff a single node satisfying ``K`` and additionally
-    marked with a fresh name ``B`` is unsatisfiable modulo
-    ``T ∪ {K' ⊑ ∀R⁻.B', B ⊓ B' ⊑ ⊥}``.
-    """
-    body = frozenset(body)
-    head = frozenset(head)
-    extended = _index(tbox).overlay(
-        (ForAllCI(head, role.inverse(), conj(_FRESH_B_PRIME)), _MARKERS_DISJOINT)
-    )
-    pattern = Graph()
-    pattern.add_node("u", body | {_FRESH_B})
-    engine = ChaseEngine(extended)
-    return not engine.check_pattern(pattern).consistent
+    """``T ⊨ K ⊑ ∃R.K'``, by one chase of a lone ``K``-node (see the module
+    docstring for why it agrees with the Corollary E.7 reduction)."""
+    return EntailmentChecker(tbox).entails_exists(body, role, head)
 
 
 def entails_at_most(
     tbox: TBoxLike, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
-    """``T ⊨ K ⊑ ∃≤1R.K'`` via the Corollary E.7 reduction.
-
-    The entailment holds iff the pattern consisting of a ``K``-node with two
-    distinct ``R``-successors, both satisfying ``K'`` and marked with fresh
-    names ``B`` and ``B'`` respectively, is unsatisfiable modulo
-    ``T ∪ {B ⊓ B' ⊑ ⊥}`` (the disjointness of the markers prevents the chase
-    from merging the two successors).
-    """
-    body = frozenset(body)
-    head = frozenset(head)
-    extended = _index(tbox).overlay((_MARKERS_DISJOINT,))
-    pattern = Graph()
-    pattern.add_node("u", body)
-    pattern.add_node("v1", head | {_FRESH_B})
-    pattern.add_node("v2", head | {_FRESH_B_PRIME})
-    if role.is_inverse:
-        pattern.add_edge("v1", role.label, "u")
-        pattern.add_edge("v2", role.label, "u")
-    else:
-        pattern.add_edge("u", role.label, "v1")
-        pattern.add_edge("u", role.label, "v2")
-    engine = ChaseEngine(extended)
-    return not engine.check_pattern(pattern).consistent
+    """``T ⊨ K ⊑ ∃≤1R.K'``, by chasing a ``K``-node with two ``R``-successors
+    in ``K'`` and checking whether they merge."""
+    return EntailmentChecker(tbox).entails_at_most(body, role, head)

@@ -108,70 +108,6 @@ class TestTBoxIndex:
                 grouped.setdefault(statement.role, []).append(statement)
             assert by_role == grouped
 
-    def test_overlay_matches_index_of_extended_tbox(self, medical_tbox):
-        extra = [
-            ForAllCI(conj("Vaccine"), forward("designTarget"), conj("Marker")),
-            SubclassOfBottom(conj("Marker", "Other")),
-        ]
-        base = TBoxIndex(medical_tbox)
-        overlay = base.overlay(extra)
-        extended_tbox = medical_tbox.copy()
-        extended_tbox.extend(extra)
-        extended = TBoxIndex(extended_tbox)
-        assert overlay.forall == extended.forall
-        assert overlay.bottoms == extended.bottoms
-        assert overlay.forall_by_role == extended.forall_by_role
-        assert overlay.statistics() == extended.statistics()
-        # the base index is left as it was
-        assert base.statistics() == TBoxIndex(medical_tbox).statistics()
-        assert extra[0] not in base.forall_by_role.get(forward("designTarget"), [])
-
-    def test_overlay_shares_the_closure_cache(self):
-        base = TBoxIndex(TBox([SubclassOf(conj("A"), "B")]))
-        overlay = base.overlay([SubclassOfBottom(conj("A", "C"))])
-        assert overlay.close({"A"}) == {"A", "B"}
-        assert frozenset({"A"}) in base._closure_cache
-
-    def test_overlay_answers_forall_targets_from_its_own_memo(self):
-        base = TBoxIndex(TBox([ForAllCI(conj("A"), forward("r"), conj("C"))]))
-        labels = frozenset({"A", "K"})
-        # warm the base memo before the overlay exists
-        assert base.forall_targets(labels, forward("r")) == {"C"}
-        overlay = base.overlay([ForAllCI(conj("K"), forward("r"), conj("B"))])
-        assert overlay.forall_targets(labels, forward("r")) == {"B", "C"}
-        assert base.forall_targets(labels, forward("r")) == {"C"}
-
-    def test_base_forall_memo_ignores_an_overlay_queried_first(self):
-        base = TBoxIndex(TBox([ForAllCI(conj("A"), forward("r"), conj("C"))]))
-        labels = frozenset({"A", "K"})
-        overlay = base.overlay([ForAllCI(conj("K"), forward("r"), conj("B"))])
-        assert overlay.forall_targets(labels, forward("r")) == {"B", "C"}
-        assert base.forall_targets(labels, forward("r")) == {"C"}
-        assert overlay.forall_targets(labels, forward("r")) == {"B", "C"}
-
-    def test_forall_overlay_still_shares_the_closure_cache(self):
-        base = TBoxIndex(
-            TBox([SubclassOf(conj("A"), "B"), ForAllCI(conj("A"), forward("r"), conj("C"))])
-        )
-        overlay = base.overlay([ForAllCI(conj("B"), forward("r"), conj("D"))])
-        assert overlay._closure_cache is base._closure_cache
-        assert overlay._forall_cache is not base._forall_cache
-        assert overlay.close({"A"}) == {"A", "B"}
-        assert frozenset({"A"}) in base._closure_cache
-
-    @pytest.mark.parametrize(
-        "statement",
-        [
-            SubclassOf(conj("A"), "B"),
-            ExistsCI(conj("A"), forward("r"), conj("B")),
-            NoExistsCI(conj("A"), forward("r"), conj("B")),
-            AtMostOneCI(conj("A"), forward("r"), conj("B")),
-        ],
-    )
-    def test_overlay_rejects_other_statement_kinds(self, statement):
-        with pytest.raises(ValueError):
-            TBoxIndex(TBox()).overlay([statement])
-
 
 class TestTreeChecker:
     def test_simple_existential_chain_is_extendable(self):
@@ -248,6 +184,40 @@ class TestTreeChecker:
             conj("A"), forward("r"), [conj("B"), conj("B", "D")]
         ) == [frozenset({"B", "C", "D"})]
 
+    def test_fresh_children_merge_per_role_in_role_order(self):
+        tbox = TBox(
+            [
+                ForAllCI(conj("A"), forward("s"), conj("D")),
+                AtMostOneCI(conj("A"), forward("r"), conj()),
+            ]
+        )
+        checker = TreeChecker(TBoxIndex(tbox))
+        requirements = [
+            ExistsCI(conj("A"), forward("s"), conj("C")),
+            ExistsCI(conj("A"), forward("r"), conj("B")),
+            ExistsCI(conj("A"), forward("r"), conj("C")),
+        ]
+        assert list(checker.fresh_children(conj("A"), requirements)) == [
+            (forward("r"), [frozenset({"B", "C"})]),
+            (forward("s"), [frozenset({"C", "D"})]),
+        ]
+        assert list(checker.fresh_children(conj("A"), [])) == []
+
+    def test_outcome_reports_the_final_labels(self):
+        # the C-child is blocked from a fresh B-neighbour and pushes B back
+        tbox = TBox(
+            [
+                ExistsCI(conj("A"), forward("r"), conj("C")),
+                ExistsCI(conj("C"), inverse("r"), conj("B")),
+                AtMostOneCI(conj("C"), inverse("r"), conj()),
+            ]
+        )
+        checker = TreeChecker(TBoxIndex(tbox))
+        assert checker.check(conj("A")).labels == {"A", "B"}
+        child = checker.check(conj("C"), parent_role=inverse("r"), parent_labels=conj("A"))
+        assert child.labels == {"C"} and child.parent_needs == {"B"}
+        assert not TreeChecker(TBoxIndex(TBox([SubclassOfBottom(conj("A"))]))).check(conj("A")).labels
+
     def test_cache_grows(self):
         tbox = TBox([ExistsCI(conj("A"), forward("r"), conj("A"))])
         checker = TreeChecker(TBoxIndex(tbox))
@@ -271,7 +241,6 @@ class TestChaseEngine:
         assert first.tree is not second.tree
         pattern = GraphBuilder().node("x", "A", "B").build()
         assert not first.check_pattern(pattern).consistent
-        assert not ChaseEngine(index.overlay([])).check_pattern(pattern).consistent
 
     def test_saturation_propagates_labels(self):
         tbox = TBox(
@@ -471,6 +440,16 @@ def random_horn_tbox(rng):
     return TBox(statements)
 
 
+def random_requirement_tbox(rng):
+    """:func:`random_horn_tbox` plus ∃ and at-most statements."""
+    statements = list(random_horn_tbox(rng))
+    for _ in range(rng.randint(1, 4)):
+        statements.append(ExistsCI(_random_conj(rng), rng.choice(ROLES), _random_conj(rng)))
+    for _ in range(rng.randint(0, 3)):
+        statements.append(AtMostOneCI(_random_conj(rng), rng.choice(ROLES), _random_conj(rng, 0, 1)))
+    return TBox(statements)
+
+
 def random_pattern(rng):
     graph = Graph()
     nodes = [f"n{i}" for i in range(rng.randint(1, 8))]
@@ -502,3 +481,26 @@ def test_worklist_saturation_matches_the_full_sweep():
             assert worklist.labels(node) == sweep.labels(node)
         outcomes["saturated" if verdict is None else "no-exists"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_tree_outcomes_do_not_depend_on_the_order_of_checks():
+    # an outcome computed under a coinductive assumption must not be
+    # memoised before the assumption is confirmed: a checker that answered
+    # other contexts first gives the same outcome as a fresh one
+    rng = random.Random(22)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        index = TBoxIndex(random_requirement_tbox(rng))
+        contexts = [
+            (_random_conj(rng), rng.choice(ROLES), index.close(_random_conj(rng)))
+            for _ in range(10)
+        ]
+        contexts.append((_random_conj(rng), None, None))
+        shared = TreeChecker(index)
+        for labels, role, parent_labels in contexts:
+            outcome = shared.check(labels, role, parent_labels)
+            assert outcome == TreeChecker(index).check(labels, role, parent_labels), (
+                index.statistics(), sorted(labels), role, parent_labels
+            )
+            outcomes[outcome.ok] += 1
+    assert min(outcomes.values()) >= 200, outcomes

@@ -1,7 +1,9 @@
 """Tests for CI entailment (Corollary E.7) and cycle reversing (Section 5)."""
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,16 @@ from repro.containment import (
     triple_satisfiable,
 )
 from repro.containment import cycle_reversal
+from repro.containment import solver as containment_solver
 from repro.containment.cycle_reversal import CompletionConfig
-from repro.containment.solver import ContainmentSolver
+from repro.containment.entailment import EntailmentChecker
+from repro.engine import ContainmentEngine
 from repro.dl import (
     AtMostOneCI,
     ExistsCI,
     ForAllCI,
+    NoExistsCI,
+    SubclassOf,
     SubclassOfBottom,
     TBox,
     conj,
@@ -32,7 +38,7 @@ from repro.exceptions import SolverError
 from repro.graph import Graph, forward, inverse
 from repro.schema import Schema
 from repro.workloads import medical, synthetic
-from repro.workloads.zoo import ZOO_SEED, property_corpus
+from repro.workloads.zoo import ZOO_SEED, zoo_corpus
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,40 @@ class TestEntailment:
         )
         assert entails_exists(tbox, ["A", "B"], forward("s"), ["A", "B"])
         assert not entails_exists(tbox, ["A"], forward("s"), ["A", "B"])
+
+    def test_labels_forced_back_onto_the_body(self):
+        # the B-child's only r⁻-neighbour is its parent, so every A-node
+        # carries C, which needs an s-child and pushes E onto r-children
+        tbox = TBox(
+            [
+                ExistsCI(conj("A"), forward("r"), conj("B")),
+                ExistsCI(conj("B"), inverse("r"), conj("C")),
+                AtMostOneCI(conj("B"), inverse("r"), conj()),
+                ExistsCI(conj("C"), forward("s"), conj("D")),
+                ForAllCI(conj("C"), forward("r"), conj("E")),
+            ]
+        )
+        for head, role, entailed in (
+            (["D"], forward("s"), True),
+            (["B", "E"], forward("r"), True),
+            (["E"], forward("s"), False),
+        ):
+            assert entails_exists(tbox, ["A"], role, head) is entailed
+            assert _copy_entails_exists(tbox, ["A"], role, head) is entailed
+
+    def test_labels_forced_back_onto_a_repeated_context(self):
+        # every node's r-child needs a B⊓C r⁻-neighbour and may have only
+        # one, its parent; so every node carries C, the r-child too
+        tbox = TBox(
+            [
+                ExistsCI(conj(), forward("r"), conj("A", "D")),
+                ExistsCI(conj(), inverse("s"), conj()),
+                ExistsCI(conj(), inverse("r"), conj("B", "C")),
+                AtMostOneCI(conj("A"), inverse("r"), conj()),
+            ]
+        )
+        assert entails_exists(tbox, [], forward("r"), ["C"])
+        assert _copy_entails_exists(tbox, [], forward("r"), ["C"])
 
     def test_vacuous_entailment_for_unsatisfiable_body(self, medical_tbox):
         assert entails_exists(
@@ -226,7 +266,8 @@ class TestSDrivenSimplification:
 
 
 # --------------------------------------------------------------------------- #
-# completion's entailment queries on the per-round index overlay
+# the Corollary E.7 marker reductions on a copied TBox: the oracle for the
+# completion's entailment queries
 # --------------------------------------------------------------------------- #
 def _copy_entails_exists(tbox, body, role, head):
     """Corollary E.7 for ``K ⊑ ∃R.K'`` on a copied, re-indexed TBox."""
@@ -254,15 +295,21 @@ def _copy_entails_at_most(tbox, body, role, head):
     return not ChaseEngine(extended).check_pattern(pattern).consistent
 
 
-class _QueryRecorder:
-    """Records every entailment query ``complete()`` issues, per round.
+_COPY_REDUCTIONS = {"∃": _copy_entails_exists, "≤1": _copy_entails_at_most}
 
-    Each round builds one index; the recorder snapshots the TBox it was
-    built from, which is the TBox every query of that round is asked of.
+
+class _QueryRecorder:
+    """Records every entailment query ``complete()`` issues, per round, and
+    counts the chases run.
+
+    Each round builds one index and one :class:`EntailmentChecker` on it;
+    the recorder snapshots the TBox the index was built from, which is the
+    TBox every query of that round is asked of.
     """
 
     def __init__(self, monkeypatch):
         self.rounds = []  # [(index, TBox snapshot, [(kind, body, role, head, answer)])]
+        self.chases = 0
         recorder = self
 
         class SnapshotIndex(TBoxIndex):
@@ -270,33 +317,90 @@ class _QueryRecorder:
                 super().__init__(tbox)
                 recorder.rounds.append((self, tbox.copy(), []))
 
-        def recording(kind, query):
-            def wrapper(index, body, role, head):
-                answer = query(index, body, role, head)
-                round_index, _, queries = recorder.rounds[-1]
-                assert index is round_index
-                queries.append((kind, body, role, head, answer))
-                return answer
-            return wrapper
+        class RecordingChecker(EntailmentChecker):
+            def entails_exists(self, body, role, head):
+                return recorder.record(self, "∃", body, role, head, super().entails_exists(body, role, head))
+
+            def entails_at_most(self, body, role, head):
+                return recorder.record(self, "≤1", body, role, head, super().entails_at_most(body, role, head))
+
+        check_pattern = ChaseEngine.check_pattern
+
+        def counting(engine, *args, **kwargs):
+            recorder.chases += 1
+            return check_pattern(engine, *args, **kwargs)
 
         monkeypatch.setattr(cycle_reversal, "TBoxIndex", SnapshotIndex)
-        monkeypatch.setattr(cycle_reversal, "entails_exists", recording("∃", entails_exists))
-        monkeypatch.setattr(cycle_reversal, "entails_at_most", recording("≤1", entails_at_most))
+        monkeypatch.setattr(cycle_reversal, "EntailmentChecker", RecordingChecker)
+        monkeypatch.setattr(ChaseEngine, "check_pattern", counting)
+
+    def record(self, checker, kind, body, role, head, answer):
+        round_index, _, queries = self.rounds[-1]
+        assert checker.engine.index is round_index
+        queries.append((kind, body, role, head, answer))
+        return answer
 
     def queries(self):
         return [query for _, _, queries in self.rounds for query in queries]
 
 
-_COPY_REDUCTIONS = {"∃": _copy_entails_exists, "≤1": _copy_entails_at_most}
+@pytest.fixture(scope="module")
+def zoo_completions():
+    """One cold pass over the zoo corpus: the TBox of every ``complete()``
+    call in call order, and the recorder holding every query they asked."""
+    completed = []
+
+    def recording(*args, **kwargs):
+        result = complete(*args, **kwargs)
+        completed.append(result.tbox)
+        return result
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorder = _QueryRecorder(monkeypatch)
+        monkeypatch.setattr(containment_solver, "complete", recording)
+        engine = ContainmentEngine()
+        try:
+            for pairs in zoo_corpus(ZOO_SEED).values():
+                for left, right, schema in pairs:
+                    engine.contains(left, right, schema)
+        finally:
+            engine.close()
+    return completed, recorder
+
+
+_ZOO_COMPLETIONS = Path(__file__).parent / "data" / "zoo_completed_tboxes.json"
+
+_HORN_CONCEPTS = ("A", "B", "C", "D", "E")
+_HORN_ROLES = (forward("r"), inverse("r"), forward("s"), inverse("s"))
+
+
+def _random_conj(rng, low, high):
+    return frozenset(rng.sample(_HORN_CONCEPTS, rng.randint(low, high)))
+
+
+def _random_horn_tbox(rng):
+    """A small Horn TBox with every statement kind, over two roles and their
+    inverses."""
+    kinds = (
+        (SubclassOf, 0, 5, lambda: (_random_conj(rng, 0, 2), rng.choice(_HORN_CONCEPTS))),
+        (ExistsCI, 1, 4, lambda: (_random_conj(rng, 0, 2), rng.choice(_HORN_ROLES), _random_conj(rng, 0, 2))),
+        (ForAllCI, 0, 4, lambda: (_random_conj(rng, 1, 2), rng.choice(_HORN_ROLES), _random_conj(rng, 1, 2))),
+        (NoExistsCI, 0, 2, lambda: (_random_conj(rng, 1, 2), rng.choice(_HORN_ROLES), _random_conj(rng, 1, 2))),
+        (AtMostOneCI, 0, 3, lambda: (_random_conj(rng, 0, 2), rng.choice(_HORN_ROLES), _random_conj(rng, 0, 1))),
+        (SubclassOfBottom, 0, 1, lambda: (_random_conj(rng, 2, 3),)),
+    )
+    return TBox(
+        [kind(*arguments()) for kind, low, high, arguments in kinds for _ in range(rng.randint(low, high))]
+    )
 
 
 class TestCompletionQueries:
-    def test_overlay_answers_match_the_copy_based_reduction(self, monkeypatch):
-        recorder = _QueryRecorder(monkeypatch)
-        for left, right, schema in property_corpus(ZOO_SEED, schemas=10, queries_per_schema=1):
-            ContainmentSolver(schema).contains(left, right)
+    def test_overlay_answers_match_the_copy_based_reduction(self, zoo_completions):
+        # every query the zoo corpus's completions ask, checked against the
+        # Corollary E.7 marker reductions on that round's TBox
+        _, recorder = zoo_completions
         answers = [answer for *_, answer in recorder.queries()]
-        assert answers.count(True) >= 10 and answers.count(False) >= 100
+        assert answers.count(True) >= 100 and answers.count(False) >= 1000
         assert {kind for kind, *_ in recorder.queries()} == {"∃", "≤1"}
         for _, tbox, queries in recorder.rounds:
             for kind, body, role, head, answer in queries:
@@ -304,13 +408,36 @@ class TestCompletionQueries:
                     kind, sorted(body), role, sorted(head)
                 )
 
+    def test_completed_tboxes_match_the_committed_fingerprints(self, zoo_completions):
+        # the fixture was written by the marker-reduction completion
+        completed, _ = zoo_completions
+        expected = json.loads(_ZOO_COMPLETIONS.read_text())
+        assert len(completed) == len(expected) == 126
+        assert [tbox.canonical_fingerprint() for tbox in completed] == expected
+
+    def test_random_horn_tboxes_match_the_copy_based_reduction(self):
+        # one checker per TBox asks every query, as complete() does per round
+        rng = random.Random(22)
+        answers = {(kind, answer): 0 for kind in _COPY_REDUCTIONS for answer in (True, False)}
+        for _ in range(1000):
+            tbox = _random_horn_tbox(rng)
+            checker = EntailmentChecker(tbox)
+            for _ in range(2):
+                body, role, head = _random_conj(rng, 0, 2), rng.choice(_HORN_ROLES), _random_conj(rng, 0, 2)
+                for kind, query in (("∃", checker.entails_exists), ("≤1", checker.entails_at_most)):
+                    answer = query(body, role, head)
+                    assert _COPY_REDUCTIONS[kind](tbox, body, role, head) == answer, (
+                        kind, tbox.describe(), sorted(body), role, sorted(head)
+                    )
+                    answers[kind, answer] += 1
+        assert min(answers.values()) >= 100, answers
+
     def test_positive_answers_are_not_asked_again(self, monkeypatch):
         recorder = _QueryRecorder(monkeypatch)
         schema = synthetic.cycle_schema(2)
         tbox = schema_to_extended_tbox(schema)
         result = complete(tbox, schema, config=CompletionConfig(max_candidates=12, max_rounds=3))
         assert result.rounds >= 2 and len(recorder.rounds) == result.rounds
-        assert result.entailment_checks == len(recorder.queries())
         rounds = [queries for _, _, queries in recorder.rounds]
         for earlier, later in zip(rounds, rounds[1:]):
             positives = {query[:4] for query in earlier if query[4]}
@@ -327,10 +454,16 @@ class TestCompletionQueries:
         recorder = _QueryRecorder(monkeypatch)
         schema = synthetic.cycle_schema(2)
         result = complete(schema_to_extended_tbox(schema), schema)
-        kinds = [kind for kind, *_ in recorder.queries()]
-        assert result.entailment_checks == len(kinds)
-        # an ≤1 query runs only after its ∃ query succeeded
-        assert kinds.count("≤1") < kinds.count("∃")
+        assert result.entailment_checks == recorder.chases
+        queries = recorder.queries()
+        # one chase per ≤1 query, and one per (round, body) for the ∃ queries
+        exists_bodies = sum(
+            len({body for kind, body, *_ in round_queries if kind == "∃"})
+            for _, _, round_queries in recorder.rounds
+        )
+        at_most = sum(1 for kind, *_ in queries if kind == "≤1")
+        assert recorder.chases == exists_bodies + at_most
+        assert exists_bodies < sum(1 for kind, *_ in queries if kind == "∃")
 
 
 class TestHornCheck:
