@@ -3,7 +3,8 @@
 Re-exports:
 
 * :class:`TBoxIndex` — statements indexed by kind and role, with the label
-  closure operation every chase phase consults;
+  closure operation every chase phase consults; built once per TBox
+  (:meth:`TBoxIndex.of`) and derived, not rebuilt, for a union;
 * :class:`TreeChecker` / :class:`TreeOutcome` — coinductive
   tree-extendability of deferred existential requirements (Appendix E),
   the fresh children a node creates for them, and the labels those

@@ -64,14 +64,15 @@ class ChaseResult:
 class ChaseEngine:
     """Chases finite patterns modulo a fixed Horn-ALCIF TBox.
 
-    *tbox* is a Horn TBox or a prepared :class:`TBoxIndex` of one (indexing
-    a TBox raises :class:`SolverError` when it is not Horn).  Each engine
-    has its own tree-extendability memo, so engines sharing one index never
-    share tree outcomes.
+    *tbox* is a Horn TBox, whose memoised index (:meth:`TBoxIndex.of`) the
+    engine uses, or a prepared :class:`TBoxIndex` of one (indexing a TBox
+    raises :class:`SolverError` when it is not Horn).  Each engine has its
+    own tree-extendability memo, so engines sharing one index never share
+    tree outcomes.
     """
 
     def __init__(self, tbox: Union[TBox, TBoxIndex], max_rounds: int = 100_000) -> None:
-        self.index = tbox if isinstance(tbox, TBoxIndex) else TBoxIndex(tbox)
+        self.index = tbox if isinstance(tbox, TBoxIndex) else TBoxIndex.of(tbox)
         self.tree = TreeChecker(self.index)
         self.max_rounds = max_rounds
 

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dl.concepts import (
     AtMostOneCI,
+    ConceptInclusion,
     ConceptNames,
     ExistsCI,
     ForAllCI,
@@ -35,6 +36,11 @@ class TBoxIndex:
     which dominates the running time on larger inputs, and the labels each
     ``∀`` role forces from a label set.  Building an index from a TBox is
     where the chase checks that the TBox is Horn.
+
+    ``TBoxIndex(tbox)`` always builds from scratch; :meth:`of` builds once
+    per TBox and keeps the index on it until the TBox changes, and
+    :meth:`extended` derives the index of a union from the index of its
+    left operand.
     """
 
     def __init__(self, tbox: TBox) -> None:
@@ -49,6 +55,38 @@ class TBoxIndex:
         self.exists_by_role: Dict[SignedLabel, List[ExistsCI]] = {}
         self.no_exists_by_role: Dict[SignedLabel, List[NoExistsCI]] = {}
         self.at_most_by_role: Dict[SignedLabel, List[AtMostOneCI]] = {}
+        self._file(tbox)
+
+    @classmethod
+    def of(cls, tbox: TBox) -> "TBoxIndex":
+        """The index of *tbox*, built on first use and kept on the TBox.
+
+        Threads racing on a TBox's first use may each build an index; they
+        are equal, and the last one stays.
+        """
+        index = tbox._index  # noqa: SLF001 - the memo slot TBox keeps for this class
+        if index is None:
+            index = tbox._index = cls(tbox)  # noqa: SLF001
+        return index
+
+    def extended(self, added: Iterable[ConceptInclusion]) -> "TBoxIndex":
+        """The index of this TBox plus the new statements *added*.
+
+        Each bucket is a copy of this index's with the added statements
+        appended, so it lists the statements in the order an index built
+        from scratch over the union would.  The caches start empty, since
+        added ``K ⊑ A`` statements can change every closure.
+        """
+        result = TBoxIndex.__new__(TBoxIndex)
+        for name in ("subclass", "bottoms", "forall", "exists", "no_exists", "at_most"):
+            setattr(result, name, list(getattr(self, name)))
+        for name in ("forall_by_role", "exists_by_role", "no_exists_by_role", "at_most_by_role"):
+            setattr(result, name, {role: list(bucket) for role, bucket in getattr(self, name).items()})
+        result._file(added)
+        return result
+
+    def _file(self, statements: Iterable[ConceptInclusion]) -> None:
+        """Append *statements* to their buckets and start empty caches."""
         buckets = {
             SubclassOf: (self.subclass, None),
             SubclassOfBottom: (self.bottoms, None),
@@ -58,7 +96,7 @@ class TBoxIndex:
             AtMostOneCI: (self.at_most, self.at_most_by_role),
         }
         # one pass over the statements; a kind without a bucket is not Horn
-        for statement in tbox:
+        for statement in statements:
             found = buckets.get(type(statement))
             if found is None:
                 raise SolverError("the chase engine only accepts Horn TBoxes")

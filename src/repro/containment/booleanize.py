@@ -12,6 +12,10 @@ node labels ``X₁,…,X_n`` and fresh edge labels ``r₁,…,r_n``:
 
 Because the original regular expressions cannot traverse the fresh labels,
 ``P(x̄) ⊆_S Q(x̄)`` holds iff ``P° ⊆_{S°} Q°`` holds for the Boolean queries.
+
+``S°`` depends only on ``S`` and ``x̄``, so it is memoised on the schema
+(:meth:`repro.schema.Schema.derived`) and every call with the same free
+variables shares it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,17 @@ def _marker_labels(free_variables: Sequence[str]) -> Tuple[Tuple[str, ...], Tupl
     return nodes, edges
 
 
-def _extended_schema(schema: Schema, free_variables: Sequence[str]) -> Schema:
+def _extended_schema(schema: Schema, free_variables: Tuple[str, ...]) -> Schema:
+    """The schema ``S°``, built once per free-variable tuple and shared by
+    every call (with its fingerprint memo); keyed by the schema's name too,
+    which ``S°``'s name repeats."""
+    return schema.derived(
+        ("booleanize.S°", schema.name, free_variables),
+        lambda: _build_extended_schema(schema, free_variables),
+    )
+
+
+def _build_extended_schema(schema: Schema, free_variables: Sequence[str]) -> Schema:
     marker_nodes, marker_edges = _marker_labels(free_variables)
     clash = (set(marker_nodes) & schema.node_labels) | (set(marker_edges) & schema.edge_labels)
     if clash:

@@ -198,7 +198,7 @@ def complete(
 
     for round_index in range(config.max_rounds):
         result.rounds = round_index + 1
-        index = TBoxIndex(work)
+        index = TBoxIndex.of(work)
         checker = EntailmentChecker(index)
         candidates = _candidate_label_sets(index, schema, extra_seeds, config)
         result.candidate_count = len(candidates)
@@ -320,9 +320,5 @@ def simplify_s_driven(tbox: TBox, schema: Schema) -> TBox:
             for head_label in head_labels
         ):
             removable.append(statement)
-    if removable:
-        removable_set = set(removable)
-        keep = [s for s in tbox.statements() if s not in removable_set]
-        tbox._statements = list(keep)  # noqa: SLF001 - internal, documented simplification
-        tbox._seen = set(keep)
+    tbox.discard(removable)
     return tbox

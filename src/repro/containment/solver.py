@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from ..chase.engine import ChaseEngine
+from ..chase.labelsets import TBoxIndex
 from ..chase.solver import SatisfiabilityConfig, build_pattern
 from ..core import CompiledAutomaton, compile_regex
 from ..dl.schema_tbox import schema_to_extended_tbox
@@ -215,6 +216,9 @@ class ContainmentSolver:
         ``(schema, right query, config)`` fingerprint.
         """
         schema_tbox = self._schema_tbox(reduction.schema)
+        # bucket T̂_S once (a cached T̂_S keeps its index): each union below
+        # derives its index from this one instead of rebuilding it
+        TBoxIndex.of(schema_tbox)
         prepared: List[Tuple[CompletionResult, ChaseEngine]] = []
         for rolled in roll_up_choices(reduction.right, prefix=right_name):
             combined = schema_tbox.union(

@@ -21,7 +21,7 @@ is the workhorse of schema elicitation (Lemma B.5).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..exceptions import TBoxError
 from ..graph.labels import SignedLabel, signed_closure
@@ -38,21 +38,39 @@ __all__ = [
 ]
 
 
+def _l0_statements(schema: Schema) -> List[ConceptInclusion]:
+    """The statements of ``T_S``, triple by triple in sorted order.
+
+    Each triple yields its own (distinct) statements, and every label comes
+    from the schema, so δ is read directly and nothing is re-validated.
+    """
+    names = {label: conj(label) for label in schema.node_labels}
+    nodes = sorted(names)
+    roles = list(signed_closure(sorted(schema.edge_labels)))
+    delta = schema.delta.get
+    zero = Multiplicity.ZERO
+    at_least_one = (Multiplicity.ONE, Multiplicity.PLUS)
+    at_most_one = (Multiplicity.ONE, Multiplicity.OPTIONAL, Multiplicity.ZERO)
+    statements: List[ConceptInclusion] = []
+    append = statements.append
+    for source in nodes:
+        body = names[source]
+        for signed in roles:
+            for target in nodes:
+                multiplicity = delta((source, signed, target), zero)
+                head = names[target]
+                if multiplicity in at_least_one:
+                    append(ExistsCI(body, signed, head))
+                if multiplicity in at_most_one:
+                    append(AtMostOneCI(body, signed, head))
+                if multiplicity is zero:
+                    append(NoExistsCI(body, signed, head))
+    return statements
+
+
 def schema_to_l0(schema: Schema) -> TBox:
     """The L0 TBox ``T_S`` expressing the participation constraints of *S*."""
-    tbox = TBox(name=f"T_{schema.name}")
-    for source in sorted(schema.node_labels):
-        for signed in signed_closure(sorted(schema.edge_labels)):
-            for target in sorted(schema.node_labels):
-                multiplicity = schema.multiplicity(source, signed, target)
-                body, head = conj(source), conj(target)
-                if multiplicity in (Multiplicity.ONE, Multiplicity.PLUS):
-                    tbox.add(ExistsCI(body, signed, head))
-                if multiplicity in (Multiplicity.ONE, Multiplicity.OPTIONAL, Multiplicity.ZERO):
-                    tbox.add(AtMostOneCI(body, signed, head))
-                if multiplicity is Multiplicity.ZERO:
-                    tbox.add(NoExistsCI(body, signed, head))
-    return tbox
+    return TBox.from_distinct(_l0_statements(schema), name=f"T_{schema.name}")
 
 
 def disjointness_statements(node_labels: Iterable[str]) -> Tuple[SubclassOfBottom, ...]:
@@ -69,10 +87,9 @@ def label_coverage_statement(node_labels: Iterable[str]) -> DisjunctionCI:
 
 def schema_to_extended_tbox(schema: Schema) -> TBox:
     """The Horn TBox ``T̂_S = T_S ∪ {A ⊓ B ⊑ ⊥}`` of Theorem 5.6."""
-    tbox = schema_to_l0(schema)
-    tbox.name = f"T̂_{schema.name}"
-    tbox.extend(disjointness_statements(schema.node_labels))
-    return tbox
+    statements = _l0_statements(schema)
+    statements.extend(disjointness_statements(schema.node_labels))
+    return TBox.from_distinct(statements, name=f"T̂_{schema.name}")
 
 
 def schema_from_l0(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..exceptions import TBoxError
+from ..exceptions import SolverError, TBoxError
 from ..graph.graph import Graph
 from ..graph.labels import SignedLabel
 from .concepts import (
@@ -78,8 +78,27 @@ class TBox:
         self.name = name
         self._statements: List[ConceptInclusion] = []
         self._seen: Set[ConceptInclusion] = set()
+        # the repro.chase.TBoxIndex that TBoxIndex.of builds on first use:
+        # every mutation drops it, copy() shares it, pickling omits it
+        self._index = None
         for statement in statements:
             self.add(statement)
+
+    @classmethod
+    def from_distinct(cls, statements: Iterable[ConceptInclusion], name: str = "T") -> "TBox":
+        """A TBox of pairwise distinct statements, built in bulk.
+
+        Equal to ``TBox(statements, name)``, without one membership test per
+        statement; raises :class:`TBoxError` when two statements coincide.
+        """
+        result = cls(name=name)
+        result._statements = list(statements)
+        result._seen = set(result._statements)
+        if len(result._seen) != len(result._statements):
+            raise TBoxError("from_distinct() got a repeated statement")
+        if not all(isinstance(statement, ConceptInclusion) for statement in result._statements):
+            raise TBoxError("from_distinct() got something that is not a concept inclusion")
+        return result
 
     # ------------------------------------------------------------------ #
     # construction
@@ -92,28 +111,62 @@ class TBox:
             return False
         self._seen.add(statement)
         self._statements.append(statement)
+        self._index = None
         return True
 
     def extend(self, statements: Iterable[ConceptInclusion]) -> int:
         """Add several statements; returns the number of new ones."""
         return sum(1 for statement in statements if self.add(statement))
 
+    def discard(self, statements: Iterable[ConceptInclusion]) -> int:
+        """Remove the given statements; returns the number removed."""
+        gone = self._seen.intersection(statements)
+        if gone:
+            self._statements = [s for s in self._statements if s not in gone]
+            self._seen -= gone
+            self._index = None
+        return len(gone)
+
     def union(self, other: "TBox", name: Optional[str] = None) -> "TBox":
-        """Union of two TBoxes."""
+        """Union of two TBoxes: this TBox's statements, then the new ones of
+        *other*.
+
+        When this TBox's index is built, the union's is derived from it
+        (:meth:`repro.chase.TBoxIndex.extended`) rather than rebuilt.
+        """
         result = self.copy(name=name or f"{self.name}∪{other.name}")
-        result.extend(other._statements)
+        added = [statement for statement in other._statements if statement not in self._seen]
+        result._statements.extend(added)
+        result._seen.update(added)
+        if added and self._index is not None:
+            try:
+                result._index = self._index.extended(added)
+            except SolverError:
+                # not Horn: indexing the union raises when someone asks
+                result._index = None
         return result
 
     def copy(self, name: Optional[str] = None) -> "TBox":
         """A shallow copy (statements are immutable).
 
         The statements were checked when they were added here, so the copy
-        takes the list and the membership set as they are.
+        takes the list and the membership set as they are, and shares the
+        index until either side changes.
         """
         result = TBox(name=name or self.name)
         result._statements = list(self._statements)
         result._seen = set(self._seen)
+        result._index = self._index
         return result
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_index"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index = None
 
     # ------------------------------------------------------------------ #
     # inspection

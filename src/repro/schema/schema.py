@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union,
+)
 
 from ..exceptions import SchemaError
 from ..graph.labels import SignedLabel, forward, inverse, signed_closure
@@ -121,9 +124,12 @@ class Schema:
         if not all(isinstance(label, str) and label for label in self.edge_labels):
             raise SchemaError("edge labels must be non-empty strings")
         self._delta: Dict[ConstraintTriple, Multiplicity] = {}
-        # canonical_fingerprint() memo; set() is the only writer of _delta
-        # and clears it
+        # memos of values derived from δ (threads racing on one compute equal
+        # values); set() is the only writer of _delta and clears all three,
+        # and pickling omits the last two
         self._fingerprint: Optional[str] = None
+        self._derived: Dict[Hashable, Any] = {}
+        self._allowed_edges: Optional[FrozenSet[Tuple[str, str, str]]] = None
         for (source, signed, target), mult in (constraints or {}).items():
             self.set(source, signed, target, mult)
 
@@ -151,6 +157,8 @@ class Schema:
         self._check_triple(source, signed, target)
         self._delta[(source, signed, target)] = Multiplicity.parse(multiplicity)
         self._fingerprint = None
+        self._derived = {}
+        self._allowed_edges = None
 
     def set_edge(
         self,
@@ -180,6 +188,11 @@ class Schema:
         self._check_triple(source, signed, target)
         return self._delta.get((source, signed, target), Multiplicity.ZERO)
 
+    @property
+    def delta(self) -> Mapping[ConstraintTriple, Multiplicity]:
+        """The declared entries of δ_S, read-only; undeclared triples are ``0``."""
+        return MappingProxyType(self._delta)
+
     def declared_constraints(self) -> Iterator[Tuple[str, SignedLabel, str, Multiplicity]]:
         """Iterate over the explicitly declared constraints."""
         for (source, signed, target), mult in sorted(self._delta.items(), key=repr):
@@ -192,13 +205,27 @@ class Schema:
                 for target in sorted(self.node_labels):
                     yield source, signed, target, self.multiplicity(source, signed, target)
 
+    def _allowed_edge_table(self) -> FrozenSet[Tuple[str, str, str]]:
+        """The (A, r, B) with ``δ(A, r, B) ≠ 0`` and ``δ(B, r⁻, A) ≠ 0``.
+
+        Only declared entries can be non-zero, so one walk over them finds
+        every allowed edge.
+        """
+        if self._allowed_edges is None:
+            zero = Multiplicity.ZERO
+            self._allowed_edges = frozenset(
+                (source, signed.label, target)
+                for (source, signed, target), mult in self._delta.items()
+                if not signed.is_inverse
+                and mult is not zero
+                and self._delta.get((target, signed.inverse(), source), zero) is not zero
+            )
+        return self._allowed_edges
+
     def allowed_edge_triples(self) -> Iterator[Tuple[str, str, str]]:
-        """Iterate over (A, r, B) such that an r-edge from an A-node to a B-node is allowed."""
-        for source in sorted(self.node_labels):
-            for label in sorted(self.edge_labels):
-                for target in sorted(self.node_labels):
-                    if not self.multiplicity(source, forward(label), target).forbids:
-                        yield source, label, target
+        """Iterate, sorted, over the (A, r, B) such that an r-edge from an A-node
+        to a B-node is allowed (see :meth:`forbids_edge`)."""
+        return iter(sorted(self._allowed_edge_table()))
 
     def forbids_edge(self, source: str, label: str, target: str) -> bool:
         """``True`` when no r-edge from an A-node to a B-node is allowed.
@@ -206,9 +233,23 @@ class Schema:
         An edge is allowed only when *neither* direction of the participation
         table forbids it: ``δ(A, r, B) ≠ 0`` and ``δ(B, r⁻, A) ≠ 0``.
         """
-        if self.multiplicity(source, forward(label), target).forbids:
-            return True
-        return self.multiplicity(target, inverse(label), source).forbids
+        if (source, label, target) in self._allowed_edge_table():
+            return False
+        self._check_triple(source, forward(label), target)
+        return True
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per *key* and kept until the next :meth:`set`.
+
+        For values that depend only on the schema, such as the extended
+        schema ``S°`` of :func:`repro.containment.booleanize`; callers must
+        treat the value as read-only.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     # ------------------------------------------------------------------ #
     # misc
@@ -263,6 +304,16 @@ class Schema:
         for source, signed, target, mult in self.declared_constraints():
             result.set(source, signed, target, mult)
         return result
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_derived"], state["_allowed_edges"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
+        self._allowed_edges = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):

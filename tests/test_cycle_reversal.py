@@ -302,9 +302,10 @@ class _QueryRecorder:
     """Records every entailment query ``complete()`` issues, per round, and
     counts the chases run.
 
-    Each round builds one index and one :class:`EntailmentChecker` on it;
-    the recorder snapshots the TBox the index was built from, which is the
-    TBox every query of that round is asked of.
+    Each round obtains one index (``TBoxIndex.of``) and builds one
+    :class:`EntailmentChecker` on it; the recorder snapshots the TBox the
+    index was obtained for, which is the TBox every query of that round is
+    asked of.
     """
 
     def __init__(self, monkeypatch):
@@ -313,9 +314,11 @@ class _QueryRecorder:
         recorder = self
 
         class SnapshotIndex(TBoxIndex):
-            def __init__(self, tbox):
-                super().__init__(tbox)
-                recorder.rounds.append((self, tbox.copy(), []))
+            @classmethod
+            def of(cls, tbox):
+                index = TBoxIndex.of(tbox)
+                recorder.rounds.append((index, tbox.copy(), []))
+                return index
 
         class RecordingChecker(EntailmentChecker):
             def entails_exists(self, body, role, head):

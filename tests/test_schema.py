@@ -84,6 +84,17 @@ class TestSchema:
         assert ("Vaccine", "designTarget", "Antigen") in triples
         assert ("Vaccine", "exhibits", "Antigen") not in triples
 
+    def test_allowed_edge_triples_read_both_directions(self):
+        # δ(A,r,B) = + but δ(B,r⁻,A) = 0: no r-edge from A to B can exist
+        schema = Schema(["A", "B"], ["r"])
+        schema.set("A", "r", "B", "+")
+        schema.set("B", "r-", "A", "0")
+        assert schema.forbids_edge("A", "r", "B")
+        assert list(schema.allowed_edge_triples()) == []
+        schema.set("B", "r-", "A", "?")
+        assert not schema.forbids_edge("A", "r", "B")
+        assert list(schema.allowed_edge_triples()) == [("A", "r", "B")]
+
     def test_copy_and_equality(self, medical_source_schema):
         clone = medical_source_schema.copy()
         assert clone == medical_source_schema
