@@ -14,6 +14,12 @@ Re-exports:
 * :class:`SatisfiabilitySolver` / :func:`is_satisfiable` with
   :class:`SatisfiabilityConfig` / :class:`SatisfiabilityResult` — witness
   enumeration in pumped normal form (Theorem 6.1) and its resource bounds;
+  both run :func:`search_witnesses`, the one stage-5 search the containment
+  solver also calls.  A verdict is ``exact`` when every atom is acyclic and
+  no cap was reached, ``pumped`` when some atom has a productive cycle and
+  no cap was reached, and ``truncated`` when ``max_words_per_atom`` was
+  reached, a word reached ``max_word_length``, a non-empty language yielded
+  no word, or ``max_patterns`` was hit;
 * :func:`build_pattern` — materialise one witnessing word per atom as a
   labeled pattern graph.
 """
@@ -27,6 +33,7 @@ from .solver import (
     SatisfiabilitySolver,
     build_pattern,
     is_satisfiable,
+    search_witnesses,
 )
 
 __all__ = [
@@ -40,4 +47,5 @@ __all__ = [
     "SatisfiabilitySolver",
     "build_pattern",
     "is_satisfiable",
+    "search_witnesses",
 ]

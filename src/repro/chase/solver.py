@@ -1,27 +1,33 @@
 """Unrestricted satisfiability of Boolean (U)C2RPQs modulo Horn-ALCIF TBoxes.
 
-This is the implementation counterpart of Theorem 6.1 of the paper.  The
-solver enumerates *witness patterns* for the query — one concrete word per
-atom, drawn from the atom's automaton in pumped normal form — materialises
-each pattern as a small labeled graph and hands it to the chase engine
-(:mod:`repro.chase.engine`).  A consistent pattern proves satisfiability and
-is returned as a witness; if every enumerated pattern is inconsistent the
-query is reported unsatisfiable.
+This is the implementation counterpart of Theorem 6.1 of the paper.
+:func:`search_witnesses` enumerates *witness patterns* for the query — one
+concrete word per atom, drawn from the atom's automaton in pumped normal
+form — materialises each pattern as a small labeled graph and hands it to
+the chase engine (:mod:`repro.chase.engine`).  A consistent pattern proves
+satisfiability and is returned as a witness; if every enumerated pattern is
+inconsistent the query is reported unsatisfiable.  It is the one stage-5
+search: :class:`SatisfiabilitySolver` and the containment solver both call it.
 
 Completeness regimes
 --------------------
 The result records under which regime the verdict was obtained:
 
 ``exact``
-    every atom's language is finite and was enumerated completely — the
+    every atom's automaton is acyclic and neither ``max_words_per_atom`` nor
+    ``max_word_length`` was reached, so every word was enumerated — the
     verdict is unconditional;
 ``pumped``
+    some atom's automaton has a productive cycle and neither cap was reached:
     the enumeration covered all words whose automaton runs repeat no state
     more than ``max_state_repeats`` times (the pumping bound discussed in
-    docs/ARCHITECTURE.md, stage 5 "Chase") without hitting the hard caps;
+    docs/ARCHITECTURE.md, stage 5 "Chase");
 ``truncated``
-    a hard cap (word length, word count or pattern count) was reached, so an
-    UNSAT verdict only means "no witness within the explored bound".
+    ``max_words_per_atom`` was reached, or a word reached
+    ``max_word_length``, or a non-empty language yielded no word, or
+    ``max_patterns`` was hit, so an UNSAT verdict only means "no witness
+    within the explored bound".  A finite language whose longest word reaches
+    the length cap is truncated too: a longer word could have been cut off.
 
 All containment instances generated by the paper's own reductions in the test
 suite and benchmarks are decided in the ``exact`` or ``pumped`` regimes.
@@ -31,17 +37,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core import compile_regex
+from ..core import CompiledAutomaton, compile_regex
 from ..dl.tbox import TBox
 from ..exceptions import SolverError
 from ..graph.graph import Graph, NodeId
 from ..rpq.queries import Atom, C2RPQ, UC2RPQ
-from ..rpq.regex import EdgeStep, NodeTest, Symbol
+from ..rpq.regex import EdgeStep, NodeTest, Regex, Symbol
 from .engine import ChaseEngine
 
-__all__ = ["SatisfiabilityConfig", "SatisfiabilityResult", "SatisfiabilitySolver", "is_satisfiable"]
+__all__ = [
+    "SatisfiabilityConfig",
+    "SatisfiabilityResult",
+    "SatisfiabilitySolver",
+    "is_satisfiable",
+    "search_witnesses",
+]
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,6 @@ class SatisfiabilitySolver:
         self.config = config or SatisfiabilityConfig()
         self.engine = ChaseEngine(tbox)
 
-    # ------------------------------------------------------------------ #
     def is_satisfiable(self, query) -> SatisfiabilityResult:
         """Check satisfiability of a Boolean C2RPQ or UC2RPQ modulo the TBox."""
         if isinstance(query, C2RPQ):
@@ -96,120 +107,108 @@ class SatisfiabilitySolver:
             raise SolverError(f"expected a C2RPQ or UC2RPQ, got {type(query).__name__}")
         if not query.is_boolean():
             raise SolverError("satisfiability is defined for Boolean queries; call .boolean() first")
+        return search_witnesses(query, self.engine, self.config)
 
-        overall_regime = "exact"
-        patterns_checked = 0
-        if query.is_empty():
-            return SatisfiabilityResult(False, "exact", reason="the union has no disjunct")
-        for disjunct in query:
-            result = self._check_disjunct(disjunct)
-            patterns_checked += result.patterns_checked
-            if result.satisfiable:
-                result.patterns_checked = patterns_checked
-                return result
-            overall_regime = _weakest_regime(overall_regime, result.regime)
-        return SatisfiabilityResult(
-            False,
-            overall_regime,
-            patterns_checked=patterns_checked,
-            reason="every witness pattern of every disjunct is inconsistent with the TBox",
-        )
 
-    # ------------------------------------------------------------------ #
-    def _check_disjunct(self, disjunct: C2RPQ) -> SatisfiabilityResult:
-        config = self.config
-        atoms = list(disjunct.atoms)
-        if not atoms:
-            # the empty conjunction is satisfied by the empty match; a single
-            # unconstrained node suffices as a witness provided ⊤ is satisfiable
-            empty = Graph()
-            empty.add_node("n0")
-            chase = self.engine.check_pattern(empty)
-            return SatisfiabilityResult(
-                chase.consistent, "exact", chase.pattern, {}, disjunct, 1, chase.reason
-            )
+def weakest_regime(left: str, right: str) -> str:
+    """The weaker of two completeness regimes (``exact`` < ``pumped`` < ``truncated``)."""
+    order = {"exact": 0, "pumped": 1, "truncated": 2}
+    return left if order[left] >= order[right] else right
 
-        word_lists: List[List[Tuple[Symbol, ...]]] = []
-        regime = "exact"
-        for atom in atoms:
-            words, atom_regime = self._atom_words(atom)
-            if not words:
-                return SatisfiabilityResult(
-                    False,
-                    atom_regime,
-                    disjunct=disjunct,
-                    reason=f"atom {atom} has an empty language within the explored bound",
-                )
-            regime = _weakest_regime(regime, atom_regime)
-            word_lists.append(words)
 
-        patterns_checked = 0
-        for combination in itertools.product(*word_lists):
-            if patterns_checked >= config.max_patterns:
-                regime = "truncated"
-                break
-            patterns_checked += 1
-            pattern, assignment = build_pattern(atoms, combination)
-            chase = self.engine.check_pattern(pattern, assignment)
-            if chase.consistent:
-                return SatisfiabilityResult(
-                    True,
-                    regime,
-                    chase.pattern,
-                    chase.assignment,
-                    disjunct,
-                    patterns_checked,
-                    "found a consistent witness pattern",
-                )
-        return SatisfiabilityResult(
-            False,
-            regime,
-            disjunct=disjunct,
-            patterns_checked=patterns_checked,
-            reason="all enumerated witness patterns are inconsistent",
-        )
+Word = Tuple[Symbol, ...]
+Pattern = Tuple[Graph, Dict[str, NodeId]]
 
-    # ------------------------------------------------------------------ #
-    def _atom_words(self, atom: Atom) -> Tuple[List[Tuple[Symbol, ...]], str]:
-        automaton = compile_regex(atom.regex)
-        config = self.config
-        words = list(
-            automaton.words(
+
+def _one_pattern(disjunct: C2RPQ, words: Sequence[Word]) -> Iterable[Pattern]:
+    """The default :func:`search_witnesses` hook: one pattern per word choice."""
+    return (build_pattern(disjunct.atoms, words),)
+
+
+def search_witnesses(
+    query: UC2RPQ,
+    engine: ChaseEngine,
+    config: SatisfiabilityConfig,
+    automaton: Callable[[Regex], CompiledAutomaton] = compile_regex,
+    patterns: Callable[[C2RPQ, Sequence[Word]], Iterable[Pattern]] = _one_pattern,
+) -> SatisfiabilityResult:
+    """Search the witness patterns of a Boolean UC2RPQ for one *engine* accepts.
+
+    Per disjunct, each atom's regex is compiled by *automaton* and its pumped
+    words enumerated under *config*; every combination of one word per atom
+    is turned into patterns by *patterns* (the containment solver adds its
+    label branching there) and each is chased.  ``max_patterns`` bounds the
+    patterns chased across the whole union.  The regime follows the rule in
+    this module's docstring.
+    """
+    regime = "exact"
+    checked = 0
+    for disjunct in query:
+        word_lists: List[Tuple[Word, ...]] = []
+        for atom in disjunct.atoms:
+            compiled = automaton(atom.regex)
+            words = compiled.words(
                 max_length=config.max_word_length,
                 max_state_repeats=config.max_state_repeats,
                 max_words=config.max_words_per_atom,
             )
-        )
-        if not automaton.has_productive_cycle() and len(words) < config.max_words_per_atom:
-            longest = max((len(w) for w in words), default=0)
-            regime = "exact" if longest < config.max_word_length else "pumped"
-        elif len(words) >= config.max_words_per_atom or any(
-            len(w) >= config.max_word_length for w in words
-        ):
-            regime = "truncated"
+            if not words:
+                if not compiled.is_empty():
+                    regime = "truncated"
+                break
+            if len(words) >= config.max_words_per_atom or any(
+                len(word) >= config.max_word_length for word in words
+            ):
+                regime = "truncated"
+            elif compiled.has_productive_cycle():
+                regime = weakest_regime(regime, "pumped")
+            word_lists.append(words)
         else:
-            regime = "pumped"
-        return words, regime
-
-
-def _weakest_regime(left: str, right: str) -> str:
-    order = {"exact": 0, "pumped": 1, "truncated": 2}
-    return left if order[left] >= order[right] else right
+            for combination in itertools.product(*word_lists):
+                if checked >= config.max_patterns:
+                    return SatisfiabilityResult(
+                        False,
+                        "truncated",
+                        patterns_checked=checked,
+                        reason=f"no consistent witness among the first {checked} patterns",
+                    )
+                for pattern, assignment in patterns(disjunct, combination):
+                    checked += 1
+                    chase = engine.check_pattern(pattern, assignment)
+                    if chase.consistent:
+                        return SatisfiabilityResult(
+                            True,
+                            regime,
+                            chase.pattern,
+                            chase.assignment,
+                            disjunct,
+                            checked,
+                            "found a consistent witness pattern",
+                        )
+    return SatisfiabilityResult(
+        False,
+        regime,
+        patterns_checked=checked,
+        reason="every enumerated witness pattern is inconsistent with the TBox",
+    )
 
 
 # --------------------------------------------------------------------------- #
 # pattern construction
 # --------------------------------------------------------------------------- #
-def build_pattern(
-    atoms: Sequence[Atom], words: Sequence[Tuple[Symbol, ...]]
-) -> Tuple[Graph, Dict[str, NodeId]]:
+def build_pattern(atoms: Sequence[Atom], words: Sequence[Word]) -> Pattern:
     """Materialise one witness pattern from a word choice per atom.
 
     Variables become pattern nodes (variables connected by edge-free words are
     merged); each word becomes a concrete path of fresh internal nodes between
     the images of the atom's variables, with node-label symbols attached to
-    the node at the corresponding position.
+    the node at the corresponding position.  The empty conjunction is
+    witnessed by a single unconstrained node ``n0``.
     """
+    if not atoms:
+        graph = Graph()
+        graph.add_node("n0")
+        return graph, {}
     # union-find over variables: atoms whose word contains no edge step force
     # their endpoints to coincide
     parent: Dict[str, str] = {}
@@ -259,9 +258,6 @@ def build_pattern(
                 else:
                     graph.add_edge(current, symbol.signed.label, next_node)
                 current = next_node
-        if not edge_positions:
-            # endpoints coincide; nothing to connect
-            continue
     return graph, assignment
 
 

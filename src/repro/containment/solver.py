@@ -8,7 +8,8 @@ The :class:`ContainmentSolver` wires together the reductions of the paper:
 3. rolling up of the acyclic right query into ``T_¬Q`` (Lemma C.2);
 4. completion of ``T̂_S ∪ T_¬Q`` by cycle reversing (Theorem 5.4 / Lemma D.7);
 5. unrestricted satisfiability of the rewritten left query modulo the
-   completion, decided by the Horn chase over enumerated witness patterns.
+   completion, decided by the Horn chase over enumerated witness patterns
+   (:func:`repro.chase.solver.search_witnesses`).
 
 ``P ⊆_S Q`` holds iff step 5 reports *unsatisfiable*.  The "every node has a
 schema label" requirement — the only non-Horn part of conformance — is
@@ -31,18 +32,25 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..chase.engine import ChaseEngine
 from ..chase.labelsets import TBoxIndex
-from ..chase.solver import SatisfiabilityConfig, build_pattern
+from ..chase.solver import (
+    Pattern,
+    SatisfiabilityConfig,
+    SatisfiabilityResult,
+    Word,
+    build_pattern,
+    search_witnesses,
+    weakest_regime,
+)
 from ..core import CompiledAutomaton, compile_regex
 from ..dl.schema_tbox import schema_to_extended_tbox
 from ..dl.tbox import TBox
 from ..exceptions import AcyclicityError, QueryError
 from ..graph.graph import Graph, NodeId
 from ..rpq.queries import C2RPQ, UC2RPQ
-from ..rpq.regex import Symbol
 from ..schema.schema import Schema
 from .booleanize import booleanize
 from .counterexample import Counterexample, find_counterexample
@@ -142,13 +150,11 @@ class ContainmentSolver:
         for choice_completion, engine in self._prepared_choices(reduction, right.name):
             completion = completion or choice_completion
             tbox_size = max(tbox_size, choice_completion.tbox.size())
-            choice_sat, choice_regime, choice_witness, choice_patterns = self._left_satisfiable(
-                filtered_left, extended_schema, engine
-            )
-            patterns += choice_patterns
-            regime = _weakest(regime, choice_regime)
-            if choice_sat:
-                satisfiable, witness, completion = True, choice_witness, choice_completion
+            search = self._left_satisfiable(filtered_left, extended_schema, engine)
+            patterns += search.patterns_checked
+            regime = weakest_regime(regime, search.regime)
+            if search.satisfiable:
+                satisfiable, witness, completion = True, search.witness, choice_completion
                 break
 
         result = ContainmentResult(
@@ -254,51 +260,15 @@ class ContainmentSolver:
     # ------------------------------------------------------------------ #
     def _left_satisfiable(
         self, left: UC2RPQ, schema: Schema, engine: ChaseEngine
-    ) -> Tuple[bool, str, Optional[Graph], int]:
-        config = self.config.satisfiability
-        regime = "exact"
-        patterns_checked = 0
-        for disjunct in left:
-            word_lists: List[Tuple[Tuple[Symbol, ...], ...]] = []
-            empty_atom = False
-            for atom in disjunct.atoms:
-                automaton = self._compile_automaton(atom.regex)
-                words = automaton.words(
-                    max_length=config.max_word_length,
-                    max_state_repeats=config.max_state_repeats,
-                    max_words=config.max_words_per_atom,
-                )
-                if not words:
-                    if not automaton.is_empty():
-                        regime = _weakest(regime, "truncated")
-                    empty_atom = True
-                    break
-                if len(words) >= config.max_words_per_atom or any(
-                    len(word) >= config.max_word_length for word in words
-                ):
-                    regime = _weakest(regime, "truncated")
-                elif automaton.has_productive_cycle():
-                    regime = _weakest(regime, "pumped")
-                word_lists.append(words)
-            if empty_atom:
-                continue
-            if not disjunct.atoms:
-                word_lists = []
-            combinations = itertools.product(*word_lists) if word_lists else iter([()])
-            for combination in combinations:
-                if patterns_checked >= config.max_patterns:
-                    regime = _weakest(regime, "truncated")
-                    break
-                base_pattern, assignment = build_pattern(disjunct.atoms, list(combination))
-                if not disjunct.atoms:
-                    base_pattern = Graph()
-                    base_pattern.add_node("n0")
-                for labelled in self._label_assignments(base_pattern, schema):
-                    patterns_checked += 1
-                    chase = engine.check_pattern(labelled, assignment)
-                    if chase.consistent:
-                        return True, regime, chase.pattern, patterns_checked
-        return False, regime, None, patterns_checked
+    ) -> SatisfiabilityResult:
+        def patterns(disjunct: C2RPQ, words: Sequence[Word]) -> Iterator[Pattern]:
+            pattern, assignment = build_pattern(disjunct.atoms, words)
+            for labelled in self._label_assignments(pattern, schema):
+                yield labelled, assignment
+
+        return search_witnesses(
+            left, engine, self.config.satisfiability, self._compile_automaton, patterns
+        )
 
     def _label_candidates(
         self, pattern: Graph, schema: Schema
@@ -393,11 +363,6 @@ def _as_union(query, default_name: str) -> UC2RPQ:
     if isinstance(query, C2RPQ):
         return UC2RPQ.from_query(query)
     raise QueryError(f"expected a C2RPQ or UC2RPQ for {default_name}, got {type(query).__name__}")
-
-
-def _weakest(left: str, right: str) -> str:
-    order = {"exact": 0, "pumped": 1, "truncated": 2}
-    return left if order[left] >= order[right] else right
 
 
 def contains(

@@ -117,14 +117,6 @@ def _position_edges(space: int) -> List[str]:
     return [f"pos{i}" for i in range(1, space + 1)]
 
 
-def _symbol_edges(atm: ATM) -> List[str]:
-    return [f"sym_{symbol}" for symbol in atm.work_alphabet]
-
-
-def _state_edges(atm: ATM) -> List[str]:
-    return [f"st_{state}" for state in atm.states]
-
-
 def build_instance(atm: ATM, word: str, space: Optional[int] = None) -> HardnessInstance:
     """Build the schema and the positive/negative queries of Theorem F.1."""
     space = space if space is not None else max(1, len(word))

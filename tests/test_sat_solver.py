@@ -1,18 +1,21 @@
 """Tests for satisfiability of Boolean (U)C2RPQs modulo Horn TBoxes (Thm 6.1)."""
 
+import random
+
 import pytest
 
 from repro.chase import SatisfiabilityConfig, SatisfiabilitySolver, build_pattern, is_satisfiable
 from repro.dl import (
     ForAllCI,
     NoExistsCI,
+    SubclassOf,
     SubclassOfBottom,
     TBox,
     conj,
     schema_to_extended_tbox,
 )
 from repro.exceptions import SolverError
-from repro.graph import forward
+from repro.graph import forward, inverse
 from repro.rpq import parse_c2rpq, parse_uc2rpq
 from repro.workloads import medical
 
@@ -171,16 +174,16 @@ class TestTruncatedBoundaries:
         assert not result.satisfiable
         assert result.regime == "exact"
 
-    def test_word_length_cap_hit_exactly_by_finite_language_is_pumped(self):
-        # a fully enumerated finite language whose longest word has exactly
-        # max_word_length letters is reported "pumped", not "exact": a longer
-        # word could have been cut off at the same bound
+    def test_word_length_cap_hit_exactly_by_finite_language_is_truncated(self):
+        # a finite language whose longest word has exactly max_word_length
+        # letters is reported "truncated": a longer word could have been cut
+        # off at the same bound, and a finite language has no pumping guarantee
         config = SatisfiabilityConfig(max_word_length=2)
         result = is_satisfiable(
             parse_c2rpq("q() := A(x), (r . s)(x, y)"), self.REFUTING, config
         )
         assert not result.satisfiable
-        assert result.regime == "pumped"
+        assert result.regime == "truncated"
 
     def test_pattern_cap_equal_to_combination_count_stays_exact(self):
         # exactly max_patterns combinations: every one is chased, no cut-off
@@ -200,3 +203,87 @@ class TestTruncatedBoundaries:
         assert not result.satisfiable
         assert result.regime == "truncated"
         assert result.patterns_checked == 1
+
+
+class TestLengthCapIsNeverConclusive:
+    """An UNSAT verdict that a longer word could overturn is not conclusive."""
+
+    def test_chain_longer_than_the_cap_is_truncated(self):
+        # the only word has 15 letters, one more than the default length cap,
+        # so no word is enumerated although the language is not empty
+        chain = " . ".join(["a"] * 15)
+        result = is_satisfiable(parse_c2rpq(f"q() := ({chain})(x, y)"), TBox())
+        assert not result.satisfiable
+        assert result.conclusive is False
+        assert result.regime == "truncated"
+
+    def test_finite_language_cut_at_the_cap_is_truncated(self):
+        # a·a is refuted (A forces C two steps on, and C ⊓ D ⊑ ⊥) but a·a·a
+        # is a witness; at length 2 only the refuted word is enumerated
+        tbox = TBox(
+            [
+                ForAllCI(conj("A"), forward("a"), conj("B")),
+                ForAllCI(conj("B"), forward("a"), conj("C")),
+                SubclassOfBottom(conj("C", "D")),
+            ]
+        )
+        query = parse_c2rpq("q() := A(x), (a . a + a . a . a)(x, y), D(y)")
+        short = is_satisfiable(query, tbox, SatisfiabilityConfig(max_word_length=2))
+        assert not short.satisfiable
+        assert short.conclusive is False
+        assert short.regime == "truncated"
+        assert is_satisfiable(query, tbox, SatisfiabilityConfig(max_word_length=3)).satisfiable
+
+
+# --------------------------------------------------------------------------- #
+# regime honesty: a conclusive UNSAT survives raising the word caps
+# --------------------------------------------------------------------------- #
+CONCEPTS = ("A", "B", "C", "D")
+ROLES = (forward("a"), inverse("a"), forward("b"), inverse("b"))
+LEAVES = ("a", "b", "A", "B", "C", "D")
+
+
+def random_regex(rng, depth=3):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(LEAVES)
+    left = random_regex(rng, depth - 1)
+    operator = rng.randrange(3)
+    if operator == 0:
+        return f"({left} . {random_regex(rng, depth - 1)})"
+    if operator == 1:
+        return f"({left} + {random_regex(rng, depth - 1)})"
+    return f"({left})*"
+
+
+def random_query(rng):
+    atoms = [f"({random_regex(rng)})(x, y)"]
+    if rng.random() < 0.5:
+        atoms.append(f"({random_regex(rng)})(y, {rng.choice('xyz')})")
+    return parse_c2rpq("q() := " + ", ".join(atoms))
+
+
+def random_small_horn_tbox(rng):
+    def names(low, high):
+        return frozenset(rng.sample(CONCEPTS, rng.randint(low, high)))
+
+    statements = [SubclassOf(names(1, 2), rng.choice(CONCEPTS)) for _ in range(rng.randint(0, 3))]
+    statements += [ForAllCI(names(1, 1), rng.choice(ROLES), names(1, 1)) for _ in range(rng.randint(0, 4))]
+    statements += [SubclassOfBottom(names(2, 2)) for _ in range(rng.randint(0, 4))]
+    statements += [NoExistsCI(names(1, 1), rng.choice(ROLES), names(1, 1)) for _ in range(rng.randint(0, 3))]
+    return TBox(statements)
+
+
+def test_conclusive_unsat_survives_larger_word_caps():
+    short = SatisfiabilityConfig(max_word_length=3, max_words_per_atom=50)
+    long = SatisfiabilityConfig(max_word_length=10, max_words_per_atom=100)
+    assert short.max_state_repeats == long.max_state_repeats
+    conclusive = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        query, tbox = random_query(rng), random_small_horn_tbox(rng)
+        result = is_satisfiable(query, tbox, short)
+        if result.satisfiable or not result.conclusive:
+            continue
+        conclusive += 1
+        assert not is_satisfiable(query, tbox, long).satisfiable, (seed, str(query), result.regime)
+    assert conclusive >= 5  # the property was exercised, not vacuously true
