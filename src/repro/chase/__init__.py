@@ -10,7 +10,8 @@ Re-exports:
   the fresh children a node creates for them, and the labels those
   children end with;
 * :class:`ChaseEngine` / :class:`ChaseResult` — the four-phase chase over
-  finite witness patterns;
+  finite witness patterns, run on a private
+  :class:`repro.chase.engine.WorkingPattern` copy of each;
 * :class:`SatisfiabilitySolver` / :func:`is_satisfiable` with
   :class:`SatisfiabilityConfig` / :class:`SatisfiabilityResult` — witness
   enumeration in pumped normal form (Theorem 6.1) and its resource bounds;
@@ -19,7 +20,7 @@ Re-exports:
   no cap was reached, ``pumped`` when some atom has a productive cycle and
   no cap was reached, and ``truncated`` when ``max_words_per_atom`` was
   reached, a word reached ``max_word_length``, a non-empty language yielded
-  no word, or ``max_patterns`` was hit;
+  no word, ``max_patterns`` was hit, or the pattern hook left patterns out;
 * :func:`build_pattern` — materialise one witnessing word per atom as a
   labeled pattern graph.
 """

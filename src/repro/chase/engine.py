@@ -34,16 +34,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..dl.tbox import TBox
 from ..exceptions import SolverError
 from ..graph.graph import Graph, NodeId
-from ..graph.labels import SignedLabel
+from ..graph.labels import SignedLabel, forward, inverse
 from .labelsets import TBoxIndex
 from .tree import TreeChecker
 
-__all__ = ["ChaseResult", "ChaseEngine"]
+__all__ = ["ChaseResult", "ChaseEngine", "WorkingPattern"]
+
+_NO_NODES: FrozenSet[NodeId] = frozenset()
 
 
 @dataclass
@@ -59,6 +61,92 @@ class ChaseResult:
 
     def __bool__(self) -> bool:
         return self.consistent
+
+
+class WorkingPattern:
+    """The chase's private copy of a pattern.
+
+    ``labels`` maps each node, in the input graph's node order, to one
+    frozenset of labels; growth replaces the set and never mutates it, so
+    the :class:`TBoxIndex` memos keyed by it keep their cached hash.
+    ``adjacency`` maps each node to its successors per signed role, so the
+    ``R``-successors of a node are one dict lookup; an ``r``-edge from ``u``
+    to ``v`` appears as ``v`` under ``r`` at ``u`` and as ``u`` under ``r⁻``
+    at ``v``.  Each successor set is a frozenset built from a set filled in
+    the order :meth:`Graph.copy` fills its own, so it iterates like
+    ``Graph.successors`` on a copy of the input.
+    """
+
+    __slots__ = ("labels", "adjacency", "_edge_labels")
+
+    def __init__(self, graph: Graph) -> None:
+        self.labels: Dict[NodeId, FrozenSet[str]] = {
+            node: graph.labels(node) for node in graph.nodes()
+        }
+        grouped: Dict[NodeId, Dict[SignedLabel, Set[NodeId]]] = {node: {} for node in self.labels}
+        for source, label, target in graph.edges():
+            grouped[source].setdefault(forward(label), set()).add(target)
+            grouped[target].setdefault(inverse(label), set()).add(source)
+        self.adjacency: Dict[NodeId, Dict[SignedLabel, FrozenSet[NodeId]]] = {
+            node: {role: frozenset(nodes) for role, nodes in by_role.items()}
+            for node, by_role in grouped.items()
+        }
+        # merges rewire edges but never drop one, so this set is fixed
+        self._edge_labels = frozenset(
+            role.label for by_role in self.adjacency.values() for role in by_role
+        )
+
+    def edge_labels(self) -> FrozenSet[str]:
+        """The edge labels occurring in the pattern."""
+        return self._edge_labels
+
+    def add_labels(self, node: NodeId, labels: FrozenSet[str]) -> bool:
+        """Give *node* the *labels* too; ``True`` when it had not all of them."""
+        current = self.labels[node]
+        if labels <= current:
+            return False
+        self.labels[node] = current | labels
+        return True
+
+    def merge(self, keep: NodeId, drop: NodeId) -> None:
+        """Merge *drop* into *keep* exactly as :meth:`Graph.merge_nodes` does:
+        labels and edges are unioned, an edge between the two or a self-loop
+        on *drop* becomes a self-loop on *keep*, and *drop* is removed."""
+        labels, adjacency = self.labels, self.adjacency
+        labels[keep] = labels[keep] | labels.pop(drop)
+        for role, neighbours in adjacency.pop(drop).items():
+            back = role.inverse()
+            for neighbour in neighbours:
+                if neighbour == drop:
+                    neighbour = keep
+                else:
+                    self._unlink(neighbour, back, drop)
+                self._link(keep, role, neighbour)
+                self._link(neighbour, back, keep)
+
+    def _link(self, node: NodeId, role: SignedLabel, successor: NodeId) -> None:
+        by_role = self.adjacency[node]
+        by_role[role] = by_role.get(role, _NO_NODES) | {successor}
+
+    def _unlink(self, node: NodeId, role: SignedLabel, successor: NodeId) -> None:
+        by_role = self.adjacency[node]
+        remaining = by_role[role] - {successor}
+        if remaining:
+            by_role[role] = remaining
+        else:
+            del by_role[role]
+
+    def to_graph(self) -> Graph:
+        """The pattern as a :class:`Graph`, nodes in this pattern's order."""
+        graph = Graph()
+        for node, labels in self.labels.items():
+            graph.add_node(node, labels)
+        for node, by_role in self.adjacency.items():
+            for role, successors in by_role.items():
+                if not role.is_inverse:
+                    for successor in successors:
+                        graph.add_edge(node, role.label, successor)
+        return graph
 
 
 class ChaseEngine:
@@ -86,8 +174,10 @@ class ChaseEngine:
 
         *assignment* optionally maps query variables to pattern nodes; the
         returned result carries the assignment transported through merges.
+        The chase runs on a :class:`WorkingPattern` copy; a consistent
+        result carries it as a :class:`Graph`.
         """
-        graph = pattern.copy()
+        working = WorkingPattern(pattern)
         variable_map: Dict[str, NodeId] = dict(assignment or {})
         merges = 0
         iterations = 0
@@ -97,106 +187,106 @@ class ChaseEngine:
             if iterations > self.max_rounds:  # pragma: no cover - safety net
                 raise SolverError("chase did not converge within the configured bound")
 
-            verdict = self._saturate(graph, variable_map)
+            verdict = self._saturate(working, variable_map)
             if verdict is not None:
                 return ChaseResult(False, verdict, None, variable_map, merges, iterations)
-            merge_happened, verdict = self._apply_functionality(graph, variable_map)
+            merge_happened, verdict = self._apply_functionality(working, variable_map)
             merges += merge_happened
             if verdict is not None:
                 return ChaseResult(False, verdict, None, variable_map, merges, iterations)
             if merge_happened:
                 continue
-            absorbed, verdict = self._absorb_forced_requirements(graph)
+            absorbed, verdict = self._absorb_forced_requirements(working)
             if verdict is not None:
                 return ChaseResult(False, verdict, None, variable_map, merges, iterations)
             if absorbed:
                 continue
-            grew, verdict = self._check_tree_requirements(graph)
+            grew, verdict = self._check_tree_requirements(working)
             if verdict is not None:
                 return ChaseResult(False, verdict, None, variable_map, merges, iterations)
             if grew:
                 continue
-            return ChaseResult(True, "pattern extends to a model", graph, variable_map, merges, iterations)
+            return ChaseResult(
+                True, "pattern extends to a model", working.to_graph(), variable_map,
+                merges, iterations,
+            )
 
     # ------------------------------------------------------------------ #
     # phase 1: saturation and unrepairable violations
     # ------------------------------------------------------------------ #
-    def _saturate(self, graph: Graph, variable_map: Dict[str, NodeId]) -> Optional[str]:
+    def _saturate(self, pattern: WorkingPattern, variable_map: Dict[str, NodeId]) -> Optional[str]:
         index = self.index
+        labels, adjacency = pattern.labels, pattern.adjacency
+        forall_by_role = index.forall_by_role
         # saturation only adds node labels, so a role whose base label labels
         # no edge now has no successor anywhere for the whole pass
-        forall_roles = _roles_on_edges(index.forall_by_role, graph)
-        no_exists_roles = _roles_on_edges(index.no_exists_by_role, graph)
+        no_exists_roles = _roles_on_edges(index.no_exists_by_role, pattern)
         # a node's closure and its ∀ pushes depend only on its own labels, so
         # a node needs another visit only after a ∀ role pushed labels onto it
-        pending = deque(graph.nodes())
+        pending = deque(labels)
         queued = set(pending)
         while pending:
             node = pending.popleft()
             queued.discard(node)
-            labels = graph.labels(node)
-            closed = index.close(labels)
-            for label in closed - labels:
-                graph.add_label(node, label)
+            closed = labels[node] = index.close(labels[node])
             if index.violates_bottom(closed):
                 return f"node {node!r} violates a ⊥-statement (labels {sorted(closed)})"
             # ∀-propagation along existing edges
-            for role in forall_roles:
-                successors = graph.successors(node, role)
-                if not successors:
+            for role, successors in adjacency[node].items():
+                if role not in forall_by_role:
                     continue
                 forced = index.forall_targets(closed, role)
                 if not forced:
                     continue
                 for successor in successors:
-                    missing = forced - graph.labels(successor)
-                    if missing:
-                        for label in missing:
-                            graph.add_label(successor, label)
-                        if successor not in queued:
-                            queued.add(successor)
-                            pending.append(successor)
+                    if pattern.add_labels(successor, forced) and successor not in queued:
+                        queued.add(successor)
+                        pending.append(successor)
         # ¬∃ violations are final
-        for node in graph.nodes():
-            labels = graph.labels(node)
-            for role in no_exists_roles:
-                for successor in graph.successors(node, role):
-                    conflict = index.no_exists_conflicts(labels, role, graph.labels(successor))
-                    if conflict is not None:
-                        return (
-                            f"edge {node!r} -{role}-> {successor!r} violates {conflict}"
-                        )
+        if no_exists_roles:
+            for node, node_labels in labels.items():
+                by_role = adjacency[node]
+                for role in no_exists_roles:
+                    for successor in by_role.get(role, _NO_NODES):
+                        conflict = index.no_exists_conflicts(node_labels, role, labels[successor])
+                        if conflict is not None:
+                            return (
+                                f"edge {node!r} -{role}-> {successor!r} violates {conflict}"
+                            )
         return None
 
     # ------------------------------------------------------------------ #
     # phase 2: functionality merging
     # ------------------------------------------------------------------ #
     def _apply_functionality(
-        self, graph: Graph, variable_map: Dict[str, NodeId]
+        self, pattern: WorkingPattern, variable_map: Dict[str, NodeId]
     ) -> Tuple[int, Optional[str]]:
         index = self.index
+        labels, adjacency = pattern.labels, pattern.adjacency
         # merging never adds an edge label, so this filter holds for every restart
-        at_most_roles = _roles_on_edges(index.at_most_by_role, graph)
+        at_most_roles = _roles_on_edges(index.at_most_by_role, pattern)
         merges = 0
-        restart = True
+        restart = bool(at_most_roles)
         while restart:
             restart = False
-            for node in list(graph.nodes()):
-                labels = graph.labels(node)
+            for node in list(labels):
+                by_role = adjacency[node]
                 for role in at_most_roles:
-                    for statement in index.applicable_at_most(labels, role):
+                    successors = by_role.get(role)
+                    # one successor or none: no statement can ask for a merge
+                    if successors is None or len(successors) < 2:
+                        continue
+                    for statement in index.applicable_at_most(labels[node], role):
                         matching = [
                             successor
-                            for successor in graph.successors(node, role)
-                            if statement.head <= graph.labels(successor)
+                            for successor in successors
+                            if statement.head <= labels[successor]
                         ]
                         if len(matching) >= 2:
                             matching.sort(key=repr)
                             keep, rest = matching[0], matching[1:]
                             for drop in rest:
-                                if keep == drop:
-                                    continue
-                                graph.merge_nodes(keep, drop)
+                                pattern.merge(keep, drop)
                                 for variable, target in variable_map.items():
                                     if target == drop:
                                         variable_map[variable] = keep
@@ -212,74 +302,72 @@ class ChaseEngine:
     # ------------------------------------------------------------------ #
     # phase 3: forced reuse of existing successors
     # ------------------------------------------------------------------ #
-    def _absorb_forced_requirements(self, graph: Graph) -> Tuple[bool, Optional[str]]:
+    def _absorb_forced_requirements(self, pattern: WorkingPattern) -> Tuple[bool, Optional[str]]:
         index = self.index
+        labels, adjacency = pattern.labels, pattern.adjacency
         changed = False
-        for node in list(graph.nodes()):
-            labels = graph.labels(node)
-            for statement in index.required_successors(labels):
+        for node in list(labels):
+            node_labels = labels[node]
+            by_role = adjacency[node]
+            for statement in index.required_successors(node_labels):
                 role, head = statement.role, statement.head
-                successors = graph.successors(node, role)
-                if any(head <= graph.labels(successor) for successor in successors):
+                successors = by_role.get(role, _NO_NODES)
+                if any(head <= labels[successor] for successor in successors):
                     continue  # witnessed inside the pattern
-                child_seed = index.child_seed(labels, role, head)
-                conflict = index.no_exists_conflicts(labels, role, child_seed)
+                child_seed = index.child_seed(node_labels, role, head)
+                conflict = index.no_exists_conflicts(node_labels, role, child_seed)
                 if conflict is not None:
                     return changed, (
                         f"requirement {statement} at node {node!r} cannot be witnessed: "
                         f"any witness would violate {conflict}"
                     )
+                if not successors:
+                    continue  # no successor can occupy a functional slot
                 # functionality blocking: an existing successor occupies the slot
-                for at_most in index.applicable_at_most(labels, role):
+                for at_most in index.applicable_at_most(node_labels, role):
                     if not at_most.head <= child_seed:
                         continue
                     witnesses = [
                         successor
                         for successor in successors
-                        if at_most.head <= graph.labels(successor)
+                        if at_most.head <= labels[successor]
                     ]
                     if witnesses:
                         absorber = sorted(witnesses, key=repr)[0]
-                        missing = head - graph.labels(absorber)
-                        if missing:
-                            for label in missing:
-                                graph.add_label(absorber, label)
-                            changed = True
+                        changed |= pattern.add_labels(absorber, head)
                         break
         return changed, None
 
     # ------------------------------------------------------------------ #
     # phase 4: tree-extendability of the remaining requirements
     # ------------------------------------------------------------------ #
-    def _check_tree_requirements(self, graph: Graph) -> Tuple[bool, Optional[str]]:
+    def _check_tree_requirements(self, pattern: WorkingPattern) -> Tuple[bool, Optional[str]]:
         index = self.index
-        grew = False
-        for node in list(graph.nodes()):
-            labels = graph.labels(node)
+        labels, adjacency = pattern.labels, pattern.adjacency
+        for node in list(labels):
+            node_labels = labels[node]
+            by_role = adjacency[node]
             unwitnessed = [
                 statement
-                for statement in index.required_successors(labels)
+                for statement in index.required_successors(node_labels)
                 if not any(
-                    statement.head <= graph.labels(successor)
-                    for successor in graph.successors(node, statement.role)
+                    statement.head <= labels[successor]
+                    for successor in by_role.get(statement.role, _NO_NODES)
                 )
             ]
-            for role, seeds in self.tree.fresh_children(labels, unwitnessed):
+            grew = False
+            for role, seeds in self.tree.fresh_children(node_labels, unwitnessed):
                 for seed in seeds:
-                    outcome = self.tree.check(seed, role.inverse(), labels)
+                    outcome = self.tree.check(seed, role.inverse(), node_labels)
                     if not outcome.ok:
                         return grew, (
                             f"node {node!r} cannot satisfy ∃{role} requirements "
-                            f"(labels {sorted(labels)}): no witnessing tree exists"
+                            f"(labels {sorted(node_labels)}): no witnessing tree exists"
                         )
-                    missing = outcome.parent_needs - graph.labels(node)
-                    if missing:
-                        for label in missing:
-                            graph.add_label(node, label)
-                        grew = True
+                    grew |= pattern.add_labels(node, outcome.parent_needs)
             if grew:
                 return True, None
-        return grew, None
+        return False, None
 
     # ------------------------------------------------------------------ #
     def label_set_is_satisfiable(self, labels) -> bool:
@@ -293,11 +381,12 @@ class ChaseEngine:
         return self.check_pattern(graph).consistent
 
 
-def _roles_on_edges(roles: Iterable[SignedLabel], graph: Graph) -> List[SignedLabel]:
-    """The *roles*, in order, whose base label labels some edge of *graph*.
+def _roles_on_edges(roles: Iterable[SignedLabel], pattern) -> List[SignedLabel]:
+    """The *roles*, in order, whose base label labels some edge of *pattern*
+    (a :class:`Graph` or a :class:`WorkingPattern`).
 
     Any other role has no successor at any node, so a loop over roles that
     only acts on successors can skip it without changing what it does.
     """
-    present = graph.edge_labels()
+    present = pattern.edge_labels()
     return [role for role in roles if role.label in present]

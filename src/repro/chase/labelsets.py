@@ -32,10 +32,13 @@ class TBoxIndex:
     """A view of a Horn TBox grouped by statement kind, with a closure cache.
 
     The index is the single object shared by the pattern chase and the
-    tree-extendability procedure; it also memoises closures of label sets,
-    which dominates the running time on larger inputs, and the labels each
-    ``∀`` role forces from a label set.  Building an index from a TBox is
-    where the chase checks that the TBox is Horn.
+    tree-extendability procedure.  It memoises, per label set, the closure
+    (which dominates the running time on larger inputs), the ``⊥`` test,
+    the triggered ``∃``-statements, and per label set and role the
+    applicable at-most statements and the labels the ``∀``-statements
+    force; the chase asks these of closed label sets, so few keys recur.
+    Building an index from a TBox is where the chase checks that the TBox
+    is Horn.
 
     ``TBoxIndex(tbox)`` always builds from scratch; :meth:`of` builds once
     per TBox and keeps the index on it until the TBox changes, and
@@ -74,8 +77,8 @@ class TBoxIndex:
 
         Each bucket is a copy of this index's with the added statements
         appended, so it lists the statements in the order an index built
-        from scratch over the union would.  The caches start empty, since
-        added ``K ⊑ A`` statements can change every closure.
+        from scratch over the union would.  The memos start empty, since
+        added statements can change every answer.
         """
         result = TBoxIndex.__new__(TBoxIndex)
         for name in ("subclass", "bottoms", "forall", "exists", "no_exists", "at_most"):
@@ -106,6 +109,9 @@ class TBoxIndex:
                 by_role.setdefault(statement.role, []).append(statement)
         self._closure_cache: Dict[ConceptNames, ConceptNames] = {}
         self._forall_cache: Dict[Tuple[ConceptNames, SignedLabel], ConceptNames] = {}
+        self._bottom_cache: Dict[ConceptNames, bool] = {}
+        self._exists_cache: Dict[ConceptNames, Tuple[ExistsCI, ...]] = {}
+        self._at_most_cache: Dict[Tuple[ConceptNames, SignedLabel], Tuple[AtMostOneCI, ...]] = {}
 
     # ------------------------------------------------------------------ #
     def close(self, labels: Iterable[str]) -> ConceptNames:
@@ -128,7 +134,12 @@ class TBoxIndex:
 
     def violates_bottom(self, labels: ConceptNames) -> bool:
         """``True`` when a closed label set triggers some ``K ⊑ ⊥``."""
-        return any(statement.body <= labels for statement in self.bottoms)
+        cached = self._bottom_cache.get(labels)
+        if cached is None:
+            cached = self._bottom_cache[labels] = any(
+                statement.body <= labels for statement in self.bottoms
+            )
+        return cached
 
     def forall_targets(self, labels: ConceptNames, role: SignedLabel) -> ConceptNames:
         """Labels forced onto every *role*-successor of a node with *labels*."""
@@ -154,13 +165,22 @@ class TBoxIndex:
 
     def applicable_at_most(
         self, labels: ConceptNames, role: SignedLabel
-    ) -> List[AtMostOneCI]:
-        """The at-most constraints whose body is satisfied by *labels*."""
-        return [s for s in self.at_most_by_role.get(role, ()) if s.body <= labels]
+    ) -> Tuple[AtMostOneCI, ...]:
+        """The at-most constraints on *role* whose body is satisfied by *labels*."""
+        key = (labels, role)
+        cached = self._at_most_cache.get(key)
+        if cached is None:
+            cached = self._at_most_cache[key] = tuple(
+                s for s in self.at_most_by_role.get(role, ()) if s.body <= labels
+            )
+        return cached
 
-    def required_successors(self, labels: ConceptNames) -> List[ExistsCI]:
+    def required_successors(self, labels: ConceptNames) -> Tuple[ExistsCI, ...]:
         """The ∃-statements triggered by *labels*."""
-        return [s for s in self.exists if s.body <= labels]
+        cached = self._exists_cache.get(labels)
+        if cached is None:
+            cached = self._exists_cache[labels] = tuple(s for s in self.exists if s.body <= labels)
+        return cached
 
     def child_seed(self, labels: ConceptNames, role: SignedLabel, head: ConceptNames) -> ConceptNames:
         """The (closed) minimal label set of a fresh *role*-successor created to

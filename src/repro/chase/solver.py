@@ -25,8 +25,8 @@ The result records under which regime the verdict was obtained:
 ``truncated``
     ``max_words_per_atom`` was reached, or a word reached
     ``max_word_length``, or a non-empty language yielded no word, or
-    ``max_patterns`` was hit, so an UNSAT verdict only means "no witness
-    within the explored bound".  A finite language whose longest word reaches
+    ``max_patterns`` was hit, or the pattern hook left patterns out, so an
+    UNSAT verdict only means "no witness within the explored bound".  A finite language whose longest word reaches
     the length cap is truncated too: a longer word could have been cut off.
 
 All containment instances generated by the paper's own reductions in the test
@@ -130,16 +130,18 @@ def search_witnesses(
     engine: ChaseEngine,
     config: SatisfiabilityConfig,
     automaton: Callable[[Regex], CompiledAutomaton] = compile_regex,
-    patterns: Callable[[C2RPQ, Sequence[Word]], Iterable[Pattern]] = _one_pattern,
+    patterns: Callable[[C2RPQ, Sequence[Word]], Iterable[Optional[Pattern]]] = _one_pattern,
 ) -> SatisfiabilityResult:
     """Search the witness patterns of a Boolean UC2RPQ for one *engine* accepts.
 
     Per disjunct, each atom's regex is compiled by *automaton* and its pumped
     words enumerated under *config*; every combination of one word per atom
     is turned into patterns by *patterns* (the containment solver adds its
-    label branching there) and each is chased.  ``max_patterns`` bounds the
-    patterns chased across the whole union.  The regime follows the rule in
-    this module's docstring.
+    label branching there) and each is chased.  The hook yields ``None``
+    where it leaves patterns out (the containment solver's cap on label
+    branching), which makes the regime ``truncated``.  ``max_patterns``
+    bounds the patterns chased across the whole union.  The regime follows
+    the rule in this module's docstring.
     """
     regime = "exact"
     checked = 0
@@ -172,9 +174,12 @@ def search_witnesses(
                         patterns_checked=checked,
                         reason=f"no consistent witness among the first {checked} patterns",
                     )
-                for pattern, assignment in patterns(disjunct, combination):
+                for found in patterns(disjunct, combination):
+                    if found is None:
+                        regime = "truncated"  # the hook left patterns out
+                        continue
                     checked += 1
-                    chase = engine.check_pattern(pattern, assignment)
+                    chase = engine.check_pattern(*found)
                     if chase.consistent:
                         return SatisfiabilityResult(
                             True,

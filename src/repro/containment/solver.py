@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..chase.engine import ChaseEngine
 from ..chase.labelsets import TBoxIndex
@@ -261,10 +261,10 @@ class ContainmentSolver:
     def _left_satisfiable(
         self, left: UC2RPQ, schema: Schema, engine: ChaseEngine
     ) -> SatisfiabilityResult:
-        def patterns(disjunct: C2RPQ, words: Sequence[Word]) -> Iterator[Pattern]:
+        def patterns(disjunct: C2RPQ, words: Sequence[Word]) -> Iterator[Optional[Pattern]]:
             pattern, assignment = build_pattern(disjunct.atoms, words)
             for labelled in self._label_assignments(pattern, schema):
-                yield labelled, assignment
+                yield None if labelled is None else (labelled, assignment)
 
         return search_witnesses(
             left, engine, self.config.satisfiability, self._compile_automaton, patterns
@@ -275,25 +275,39 @@ class ContainmentSolver:
     ) -> Optional[Tuple[List[NodeId], List[List[str]]]]:
         """The unlabeled nodes and their locally compatible schema labels.
 
-        ``None`` when some node admits no label at all (the pattern has no
-        conforming labelling).  Shared by :meth:`_label_assignments` and
-        :meth:`_count_label_assignments`, which must agree exactly.
+        A label is locally compatible with a node when every edge at the
+        node is allowed for some label its other end may carry (its schema
+        labels, or any schema label when it has none).  The candidate lists
+        are sorted; ``None`` when some node admits no label at all (the
+        pattern has no conforming labelling).  Shared by
+        :meth:`_label_assignments` and :meth:`_count_label_assignments`,
+        which must agree exactly.
         """
+        table = schema.derived("solver.label-table", lambda: _LabelTable(schema))
+        node_labels = schema.node_labels
         unlabeled = [
             node
             for node in sorted(pattern.nodes(), key=repr)
-            if not (pattern.labels(node) & schema.node_labels)
+            if not (pattern.labels(node) & node_labels)
         ]
         candidate_lists: List[List[str]] = []
         for node in unlabeled:
-            candidates = [
-                label
-                for label in sorted(schema.node_labels)
-                if self._locally_compatible(pattern, schema, node, label)
-            ]
-            if not candidates:
-                return None  # no conforming labelling exists for this pattern
-            candidate_lists.append(candidates)
+            admitted: Optional[FrozenSet[str]] = None
+            for outgoing, neighbours in (
+                (True, pattern.out_neighbours(node)),
+                (False, pattern.in_neighbours(node)),
+            ):
+                for edge_label, neighbour in neighbours:
+                    allowed = table.admitted(
+                        edge_label, outgoing, pattern.labels(neighbour) & node_labels
+                    )
+                    admitted = allowed if admitted is None else admitted & allowed
+                    if not admitted:
+                        return None  # no conforming labelling exists for this pattern
+            if admitted is None:
+                candidate_lists.append(list(table.ordered))
+            else:
+                candidate_lists.append([label for label in table.ordered if label in admitted])
         return unlabeled, candidate_lists
 
     # Unused by the solver; kept because perfbench/trace.py wraps it by name.
@@ -312,12 +326,15 @@ class ContainmentSolver:
                 return self.config.max_label_assignments
         return total
 
-    def _label_assignments(self, pattern: Graph, schema: Schema) -> Iterator[Graph]:
+    def _label_assignments(self, pattern: Graph, schema: Schema) -> Iterator[Optional[Graph]]:
         """Assign a schema label to every pattern node that lacks one.
 
         Branches over the locally compatible labels of each unlabeled node;
         this enforces the "at least one label per node" part of conformance
-        (the non-Horn statement ``⊤ ⊑ ⊔Γ_S``).
+        (the non-Horn statement ``⊤ ⊑ ⊔Γ_S``).  When more labellings exist
+        than ``max_label_assignments``, it yields that many and then
+        ``None``, which :func:`repro.chase.solver.search_witnesses` reads as
+        "patterns were left out" (regime ``truncated``).
         """
         candidates = self._label_candidates(pattern, schema)
         if candidates is None:
@@ -329,6 +346,7 @@ class ContainmentSolver:
         emitted = 0
         for choice in itertools.product(*candidate_lists):
             if emitted >= self.config.max_label_assignments:
+                yield None
                 return
             emitted += 1
             labelled = pattern.copy()
@@ -336,24 +354,50 @@ class ContainmentSolver:
                 labelled.add_label(node, label)
             yield labelled
 
-    @staticmethod
-    def _locally_compatible(pattern: Graph, schema: Schema, node: NodeId, label: str) -> bool:
-        """Quick necessary condition for *label* to be assignable to *node*."""
-        for edge_label, target in pattern.out_neighbours(node):
-            if edge_label not in schema.edge_labels:
-                return False
-            target_labels = pattern.labels(target) & schema.node_labels
-            targets = target_labels or schema.node_labels
-            if all(schema.forbids_edge(label, edge_label, t) for t in targets):
-                return False
-        for edge_label, source in pattern.in_neighbours(node):
-            if edge_label not in schema.edge_labels:
-                return False
-            source_labels = pattern.labels(source) & schema.node_labels
-            sources = source_labels or schema.node_labels
-            if all(schema.forbids_edge(s, edge_label, label) for s in sources):
-                return False
-        return True
+
+_NO_LABELS: FrozenSet[str] = frozenset()
+
+
+class _LabelTable:
+    """The labels a pattern node may carry, per schema and edge at the node.
+
+    ``admitted(r, outgoing, K)`` is the set of schema labels ``A`` such that
+    an ``r``-edge leaving (``outgoing``) or entering an ``A``-node is
+    allowed for some label in ``K``, the schema labels of the edge's other
+    end, or for any schema label when ``K`` is empty.  It is built once per
+    schema (through :meth:`Schema.derived`) from the allowed ``(A, r, B)``
+    edges, keyed by ``(r, outgoing, K)`` for every ``K`` of at most one
+    label; a larger ``K`` unions its labels' entries.  An edge label outside
+    the schema admits no label.
+    """
+
+    __slots__ = ("ordered", "_table")
+
+    def __init__(self, schema: Schema) -> None:
+        self.ordered: Tuple[str, ...] = tuple(sorted(schema.node_labels))
+        table: Dict[Tuple[str, bool, FrozenSet[str]], Set[str]] = {}
+        anywhere: FrozenSet[str] = frozenset()
+        for source, label, target in schema.allowed_edge_triples():
+            for key in ((label, True, frozenset((target,))), (label, True, anywhere)):
+                table.setdefault(key, set()).add(source)
+            for key in ((label, False, frozenset((source,))), (label, False, anywhere)):
+                table.setdefault(key, set()).add(target)
+        self._table: Dict[Tuple[str, bool, FrozenSet[str]], FrozenSet[str]] = {
+            key: frozenset(labels) for key, labels in table.items()
+        }
+
+    def admitted(self, edge_label: str, outgoing: bool, neighbour: FrozenSet[str]) -> FrozenSet[str]:
+        """The labels admitted at one end of an edge whose other end has the
+        schema labels *neighbour* (see the class docstring)."""
+        found = self._table.get((edge_label, outgoing, neighbour))
+        if found is not None:
+            return found
+        if len(neighbour) <= 1:
+            return _NO_LABELS
+        admitted: Set[str] = set()
+        for label in neighbour:
+            admitted |= self._table.get((edge_label, outgoing, frozenset((label,))), _NO_LABELS)
+        return frozenset(admitted)
 
 
 # --------------------------------------------------------------------------- #

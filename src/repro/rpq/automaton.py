@@ -112,43 +112,7 @@ class NFA:
     def trim(self) -> "NFA":
         """Remove states that are unreachable from the initial states or cannot
         reach a final state; renumber densely."""
-        forward_reachable = set(self.initial)
-        frontier = list(self.initial)
-        while frontier:
-            state = frontier.pop()
-            for _, target in self.transitions_from(state):
-                if target not in forward_reachable:
-                    forward_reachable.add(target)
-                    frontier.append(target)
-
-        predecessors: Dict[int, Set[int]] = {}
-        for source, _, target in self.transitions():
-            predecessors.setdefault(target, set()).add(source)
-        backward_reachable = set(self.final)
-        frontier = list(self.final)
-        while frontier:
-            state = frontier.pop()
-            for source in predecessors.get(state, ()):
-                if source not in backward_reachable:
-                    backward_reachable.add(source)
-                    frontier.append(source)
-
-        useful = forward_reachable & backward_reachable
-        if not useful:
-            # empty language: keep a single initial state so the object stays valid
-            return NFA({0}, {0}, set(), [])
-        renumber = {state: index for index, state in enumerate(sorted(useful))}
-        transitions = [
-            (renumber[s], symbol, renumber[t])
-            for s, symbol, t in self.transitions()
-            if s in useful and t in useful
-        ]
-        return NFA(
-            renumber.values(),
-            {renumber[s] for s in self.initial if s in useful},
-            {renumber[s] for s in self.final if s in useful},
-            transitions,
-        )
+        return _trimmed(self.initial, self.final, self._transitions)
 
     # ------------------------------------------------------------------ #
     # word enumeration (pumped normal form)
@@ -293,6 +257,50 @@ def build_nfa(expr: Regex) -> NFA:
         for source, symbol, target in builder.labelled
         for origin in origins[source]
     ]
-    final = origins[fragment.end]
-    # keep only states reachable from the start to stay small
-    return NFA(range(builder.counter), {fragment.start}, final, transitions).trim()
+    # keep only useful states to stay small; no untrimmed NFA is built
+    return _trimmed((fragment.start,), origins[fragment.end], transitions)
+
+
+def _trimmed(
+    initial: Iterable[int], final: Iterable[int], transitions: Sequence[Tuple[int, Symbol, int]]
+) -> NFA:
+    """The NFA on the states reachable from *initial* that reach *final*,
+    renumbered densely in ascending order, with the surviving transitions
+    in their given order.  An empty language gives the one-state NFA with
+    no final state.
+
+    Reachability runs over int adjacency lists, so no symbol is hashed
+    until the result is built.
+    """
+    successors: Dict[int, List[int]] = {}
+    predecessors: Dict[int, List[int]] = {}
+    for source, _, target in transitions:
+        successors.setdefault(source, []).append(target)
+        predecessors.setdefault(target, []).append(source)
+    useful = _reachable(initial, successors) & _reachable(final, predecessors)
+    if not useful:
+        # empty language: keep a single initial state so the object stays valid
+        return NFA({0}, {0}, set(), [])
+    renumber = {state: index for index, state in enumerate(sorted(useful))}
+    return NFA(
+        renumber.values(),
+        {renumber[s] for s in initial if s in useful},
+        {renumber[s] for s in final if s in useful},
+        [
+            (renumber[s], symbol, renumber[t])
+            for s, symbol, t in transitions
+            if s in useful and t in useful
+        ],
+    )
+
+
+def _reachable(start: Iterable[int], adjacency: Dict[int, List[int]]) -> Set[int]:
+    """The states reachable from *start* along *adjacency*, *start* included."""
+    reached = set(start)
+    frontier = list(reached)
+    while frontier:
+        for target in adjacency.get(frontier.pop(), ()):
+            if target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached

@@ -18,7 +18,7 @@ from repro.dl import (
     schema_to_extended_tbox,
 )
 from repro.exceptions import SolverError
-from repro.chase.engine import _roles_on_edges
+from repro.chase.engine import WorkingPattern, _roles_on_edges
 from repro.graph import Graph, GraphBuilder, forward, inverse
 from repro.workloads import medical
 
@@ -466,8 +466,9 @@ def test_worklist_saturation_matches_the_full_sweep():
     for _ in range(1500):
         tbox = random_horn_tbox(rng)
         pattern = random_pattern(rng)
-        worklist, sweep = pattern.copy(), pattern.copy()
-        verdict = ChaseEngine(tbox)._saturate(worklist, {})
+        working, sweep = WorkingPattern(pattern), pattern.copy()
+        verdict = ChaseEngine(tbox)._saturate(working, {})
+        worklist = working.to_graph()
         reference = sweep_saturate(TBoxIndex(tbox), sweep)
         assert (verdict is None) == (reference is None), (tbox.describe(), verdict, reference)
         if verdict is not None and "⊥" in verdict:
@@ -504,3 +505,72 @@ def test_tree_outcomes_do_not_depend_on_the_order_of_checks():
             )
             outcomes[outcome.ok] += 1
     assert min(outcomes.values()) >= 200, outcomes
+
+
+# --------------------------------------------------------------------------- #
+# the working pattern's merge against Graph.merge_nodes
+# --------------------------------------------------------------------------- #
+def _assert_merge_matches_graph(graph, merges):
+    working, expected = WorkingPattern(graph), graph.copy()
+    for keep, drop in merges:
+        working.merge(keep, drop)
+        expected.merge_nodes(keep, drop)
+    exported = working.to_graph()
+    assert exported == expected
+    assert list(exported.nodes()) == list(expected.nodes())
+    # both directions of every edge stay filed
+    for node, by_role in working.adjacency.items():
+        for role, successors in by_role.items():
+            assert successors
+            for successor in successors:
+                assert node in working.adjacency[successor][role.inverse()]
+    assert working.edge_labels() == exported.edge_labels()
+
+
+def test_merge_rewires_self_loops_inverse_edges_and_edges_between_the_pair():
+    graph = (
+        GraphBuilder()
+        .node("k", "A").node("d", "B").node("u", "C").node("v")
+        .edge("d", "r", "d")  # self-loop on the dropped node
+        .edge("k", "r", "d").edge("d", "s", "k")  # edges between the pair
+        .edge("u", "r", "d").edge("d", "r", "v")  # d as successor and predecessor
+        .edge("k", "s", "k").edge("v", "s", "k")
+        .build()
+    )
+    _assert_merge_matches_graph(graph, [("k", "d")])
+    merged = WorkingPattern(graph)
+    merged.merge("k", "d")
+    assert merged.labels["k"] == {"A", "B"} and "d" not in merged.labels
+    assert merged.adjacency["k"][forward("r")] == {"k", "v"}
+    assert merged.adjacency["k"][inverse("r")] == {"k", "u"}
+    assert merged.adjacency["k"][forward("s")] == {"k"}
+    assert merged.adjacency["k"][inverse("s")] == {"k", "v"}
+
+
+def test_seeded_merges_export_what_graph_merge_nodes_gives():
+    rng = random.Random(25)
+    for _ in range(400):
+        graph = random_pattern(rng)
+        nodes = list(graph.nodes())
+        merges = []
+        while len(nodes) > 1 and len(merges) < 3:
+            keep, drop = rng.sample(nodes, 2)
+            merges.append((keep, drop))
+            nodes.remove(drop)
+        _assert_merge_matches_graph(graph, merges)
+
+
+def test_a_consistent_chase_exports_the_merged_pattern():
+    tbox = TBox([AtMostOneCI(conj("A"), forward("r"), conj())])
+    pattern = (
+        GraphBuilder()
+        .node("x", "A").node("y1").node("y2")
+        .edge("x", "r", "y1").edge("x", "r", "y2").edge("y2", "s", "y1").edge("y2", "r", "x")
+        .build()
+    )
+    result = ChaseEngine(tbox).check_pattern(pattern)
+    expected = pattern.copy()
+    expected.merge_nodes("y1", "y2")
+    assert result.consistent and result.merges == 1
+    assert result.pattern == expected
+    assert pattern.has_node("y2")  # the input is never touched

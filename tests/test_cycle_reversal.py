@@ -418,6 +418,46 @@ class TestCompletionQueries:
         assert len(completed) == len(expected) == 126
         assert [tbox.canonical_fingerprint() for tbox in completed] == expected
 
+    def test_index_memos_answer_as_a_fresh_scan_does(self, zoo_completions):
+        # the zoo pass filled each completed TBox's index memos with the label
+        # sets it asked about; every memoised answer must equal a scan of the
+        # statements, and an extended index must start with empty memos
+        completed, _ = zoo_completions
+        assert [tbox.canonical_fingerprint() for tbox in completed] == json.loads(
+            _ZOO_COMPLETIONS.read_text()
+        )
+        memoised = {"exists": 0, "at_most": 0, "bottom": 0, "cold": 0}
+        for tbox in completed:
+            index = TBoxIndex.of(tbox)
+            fresh = TBoxIndex(tbox)
+            for labels, answer in list(index._exists_cache.items()):
+                assert answer == tuple(s for s in fresh.exists if s.body <= labels)
+                assert index.required_successors(labels) is answer
+                memoised["exists"] += 1
+            for (labels, role), answer in list(index._at_most_cache.items()):
+                scan = tuple(s for s in fresh.at_most if s.role == role and s.body <= labels)
+                assert answer == scan == fresh.applicable_at_most(labels, role)
+                memoised["at_most"] += 1
+            for labels, answer in list(index._bottom_cache.items()):
+                assert answer == any(s.body <= labels for s in fresh.bottoms)
+                memoised["bottom"] += 1
+            # and cold: the closed bodies of the ∃ and at-most statements
+            for labels in {fresh.close(s.body) for s in (*fresh.exists, *fresh.at_most)}:
+                assert fresh.required_successors(labels) == tuple(
+                    s for s in fresh.exists if s.body <= labels
+                )
+                for role, bucket in fresh.at_most_by_role.items():
+                    assert fresh.applicable_at_most(labels, role) == tuple(
+                        s for s in bucket if s.body <= labels
+                    )
+                assert fresh.violates_bottom(labels) == any(s.body <= labels for s in fresh.bottoms)
+                memoised["cold"] += 1
+            extended = index.extended([])
+            for memo in ("_closure_cache", "_forall_cache", "_exists_cache",
+                         "_at_most_cache", "_bottom_cache"):
+                assert getattr(extended, memo) == {}
+        assert min(memoised.values()) >= 30, memoised
+
     def test_random_horn_tboxes_match_the_copy_based_reduction(self):
         # one checker per TBox asks every query, as complete() does per round
         rng = random.Random(22)
