@@ -4,7 +4,7 @@ at fleet scale).
 A served deployment does not type check one migration at a time — it
 validates whole catalogues of transformations against schema registries.
 :func:`type_check_many` and :func:`check_equivalence_many` run such batches
-on two of the backends of :meth:`repro.engine.ContainmentEngine.check_many`:
+on the backends of :meth:`repro.engine.ContainmentEngine.check_many`:
 
 * ``"serial"`` (the default) — one shared engine, jobs in order;
 * ``"process"`` — each *job* ships whole to a
@@ -15,11 +15,10 @@ on two of the backends of :meth:`repro.engine.ContainmentEngine.check_many`:
   back.  The containment verdicts a worker solved come back with it, and a
   persisting engine writes them to its store.
 
-``"auto"`` is not offered here: its cost model prices single containment
-tests, not whole jobs.  Any other value raises :class:`ValueError`.  Both
-backends produce identical analysis outcomes; the process backend is the one
-that scales with cores because each job's many containment calls run in a
-separate interpreter.
+These are the engine's :data:`~repro.engine.BACKENDS`; any other value
+raises :class:`ValueError`.  Both backends produce identical analysis
+outcomes; the process backend is the one that scales with cores because each
+job's many containment calls run in a separate interpreter.
 """
 
 from __future__ import annotations
@@ -45,10 +44,7 @@ def _run_jobs(
     max_workers: Optional[int],
     persist: Optional[Any] = None,
 ) -> List[Any]:
-    if parallel not in ("serial", "process"):
-        raise ValueError(
-            f"{kind} batch: unknown backend {parallel!r} (expected 'serial' or 'process')"
-        )
+    ContainmentEngine._normalise_backend(parallel)
     owned: Optional[ContainmentEngine] = None
     if engine is None and persist is not None:
         # a one-shot persisting engine for this batch; callers running many

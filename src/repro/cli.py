@@ -8,7 +8,7 @@ Seven subcommands over the library's hot paths:
   migration (or a transformation/schema file triple);
 * ``batch`` — a containment batch through
   :meth:`~repro.engine.ContainmentEngine.check_many` on a chosen backend
-  (``serial``/``process``/``auto``), with JSON timing + cache-stats
+  (``serial``/``process``), with JSON timing + cache-stats
   reports;
 * ``bench`` — the serving layer's benchmark: coalesced versus
   per-request throughput of the containment service under closed-loop
@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .core import clear_compile_memo
-from .engine import ContainmentEngine, result_fingerprint
+from .engine import BACKENDS, ContainmentEngine, result_fingerprint
 from .engine.parallel import default_worker_count
 from .rpq.parser import parse_c2rpq
 from .schema.parser import parse_schema
@@ -74,8 +74,6 @@ from .store import TIERS, ResultStore
 from .workloads.batches import BUILTIN_WORKLOADS, containment_batch, workload_schemas
 
 __all__ = ["main"]
-
-BACKENDS = ("serial", "process", "auto")
 
 #: The RNG seed recorded in (and applied before) every bench report, so any
 #: randomised corpus or tie-breaking is reproducible run to run.
@@ -163,15 +161,13 @@ def _run_backend(
 
 def _stats_block(engine: ContainmentEngine, backend: str) -> Dict[str, Any]:
     block = {"engine": engine.stats.as_dict()}
-    if backend in ("process", "auto"):
+    if backend == "process":
         process_stats = engine.process_stats()
         if process_stats is not None:
             block["workers"] = process_stats.as_dict()
         transport = engine.transport_report()
         if transport is not None:
             block["transport"] = transport
-    if backend == "auto":
-        block["adaptive"] = engine.adaptive_report()
     return block
 
 
@@ -339,12 +335,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     1. **per-request** — coalescing disabled (zero window, batch size 1),
        serial backend: every request is one engine call, the single-shot
        shape a caller pays today;
-    2. **coalesced** — the coalescing window and the service's default
-       ``auto`` backend: the service micro-batches the concurrent clients
-       into ``check_many`` waves, and the adaptive selector fans each wave
-       out to the worker pool only when its measured per-item solve cost
-       beats the transport cost (on a small box it simply stays serial —
-       the honest choice the old pinned-``process`` mode got wrong).
+    2. **coalesced** — the coalescing window, same serial backend: the
+       service micro-batches the concurrent clients into ``check_many``
+       waves, so duplicates are decided once and each wave shares the
+       engine's per-schema caches.
 
     Both modes start cold (fresh engine, cleared compile memo).  The
     headline is ``speedup`` (per-request / coalesced elapsed); the exit
@@ -359,23 +353,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     context = _context_block()
     request_count = args.requests
     clients = args.clients
-    workers = args.workers or min(os.cpu_count() or 1, 8)
 
     baseline_stream = request_stream(request_count, length=args.length)
     with ContainmentEngine() as engine:
         baseline = engine.check_many([(left, right, schema) for left, right, schema in baseline_stream])
     baseline_fps = [result_fingerprint(result) for result in baseline]
 
-    def run_mode(window_seconds: float, max_batch: int, parallel: str) -> Tuple[List[str], float, Dict[str, Any]]:
+    def run_mode(window_seconds: float, max_batch: int) -> Tuple[List[str], float, Dict[str, Any]]:
         stream = request_stream(request_count, length=args.length)
         clear_compile_memo()
         latencies = [0.0] * len(stream)
-        with ContainmentService(
-            parallel=parallel,
-            workers=workers,
-            coalesce_window=window_seconds,
-            max_batch=max_batch,
-        ) as service:
+        with ContainmentService(coalesce_window=window_seconds, max_batch=max_batch) as service:
 
             def call(indexed):
                 index, (left, right, schema) = indexed
@@ -395,9 +383,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             }
             return [result_fingerprint(result) for result in results], elapsed, block
 
-    per_request_fps, per_request_seconds, per_request_block = run_mode(0.0, 1, "serial")
+    per_request_fps, per_request_seconds, per_request_block = run_mode(0.0, 1)
     coalesced_fps, coalesced_seconds, coalesced_block = run_mode(
-        args.coalesce_window / 1000.0, args.max_batch, "auto"
+        args.coalesce_window / 1000.0, args.max_batch
     )
     identical = per_request_fps == baseline_fps and coalesced_fps == baseline_fps
     report = {
@@ -405,7 +393,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "workload": f"stream(requests={request_count}, length={args.length})",
         "requests": request_count,
         "clients": clients,
-        "workers": workers,
         "coalesce_window_ms": args.coalesce_window,
         "max_batch": args.max_batch,
         "per_request": per_request_block,
@@ -713,12 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clients", type=_positive_int, default=8, help="closed-loop client threads (default: 8)"
     )
     bench.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="worker count for the process backend (default: the CPU count, at most 8)",
-    )
-    bench.add_argument(
         "--length",
         type=_positive_int,
         default=8,
@@ -752,12 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--parallel",
         choices=BACKENDS,
-        default="auto",
-        help=(
-            "backend coalesced batches run on; 'auto' measures per-item solve "
-            "and serialization cost and picks serial or process per batch "
-            "(default: auto)"
-        ),
+        default="serial",
+        help="backend coalesced batches run on (default: serial)",
     )
     serve.add_argument(
         "--workers", type=_positive_int, default=None, help="worker count for the process backend"
@@ -826,10 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         choices=BACKENDS,
         default="serial",
-        help=(
-            "replay: backend coalesced batches run on; 'auto' lets the engine "
-            "pick from measured cost (default: serial)"
-        ),
+        help="replay: backend coalesced batches run on (default: serial)",
     )
     replay.add_argument(
         "--workers", type=_positive_int, default=None, help="worker count for the process backend"

@@ -5,7 +5,7 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
 
 * :class:`ContainmentEngine` — owns the fingerprint-keyed caches (verdicts,
   completions + chase engines, schema TBox encodings, compiled automata) and the
-  ``check_many`` batch API with serial/process/auto backends; constructed
+  ``check_many`` batch API over :data:`BACKENDS` (serial, process); constructed
   with ``persist=path`` it adds the disk-persistent second tier
   (:class:`repro.store.ResultStore`) that worker processes warm-start from;
 * :class:`ContainmentRequest` — one ``(left, right, schema, config)`` unit of
@@ -17,8 +17,6 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
   schema fingerprint (``repro.engine.parallel``), fed through the
   fingerprint-reference transport of ``repro.engine.transport``, whose
   per-worker ledgers mirror the workers' token catalogs exactly;
-* :class:`AdaptiveSelector` / :class:`CostProfile` — the measured cost model
-  behind ``parallel="auto"`` (``repro.engine.adaptive``);
 * :class:`TransportStats` — the reference protocol's counters, kept by the
   parent (``engine.transport_report()``);
 * :func:`merge_stats` / :func:`result_fingerprint` — pool-wide statistics
@@ -32,10 +30,10 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
 * :func:`reset_default_engine` — drop the shared engine (test isolation).
 """
 
-from .adaptive import AdaptiveSelector, CostProfile
 from .cache import CacheStats, LRUCache
 from .delta import EvolveReport, InvalidationReport, SchemaDelta
 from .engine import (
+    BACKENDS,
     ContainmentEngine,
     ContainmentRequest,
     EngineStats,
@@ -46,9 +44,8 @@ from .parallel import WorkerError, WorkerPool, merge_stats, result_fingerprint
 from .transport import TransportStats
 
 __all__ = [
-    "AdaptiveSelector",
+    "BACKENDS",
     "CacheStats",
-    "CostProfile",
     "LRUCache",
     "ContainmentEngine",
     "ContainmentRequest",

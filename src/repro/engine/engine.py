@@ -76,11 +76,11 @@ from ..core.compile import install_compiled, rebase_compiled
 from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..store import ResultStore, StoreStats
-from .adaptive import AdaptiveSelector
 from .cache import CacheStats, LRUCache
 from .delta import REPORT_TIERS, EvolveReport, InvalidationReport, SchemaDelta
 
 __all__ = [
+    "BACKENDS",
     "ContainmentEngine",
     "ContainmentRequest",
     "EngineStats",
@@ -93,6 +93,9 @@ __all__ = [
 # hooks; bounded FIFO so a service cycling through many schemas cannot
 # grow it without limit
 _SCHEMA_INDEX_LIMIT = 4096
+
+#: The ``check_many`` execution backends (``"serial"`` is the default).
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -346,8 +349,6 @@ class ContainmentEngine:
         self._schema_index: Dict[str, str] = {}
         self._closed = False
         self._process_pool: Optional[Any] = None
-        # per-schema cost profiles behind parallel="auto" (repro.engine.adaptive)
-        self._selector = AdaptiveSelector()
         # the second cache tier: memory → disk → solver (never blocks answers
         # — an unopenable store is a disabled one, see repro.store)
         self._store: Optional[ResultStore] = (
@@ -452,16 +453,11 @@ class ContainmentEngine:
           :class:`~repro.engine.parallel.TBoxDigest` — it answers
           ``canonical_fingerprint()``/``size()`` exactly like the real
           completed TBox but does not carry the statements themselves.
-        * ``"auto"`` — measure, then choose: the first batch over a schema
-          pays a calibration probe (its first item solved serially, timed,
-          plus one timed pickle of the request) and the
-          :class:`~repro.engine.adaptive.AdaptiveSelector` picks serial or
-          process per batch from the recorded per-schema cost profile, the
-          batch size, the core count and the pool state.
+          An empty batch starts no pool.
 
-        Any other value raises :class:`ValueError`.  All backends return
-        bit-identical results (asserted by fingerprint in the tests and
-        ``benchmarks/bench_parallel_scaling.py``).
+        Any other value (see :data:`BACKENDS`) raises :class:`ValueError`.
+        Both backends return bit-identical results (asserted by fingerprint
+        in the tests and ``benchmarks/bench_parallel_scaling.py``).
         """
         self._ensure_open()
         backend = self._normalise_backend(parallel)
@@ -488,73 +484,16 @@ class ContainmentEngine:
         with self._lock:
             self._batches += 1
 
-        if backend == "auto" and normalized:
-            return self._check_many_adaptive(normalized, max_workers)
         if backend == "process" and normalized:
             return self._check_many_in_processes(normalized, max_workers)
-        # serial, or an empty auto/process batch: nothing to fan out
+        # serial, or an empty process batch: nothing to fan out
         return [self.contains(*task) for task in normalized]
 
     @staticmethod
     def _normalise_backend(parallel: str) -> str:
-        if parallel in ("serial", "process", "auto"):
+        if parallel in BACKENDS:
             return parallel
-        raise ValueError(
-            f"check_many: unknown backend {parallel!r} "
-            "(expected 'serial', 'process' or 'auto')"
-        )
-
-    def _check_many_adaptive(
-        self,
-        normalized: List[Tuple[Any, Any, Schema, Optional[ContainmentConfig]]],
-        max_workers: Optional[int],
-    ) -> List[ContainmentResult]:
-        """``parallel="auto"``: measure (or recall) costs, then pick a backend.
-
-        When the batch's schemas have no recorded profile, the first item is
-        solved serially as a *calibration probe* — its timed solve plus one
-        timed ``pickle.dumps`` of the request seed the profile, and its
-        result is part of the answer, so the probe costs nothing extra.  The
-        remainder runs on whatever :class:`~repro.engine.adaptive.AdaptiveSelector`
-        picks from the profile, the batch size and the pool state.  Serial
-        runs feed their per-item timings back into the profile, so the
-        selector keeps tracking a drifting workload.
-        """
-        selector = self._selector
-        fingerprints = [task[2].canonical_fingerprint() for task in normalized]
-        profile = selector.profile_for(fingerprints)
-        probed: List[ContainmentResult] = []
-        remainder = normalized
-        remainder_fps = fingerprints
-        if profile is None:
-            left, right, task_schema, task_config = normalized[0]
-            started = time.perf_counter()
-            probed.append(self.contains(left, right, task_schema, task_config))
-            solve_seconds = time.perf_counter() - started
-            transport_seconds = selector.measure_transport(normalized[0])
-            selector.observe(fingerprints[0], solve_seconds, transport_seconds)
-            profile = selector.profile_for([fingerprints[0]])
-            remainder = normalized[1:]
-            remainder_fps = fingerprints[1:]
-        if not remainder:
-            return probed
-
-        with self._lock:
-            pool = self._process_pool
-            pool_ready = pool is not None and pool.started and not pool.closed
-        backend = selector.choose(
-            len(remainder),
-            profile,
-            workers=max_workers or self.max_workers,
-            pool_ready=pool_ready,
-        )
-        if backend == "process":
-            return probed + self._check_many_in_processes(remainder, max_workers)
-        results = [self.contains(*task) for task in remainder]
-        # free refresh of the solve estimate (transport stays as measured)
-        for fingerprint, result in zip(remainder_fps, results):
-            selector.observe(fingerprint, result.elapsed_seconds)
-        return probed + results
+        raise ValueError(f"unknown backend {parallel!r} (expected 'serial' or 'process')")
 
     def _check_many_in_processes(
         self,
@@ -625,15 +564,6 @@ class ContainmentEngine:
         if pool is None or not pool.started:
             return None
         return pool.stats()
-
-    @property
-    def selector(self) -> AdaptiveSelector:
-        """The cost model behind ``parallel="auto"`` (injectable in tests)."""
-        return self._selector
-
-    def adaptive_report(self) -> Dict[str, Any]:
-        """The selector's decision counters and last decision, JSON-ready."""
-        return self._selector.report()
 
     def transport_report(self) -> Optional[Dict[str, Any]]:
         """The pool's transport counters, ``None`` before the pool exists."""

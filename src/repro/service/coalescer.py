@@ -159,7 +159,7 @@ class RequestCoalescer:
         self.engine = engine
         self.window = window
         self.max_batch = max_batch
-        self.parallel = parallel
+        self.parallel = ContainmentEngine._normalise_backend(parallel)
         self.max_workers = max_workers
         self.stats = CoalescerStats()
         self._cond = threading.Condition()

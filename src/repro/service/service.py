@@ -64,24 +64,20 @@ class ServiceError(ValueError):
 class ContainmentService:
     """Serves containment requests from one warm engine via the coalescer.
 
-    ``parallel`` selects the backend flushed batches run on: ``"auto"`` (the
-    default — the engine measures per-item solve and serialization cost and
-    picks serial or process per batch, see ``repro.engine.adaptive``), or a
-    pinned ``"serial"``/``"process"`` (the process pool is
-    spawned eagerly so the first request does not pay for it; under
-    ``"auto"`` the pool spawns only once the measured costs actually favour
-    it).  ``persist`` puts the disk store behind the engine;
-    ``coalesce_window``/``max_batch`` shape the micro-batching.  Pass an
-    existing ``engine`` to embed the service next to other users of the same
-    caches (the caller keeps ownership and the service's ``close()`` leaves
-    it open).
+    ``parallel`` selects the backend flushed batches run on: ``"serial"``
+    (the default) or ``"process"``, whose pool is spawned eagerly so the
+    first request does not pay for it.  ``persist`` puts the disk store
+    behind the engine; ``coalesce_window``/``max_batch`` shape the
+    micro-batching.  Pass an existing ``engine`` to embed the service next to
+    other users of the same caches (the caller keeps ownership and the
+    service's ``close()`` leaves it open).
     """
 
     def __init__(
         self,
         *,
         config: Optional[Any] = None,
-        parallel: Any = "auto",
+        parallel: Any = "serial",
         workers: Optional[int] = None,
         persist: Optional[Any] = None,
         persist_mode: str = "rw",
@@ -338,15 +334,13 @@ class ContainmentService:
             # the last live schema evolution, EvolveReport.as_dict() form
             # (includes its nested InvalidationReport under "invalidation")
             report["evolve"] = last_evolve
-        if self.backend in ("process", "auto"):
+        if self.backend == "process":
             process_stats = self.engine.process_stats()
             if process_stats is not None:
                 report["workers"] = process_stats.as_dict()
             transport = self.engine.transport_report()
             if transport is not None:
                 report["transport"] = transport
-        if self.backend == "auto":
-            report["adaptive"] = self.engine.adaptive_report()
         if self.engine.store is not None:
             report["store"] = self.engine.store.describe()
         return report

@@ -201,8 +201,7 @@ def test_cache_export_on_missing_store_fails(tmp_path):
 
 def test_bench_service_suite_json_report(capsys):
     code = main(
-        ["bench", "--requests", "10", "--clients", "4", "--workers", "2", "--length", "2",
-         "--json", "-"]
+        ["bench", "--requests", "10", "--clients", "4", "--length", "2", "--json", "-"]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)

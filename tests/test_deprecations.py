@@ -3,13 +3,13 @@
 The retired shims (``nfa_cache_size`` on the engine and the worker pool, the
 ``_build_nfa`` solver hook, the module-level ``trim`` alias, and
 ``int(InvalidationReport)``, the bridge from ``invalidate_schema``'s former
-bare-``int`` return) finished their cycle and are removed, as is the
-``"thread"`` batch backend with its boolean ``parallel`` spellings and the
-selector's ``gil_enabled`` switch, as is the DFA layer the solver never
-reached (``repro.core.dfa``, ``DenseDFA``, the optional numpy accelerator
-and the per-schema symbol tables) — the first half of this file pins that
-down, so a shim cannot quietly come back.  The second half checks that the
-supported replacements stay silent.
+bare-``int`` return) finished their cycle and are removed, as are the
+``"thread"`` batch backend with its boolean ``parallel`` spellings, the
+``"auto"`` backend with the cost model behind it, and the DFA layer the
+solver never reached (``repro.core.dfa``, ``DenseDFA``, the optional numpy
+accelerator and the per-schema symbol tables) — the first half of this file
+pins that down, so a shim cannot quietly come back.  The second half checks
+that the supported replacements stay silent.
 """
 
 import importlib.util
@@ -21,9 +21,12 @@ import repro.core
 import repro.core.kernels
 from repro.containment.solver import ContainmentSolver
 from repro.core import CompiledAutomaton
-from repro.engine import AdaptiveSelector, ContainmentEngine, InvalidationReport
+import repro.engine
+from repro.cli import main
+from repro.engine import ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
 from repro.rpq import NFA, build_nfa, parse_regex
+from repro.service import ContainmentService
 from repro.workloads import medical
 from repro.workloads.batches import containment_batch
 
@@ -63,11 +66,22 @@ def test_invalidation_report_int_is_gone():
 def test_thread_backend_is_gone():
     schema, pairs = containment_batch("medical")
     engine = ContainmentEngine()
-    for removed in (True, False, "thread"):
-        with pytest.raises(ValueError, match="expected 'serial', 'process' or 'auto'"):
+    for removed in (True, False, "thread", "auto"):
+        with pytest.raises(ValueError, match="expected 'serial' or 'process'"):
             engine.check_many(pairs, schema=schema, parallel=removed)
-    with pytest.raises(TypeError, match="gil_enabled"):
-        AdaptiveSelector(cpu_count=2, gil_enabled=False)
+    # the selector that carried the gil_enabled switch went with "auto"
+    assert not hasattr(repro.engine, "AdaptiveSelector")
+
+
+def test_auto_backend_is_gone():
+    with pytest.raises(ValueError, match="unknown backend 'auto'"):
+        ContainmentService(parallel="auto")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--parallel", "auto", "--stdio"])
+    assert exit_info.value.code == 2  # an argparse usage error, not a served run
+    assert importlib.util.find_spec("repro.engine.adaptive") is None
+    for name in ("adaptive_report", "selector"):
+        assert not hasattr(ContainmentEngine, name), name
 
 
 def test_dfa_layer_is_gone():

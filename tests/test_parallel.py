@@ -228,12 +228,19 @@ def test_worker_exceptions_surface_as_worker_error(shared_process_engine):
     assert len(results) == 2
 
 
+def test_empty_process_batch_returns_empty():
+    """An empty batch answers at once and starts no pool."""
+    engine = ContainmentEngine()
+    assert engine.check_many([], parallel="process") == []
+    assert engine.process_stats() is None
+
+
 def test_unknown_backend_is_rejected():
     schema, pairs = containment_batch("medical")
     with pytest.raises(ValueError):
         ContainmentEngine().check_many(pairs, schema=schema, parallel="fork")
-    # the analysis batches take serial or process only: "auto" prices single
-    # containment tests, so it must fail loudly instead of running serially
+    # the analysis batches share the engine's backends: the removed "auto"
+    # fails loudly there too instead of running serially
     jobs = [(medical.migration(), medical.source_schema(), medical.target_schema())]
     with pytest.raises(ValueError, match="unknown backend 'auto'"):
         type_check_many(jobs, parallel="auto", engine=ContainmentEngine())

@@ -181,6 +181,10 @@ def test_coalescer_validates_its_parameters():
             RequestCoalescer(engine, window=-0.001)
         with pytest.raises(ValueError, match="max_batch"):
             RequestCoalescer(engine, max_batch=0)
+        # a bad backend fails here, not in every check() at flush time
+        for bad in ("auto ", "auto", "thread"):
+            with pytest.raises(ValueError, match="expected 'serial' or 'process'"):
+                RequestCoalescer(engine, parallel=bad, window=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -236,6 +240,18 @@ def test_service_rejects_malformed_payloads(payload, message):
             service.submit(payload)
         # malformed requests never reach the coalescer
         assert service.coalescer.stats.submitted == 0
+
+
+def test_service_defaults_to_serial_without_pool_blocks():
+    with ContainmentService(coalesce_window=0.0) as service:
+        assert service.backend == "serial"
+        response = service.handle(
+            {"workload": "medical", "left": "p(x) := Antigen(x)", "right": "q(x) := Antigen(x)"}
+        )
+        assert response["contained"] is True
+        report = service.stats_report()
+        for key in ("adaptive", "workers", "transport"):
+            assert key not in report, key
 
 
 def test_closed_service_rejects_requests():
