@@ -220,11 +220,8 @@ def _roll_up_component(component: C2RPQ, names: _NameSource) -> Tuple[List, Set[
                 regex = atom.regex.reverse()
             # the memoized compilation returns build_nfa(regex) verbatim, so
             # the state numbering — and with it the fresh concept names the
-            # simulation mints below — is exactly the pre-core one.  The
-            # default memo context is deliberate: this Lemma C.2 code path
-            # only reads the NFA and the emptiness flag, and threading schema
-            # identity in here would buy nothing — at worst a regex also
-            # compiled under a schema context occupies two memo entries
+            # simulation mints below — is exactly the pre-core one; stage 5
+            # shares the same bundle
             automaton = compile_regex(regex)
             nfa = automaton.nfa
             accept = names.accept(index)

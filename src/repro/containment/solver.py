@@ -20,9 +20,8 @@ short; see docs/ARCHITECTURE.md, stage 5 "Chase").
 
 The expensive stages of the pipeline are factored into overridable hook
 methods (:meth:`ContainmentSolver._schema_tbox`,
-:meth:`ContainmentSolver._prepared_choices`,
-:meth:`ContainmentSolver._compile_automaton`) so that :class:`repro.engine.ContainmentEngine`
-can substitute cached artefacts without duplicating the decision procedure;
+:meth:`ContainmentSolver._prepared_choices`) so that
+:class:`repro.engine.ContainmentEngine` can substitute cached artefacts without duplicating the decision procedure;
 the module-level :func:`contains` wrapper routes through the shared default
 engine and therefore benefits from those caches automatically.
 """
@@ -113,7 +112,6 @@ class ContainmentSolver:
     def __init__(self, schema: Schema, config: Optional[ContainmentConfig] = None) -> None:
         self.schema = schema
         self.config = config or ContainmentConfig()
-        self._memo_context: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -243,17 +241,12 @@ class ContainmentSolver:
     def _compile_automaton(self, regex) -> CompiledAutomaton:
         """Stage 5 prerequisite — compile one atom regex (cacheable).
 
-        Returns the :class:`repro.core.CompiledAutomaton` bundle (NFA,
-        cycle/emptiness flags, memoized pumped word lists), memoized under
-        this solver's schema fingerprint.
-        :class:`repro.engine.ContainmentEngine` overrides this to serve the
-        bundle from its automaton cache.  (The pre-core ``_build_nfa`` hook
-        finished its deprecation cycle and is gone; subclasses substitute
-        automata by overriding this method.)
+        Returns the process-wide :class:`repro.core.CompiledAutomaton` bundle
+        (NFA, cycle/emptiness flags, memoized pumped word lists) for *regex*;
+        the schema never enters it.  Subclasses substitute automata by
+        overriding this method.
         """
-        if self._memo_context is None:
-            self._memo_context = self.schema.canonical_fingerprint()
-        return compile_regex(regex, self._memo_context)
+        return compile_regex(regex)
 
     # ------------------------------------------------------------------ #
     # satisfiability of the reduced left-hand side

@@ -4,8 +4,13 @@ One :class:`CompiledAutomaton` bundles everything the solvers repeatedly
 derive from an atom's regular expression — the ε-free Thompson NFA, the
 productive-cycle and emptiness flags and the pumped-normal-form word lists
 — computed lazily, each exactly once, and shared process-wide through the
-:func:`compile_regex` memo (keyed by the structural regex, whose hash and
-canonical token are themselves cached on the expression).
+:func:`compile_regex` memo.  The memo is keyed by the structural regex alone
+(whose hash and canonical token are themselves cached on the expression):
+every artefact in the bundle is a function of the regex, never of a schema,
+so one bundle serves every schema, engine and caller in the process, and
+nothing in it can go stale when a schema changes.  The memo counts its own
+hits, misses and evictions (:func:`compile_memo_stats`), which is what the
+engine reports as its ``automata`` statistics.
 
 Two invariants matter for verdict stability (the engine's fingerprints are
 asserted bit-identical across the serial and process backends *and* across
@@ -18,7 +23,7 @@ cached/uncached runs):
   enumeration verbatim (same words, same order) — the memo changes when the
   words are computed, never the solver's completeness bound.
 
-Pickling a compiled automaton ships only its regex and context
+Pickling a compiled automaton ships only its regex
 (:meth:`CompiledAutomaton.__reduce__`); the receiving process recompiles
 through its own memo instead of unpickling transition maps.
 """
@@ -35,10 +40,9 @@ from ..rpq.regex import Regex, Symbol, canonical_token
 __all__ = [
     "CompiledAutomaton",
     "clear_compile_memo",
+    "compile_memo_stats",
     "compile_regex",
     "has_productive_cycle",
-    "install_compiled",
-    "rebase_compiled",
 ]
 
 
@@ -68,14 +72,13 @@ def has_productive_cycle(nfa: NFA) -> bool:
 class CompiledAutomaton:
     """A regex with every derived automaton artefact, each computed once.
 
-    Instances are shared (via :func:`compile_regex` and the engine's automaton
-    cache) and must be treated as immutable; the lazy fields are idempotent,
-    so a benign race between threads at worst computes a value twice.
+    Instances are shared (via :func:`compile_regex`) and must be treated as
+    immutable; the lazy fields are idempotent, so a benign race between
+    threads at worst computes a value twice.
     """
 
     __slots__ = (
         "regex",
-        "context",
         "nfa",
         "_token",
         "_has_cycle",
@@ -83,9 +86,8 @@ class CompiledAutomaton:
         "_words",
     )
 
-    def __init__(self, regex: Regex, context: Optional[str] = None) -> None:
+    def __init__(self, regex: Regex) -> None:
         self.regex = regex
-        self.context = context
         self.nfa: NFA = build_nfa(regex)
         self._token: Optional[str] = None
         self._has_cycle: Optional[bool] = None
@@ -139,7 +141,7 @@ class CompiledAutomaton:
     def __reduce__(self):
         # rebuild from the regex in the receiving process: the compile memo
         # deduplicates
-        return (compile_regex, (self.regex, self.context))
+        return (compile_regex, (self.regex,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledAutomaton({self.regex!s}, states={self.nfa.state_count()})"
@@ -151,77 +153,54 @@ class CompiledAutomaton:
 _MEMO_LIMIT = 4096
 
 _memo_lock = threading.Lock()
-_memo: "OrderedDict[Tuple[Optional[str], Regex], CompiledAutomaton]" = OrderedDict()
+_memo: "OrderedDict[Regex, CompiledAutomaton]" = OrderedDict()
+# lookups that found a bundle, lookups that compiled one, and bundles
+# dropped to stay under _MEMO_LIMIT (all under _memo_lock)
+_memo_counts = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def compile_regex(regex: Regex, context: Optional[str] = None) -> CompiledAutomaton:
+def compile_regex(regex: Regex) -> CompiledAutomaton:
     """The shared :class:`CompiledAutomaton` for *regex* (bounded LRU memo).
 
-    *context* partitions the memo (callers pass a schema fingerprint): the
-    same regex compiled under two schemas yields two entries, while lookups
-    by structural equality make separately-constructed equal regexes share
-    one compilation.
+    Lookups go by structural equality, so separately-constructed equal
+    regexes share one compilation.
     """
-    key = (context, regex)
     with _memo_lock:
-        cached = _memo.get(key)
+        cached = _memo.get(regex)
         if cached is not None:
-            _memo.move_to_end(key)
+            _memo.move_to_end(regex)
+            _memo_counts["hits"] += 1
             return cached
-    compiled = CompiledAutomaton(regex, context)
+        _memo_counts["misses"] += 1
+    compiled = CompiledAutomaton(regex)
     with _memo_lock:
-        existing = _memo.get(key)
+        existing = _memo.get(regex)
         if existing is not None:
             return existing
-        _memo[key] = compiled
+        _memo[regex] = compiled
         while len(_memo) > _MEMO_LIMIT:
             _memo.popitem(last=False)
+            _memo_counts["evictions"] += 1
     return compiled
 
 
-def rebase_compiled(bundle: CompiledAutomaton, context: Optional[str]) -> CompiledAutomaton:
-    """A clone of *bundle* under a new memo context, sharing every artefact.
+def compile_memo_stats() -> Tuple[int, int, int]:
+    """The memo's ``(hits, misses, evictions)`` since the last clear.
 
-    The schema-evolution path uses this to migrate automata between
-    fingerprint namespaces: the NFA, flags and pumped word lists are
-    schema-content-independent (they derive from the regex alone), so the
-    clone references them directly — only the context string changes.
+    The counters are process-wide: every :func:`compile_regex` caller —
+    stage 5, the roll-up, query evaluation — counts, whichever engine (if
+    any) it runs under.
     """
-    clone = CompiledAutomaton.__new__(CompiledAutomaton)
-    clone.regex = bundle.regex
-    clone.context = context
-    clone.nfa = bundle.nfa
-    clone._token = bundle._token
-    clone._has_cycle = bundle._has_cycle
-    clone._is_empty = bundle._is_empty
-    # an independent dict: later enumerations under one context must not
-    # publish into the other bundle (the tuples themselves are shared)
-    clone._words = dict(bundle._words)
-    return clone
-
-
-def install_compiled(bundle: CompiledAutomaton) -> CompiledAutomaton:
-    """Insert *bundle* into the process-wide memo; returns the canonical entry.
-
-    If the memo already holds a compilation for ``(bundle.context,
-    bundle.regex)`` that one wins (first-writer semantics, exactly like
-    :func:`compile_regex`'s double-checked insert) and is returned instead.
-    """
-    key = (bundle.context, bundle.regex)
     with _memo_lock:
-        existing = _memo.get(key)
-        if existing is not None:
-            _memo.move_to_end(key)
-            return existing
-        _memo[key] = bundle
-        while len(_memo) > _MEMO_LIMIT:
-            _memo.popitem(last=False)
-    return bundle
+        return _memo_counts["hits"], _memo_counts["misses"], _memo_counts["evictions"]
 
 
 def clear_compile_memo() -> int:
-    """Drop every memoized compilation (benchmarks use this for cold runs)."""
+    """Drop every memoized compilation and zero the memo's counters
+    (benchmarks use this for cold runs); returns the entry count dropped."""
     with _memo_lock:
         count = len(_memo)
         _memo.clear()
+        for name in _memo_counts:
+            _memo_counts[name] = 0
     return count

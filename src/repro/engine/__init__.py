@@ -4,7 +4,7 @@ The subsystem behind every hot static-analysis path (see
 docs/ARCHITECTURE.md, "The cached containment engine"):
 
 * :class:`ContainmentEngine` — owns the fingerprint-keyed caches (verdicts,
-  completions + chase engines, schema TBox encodings, compiled automata) and the
+  completions + chase engines, schema TBox encodings) and the
   ``check_many`` batch API over :data:`BACKENDS` (serial, process); constructed
   with ``persist=path`` it adds the disk-persistent second tier
   (:class:`repro.store.ResultStore`) that worker processes warm-start from;

@@ -1,7 +1,7 @@
 """Bounded LRU caches with hit/miss/eviction accounting.
 
 The containment engine keeps several independent caches (verdicts,
-completions, schema encodings, compiled automaton bundles).  Each is an
+completions, schema encodings).  Each is an
 :class:`LRUCache` with its own :class:`CacheStats`, so benchmarks and
 operators can see exactly where batch workloads hit or miss (see
 docs/ARCHITECTURE.md, "The cached containment engine").  These are the
@@ -97,8 +97,8 @@ class LRUCache:
         """A list snapshot of ``(key, value)`` pairs, oldest to most recent.
 
         Recency and counters are untouched — this is an inspection API (the
-        engine uses it to harvest warm automata bundles for worker seeding),
-        not a lookup path.
+        engine uses it to find the entries of one schema fingerprint for
+        invalidation and evolve), not a lookup path.
         """
         return list(self._data.items())
 

@@ -17,9 +17,9 @@ keeps post-evolve verdicts bit-identical to a cold start:
   non-trivial ``result_fingerprint`` — those artefacts are always
   invalidated, never migrated;
 * compiled automata and their pumped word enumerations depend only on the
-  *query* regexes and the fingerprint string used as memo context — schema
-  *content* never enters them — so they migrate to the new fingerprint
-  namespace verbatim;
+  *query* regexes, so they are not filed under a schema at all (the
+  process-wide :func:`repro.core.compile_regex` memo is keyed by regex) and
+  need no migration — there is no automata tier to report;
 * cached verdicts whose decision never consulted the schema (the empty-left
   short circuit: no TBox, no patterns, no witness) migrate too;
 * a fingerprint-identical "edit" (rename, declaring an explicit ZERO) is
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: The engine cache tiers an invalidation / evolution report accounts for.
-REPORT_TIERS = ("results", "completions", "schema-tboxes", "automata")
+REPORT_TIERS = ("results", "completions", "schema-tboxes")
 
 
 @dataclass(frozen=True)
@@ -182,20 +182,18 @@ class InvalidationReport:
     results: int = 0
     completions: int = 0
     schema_tboxes: int = 0
-    automata: int = 0
     store_rows: int = 0
 
     @property
     def total(self) -> int:
         """Entries dropped from the in-memory tiers (store rows excluded)."""
-        return self.results + self.completions + self.schema_tboxes + self.automata
+        return self.results + self.completions + self.schema_tboxes
 
     def tier_counts(self) -> Dict[str, int]:
         return {
             "results": self.results,
             "completions": self.completions,
             "schema-tboxes": self.schema_tboxes,
-            "automata": self.automata,
         }
 
     def as_dict(self) -> Dict[str, Any]:
@@ -228,8 +226,8 @@ class EvolveReport:
       (fingerprint-identical) edit everything found under the namespace, on a
       semantic edit exactly the migrated entries (they survive by rekeying);
     * ``migrated`` — entries copied into the new fingerprint namespace
-      (automata bundles and schema-independent verdicts; completions and
-      schema TBoxes never migrate — see the module docstring);
+      (schema-independent verdicts; completions and schema TBoxes never
+      migrate — see the module docstring);
     * ``invalidated`` — old-namespace entries dropped without a successor;
     * ``invalidation`` — the underlying :class:`InvalidationReport` for the
       old namespace (``None`` on a trivial evolve).

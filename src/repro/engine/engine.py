@@ -4,17 +4,17 @@ Every static-analysis entry point of the paper — type checking, equivalence
 and schema elicitation — reduces to *many* containment tests modulo the same
 schema (Theorem 4.2's polynomial Turing reduction).  A bare
 :class:`~repro.containment.solver.ContainmentSolver` rebuilds the schema
-encoding ``T̂_S``, the rolled-up ``T_¬Q``, the cycle-reversal completion and
-the compiled atom automata from scratch on every call; the :class:`ContainmentEngine`
-owns those artefacts in per-schema caches keyed by canonical fingerprints
-(:meth:`Schema.canonical_fingerprint`, :meth:`UC2RPQ.canonical_token`, the
-regex tokens) and substitutes them through the solver's pipeline hooks, so
-repeated calls against a warm schema skip straight to the chase.
+encoding ``T̂_S``, the rolled-up ``T_¬Q`` and the cycle-reversal completion
+from scratch on every call; the :class:`ContainmentEngine` owns those
+artefacts in per-schema caches keyed by canonical fingerprints
+(:meth:`Schema.canonical_fingerprint`, :meth:`UC2RPQ.canonical_token`) and
+substitutes them through the solver's pipeline hooks, so repeated calls
+against a warm schema skip straight to the chase.
 (:meth:`TBox.canonical_fingerprint` is the corresponding verification tool:
 cached and fresh runs must produce bit-identical completed TBoxes, which the
 engine tests and benchmarks assert by fingerprint.)
 
-Four caches, from coarse to fine (see docs/ARCHITECTURE.md for the exact key
+Three caches, from coarse to fine (see docs/ARCHITECTURE.md for the exact key
 composition and invalidation rules):
 
 * **results** — full :class:`ContainmentResult` verdicts per
@@ -22,14 +22,13 @@ composition and invalidation rules):
 * **completions** — the completed ``T̂_S ∪ T_¬Q`` choice lists *plus* their
   chase engines (whose tree-extendability memos stay warm) per
   ``(extended schema, right query, completion config)``;
-* **schema-tboxes** — the Horn encoding ``T̂_S`` per extended schema;
-* **automata** — :class:`repro.core.CompiledAutomaton` bundles (NFA,
-  cycle/emptiness flags, memoized pumped word lists) keyed by
-  ``(schema fingerprint, regex)``.  This cache *fronts* the process-wide
-  :func:`repro.core.compile_regex` memo (which shares bundles across engines
-  and rebuilds them in worker processes): its hit/miss stats measure
-  engine-level reuse, while the memory bound for compiled bundles is the
-  memo's — ``repro.core.clear_compile_memo()`` is the cold-path reset.
+* **schema-tboxes** — the Horn encoding ``T̂_S`` per extended schema.
+
+Compiled atom automata (:class:`repro.core.CompiledAutomaton`) are not an
+engine cache: they are functions of the regex alone, so they live once per
+regex in the process-wide :func:`repro.core.compile_regex` memo, shared by
+every engine and schema, and the engine's ``automata`` statistics are that
+memo's counters (``repro.core.clear_compile_memo()`` is the cold-path reset).
 
 Because all keys are content fingerprints, mutating a schema or query after a
 call can never make the caches return stale answers — a mutated object simply
@@ -49,11 +48,12 @@ docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
 Schema edits are first-class: :meth:`ContainmentEngine.evolve` diffs two
 schemas (:class:`~repro.engine.delta.SchemaDelta`), migrates the
-schema-content-independent artefacts — compiled automata and
-schema-blind verdicts — into the new fingerprint namespace across both
-cache tiers, and conservatively invalidates the rest; :meth:`ContainmentEngine.invalidate_schema` reports its per-tier
-counts as a structured :class:`~repro.engine.delta.InvalidationReport`
-(see docs/ARCHITECTURE.md, "Schema evolution").
+schema-blind verdicts into the new fingerprint namespace across both cache
+tiers, and conservatively invalidates the rest (compiled automata need no
+migration: their memo is not keyed by schema);
+:meth:`ContainmentEngine.invalidate_schema` reports its per-tier counts as a
+structured :class:`~repro.engine.delta.InvalidationReport` (see
+docs/ARCHITECTURE.md, "Schema evolution").
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from ..containment.solver import (
     ContainmentSolver,
     _as_union,
 )
-from ..core.compile import install_compiled, rebase_compiled
+from ..core.compile import compile_memo_stats
 from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..store import ResultStore, StoreStats
@@ -116,9 +116,12 @@ class ContainmentRequest:
 class EngineStats:
     """A snapshot of the engine's cache counters and call totals.
 
-    ``store`` is the persistent tier's counters, present only on engines
-    constructed with ``persist=`` (and in worker snapshots of warm-started
-    pools).
+    ``automata`` is the process-wide :func:`repro.core.compile_regex`
+    memo's counters, not this engine's: every compilation in the process
+    counts, whichever engine (if any) asked for it, and
+    :func:`repro.core.clear_compile_memo` resets them.  ``store`` is the
+    persistent tier's counters, present only on engines constructed with
+    ``persist=`` (and in worker snapshots of warm-started pools).
     """
 
     results: CacheStats
@@ -293,21 +296,6 @@ class _CachingSolver(ContainmentSolver):
                 engine._completions.put(key, cached)
         return cached
 
-    def _compile_automaton(self, regex):
-        engine = self.engine
-        # key by (schema fingerprint, regex) like the core memo, so the
-        # cache partitions per schema exactly as the memo does
-        if self._memo_context is None:
-            self._memo_context = self.schema.canonical_fingerprint()
-        key = (self._memo_context, regex)
-        with engine._lock:
-            cached = engine._automata.get(key)
-        if cached is None:
-            cached = super()._compile_automaton(regex)
-            with engine._lock:
-                engine._automata.put(key, cached)
-        return cached
-
 
 class ContainmentEngine:
     """Decides UC2RPQ containment modulo schemas with per-schema caching.
@@ -327,7 +315,6 @@ class ContainmentEngine:
         result_cache_size: int = 4096,
         completion_cache_size: int = 512,
         schema_tbox_cache_size: int = 128,
-        automaton_cache_size: int = 4096,
         max_workers: Optional[int] = None,
         persist: Optional[Any] = None,
         persist_mode: str = "rw",
@@ -338,7 +325,6 @@ class ContainmentEngine:
         self._results = LRUCache("results", result_cache_size)
         self._completions = LRUCache("completions", completion_cache_size)
         self._schema_tboxes = LRUCache("schema-tboxes", schema_tbox_cache_size)
-        self._automata = LRUCache("automata", automaton_cache_size)
         self._contains_calls = 0
         self._batches = 0
         # extended-schema fingerprint → base-schema fingerprint: lets
@@ -613,12 +599,13 @@ class ContainmentEngine:
     @property
     def stats(self) -> EngineStats:
         """An independent snapshot of all counters (safe to keep around)."""
+        hits, misses, evictions = compile_memo_stats()
         with self._lock:
             return EngineStats(
                 results=self._results.stats.snapshot(),
                 completions=self._completions.stats.snapshot(),
                 schema_tboxes=self._schema_tboxes.stats.snapshot(),
-                automata=self._automata.stats.snapshot(),
+                automata=CacheStats("automata", hits, misses, evictions),
                 contains_calls=self._contains_calls,
                 batches=self._batches,
                 store=self._store.stats.snapshot() if self._store is not None else None,
@@ -631,19 +618,17 @@ class ContainmentEngine:
                 "results": len(self._results),
                 "completions": len(self._completions),
                 "schema-tboxes": len(self._schema_tboxes),
-                "automata": len(self._automata),
             }
 
     def clear(self) -> None:
         """Drop every artefact cached *by this engine* (statistics are kept).
 
-        Compiled automata are additionally memoized process-wide below the
-        engine (``repro.core.compile_regex``); a truly cold automaton path —
-        e.g. for benchmarking — also needs
-        :func:`repro.core.clear_compile_memo`.
+        Compiled automata live in the process-wide memo below the engine
+        (``repro.core.compile_regex``); a truly cold automaton path — e.g.
+        for benchmarking — also needs :func:`repro.core.clear_compile_memo`.
         """
         with self._lock:
-            for cache in (self._results, self._completions, self._schema_tboxes, self._automata):
+            for cache in (self._results, self._completions, self._schema_tboxes):
                 cache.clear()
             self._schema_index.clear()
 
@@ -670,9 +655,9 @@ class ContainmentEngine:
 
         Content-keyed caches can never serve stale answers (a mutated schema
         fingerprints to a new key), so this is a reclamation call: results
-        and automata under the base fingerprint, completions and schema
-        TBoxes under its known extended fingerprints, plus a best-effort
-        delete of the corresponding persistent-store rows (rows the engine
+        under the base fingerprint, completions and schema TBoxes under its
+        known extended fingerprints, plus a best-effort delete of the
+        corresponding persistent-store rows (rows the engine
         no longer knows about stay behind as dead weight — content
         addressing means they can never be replayed incorrectly).
 
@@ -686,7 +671,6 @@ class ContainmentEngine:
             extended = self._extended_fingerprints(fingerprint)
             result_keys = [key for key, _ in self._results.items() if key[0] == fingerprint]
             results = self._results.prune(lambda key: key[0] == fingerprint)
-            automata = self._automata.prune(lambda key: key[0] == fingerprint)
             completions = self._completions.prune(lambda key: key[0] in extended)
             schema_tboxes = self._schema_tboxes.prune(lambda key: key in extended)
             for ext in extended:
@@ -702,7 +686,6 @@ class ContainmentEngine:
             results=results,
             completions=completions,
             schema_tboxes=schema_tboxes,
-            automata=automata,
             store_rows=store_rows,
         )
 
@@ -713,18 +696,18 @@ class ContainmentEngine:
         """Migrate cached artefacts from *old_schema* to *new_schema*.
 
         The delta-aware counterpart of :meth:`invalidate_schema` for the
-        "one constraint changed, re-check everything" scenario: artefacts
-        whose content is independent of the schema's axioms — compiled
-        automaton bundles (NFAs, flags, pumped word enumerations) and
-        verdicts that never consulted the schema (the empty-left short
-        circuit) — are re-keyed into *new_schema*'s fingerprint namespace
-        and written through to the persistent store.  Everything else under
-        the old namespace is dropped (conservative rule: the Horn encoding
-        ``T̂_S`` spans the schema's full domain, so any semantic edit
-        invalidates every completed TBox and with it every non-trivial
-        verdict — when in doubt, invalidate), which is exactly what keeps
-        post-evolve verdicts and ``result_fingerprint``s bit-identical to a
-        cold start.
+        "one constraint changed, re-check everything" scenario: verdicts
+        that never consulted the schema (the empty-left short circuit) are
+        re-keyed into *new_schema*'s fingerprint namespace and written
+        through to the persistent store.  Compiled automata need no
+        migration: they are keyed by regex alone in the process-wide memo,
+        so the re-run after an evolve finds every one of them warm.
+        Everything else under the old namespace is dropped (conservative
+        rule: the Horn encoding ``T̂_S`` spans the schema's full domain, so
+        any semantic edit invalidates every completed TBox and with it every
+        non-trivial verdict — when in doubt, invalidate), which is exactly
+        what keeps post-evolve verdicts and ``result_fingerprint``s
+        bit-identical to a cold start.
 
         A fingerprint-identical edit (rename, explicitly declaring a ZERO
         constraint) is trivial: nothing moves, everything is kept.  The old
@@ -750,9 +733,6 @@ class ContainmentEngine:
                     "schema-tboxes": sum(
                         1 for key, _ in self._schema_tboxes.items() if key in extended
                     ),
-                    "automata": sum(
-                        1 for key, _ in self._automata.items() if key[0] == old_fingerprint
-                    ),
                 }
             return EvolveReport(
                 delta=delta,
@@ -762,23 +742,10 @@ class ContainmentEngine:
             )
 
         with self._lock:
-            old_bundles = [
-                (key[1], bundle)
-                for key, bundle in self._automata.items()
-                if key[0] == old_fingerprint
-            ]
             old_results = [
                 (key, result) for key, result in self._results.items()
                 if key[0] == old_fingerprint
             ]
-
-        # automata: schema axioms never enter them, so they migrate verbatim
-        migrated = {tier: 0 for tier in REPORT_TIERS}
-        for regex, bundle in old_bundles:
-            clone = install_compiled(rebase_compiled(bundle, new_fingerprint))
-            with self._lock:
-                self._automata.put((new_fingerprint, regex), clone)
-            migrated["automata"] += 1
 
         # verdicts that never consulted the schema: the empty-left short
         # circuit (no TBox, no patterns, no witness — replay refreshes the
@@ -796,6 +763,7 @@ class ContainmentEngine:
         with self._lock:
             for key, result in migrated_results:
                 self._results.put(key, result)
+        migrated = {tier: 0 for tier in REPORT_TIERS}
         migrated["results"] = len(migrated_results)
 
         store_written = 0
@@ -811,7 +779,6 @@ class ContainmentEngine:
             "results": max(invalidation.results - migrated["results"], 0),
             "completions": invalidation.completions,
             "schema-tboxes": invalidation.schema_tboxes,
-            "automata": max(invalidation.automata - migrated["automata"], 0),
         }
 
         return EvolveReport(

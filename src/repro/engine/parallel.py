@@ -9,8 +9,8 @@ Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
 
 * **Routing is sharded by schema fingerprint.**  Every request carries the
   routing key ``(schema fp, right-query token, request digest)``; requests
-  for the same schema land on the same worker so its schema-TBox, completion
-  and NFA caches stay hot.  When a batch holds fewer distinct schemas than
+  for the same schema land on the same worker so its schema-TBox and
+  completion caches stay hot.  When a batch holds fewer distinct schemas than
   workers (the common single-schema case), each schema receives a contiguous
   *range* of workers proportional to its share of the batch and requests are
   sub-sharded by right-query token (the completion-cache key) — falling back
@@ -360,9 +360,7 @@ def _run_task(engine: ContainmentEngine, kind: str, payload: Tuple) -> Any:
     raise ValueError(f"unknown task kind {kind!r}")
 
 
-def _worker_main(
-    worker_id: int, config, cache_sizes: Dict[str, int], persist, inbox, outbox
-) -> None:
+def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
     """The worker loop: one warm engine, tasks in, results out.
 
     *persist* (a path or ``None``) is the parent engine's store file; the
@@ -375,15 +373,7 @@ def _worker_main(
     kills the worker, and the parent's dead-worker detection replaces the
     pool.
     """
-    engine = ContainmentEngine(
-        config,
-        result_cache_size=cache_sizes["results"],
-        completion_cache_size=cache_sizes["completions"],
-        schema_tbox_cache_size=cache_sizes["schema_tboxes"],
-        automaton_cache_size=cache_sizes["automata"],
-        persist=persist,
-        persist_mode="ro",
-    )
+    engine = ContainmentEngine(config, persist=persist, persist_mode="ro")
     catalog = TokenCatalog()
     while True:
         message = inbox.get()
@@ -435,8 +425,8 @@ class WorkerPool:
 
     Workers are started lazily on the first batch (or eagerly via
     :meth:`start`) with the ``spawn`` method, so each runs a fresh interpreter
-    with nothing inherited from the parent but the pickled *config* and cache
-    sizes.  The pool survives across batches — that is the whole point:
+    with nothing inherited from the parent but the pickled *config* and the
+    store path.  The pool survives across batches — that is the whole point:
     per-worker caches accumulate heat exactly like a long-lived serial
     engine's.  Use as a context manager or call :meth:`close` to tear down;
     live pools are also closed at interpreter exit.
@@ -447,10 +437,6 @@ class WorkerPool:
         workers: Optional[int] = None,
         config: Optional[ContainmentConfig] = None,
         *,
-        result_cache_size: int = 4096,
-        completion_cache_size: int = 512,
-        schema_tbox_cache_size: int = 128,
-        automaton_cache_size: int = 4096,
         start_method: str = "spawn",
         persist: Optional[Any] = None,
     ) -> None:
@@ -459,12 +445,6 @@ class WorkerPool:
         # workers open this store file read-only and warm-start from it; the
         # parent engine remains the only writer
         self.persist = str(persist) if persist is not None else None
-        self._cache_sizes = {
-            "results": result_cache_size,
-            "completions": completion_cache_size,
-            "schema_tboxes": schema_tbox_cache_size,
-            "automata": automaton_cache_size,
-        }
         self._context = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
         self._processes: List[Any] = []
@@ -521,7 +501,7 @@ class WorkerPool:
             inbox = self._context.Queue()
             process = self._context.Process(
                 target=_worker_main,
-                args=(worker_id, self.config, self._cache_sizes, self.persist, inbox, self._outbox),
+                args=(worker_id, self.config, self.persist, inbox, self._outbox),
                 daemon=True,
                 name=f"repro-engine-worker-{worker_id}",
             )

@@ -2,8 +2,8 @@
 
 The serving layer's core mechanism.  Independent clients submit one request
 at a time, but everything fast about this library is *batch-shaped*: the
-result cache replays duplicates for free, the completion and automaton
-caches amortise across requests of one schema, and the process backend's
+result cache replays duplicates for free, the completion cache amortises
+across requests of one schema and the automaton memo across all of them, and the process backend's
 shard-by-schema routing only pays off when a batch holds enough requests to
 spread.  The :class:`RequestCoalescer` recovers the batch shape from
 concurrent traffic:

@@ -2,7 +2,7 @@
 
 A :class:`ContainmentService` owns the artefacts every single-shot caller
 used to pay for per invocation — a warm
-:class:`~repro.engine.ContainmentEngine` (with its four memory caches), the
+:class:`~repro.engine.ContainmentEngine` (with its three memory caches), the
 optional process :class:`~repro.engine.parallel.WorkerPool`, the optional
 disk-persistent :class:`~repro.store.ResultStore`, and two parse caches for
 schema/query source text — and serves JSON requests through the

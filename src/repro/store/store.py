@@ -13,8 +13,8 @@ in-memory engine caches use.  Two tiers are persisted (:data:`TIERS`):
 
 Completions (chase engines with live memos) and compiled automata are *not*
 persisted: a result-tier hit skips both entirely, and an automaton's pickle
-is just its ``(regex, context)`` recipe — recompiling from disk would cost
-the same as recompiling from scratch (see docs/ARCHITECTURE.md, "The
+is just its regex — recompiling from disk would cost the same as
+recompiling from scratch (see docs/ARCHITECTURE.md, "The
 two-tier cache hierarchy").
 
 Safety over speed, always:

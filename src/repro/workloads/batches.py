@@ -122,7 +122,7 @@ def mixed_batch(length: int = 6) -> List[Tuple[Any, Any, Schema]]:
     the medical, FHIR, social and ``synthetic(length)`` batches.  This is
     the persistent-store benchmark's workload: four schemas with disjoint
     fingerprints exercise every cache tier (results, schema TBoxes,
-    completions, automata) rather than letting one hot schema mask the
+    completions) rather than letting one hot schema mask the
     cold-start cost of the others.
     """
     requests: List[Tuple[Any, Any, Schema]] = []

@@ -7,9 +7,13 @@ bare-``int`` return) finished their cycle and are removed, as are the
 ``"thread"`` batch backend with its boolean ``parallel`` spellings, the
 ``"auto"`` backend with the cost model behind it, and the DFA layer the
 solver never reached (``repro.core.dfa``, ``DenseDFA``, the optional numpy
-accelerator and the per-schema symbol tables) — the first half of this file
-pins that down, so a shim cannot quietly come back.  The second half checks
-that the supported replacements stay silent.
+accelerator and the per-schema symbol tables), and the schema-partitioned
+automaton caches (the engine's ``automata`` tier with its
+``automaton_cache_size`` knob, the worker pool's cache-size knobs, the
+compile memo's ``context`` and the ``rebase_compiled``/``install_compiled``
+migration hooks) — the first half of this file pins that down, so a shim
+cannot quietly come back.  The second half checks that the supported
+replacements stay silent.
 """
 
 import importlib.util
@@ -57,7 +61,7 @@ def test_module_level_trim_is_gone():
 
 
 def test_invalidation_report_int_is_gone():
-    report = InvalidationReport("f" * 64, results=3, completions=2, automata=5)
+    report = InvalidationReport("f" * 64, results=3, completions=2)
     with pytest.raises(TypeError):
         int(report)
     assert report.results == 3  # the supported field for the former return value
@@ -82,6 +86,25 @@ def test_auto_backend_is_gone():
     assert importlib.util.find_spec("repro.engine.adaptive") is None
     for name in ("adaptive_report", "selector"):
         assert not hasattr(ContainmentEngine, name), name
+
+
+def test_schema_partitioned_automaton_caches_are_gone():
+    with pytest.raises(TypeError, match="automaton_cache_size"):
+        ContainmentEngine(automaton_cache_size=16)
+    for knob in (
+        "result_cache_size",
+        "completion_cache_size",
+        "schema_tbox_cache_size",
+        "automaton_cache_size",
+    ):
+        with pytest.raises(TypeError, match=knob):
+            WorkerPool(workers=1, **{knob: 8})
+    for name in ("rebase_compiled", "install_compiled"):
+        assert not hasattr(repro.core, name), name
+    assert not hasattr(CompiledAutomaton, "context")
+    assert not hasattr(ContainmentSolver(medical.source_schema()), "_memo_context")
+    with pytest.raises(TypeError):
+        InvalidationReport("f" * 64, automata=5)
 
 
 def test_dfa_layer_is_gone():
@@ -109,13 +132,13 @@ def test_invalidate_schema_returns_a_structured_report():
     assert isinstance(report, InvalidationReport)
     assert report.schema_fingerprint == schema.canonical_fingerprint()
     assert report.total == 0 and report.store_rows == 0
-    assert set(report.tier_counts()) == {"results", "completions", "schema-tboxes", "automata"}
+    assert set(report.tier_counts()) == {"results", "completions", "schema-tboxes"}
 
 
 def test_modern_paths_emit_no_deprecation_warnings():
     """The supported APIs must stay silent."""
     schema = medical.source_schema()
-    engine = ContainmentEngine(automaton_cache_size=16)
+    engine = ContainmentEngine()
     solver = engine.solver(schema)
     regex = parse_regex("designTarget . crossReacting*")
     with warnings.catch_warnings(record=True) as recorded:

@@ -452,19 +452,18 @@ def test_tbox_fingerprint_ignores_statement_order():
     assert tbox.canonical_fingerprint() != smaller.canonical_fingerprint()
 
 
-def test_automata_cache_is_keyed_by_schema_context():
-    """One engine serving two schemas keeps one bundle per schema context."""
-    engine = ContainmentEngine()
+def test_one_bundle_per_regex_across_schemas_and_engines():
+    """A compiled automaton depends on its regex alone, never on the schema."""
+    regex = parse_c2rpq("p(x) := (a . b*)(x, y)").atoms[0].regex
     schema_a = medical.source_schema()
     schema_b = medical.target_schema()
-    regex = parse_c2rpq("p(x) := (a*)(x, y)").atoms[0].regex
-    bundle_a = engine.solver(schema_a)._compile_automaton(regex)
-    bundle_b = engine.solver(schema_b)._compile_automaton(regex)
-    assert bundle_a.context == schema_a.canonical_fingerprint()
-    assert bundle_b.context == schema_b.canonical_fingerprint()
-    assert bundle_a is not bundle_b
-    # but within one schema the bundle is shared (cache hit)
-    assert engine.solver(schema_a)._compile_automaton(regex) is bundle_a
+    bundle = ContainmentEngine().solver(schema_a)._compile_automaton(regex)
+    # another schema, another engine: the same bundle
+    assert ContainmentEngine().solver(schema_b)._compile_automaton(regex) is bundle
+    # a bound solver whose schema changes afterwards still shares it
+    solver = ContainmentEngine().solver(schema_a.copy())
+    solver.schema.set("Vaccine", "designTarget", "Antigen", "?")
+    assert solver._compile_automaton(regex) is bundle
 
 
 def test_compile_automaton_override_substitutes_bundles():
@@ -475,9 +474,7 @@ def test_compile_automaton_override_substitutes_bundles():
 
     class CountingSolver(ContainmentSolver):
         def _compile_automaton(self, regex):
-            if self._memo_context is None:
-                self._memo_context = self.schema.canonical_fingerprint()
-            bundle = compile_regex(regex, self._memo_context)
+            bundle = compile_regex(regex)
             compiled.append(bundle)
             return bundle
 

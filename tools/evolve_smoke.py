@@ -6,10 +6,11 @@ End-to-end, over a real socket, against the real CLI:
 1. start ``python -m repro serve --port 0`` and warm it with ``POST
    /contain`` requests against the *old* zoo evolution schema;
 2. ``POST /schema-update`` the single-axiom edit mid-stream and require a
-   200 whose report says the evolve was non-trivial and kept compiled
-   automata;
-3. replay the workload against the *new* schema on the evolved server and
-   record every verdict fingerprint;
+   200 whose report says the evolve was non-trivial;
+3. replay the workload against the *new* schema on the evolved server,
+   record every verdict fingerprint, and require the replay to compile no
+   automaton (``/stats`` → ``engine.caches.automata.misses`` unchanged: the
+   compile memo is keyed by regex, so the edit leaves every bundle warm);
 4. SIGINT the server, start a **fresh** one (the cold-restarted baseline —
    nothing survives the process boundary), replay the new-schema workload
    again, and require the two fingerprint sequences to be identical:
@@ -85,6 +86,11 @@ def post(url: str, path: str, payload) -> Tuple[int, dict]:
         return error.code, json.loads(error.read() or b"{}")
 
 
+def get_stats(url: str) -> dict:
+    with urllib.request.urlopen(url + "/stats", timeout=30) as response:
+        return json.loads(response.read())
+
+
 def replay(url: str, payloads: List[dict]) -> List[str]:
     fingerprints = []
     for index, payload in enumerate(payloads):
@@ -121,18 +127,17 @@ def main() -> int:
             fail(f"/schema-update returned {status}: {report}")
         if report.get("trivial"):
             fail(f"the single-axiom edit evolved as trivial: {report['delta']}")
-        if report["kept"]["automata"] < 1:
-            fail(f"evolve kept no automata on a multiplicity edit: {report['kept']}")
         print(
             "evolve-smoke: /schema-update OK "
-            f"(kept automata: {report['kept']['automata']}, "
-            f"invalidated results: {report['invalidated']['results']})"
+            f"(invalidated results: {report['invalidated']['results']})"
         )
 
+        compiled_before = get_stats(url)["engine"]["caches"]["automata"]["misses"]
         evolved_fps = replay(url, new_payloads)
-
-        with urllib.request.urlopen(url + "/stats", timeout=30) as response:
-            stats = json.loads(response.read())
+        stats = get_stats(url)
+        compiled = stats["engine"]["caches"]["automata"]["misses"] - compiled_before
+        if compiled:
+            fail(f"the post-evolve replay compiled {compiled} automata; expected none")
         if stats["service"].get("schema_updates") != 1:
             fail(f"stats do not count the schema update: {stats['service']}")
         if "evolve" not in stats:
