@@ -86,6 +86,15 @@ class ConceptInclusion:
         """All base role (edge-label) names mentioned by the statement."""
         return frozenset()
 
+    def __getstate__(self):
+        # drop the token repro.dl.tbox.canonical_statement_token caches here,
+        # so pickles (store rows, worker transfers) do not grow with it
+        state = self.__dict__
+        if "_canonical_token" in state:
+            state = dict(state)
+            del state["_canonical_token"]
+        return state
+
 
 @dataclass(frozen=True)
 class SubclassOf(ConceptInclusion):

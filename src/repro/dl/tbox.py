@@ -42,7 +42,19 @@ def canonical_statement_token(statement: ConceptInclusion) -> str:
     Unlike ``repr`` (whose frozenset ordering depends on the per-process hash
     seed) the token sorts every conjunction, so it is stable across processes
     and suitable as cache-key material for the :mod:`repro.engine` caches.
+    The token is built once per statement and cached on the (frozen)
+    instance, as :func:`repro.rpq.regex.canonical_token` caches a regex's.
     """
+    # getattr, not __dict__.get: reading __dict__ would give every statement
+    # a dict of its own
+    cached = getattr(statement, "_canonical_token", None)
+    if cached is None:
+        cached = _canonical_statement_token_uncached(statement)
+        object.__setattr__(statement, "_canonical_token", cached)
+    return cached
+
+
+def _canonical_statement_token_uncached(statement: ConceptInclusion) -> str:
     parts = [type(statement).__name__]
     parts.append(",".join(f"{len(n)}:{n}" for n in sorted(statement.body)))  # type: ignore[attr-defined]
     role = getattr(statement, "role", None)
@@ -78,9 +90,11 @@ class TBox:
         self.name = name
         self._statements: List[ConceptInclusion] = []
         self._seen: Set[ConceptInclusion] = set()
-        # the repro.chase.TBoxIndex that TBoxIndex.of builds on first use:
-        # every mutation drops it, copy() shares it, pickling omits it
+        # the repro.chase.TBoxIndex that TBoxIndex.of builds on first use and
+        # the canonical_fingerprint() memo: every mutation drops both,
+        # copy() shares them, pickling omits them
         self._index = None
+        self._fingerprint: Optional[str] = None
         for statement in statements:
             self.add(statement)
 
@@ -112,6 +126,7 @@ class TBox:
         self._seen.add(statement)
         self._statements.append(statement)
         self._index = None
+        self._fingerprint = None
         return True
 
     def extend(self, statements: Iterable[ConceptInclusion]) -> int:
@@ -125,6 +140,7 @@ class TBox:
             self._statements = [s for s in self._statements if s not in gone]
             self._seen -= gone
             self._index = None
+            self._fingerprint = None
         return len(gone)
 
     def union(self, other: "TBox", name: Optional[str] = None) -> "TBox":
@@ -138,12 +154,14 @@ class TBox:
         added = [statement for statement in other._statements if statement not in self._seen]
         result._statements.extend(added)
         result._seen.update(added)
-        if added and self._index is not None:
-            try:
-                result._index = self._index.extended(added)
-            except SolverError:
-                # not Horn: indexing the union raises when someone asks
-                result._index = None
+        if added:
+            result._fingerprint = None
+            if self._index is not None:
+                try:
+                    result._index = self._index.extended(added)
+                except SolverError:
+                    # not Horn: indexing the union raises when someone asks
+                    result._index = None
         return result
 
     def copy(self, name: Optional[str] = None) -> "TBox":
@@ -151,22 +169,25 @@ class TBox:
 
         The statements were checked when they were added here, so the copy
         takes the list and the membership set as they are, and shares the
-        index until either side changes.
+        index and the fingerprint until either side changes.
         """
         result = TBox(name=name or self.name)
         result._statements = list(self._statements)
         result._seen = set(self._seen)
         result._index = self._index
+        result._fingerprint = self._fingerprint
         return result
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_index"]
+        del state["_fingerprint"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._index = None
+        self._fingerprint = None
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -256,8 +277,14 @@ class TBox:
         return "tbox[" + ";".join(sorted(canonical_statement_token(s) for s in self._statements)) + "]"
 
     def canonical_fingerprint(self) -> str:
-        """SHA-256 digest of :meth:`canonical_token` (cache-key material)."""
-        return hashlib.sha256(self.canonical_token().encode("utf-8")).hexdigest()
+        """SHA-256 digest of :meth:`canonical_token` (cache-key material).
+
+        Memoised on the TBox and dropped by every mutation, like the index:
+        a completed TBox shared by many results is canonicalised once.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha256(self.canonical_token().encode("utf-8")).hexdigest()
+        return self._fingerprint
 
     # ------------------------------------------------------------------ #
     # semantics over finite graphs

@@ -213,14 +213,16 @@ def result_fingerprint(result: ContainmentResult) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class TBoxDigest:
-    """The transport stand-in for a completed TBox in process-backend results.
+    """The transport stand-in for a completed TBox in process-backend results
+    (and in the store's ``results`` tier).
 
     Shipping the full completion (hundreds of kilobytes of Horn statements,
     shared by every result of the same ``(schema, right)`` pair) dominates
     batch latency, and callers only ever ask a result's completed TBox two
     questions; the digest answers both from values computed worker-side on
     the real object, so fingerprint comparisons against serial runs remain
-    exact.
+    exact.  The TBox memoises its fingerprint, so the digests of all the
+    results sharing one completion cost a single canonicalisation.
     """
 
     fingerprint: str
@@ -244,48 +246,40 @@ class TBoxDigest:
         )
 
 
-def _lighten_containment(
-    result: ContainmentResult, memo: Dict[int, TBoxDigest]
-) -> ContainmentResult:
+def _lighten_containment(result: ContainmentResult) -> ContainmentResult:
     """Replace the completed TBox with its digest.
 
-    *memo* is keyed by TBox object identity and scoped to one worker chunk:
-    the engine's completion cache hands the same completed TBox to every
-    result of a ``(schema, right)`` pair, and canonicalising a large TBox
-    costs tens of milliseconds, so each distinct TBox must be fingerprinted
-    once per chunk, not once per result.  (Identity keying is safe for the
-    chunk's lifetime — the worker is single-threaded and the objects are
-    pinned by its caches.)
+    The engine's completion cache hands the same completed TBox to every
+    result of a ``(schema, right)`` pair; ``TBox.canonical_fingerprint()``
+    is memoised on that object, so it is canonicalised once however many
+    results, chunks and write-backs carry it.
     """
     completion = result.completion
     if completion is None or isinstance(completion.tbox, TBoxDigest):
         return result
-    digest = memo.get(id(completion.tbox))
-    if digest is None:
-        digest = TBoxDigest(completion.tbox.canonical_fingerprint(), completion.tbox.size())
-        memo[id(completion.tbox)] = digest
+    digest = TBoxDigest(completion.tbox.canonical_fingerprint(), completion.tbox.size())
     return dataclasses.replace(result, completion=dataclasses.replace(completion, tbox=digest))
 
 
-def _lighten_for_transport(kind: str, value: Any, memo: Dict[int, TBoxDigest]) -> Any:
+def _lighten_for_transport(kind: str, value: Any) -> Any:
     """Swap completed TBoxes for digests in every nested containment result."""
     if kind == "contain":
-        return _lighten_containment(value, memo)
+        return _lighten_containment(value)
     if kind == "typecheck":
         for entailment in value.statement_results:
             if entailment.containment is not None:
-                entailment.containment = _lighten_containment(entailment.containment, memo)
+                entailment.containment = _lighten_containment(entailment.containment)
         if value.coverage is not None:
             for check in value.coverage.checks:
                 if check.result is not None:
-                    check.result = _lighten_containment(check.result, memo)
+                    check.result = _lighten_containment(check.result)
         return value
     if kind == "equivalence":
         for difference in value.differences:
             if difference.left_result is not None:
-                difference.left_result = _lighten_containment(difference.left_result, memo)
+                difference.left_result = _lighten_containment(difference.left_result)
             if difference.right_result is not None:
-                difference.right_result = _lighten_containment(difference.right_result, memo)
+                difference.right_result = _lighten_containment(difference.right_result)
         return value
     return value
 
@@ -383,7 +377,6 @@ def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
         if command == "tasks":
             kind, chunk, mode = pickle.loads(message[1])
             reply: List[Tuple] = []
-            digest_memo: Dict[int, TBoxDigest] = {}
             # record the verdicts an analysis job solves, for the parent to
             # persist; a containment batch's results already are its verdicts
             engine._solved_rows = [] if kind != "contain" and engine.store is not None else None
@@ -391,15 +384,14 @@ def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
                 if mode == "ref":
                     payload = decode_payload(payload, catalog)
                 try:
-                    value = _lighten_for_transport(kind, _run_task(engine, kind, payload), digest_memo)
+                    value = _lighten_for_transport(kind, _run_task(engine, kind, payload))
                     reply.append((index, "ok", value))
                 except Exception as error:  # noqa: BLE001 - relayed to the parent
                     reply.append(
                         (index, "error", f"{type(error).__name__}: {error}", traceback.format_exc())
                     )
             rows = [
-                (token, _lighten_containment(result, digest_memo))
-                for token, result in engine._solved_rows or ()
+                (token, _lighten_containment(result)) for token, result in engine._solved_rows or ()
             ]
             engine._solved_rows = None
             outbox.put(("results", worker_id, reply, rows))

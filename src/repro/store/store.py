@@ -35,12 +35,10 @@ Safety over speed, always:
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import sqlite3
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
@@ -122,12 +120,6 @@ class ResultStore:
         self._lock = threading.Lock()
         self._connection: Optional[sqlite3.Connection] = None
         self.disabled_reason: Optional[str] = None
-        # completed-TBox → digest, weakly keyed: the engine's completion
-        # cache hands the same (large) TBox to every result of a
-        # ``(schema, right)`` pair and canonicalising it costs tens of
-        # milliseconds, so it must be fingerprinted once per object, not
-        # once per write-back.  Weak keys make id-reuse after GC impossible.
-        self._digest_memo: "weakref.WeakKeyDictionary[Any, Any]" = weakref.WeakKeyDictionary()
         try:
             self._connection = self._open()
         except _NoStoreYet as reason:
@@ -391,27 +383,20 @@ class ResultStore:
     def _lighten_for_storage(self, tier: str, value: Any) -> Any:
         """Shrink *value* to its storable form (fingerprint-preserving).
 
-        Results get the process backend's transport treatment — the completed
-        TBox becomes its :class:`~repro.engine.parallel.TBoxDigest` — so what
+        Results get the process backend's transport treatment
+        (:func:`~repro.engine.parallel._lighten_containment`): the completed
+        TBox becomes its :class:`~repro.engine.parallel.TBoxDigest`, so what
         comes back from disk is indistinguishable (by ``result_fingerprint``)
-        from what comes back from a worker.  Imported lazily:
-        ``repro.engine.parallel`` imports the engine, which imports this
-        module.
+        from what comes back from a worker.  The TBox memoises its
+        fingerprint, so a completion shared by many write-backs is
+        canonicalised once.  Imported lazily: ``repro.engine.parallel``
+        imports the engine, which imports this module.
         """
         if tier != "results":
             return value
-        from ..engine.parallel import TBoxDigest
+        from ..engine.parallel import _lighten_containment
 
-        completion = value.completion
-        if completion is None or isinstance(completion.tbox, TBoxDigest):
-            return value
-        digest = self._digest_memo.get(completion.tbox)
-        if digest is None:
-            digest = TBoxDigest(completion.tbox.canonical_fingerprint(), completion.tbox.size())
-            self._digest_memo[completion.tbox] = digest
-        return dataclasses.replace(
-            value, completion=dataclasses.replace(completion, tbox=digest)
-        )
+        return _lighten_containment(value)
 
     # ------------------------------------------------------------------ #
     # inspection and management (the CLI `cache` subcommand's backend)
