@@ -24,7 +24,8 @@ rolling-up propagates), of caller-provided seeds (the label sets appearing in
 chased witness patterns), and of the child seeds generated from those — a
 lazily grown, capped candidate family.  Entailment of the defining conditions
 is checked exactly (:mod:`repro.containment.entailment`), on one chase engine
-per round that chases each candidate body once for all its ``∃`` queries.
+per round that chases each candidate body once for all its ``∃`` queries and
+chases a ``≤1`` query only when no ``≤1`` statement implies it.
 Lemma D.6's S-driven invariant is preserved: whenever a reversed cycle
 projects to unique schema labels, the corresponding single-label statements
 are added as well, and the S-driven simplification of Lemma D.5 keeps the
@@ -61,8 +62,9 @@ class CompletionResult:
 
     ``entailment_checks`` counts the entailment chases actually run: one
     per (round, candidate body) whose ``∃`` queries needed a chase, plus one
-    per ``≤1`` query asked.  Answers carried over from an earlier round are
-    not counted.
+    per ``≤1`` query that no ``≤1`` statement of the round's TBox implies
+    (those are answered without a chase).  Answers carried over from an
+    earlier round are not counted.
     """
 
     tbox: TBox

@@ -13,11 +13,14 @@ the markers would detect, and both queries run on the TBox itself:
   answers the query for every ``R`` and every ``K'``;
 * ``T ⊨ K ⊑ ∃≤1R.K'`` holds iff chasing a ``K``-node with two
   ``R``-successors satisfying ``K'`` is inconsistent or merges the two.
+  When the TBox states some ``A ⊑ ∃≤1R.B`` with ``A ⊆ K`` and ``B ⊆ K'``,
+  the inclusion follows from it directly and no chase is run.
 
 The chase decides both patterns exactly, so entailment checking is exact.
 Every function takes a TBox or a prepared :class:`repro.chase.TBoxIndex` of
 one.  :class:`EntailmentChecker` asks many queries of one TBox on one chase
-engine and chases each ``∃`` body once; the completion builds one per round.
+engine, chases each ``∃`` body once and chases only the ``≤1`` queries that
+no ``≤1`` statement implies; the completion builds one per round.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class EntailmentChecker:
     engine.
 
     The chase of each lone ``∃`` body is memoised, so all ``∃`` queries
-    about one body cost one chase; ``chases`` counts the chases run.  The
+    about one body cost one chase, and a ``≤1`` query that a ``≤1``
+    statement implies costs none; ``chases`` counts the chases run.  The
     queries may share the engine's tree memo because a tree outcome does not
     depend on which contexts were checked before it (:mod:`repro.chase.tree`).
     """
@@ -114,8 +118,19 @@ class EntailmentChecker:
         }
 
     def entails_at_most(self, body: Iterable[str], role: SignedLabel, head: Iterable[str]) -> bool:
-        """``T ⊨ K ⊑ ∃≤1R.K'``: a ``K``-node with two ``R``-successors in
-        ``K'`` is unsatisfiable or the chase merges the two."""
+        """``T ⊨ K ⊑ ∃≤1R.K'``: some statement ``A ⊑ ∃≤1R.B`` of the TBox
+        has ``A ⊆ K`` and ``B ⊆ K'``, or else a ``K``-node with two
+        ``R``-successors in ``K'`` is unsatisfiable or the chase merges the
+        two."""
+        body, head = frozenset(body), frozenset(head)
+        stated = self.engine.index.applicable_at_most(body, role)
+        if any(statement.head <= head for statement in stated):
+            return True
+        return self._chase_at_most(body, role, head)
+
+    def _chase_at_most(self, body: ConceptNames, role: SignedLabel, head: ConceptNames) -> bool:
+        """The exact ``≤1`` check by one chase: do two ``R``-successors in
+        ``K'`` of a ``K``-node merge (or is the pattern unsatisfiable)?"""
         self.chases += 1
         pattern = Graph()
         pattern.add_node("u", body)
@@ -137,6 +152,7 @@ def entails_exists(
 def entails_at_most(
     tbox: TBoxLike, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
-    """``T ⊨ K ⊑ ∃≤1R.K'``, by chasing a ``K``-node with two ``R``-successors
-    in ``K'`` and checking whether they merge."""
+    """``T ⊨ K ⊑ ∃≤1R.K'``, read off a ``≤1`` statement that implies it or
+    else by chasing a ``K``-node with two ``R``-successors in ``K'`` and
+    checking whether they merge."""
     return EntailmentChecker(tbox).entails_at_most(body, role, head)

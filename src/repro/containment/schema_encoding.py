@@ -17,19 +17,18 @@ finite graphs (Lemma D.3).
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, Sequence
 
 from ..rpq.queries import Atom, C2RPQ, UC2RPQ
 from ..rpq.regex import (
     EMPTY,
     Concat,
     EdgeStep,
-    EmptyLanguage,
-    Epsilon,
     NodeTest,
     Regex,
     Star,
     Union,
+    fold,
     union as regex_union,
     node,
 )
@@ -55,26 +54,18 @@ def interleave_regex(regex: Regex, schema: Schema) -> Regex:
     labels = schema.node_labels
     guard = _label_disjunction(labels)
 
-    def rewrite(expr: Regex) -> Regex:
-        if isinstance(expr, (EmptyLanguage, Epsilon)):
-            return expr
+    def rewrite(expr: Regex, children: Sequence[Regex]) -> Regex:
         if isinstance(expr, NodeTest):
             return expr if expr.label in labels else EMPTY
         if isinstance(expr, EdgeStep):
             if expr.signed.label not in schema.edge_labels:
                 return EMPTY
             return Concat(Concat(guard, expr), guard)
-        if isinstance(expr, Concat):
-            return Concat(rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, Union):
-            return Union(rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, Star):
-            return Star(rewrite(expr.inner))
-        raise TypeError(f"unknown regex node: {expr!r}")  # pragma: no cover
+        return _rebuilt(expr, children)
 
     if not labels:
         return EMPTY
-    return rewrite(regex)
+    return fold(regex, rewrite)
 
 
 def filter_foreign_labels(regex: Regex, schema: Schema) -> Regex:
@@ -84,25 +75,38 @@ def filter_foreign_labels(regex: Regex, schema: Schema) -> Regex:
     the schema's alphabet.  The containment solver uses it instead of the full
     interleaving and enforces the "at least one label per node" requirement on
     witness patterns directly (see :mod:`repro.containment.solver`), which is
-    equivalent but avoids blowing up the regular expressions.
+    equivalent but avoids blowing up the regular expressions.  A regex with
+    no foreign label is returned as it is.
     """
 
-    def rewrite(expr: Regex) -> Regex:
-        if isinstance(expr, (EmptyLanguage, Epsilon)):
-            return expr
-        if isinstance(expr, NodeTest):
-            return expr if expr.label in schema.node_labels else EMPTY
-        if isinstance(expr, EdgeStep):
-            return expr if expr.signed.label in schema.edge_labels else EMPTY
-        if isinstance(expr, Concat):
-            return Concat(rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, Union):
-            return Union(rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, Star):
-            return Star(rewrite(expr.inner))
-        raise TypeError(f"unknown regex node: {expr!r}")  # pragma: no cover
+    node_labels, edge_labels = schema.node_labels, schema.edge_labels
 
-    return rewrite(regex)
+    def known(symbol) -> bool:
+        if isinstance(symbol, NodeTest):
+            return symbol.label in node_labels
+        return symbol.signed.label in edge_labels
+
+    def rewrite(expr: Regex, children: Sequence[Regex]) -> Regex:
+        if isinstance(expr, (NodeTest, EdgeStep)):
+            return expr if known(expr) else EMPTY
+        return _rebuilt(expr, children)
+
+    if all(map(known, regex.symbols())):
+        return regex  # nothing to replace
+    return fold(regex, rewrite)
+
+
+def _rebuilt(expr: Regex, children: Sequence[Regex]) -> Regex:
+    """*expr* over its rewritten *children* (∅ and ε stay as they are)."""
+    if not children:
+        return expr
+    if isinstance(expr, Concat):
+        return Concat(*children)
+    if isinstance(expr, Union):
+        return Union(*children)
+    if isinstance(expr, Star):
+        return Star(*children)
+    raise TypeError(f"unknown regex node: {expr!r}")  # pragma: no cover
 
 
 def filter_query(query: C2RPQ, schema: Schema) -> C2RPQ:

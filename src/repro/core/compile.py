@@ -54,19 +54,28 @@ def has_productive_cycle(nfa: NFA) -> bool:
     the chase solver's finiteness test and the containment solver's
     ``pumped``-regime detection (both previously carried their own copy).
     """
+    # DFS colouring on an explicit stack: 1 while a state is on the DFS
+    # path, 2 once everything below it is explored
     colour: Dict[int, int] = {}
-
-    def dfs(state: int) -> bool:
-        colour[state] = 1
-        for _, target in nfa.transitions_from(state):
-            if colour.get(target, 0) == 1:
-                return True
-            if colour.get(target, 0) == 0 and dfs(target):
-                return True
-        colour[state] = 2
-        return False
-
-    return any(dfs(state) for state in nfa.states if colour.get(state, 0) == 0)
+    for root in nfa.states:
+        if root in colour:
+            continue
+        colour[root] = 1
+        path = [(root, nfa.transitions_from(root))]
+        while path:
+            state, moves = path[-1]
+            for _, target in moves:
+                seen = colour.get(target, 0)
+                if seen == 1:
+                    return True
+                if seen == 0:
+                    colour[target] = 1
+                    path.append((target, nfa.transitions_from(target)))
+                    break
+            else:
+                colour[state] = 2
+                path.pop()
+    return False
 
 
 class CompiledAutomaton:
@@ -168,7 +177,9 @@ def compile_regex(regex: Regex) -> CompiledAutomaton:
     with _memo_lock:
         cached = _memo.get(regex)
         if cached is not None:
-            _memo.move_to_end(regex)
+            # by the stored key itself: an equal regex built separately
+            # would be compared node by node a second time
+            _memo.move_to_end(cached.regex)
             _memo_counts["hits"] += 1
             return cached
         _memo_counts["misses"] += 1

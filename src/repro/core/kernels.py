@@ -113,20 +113,22 @@ def nfa_enumeration_tables(nfa: Any):
     count increment, target's distance to acceptance, target is final)``
     entries in the dict-walk enumeration's expansion order —
     ``(repr(symbol), target)`` — computed **once** per automaton instead of
-    once per frontier expansion.  Symbols are interned into the ``symbols``
-    list (by equality), so the search works on int words — hashing a partial
-    word for the duplicate check never hashes a symbol object — and emitted
-    words are materialised through the list.  Shift/increment address the
+    once per frontier expansion, with one ``repr`` per distinct symbol.
+    Symbols are interned into the ``symbols`` list (by equality), so the
+    search works on int words — hashing a partial word for the duplicate
+    check never hashes a symbol object — and emitted words are materialised
+    through the list.  Shift/increment address the
     target's byte lane in the int visit counter; the distance (``-1`` when
     acceptance is unreachable) feeds the length-budget pruning.
     """
     states = sorted(nfa.states)
     index_of = {state: position for position, state in enumerate(states)}
     final = nfa.final
+    reprs = {symbol: repr(symbol) for symbol in nfa.alphabet()}
     adjacency: List[List[Tuple[Any, int]]] = []
     for state in states:
         adjacency.append(
-            sorted(nfa.transitions_from(state), key=lambda pair: (repr(pair[0]), pair[1]))
+            sorted(nfa.transitions_from(state), key=lambda pair: (reprs[pair[0]], pair[1]))
         )
     # unweighted reverse BFS from the final states: distance[i] is a lower
     # bound on the steps state i needs before any word can be accepted

@@ -13,14 +13,17 @@ symbols.  They are used in three places:
 
 The construction is a standard Thompson translation followed by ε-elimination,
 so the number of states is linear in the size of the expression (as required
-for the polynomial-time rolling-up of Lemma C.2).
+for the polynomial-time rolling-up of Lemma C.2).  The ε-elimination only
+computes the moves of the states the ε-free automaton can enter — the start
+state and the targets of labelled transitions — because the trim that
+follows would drop every other state's moves.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from .regex import Concat, EdgeStep, EmptyLanguage, Epsilon, NodeTest, Regex, Star, Symbol, Union
+from .regex import Concat, EdgeStep, EmptyLanguage, Epsilon, NodeTest, Regex, Star, Symbol, Union, fold
 
 __all__ = ["NFA", "build_nfa"]
 
@@ -187,6 +190,10 @@ class _Builder:
         self.labelled.append((source, symbol, target))
 
     def build(self, expr: Regex) -> _Fragment:
+        # post-order, as a recursive build would number the states
+        return fold(expr, self._fragment)
+
+    def _fragment(self, expr: Regex, children: Sequence[_Fragment]) -> _Fragment:
         if isinstance(expr, EmptyLanguage):
             return _Fragment(self.fresh(), self.fresh())
         if isinstance(expr, Epsilon):
@@ -198,13 +205,11 @@ class _Builder:
             self.add_symbol(start, expr, end)
             return _Fragment(start, end)
         if isinstance(expr, Concat):
-            left = self.build(expr.left)
-            right = self.build(expr.right)
+            left, right = children
             self.add_epsilon(left.end, right.start)
             return _Fragment(left.start, right.end)
         if isinstance(expr, Union):
-            left = self.build(expr.left)
-            right = self.build(expr.right)
+            left, right = children
             start, end = self.fresh(), self.fresh()
             self.add_epsilon(start, left.start)
             self.add_epsilon(start, right.start)
@@ -212,7 +217,7 @@ class _Builder:
             self.add_epsilon(right.end, end)
             return _Fragment(start, end)
         if isinstance(expr, Star):
-            inner = self.build(expr.inner)
+            (inner,) = children
             start, end = self.fresh(), self.fresh()
             self.add_epsilon(start, inner.start)
             self.add_epsilon(start, end)
@@ -231,6 +236,7 @@ def build_nfa(expr: Regex) -> NFA:
 
     builder = _Builder()
     fragment = builder.build(expr)
+    labelled = builder.labelled
     # all ε-closures at once as int bitsets (bit j of closures[i] ⇔ j is in
     # the closure of i)
     closures = bitset_closure(
@@ -242,23 +248,33 @@ def build_nfa(expr: Regex) -> NFA:
         ),
     )
 
-    # invert the closures once: origins[state] lists, ascending, every state
-    # whose ε-closure contains *state*, so each labelled transition is copied
-    # to exactly its origins, in ascending origin order
-    origins: List[List[int]] = [[] for _ in range(builder.counter)]
-    for origin, mask in enumerate(closures):
+    # The ε-free automaton enters a state only as the start state or as the
+    # target of a labelled transition, so only those states are origins the
+    # trim can keep.  origins[state] lists them, ascending, when their
+    # ε-closure contains *state*: each labelled transition is copied to
+    # exactly its reachable origins, in ascending origin order, and the
+    # final states are the ones whose closure contains the fragment's end.
+    entered = sorted({fragment.start}.union(target for _, _, target in labelled))
+    sources = 0
+    for source, _, _ in labelled:
+        sources |= 1 << source
+    origins: Dict[int, List[int]] = {}
+    for origin in entered:
+        mask = closures[origin] & sources
         while mask:
             low = mask & -mask
-            origins[low.bit_length() - 1].append(origin)
+            origins.setdefault(low.bit_length() - 1, []).append(origin)
             mask ^= low
+    end = 1 << fragment.end
+    final = [origin for origin in entered if closures[origin] & end]
 
     transitions = [
         (origin, symbol, target)
-        for source, symbol, target in builder.labelled
-        for origin in origins[source]
+        for source, symbol, target in labelled
+        for origin in origins.get(source, ())
     ]
     # keep only useful states to stay small; no untrimmed NFA is built
-    return _trimmed((fragment.start,), origins[fragment.end], transitions)
+    return _trimmed((fragment.start,), final, transitions)
 
 
 def _trimmed(

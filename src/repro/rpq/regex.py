@@ -14,9 +14,8 @@ Expressions are immutable and hashable; the module also implements the
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, Tuple, Union
+from typing import Any, Callable, FrozenSet, Iterator, List, Sequence, Tuple, Union
 
 from ..exceptions import QueryError
 from ..graph.labels import SignedLabel
@@ -42,6 +41,7 @@ __all__ = [
     "word",
     "Symbol",
     "canonical_token",
+    "fold",
 ]
 
 # A symbol of the underlying alphabet: either a node-label test or an edge step.
@@ -49,7 +49,18 @@ Symbol = Union["NodeTest", "EdgeStep"]
 
 
 class Regex:
-    """Base class of two-way regular expressions."""
+    """Base class of two-way regular expressions.
+
+    Every traversal of a tree — hashing, equality, the canonical token,
+    reversal, the structural helpers and the Thompson builder of
+    :mod:`repro.rpq.automaton` — runs on an explicit stack, so the
+    left-nested trees that the parser and :func:`union` build for wide
+    unions and long concatenations work at any depth.
+    """
+
+    #: the dataclass field names, in declaration order (read by hashing and
+    #: equality instead of ``dataclasses.fields()``)
+    _fields: Tuple[str, ...] = ()
 
     # -- structural helpers -------------------------------------------------
     def children(self) -> Tuple["Regex", ...]:
@@ -58,41 +69,46 @@ class Regex:
 
     def node_labels(self) -> FrozenSet[str]:
         """Node labels from Γ mentioned in the expression."""
-        result = set()
-        for symbol in self.symbols():
-            if isinstance(symbol, NodeTest):
-                result.add(symbol.label)
-        return frozenset(result)
+        return frozenset(symbol.label for symbol in self.symbols() if isinstance(symbol, NodeTest))
 
     def edge_labels(self) -> FrozenSet[str]:
         """Base edge labels from Σ mentioned in the expression."""
-        result = set()
-        for symbol in self.symbols():
-            if isinstance(symbol, EdgeStep):
-                result.add(symbol.signed.label)
-        return frozenset(result)
+        return frozenset(
+            symbol.signed.label for symbol in self.symbols() if isinstance(symbol, EdgeStep)
+        )
 
     def symbols(self) -> Iterator[Symbol]:
-        """Iterate over the alphabet symbols occurring in the expression."""
-        for child in self.children():
-            yield from child.symbols()
+        """Iterate over the alphabet symbols occurring in the expression,
+        left to right."""
+        stack: List[Regex] = [self]
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, (NodeTest, EdgeStep)):
+                yield expr
+            else:
+                stack.extend(reversed(expr.children()))
 
     def size(self) -> int:
         """Number of AST nodes (used by complexity-oriented benchmarks)."""
-        return 1 + sum(child.size() for child in self.children())
+        count = 0
+        stack: List[Regex] = [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children())
+        return count
 
     def reverse(self) -> "Regex":
         """The reversed expression φ⁻ (Appendix F): words read right-to-left
         with every edge step inverted."""
-        raise NotImplementedError
+        return fold(self, _reverse_node)
 
     def nullable(self) -> bool:
         """``True`` when ε belongs to the language."""
-        raise NotImplementedError
+        return fold(self, _nullable_node)
 
     def is_empty_language(self) -> bool:
         """``True`` when the language is syntactically guaranteed to be empty."""
-        return False
+        return fold(self, _empty_node)
 
     # -- operator sugar ------------------------------------------------------
     def __mul__(self, other: "Regex") -> "Regex":
@@ -101,21 +117,39 @@ class Regex:
     def __add__(self, other: "Regex") -> "Regex":
         return union(self, other)
 
-    # -- hashing and serialisation -------------------------------------------
-    # Expressions are used as cache keys throughout (the engine's automaton
-    # cache, the compile memo of repro.core), so hashing a deep tree must not
-    # recurse on every lookup.  The structural hash and the canonical token
-    # are each computed once per node and cached on the (frozen) instance;
-    # sub-expressions reuse their own cached values, so the cost is O(size)
-    # on first use and O(1) afterwards.  Equality stays the
-    # dataclass-generated structural comparison.
+    # -- hashing, equality and serialisation ---------------------------------
+    # Expressions are used as cache keys throughout (the compile memo of
+    # repro.core), so hashing a deep tree must not recurse on every lookup.
+    # The structural hash is computed once per node and cached on the
+    # (frozen) instance; a node's hash mixes its children's cached hashes, so
+    # the cost is O(size) on first use and O(1) afterwards.  Equality is
+    # structural: same classes and equal fields, node by node.
     def __hash__(self) -> int:
         cached = self.__dict__.get("_structural_hash")
         if cached is None:
-            values = tuple(getattr(self, field.name) for field in dataclasses.fields(self))
-            cached = hash((type(self).__name__, values))
-            object.__setattr__(self, "_structural_hash", cached)
+            _hash_tree(self)
+            cached = self.__dict__["_structural_hash"]
         return cached
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            left, right = pending.pop()
+            for name in left._fields:
+                mine, theirs = getattr(left, name), getattr(right, name)
+                if mine is theirs:
+                    continue
+                if isinstance(mine, Regex):
+                    if mine.__class__ is not theirs.__class__:
+                        return False
+                    pending.append((mine, theirs))
+                elif mine != theirs:
+                    return False
+        return True
 
     def __getstate__(self):
         # the cached hash mixes per-process values (str hashing is seeded);
@@ -126,46 +160,101 @@ class Regex:
         return state
 
 
-@dataclass(frozen=True)
+def fold(expr: Regex, combine: Callable[[Regex, Sequence[Any]], Any]) -> Any:
+    """Evaluate *expr* bottom-up without recursion.
+
+    ``combine(node, values)`` receives a node and the values of its
+    children, left to right, and returns the node's value.  Nodes are
+    combined in post-order (children left to right, then the node), the
+    order a recursive evaluation would visit them in: the walk lists the
+    nodes parent first, right subtree before left, and combines that list
+    backwards.
+    """
+    order: List[Tuple[Regex, Tuple[Regex, ...]]] = []
+    stack: List[Regex] = [expr]
+    while stack:
+        node = stack.pop()
+        children = node.children()
+        order.append((node, children))
+        stack.extend(children)
+    values: List[Any] = []
+    for node, children in reversed(order):
+        if children:
+            arity = len(children)
+            arguments = values[-arity:]
+            del values[-arity:]
+            values.append(combine(node, arguments))
+        else:
+            values.append(combine(node, ()))
+    return values[0]
+
+
+def _hash_tree(expr: Regex) -> None:
+    """Cache the structural hash on every node of *expr* that lacks one.
+
+    Nodes are hashed in reverse pre-order, children before parents, so each
+    node's hash reads its children's cached ones."""
+    pending: List[Regex] = []
+    stack: List[Regex] = [expr]
+    while stack:
+        node = stack.pop()
+        if "_structural_hash" not in node.__dict__:
+            pending.append(node)
+            stack.extend(node.children())
+    for node in reversed(pending):
+        values = tuple([getattr(node, name) for name in node._fields])
+        object.__setattr__(node, "_structural_hash", hash((type(node).__name__, values)))
+
+
+def _reverse_node(expr: Regex, children: Sequence[Regex]) -> Regex:
+    if isinstance(expr, EdgeStep):
+        return EdgeStep(expr.signed.inverse())
+    if isinstance(expr, Concat):
+        return Concat(children[1], children[0])
+    if isinstance(expr, Union):
+        return Union(children[0], children[1])
+    if isinstance(expr, Star):
+        return Star(children[0])
+    return expr  # ∅, ε and node tests read the same both ways
+
+
+def _nullable_node(expr: Regex, children: Sequence[bool]) -> bool:
+    if isinstance(expr, Concat):
+        return children[0] and children[1]
+    if isinstance(expr, Union):
+        return children[0] or children[1]
+    return isinstance(expr, (Epsilon, Star))
+
+
+def _empty_node(expr: Regex, children: Sequence[bool]) -> bool:
+    if isinstance(expr, Concat):
+        return children[0] or children[1]
+    if isinstance(expr, Union):
+        return children[0] and children[1]
+    return isinstance(expr, EmptyLanguage)
+
+
+@dataclass(frozen=True, eq=False)
 class EmptyLanguage(Regex):
     """``∅`` — matches no path at all."""
-
-    __hash__ = Regex.__hash__
-
-    def reverse(self) -> Regex:
-        return self
-
-    def nullable(self) -> bool:
-        return False
-
-    def is_empty_language(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return "<empty>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Epsilon(Regex):
     """``ε`` — matches the empty path (any node to itself)."""
-
-    __hash__ = Regex.__hash__
-
-    def reverse(self) -> Regex:
-        return self
-
-    def nullable(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return "<eps>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeTest(Regex):
     """``A`` — matches an empty path whose (single) node carries label ``A``."""
 
-    __hash__ = Regex.__hash__
+    _fields = ("label",)
 
     label: str
 
@@ -173,24 +262,15 @@ class NodeTest(Regex):
         if not isinstance(self.label, str) or not self.label:
             raise QueryError(f"invalid node label in regex: {self.label!r}")
 
-    def symbols(self) -> Iterator[Symbol]:
-        yield self
-
-    def reverse(self) -> Regex:
-        return self
-
-    def nullable(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeStep(Regex):
     """``R`` for ``R ∈ Σ±`` — traverses one edge, forwards or backwards."""
 
-    __hash__ = Regex.__hash__
+    _fields = ("signed",)
 
     signed: SignedLabel
 
@@ -198,49 +278,31 @@ class EdgeStep(Regex):
         if not isinstance(self.signed, SignedLabel):
             raise QueryError(f"EdgeStep expects a SignedLabel, got {self.signed!r}")
 
-    def symbols(self) -> Iterator[Symbol]:
-        yield self
-
-    def reverse(self) -> Regex:
-        return EdgeStep(self.signed.inverse())
-
-    def nullable(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return str(self.signed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat(Regex):
     """``φ·ψ`` — concatenation of paths."""
 
-    __hash__ = Regex.__hash__
+    _fields = ("left", "right")
 
     left: Regex
     right: Regex
 
     def children(self) -> Tuple[Regex, ...]:
         return (self.left, self.right)
-
-    def reverse(self) -> Regex:
-        return Concat(self.right.reverse(), self.left.reverse())
-
-    def nullable(self) -> bool:
-        return self.left.nullable() and self.right.nullable()
-
-    def is_empty_language(self) -> bool:
-        return self.left.is_empty_language() or self.right.is_empty_language()
 
     def __str__(self) -> str:
         return f"{_wrap(self.left, Union)} . {_wrap(self.right, Union)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union(Regex):
     """``φ+ψ`` — union of languages."""
 
-    __hash__ = Regex.__hash__
+    _fields = ("left", "right")
 
     left: Regex
     right: Regex
@@ -248,35 +310,20 @@ class Union(Regex):
     def children(self) -> Tuple[Regex, ...]:
         return (self.left, self.right)
 
-    def reverse(self) -> Regex:
-        return Union(self.left.reverse(), self.right.reverse())
-
-    def nullable(self) -> bool:
-        return self.left.nullable() or self.right.nullable()
-
-    def is_empty_language(self) -> bool:
-        return self.left.is_empty_language() and self.right.is_empty_language()
-
     def __str__(self) -> str:
         return f"{self.left} + {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(Regex):
     """``φ*`` — zero or more repetitions."""
 
-    __hash__ = Regex.__hash__
+    _fields = ("inner",)
 
     inner: Regex
 
     def children(self) -> Tuple[Regex, ...]:
         return (self.inner,)
-
-    def reverse(self) -> Regex:
-        return Star(self.inner.reverse())
-
-    def nullable(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return f"{_wrap(self.inner, (Union, Concat))}*"
@@ -288,33 +335,42 @@ def canonical_token(expr: Regex) -> str:
     Used as the regex component of the canonical fingerprints that key the
     :mod:`repro.engine` caches (see docs/ARCHITECTURE.md, "Cache keys").
     Labels are length-prefixed, so the encoding stays injective whatever
-    characters a label contains.  The token is computed once per node and
-    cached on the (frozen) instance, like the structural hash.
+    characters a label contains.  The token is written in one pre-order
+    pass, reusing the token of any subtree that already has one, and cached
+    on the (frozen) instance, like the structural hash.
     """
     cached = expr.__dict__.get("_canonical_token")
     if cached is None:
-        cached = _canonical_token_uncached(expr)
+        parts: List[str] = []
+        stack: List[Any] = [expr]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            known = item.__dict__.get("_canonical_token")
+            if known is not None:
+                parts.append(known)
+            elif isinstance(item, EmptyLanguage):
+                parts.append("0")
+            elif isinstance(item, Epsilon):
+                parts.append("e")
+            elif isinstance(item, NodeTest):
+                parts.append(f"n{len(item.label)}:{item.label}")
+            elif isinstance(item, EdgeStep):
+                text = str(item.signed)
+                parts.append(f"r{len(text)}:{text}")
+            elif isinstance(item, (Concat, Union)):
+                parts.append("(." if isinstance(item, Concat) else "(+")
+                stack.extend((")", item.right, " ", item.left))
+            elif isinstance(item, Star):
+                parts.append("(*")
+                stack.extend((")", item.inner))
+            else:  # pragma: no cover
+                raise TypeError(f"unknown regex node: {item!r}")
+        cached = "".join(parts)
         object.__setattr__(expr, "_canonical_token", cached)
     return cached
-
-
-def _canonical_token_uncached(expr: Regex) -> str:
-    if isinstance(expr, EmptyLanguage):
-        return "0"
-    if isinstance(expr, Epsilon):
-        return "e"
-    if isinstance(expr, NodeTest):
-        return f"n{len(expr.label)}:{expr.label}"
-    if isinstance(expr, EdgeStep):
-        text = str(expr.signed)
-        return f"r{len(text)}:{text}"
-    if isinstance(expr, Concat):
-        return f"(.{canonical_token(expr.left)} {canonical_token(expr.right)})"
-    if isinstance(expr, Union):
-        return f"(+{canonical_token(expr.left)} {canonical_token(expr.right)})"
-    if isinstance(expr, Star):
-        return f"(*{canonical_token(expr.inner)})"
-    raise TypeError(f"unknown regex node: {expr!r}")  # pragma: no cover
 
 
 def _wrap(expr: Regex, kinds) -> str:

@@ -324,8 +324,9 @@ HEAVY_EVOLUTION_WORD_CAP = 24
 
 
 def _balanced_union(parts: List[Regex]) -> Regex:
-    # left-nested unions of width ≥ ~400 overflow the recursion limit in
-    # canonical_token; a balanced tree keeps depth logarithmic
+    # the regex traversals work at any depth, so union() would do; the
+    # balanced shape stays because it fixes this corpus's regexes, and with
+    # them their automata's state numbering
     while len(parts) > 1:
         parts = [
             union(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]

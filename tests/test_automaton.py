@@ -1,13 +1,20 @@
 """Tests for the Glushkov/Thompson NFAs over Γ ∪ Σ±."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.core.compile as compile_module
+from repro.core import clear_compile_memo
 from repro.core.kernels import bitset_closure
+from repro.engine import ContainmentEngine
 from repro.rpq import UC2RPQ, build_nfa, concat, edge, node, parse_regex, plus, star, union
-from repro.rpq.automaton import NFA, _Builder
-from repro.rpq.regex import EMPTY, EPSILON, EdgeStep, NodeTest
+from repro.rpq.automaton import NFA, _Builder, _Fragment, _trimmed
+from repro.rpq.regex import EMPTY, EPSILON, Concat, EdgeStep, EmptyLanguage, Epsilon, NodeTest, Star, Union
 from repro.workloads.zoo import ZOO_SEED, zoo_corpus
 
 
@@ -279,3 +286,171 @@ _regexes = st.recursive(
 @given(_regexes)
 def test_build_nfa_matches_quadratic_builder_on_random_regexes(regex):
     assert_matches_quadratic_builder(regex)
+
+
+# --------------------------------------------------------------------------- #
+# build_nfa against the closure-inversion construction it replaced
+# --------------------------------------------------------------------------- #
+class _RecursiveBuilder(_Builder):
+    """The recursive Thompson build that ``_Builder.build`` replaced, kept
+    verbatim as part of the reference below."""
+
+    def build(self, expr):
+        if isinstance(expr, EmptyLanguage):
+            return _Fragment(self.fresh(), self.fresh())
+        if isinstance(expr, Epsilon):
+            start, end = self.fresh(), self.fresh()
+            self.add_epsilon(start, end)
+            return _Fragment(start, end)
+        if isinstance(expr, (NodeTest, EdgeStep)):
+            start, end = self.fresh(), self.fresh()
+            self.add_symbol(start, expr, end)
+            return _Fragment(start, end)
+        if isinstance(expr, Concat):
+            left = self.build(expr.left)
+            right = self.build(expr.right)
+            self.add_epsilon(left.end, right.start)
+            return _Fragment(left.start, right.end)
+        if isinstance(expr, Union):
+            left = self.build(expr.left)
+            right = self.build(expr.right)
+            start, end = self.fresh(), self.fresh()
+            self.add_epsilon(start, left.start)
+            self.add_epsilon(start, right.start)
+            self.add_epsilon(left.end, end)
+            self.add_epsilon(right.end, end)
+            return _Fragment(start, end)
+        if isinstance(expr, Star):
+            inner = self.build(expr.inner)
+            start, end = self.fresh(), self.fresh()
+            self.add_epsilon(start, inner.start)
+            self.add_epsilon(start, end)
+            self.add_epsilon(inner.end, inner.start)
+            self.add_epsilon(inner.end, end)
+            return _Fragment(start, end)
+        raise TypeError(f"unknown regex node: {expr!r}")
+
+
+def closure_inversion_build_nfa(expr):
+    """The earlier build_nfa, verbatim: the ε-closures of *every* state are
+    inverted, each labelled transition is copied to every origin whose
+    closure reaches it, and the trim then drops the unreachable origins.
+    Kept here only as the reference for build_nfa."""
+    builder = _RecursiveBuilder()
+    fragment = builder.build(expr)
+    closures = bitset_closure(
+        builder.counter,
+        (
+            (source, target)
+            for source, targets in builder.epsilon.items()
+            for target in targets
+        ),
+    )
+    origins = [[] for _ in range(builder.counter)]
+    for origin, mask in enumerate(closures):
+        while mask:
+            low = mask & -mask
+            origins[low.bit_length() - 1].append(origin)
+            mask ^= low
+    transitions = [
+        (origin, symbol, target)
+        for source, symbol, target in builder.labelled
+        for origin in origins[source]
+    ]
+    return _trimmed((fragment.start,), origins[fragment.end], transitions)
+
+
+def assert_matches_closure_inversion(regex) -> None:
+    built = build_nfa(regex)
+    reference = closure_inversion_build_nfa(regex)
+    assert built._transitions == reference._transitions, str(regex)
+    assert built.initial == reference.initial
+    assert built.final == reference.final
+    assert built.states == reference.states
+
+
+def _compiled_regexes(run):
+    """Every regex *run* compiles from a cold compile memo, in order."""
+    built = []
+
+    def recording_build_nfa(regex):
+        built.append(regex)
+        return build_nfa(regex)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(compile_module, "build_nfa", recording_build_nfa)
+        clear_compile_memo()
+        engine = ContainmentEngine()
+        try:
+            run(engine)
+        finally:
+            engine.close()
+            clear_compile_memo()
+    return built
+
+
+def test_build_nfa_matches_closure_inversion_on_a_cold_zoo_pass():
+    def run(engine):
+        for pairs in zoo_corpus(ZOO_SEED).values():
+            for left, right, schema in pairs:
+                engine.contains(left, right, schema)
+
+    regexes = _compiled_regexes(run)
+    assert len(regexes) == 118
+    # both ATM unions: the negative query's atom and its reversal
+    atm_unions = [regex for regex in regexes if regex.size() > 1000]
+    assert len(atm_unions) == 2
+    assert atm_unions[0].reverse() == atm_unions[1]
+    for regex in regexes:
+        assert_matches_closure_inversion(regex)
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_nfa_matches_closure_inversion_on_the_analysis_jobs():
+    jobs = _perfbench_inputs().analysis_jobs()
+
+    def run(engine):
+        for job in jobs:
+            job.run(engine)
+
+    regexes = _compiled_regexes(run)
+    assert len(regexes) == 75
+    for regex in regexes:
+        assert_matches_closure_inversion(regex)
+
+
+_leaf_or_trivial_regexes = st.one_of(
+    _leaf_regexes,
+    st.sampled_from([EMPTY, EPSILON]),
+)
+_regexes_with_trivia = st.recursive(
+    _leaf_or_trivial_regexes,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda pair: concat(*pair)),
+        st.tuples(inner, inner).map(lambda pair: union(*pair)),
+        inner.map(star),
+        inner.map(lambda regex: star(star(regex))),
+        inner.map(plus),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_regexes_with_trivia)
+def test_build_nfa_matches_closure_inversion_on_random_regexes(regex):
+    assert_matches_closure_inversion(regex)
+
+
+def test_build_nfa_matches_closure_inversion_on_trivial_regexes():
+    for regex in (EMPTY, EPSILON, star(EMPTY), star(star(EPSILON)), concat(EMPTY, star(edge("a"))),
+                  union(EMPTY, EPSILON), star(union(star(edge("a")), EPSILON))):
+        assert_matches_closure_inversion(regex)

@@ -397,6 +397,17 @@ def _random_horn_tbox(rng):
     )
 
 
+def _cycle_with_fan():
+    """The 2-cycle of ``next`` plus a required ``s``-edge into ``M`` with no
+    bound on its inverse, so some ≤1 queries follow from a ≤1 statement and
+    some need a chase."""
+    schema = Schema(["L0", "L1", "M"], ["next", "s"], name="CycleWithFan")
+    schema.set_edge("L0", "next", "L1", "1", "?")
+    schema.set_edge("L1", "next", "L0", "1", "?")
+    schema.set_edge("L0", "s", "M", "1", "*")
+    return schema
+
+
 class TestCompletionQueries:
     def test_overlay_answers_match_the_copy_based_reduction(self, zoo_completions):
         # every query the zoo corpus's completions ask, checked against the
@@ -493,20 +504,59 @@ class TestCompletionQueries:
                     if answer:
                         assert _COPY_REDUCTIONS[kind](later_tbox, body, role, head)
 
-    def test_entailment_checks_count_only_queries_run(self, monkeypatch):
-        recorder = _QueryRecorder(monkeypatch)
-        schema = synthetic.cycle_schema(2)
-        result = complete(schema_to_extended_tbox(schema), schema)
-        assert result.entailment_checks == recorder.chases
-        queries = recorder.queries()
-        # one chase per ≤1 query, and one per (round, body) for the ∃ queries
-        exists_bodies = sum(
-            len({body for kind, body, *_ in round_queries if kind == "∃"})
-            for _, _, round_queries in recorder.rounds
-        )
-        at_most = sum(1 for kind, *_ in queries if kind == "≤1")
-        assert recorder.chases == exists_bodies + at_most
-        assert exists_bodies < sum(1 for kind, *_ in queries if kind == "∃")
+    def test_entailment_checks_count_only_queries_run(self):
+        chased_at_most = []
+        for schema in (synthetic.cycle_schema(2), _cycle_with_fan()):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                recorder = _QueryRecorder(monkeypatch)
+                result = complete(schema_to_extended_tbox(schema), schema)
+            assert result.entailment_checks == recorder.chases
+            queries = recorder.queries()
+            # one chase per (round, body) for the ∃ queries, and one per ≤1
+            # query that no ≤1 statement of that round's TBox implies
+            exists_bodies = sum(
+                len({body for kind, body, *_ in round_queries if kind == "∃"})
+                for _, _, round_queries in recorder.rounds
+            )
+            stated = [
+                _stated_at_most(tbox, body, role, head)
+                for _, tbox, round_queries in recorder.rounds
+                for kind, body, role, head, _ in round_queries
+                if kind == "≤1"
+            ]
+            assert recorder.chases == exists_bodies + stated.count(False)
+            assert exists_bodies < sum(1 for kind, *_ in queries if kind == "∃")
+            assert stated.count(True) >= 4
+            chased_at_most.append(stated.count(False))
+        # the cycle's ≤1 queries are all stated; the fan's need chases
+        assert chased_at_most[0] == 0 and chased_at_most[1] >= 1
+
+    def test_stated_at_most_shortcut_matches_the_chase_on_random_horn_tboxes(self):
+        # the ≤1 queries of the E.7 oracle's random TBoxes, answered with and
+        # without reading a ≤1 statement first
+        rng = random.Random(22)
+        shortcuts = {True: 0, False: 0}
+        for _ in range(1000):
+            tbox = _random_horn_tbox(rng)
+            checker = EntailmentChecker(tbox)
+            for _ in range(2):
+                body, role, head = _random_conj(rng, 0, 2), rng.choice(_HORN_ROLES), _random_conj(rng, 0, 2)
+                answer = checker.entails_at_most(body, role, head)
+                assert answer == checker._chase_at_most(body, role, head)
+                assert answer == _copy_entails_at_most(tbox, body, role, head), (
+                    tbox.describe(), sorted(body), role, sorted(head)
+                )
+                shortcuts[_stated_at_most(tbox, body, role, head)] += 1
+        assert min(shortcuts.values()) >= 100, shortcuts
+
+
+def _stated_at_most(tbox, body, role, head):
+    """``True`` when some ``A ⊑ ∃≤1R.B`` of *tbox* has ``A ⊆ body`` and
+    ``B ⊆ head``, which implies ``body ⊑ ∃≤1R.head``."""
+    return any(
+        statement.role == role and statement.body <= body and statement.head <= head
+        for statement in tbox.at_most_statements()
+    )
 
 
 class TestHornCheck:

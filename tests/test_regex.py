@@ -1,5 +1,9 @@
 """Tests for two-way regular expressions and their parser."""
 
+import dataclasses
+import random
+import sys
+
 import pytest
 
 from repro.exceptions import ParseError, QueryError
@@ -19,7 +23,7 @@ from repro.rpq import (
     union,
     word,
 )
-from repro.rpq.regex import EdgeStep, NodeTest
+from repro.rpq.regex import EdgeStep, NodeTest, Regex
 
 
 class TestConstruction:
@@ -169,8 +173,8 @@ class TestStructuralHashCaching:
         inner = concat(edge("r"), edge("s"))
         outer = star(inner)
         hash(outer)
-        # hashing the tree populated the child's cache too (dataclass field
-        # hashing recurses through it exactly once)
+        # hashing the tree populated the child's cache too (children are
+        # hashed first, each exactly once)
         assert "_structural_hash" in inner.__dict__
 
     def test_canonical_token_is_cached(self):
@@ -208,3 +212,135 @@ class TestStructuralHashCaching:
         ):
             assert isinstance(hash(expr), int)
             assert expr in {expr}
+
+
+# --------------------------------------------------------------------------- #
+# traversals on an explicit stack: deep trees, unchanged outputs
+# --------------------------------------------------------------------------- #
+def _recursive_token(expr):
+    """The recursive canonical token the iterative one replaced."""
+    if isinstance(expr, EdgeStep):
+        text = str(expr.signed)
+        return f"r{len(text)}:{text}"
+    if isinstance(expr, NodeTest):
+        return f"n{len(expr.label)}:{expr.label}"
+    if isinstance(expr, Concat):
+        return f"(.{_recursive_token(expr.left)} {_recursive_token(expr.right)})"
+    if isinstance(expr, Union):
+        return f"(+{_recursive_token(expr.left)} {_recursive_token(expr.right)})"
+    if isinstance(expr, Star):
+        return f"(*{_recursive_token(expr.inner)})"
+    return "0" if expr == EMPTY else "e"
+
+
+def _copy(expr):
+    """A structurally equal tree of fresh nodes."""
+    return type(expr)(*(
+        _copy(value) if isinstance(value, Regex) else value
+        for value in (getattr(expr, f.name) for f in dataclasses.fields(expr))
+    ))
+
+
+def _dataclass_hash(expr):
+    """The structural hash as the dataclass fields define it."""
+    return hash((type(expr).__name__, tuple(getattr(expr, f.name) for f in dataclasses.fields(expr))))
+
+
+_SAMPLES = (
+    EMPTY,
+    EPSILON,
+    node("A"),
+    edge("r-"),
+    parse_regex("(a + b- . A)* . c? . (A + <eps>)"),
+    concat(EMPTY, star(star(edge("a")))),
+    union(node("Label with spaces"), edge("x")),
+)
+
+
+class TestIterativeTraversals:
+    def test_fields_are_the_dataclass_fields(self):
+        from repro.rpq.regex import EmptyLanguage, Epsilon
+
+        for cls in (EmptyLanguage, Epsilon, NodeTest, EdgeStep, Concat, Union, Star):
+            assert cls._fields == tuple(f.name for f in dataclasses.fields(cls)), cls
+
+    def test_outputs_match_the_recursive_definitions(self):
+        from repro.rpq.regex import canonical_token
+        from repro.workloads.zoo import random_regex
+
+        rng = random.Random(7)
+        samples = list(_SAMPLES) + [random_regex(rng, ("a", "b", "c"), depth=4) for _ in range(200)]
+        for expr in samples:
+            assert hash(expr) == _dataclass_hash(expr)
+            assert canonical_token(expr) == _recursive_token(expr)
+            twin = _copy(expr)
+            assert twin is not expr and twin == expr and hash(twin) == hash(expr)
+            assert expr.reverse().reverse() == expr
+
+    def test_equality_is_structural(self):
+        assert parse_regex("a . (b + A)*") == parse_regex("a . (b + A)*")
+        assert parse_regex("a . (b + A)*") != parse_regex("a . (b + B)*")
+        assert parse_regex("a . b") != parse_regex("a + b")
+        assert concat(edge("a"), node("A")) != concat(edge("a"), edge("A"))
+        assert edge("a") != edge("a-")
+        assert node("A") != "A" and EMPTY != EPSILON
+        assert Regex.__eq__(edge("a"), "a") is NotImplemented
+
+    def test_reverse_inverts_edges_and_swaps_concatenations(self):
+        assert parse_regex("a . b- . A").reverse() == Concat(node("A"), Concat(edge("b"), edge("a-")))
+        assert parse_regex("(a + B)* . <eps>").reverse() == parse_regex("<eps> . (a- + B)*")
+
+    def test_wide_union_containment_at_the_default_recursion_limit(self):
+        from repro.engine import ContainmentEngine
+        from repro.rpq import parse_c2rpq
+        from repro.schema import Schema
+
+        assert sys.getrecursionlimit() <= 1000
+        schema = Schema(["A", "B"], ["e0", "e1"], name="S")
+        schema.set_edge("A", "e0", "B", "*", "*")
+        schema.set_edge("A", "e1", "B", "*", "*")
+        alternatives = " + ".join(f"e{i}" for i in range(2000))
+        single = parse_c2rpq("P() := (e1)(x, y)")
+        wide = parse_c2rpq(f"Q() := ({alternatives})(x, y)")
+        engine = ContainmentEngine()
+        try:
+            assert engine.contains(single, wide, schema).contained
+            assert not engine.contains(wide, single, schema).contained
+        finally:
+            engine.close()
+
+    def test_long_concatenation_at_the_default_recursion_limit(self):
+        from repro.core import compile_regex
+        from repro.engine import ContainmentEngine
+        from repro.rpq import parse_c2rpq
+        from repro.rpq.regex import canonical_token
+        from repro.schema import Schema
+
+        assert sys.getrecursionlimit() <= 1000
+        schema = Schema(["A"], ["e0", "e1"], name="Loops")
+        schema.set_edge("A", "e0", "A", "*", "*")
+        schema.set_edge("A", "e1", "A", "*", "*")
+        steps = " . ".join(f"e{i % 2}" for i in range(2000))
+        long_path = parse_c2rpq(f"C() := ({steps})(x, y)")
+        single = parse_c2rpq("P() := (e1)(x, y)")
+        regex = long_path.atoms[0].regex
+        assert regex.size() == 3999 and len(list(regex.symbols())) == 2000
+        assert not regex.nullable() and not regex.is_empty_language()
+        assert regex.reverse().reverse() == regex
+        assert canonical_token(regex).count("(.") == 1999
+        assert compile_regex(regex).nfa.state_count() == 2001
+        engine = ContainmentEngine()
+        try:
+            assert engine.contains(long_path, long_path, schema).contained
+            assert engine.contains(long_path, single, schema).contained
+            assert not engine.contains(single, long_path, schema).contained
+        finally:
+            engine.close()
+
+    def test_equal_wide_unions_share_one_compiled_bundle(self):
+        from repro.core import compile_regex
+
+        first = union(*(edge(f"e{i}") for i in range(2000)))
+        second = union(*(edge(f"e{i}") for i in range(2000)))
+        assert first is not second and first == second
+        assert compile_regex(first) is compile_regex(second)
