@@ -50,9 +50,7 @@ from .containment import ContainmentResult, contains
 from .engine import (
     ContainmentEngine,
     ContainmentRequest,
-    EvolveReport,
     InvalidationReport,
-    SchemaDelta,
     default_engine,
 )
 from .store import ResultStore
@@ -89,9 +87,7 @@ __all__ = [
     "contains",
     "ContainmentEngine",
     "ContainmentRequest",
-    "EvolveReport",
     "InvalidationReport",
-    "SchemaDelta",
     "default_engine",
     "ResultStore",
     "__version__",

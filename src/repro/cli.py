@@ -492,13 +492,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """``cache stats|clear|export|warm|invalidate|evolve`` — manage a store file.
+    """``cache stats|clear|export|warm|invalidate`` — manage a store file.
 
     ``invalidate`` renders the structured
-    :class:`~repro.engine.InvalidationReport` and ``evolve`` the
-    :class:`~repro.engine.EvolveReport` for a store-backed engine; both run
-    against a fresh engine, so their in-memory tiers are empty and the
-    interesting numbers are the store rows dropped/written.
+    :class:`~repro.engine.InvalidationReport` for a store-backed engine; it
+    runs against a fresh engine, so the in-memory tiers are empty and the
+    interesting number is the store rows dropped.  It is also how a store
+    follows a schema edit: invalidate the old schema, and the new one keys
+    fresh rows.
     """
     path = Path(args.persist)
 
@@ -573,18 +574,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             schema, _ = containment_batch(args.workload, length=args.length)
         with ContainmentEngine(persist=path) as engine:
             report = engine.invalidate_schema(schema)
-        _emit(
-            {"path": str(path), **report.as_dict()},
-            args.json,
-            f"{path}:\n" + "\n".join("  " + line for line in report.summary().splitlines()),
-        )
-        return 0
-
-    if args.cache_command == "evolve":
-        old_schema = parse_schema(Path(args.old).read_text(encoding="utf-8"))
-        new_schema = parse_schema(Path(args.new).read_text(encoding="utf-8"))
-        with ContainmentEngine(persist=path) as engine:
-            report = engine.evolve(old_schema, new_schema)
         _emit(
             {"path": str(path), **report.as_dict()},
             args.json,
@@ -866,15 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_persist_argument(cache_invalidate, "the store file to invalidate in", required=True)
     _add_report_argument(cache_invalidate)
-
-    cache_evolve = cache_commands.add_parser(
-        "evolve",
-        help="migrate a store across a schema edit (drops the old namespace)",
-    )
-    cache_evolve.add_argument("--old", required=True, help="old schema DSL file")
-    cache_evolve.add_argument("--new", required=True, help="new schema DSL file")
-    _add_persist_argument(cache_evolve, "the store file to migrate", required=True)
-    _add_report_argument(cache_evolve)
 
     cache.set_defaults(handler=_cmd_cache)
 

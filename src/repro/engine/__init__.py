@@ -21,22 +21,21 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
   parent (``engine.transport_report()``);
 * :func:`merge_stats` / :func:`result_fingerprint` — pool-wide statistics
   aggregation and the verdict digest used to assert backend determinism;
-* :class:`SchemaDelta` / :class:`EvolveReport` / :class:`InvalidationReport`
-  — the schema-evolution layer (``repro.engine.delta``): axiom-level schema
-  diffs and the structured reports behind ``engine.evolve`` and
-  ``engine.invalidate_schema``;
+* :class:`InvalidationReport` — the per-tier counts
+  ``engine.invalidate_schema`` drops, which is also how a schema update is
+  served (the edited schema simply keys fresh entries);
 * :func:`default_engine` — the process-wide engine used by the stateless
   ``repro.containment.contains`` wrapper and the analysis entry points;
 * :func:`reset_default_engine` — drop the shared engine (test isolation).
 """
 
 from .cache import CacheStats, LRUCache
-from .delta import EvolveReport, InvalidationReport, SchemaDelta
 from .engine import (
     BACKENDS,
     ContainmentEngine,
     ContainmentRequest,
     EngineStats,
+    InvalidationReport,
     default_engine,
     reset_default_engine,
 )
@@ -50,9 +49,7 @@ __all__ = [
     "ContainmentEngine",
     "ContainmentRequest",
     "EngineStats",
-    "EvolveReport",
     "InvalidationReport",
-    "SchemaDelta",
     "TransportStats",
     "WorkerError",
     "WorkerPool",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 __all__ = ["CacheStats", "LRUCache"]
 
@@ -93,17 +93,8 @@ class LRUCache:
             self._data.popitem(last=False)
             self.stats.evictions += 1
 
-    def items(self) -> list:
-        """A list snapshot of ``(key, value)`` pairs, oldest to most recent.
-
-        Recency and counters are untouched — this is an inspection API (the
-        engine uses it to find the entries of one schema fingerprint for
-        invalidation and evolve), not a lookup path.
-        """
-        return list(self._data.items())
-
-    def prune(self, predicate) -> int:
-        """Drop every entry whose key satisfies *predicate*; returns the count.
+    def prune(self, predicate) -> List[Hashable]:
+        """Drop every entry whose key satisfies *predicate*; returns the keys.
 
         Pruned entries are deliberate invalidations, not capacity evictions,
         so they do not touch the eviction counter.
@@ -111,7 +102,7 @@ class LRUCache:
         doomed = [key for key in self._data if predicate(key)]
         for key in doomed:
             del self._data[key]
-        return len(doomed)
+        return doomed
 
     def clear(self) -> int:
         """Drop all entries (counters are kept); returns the count."""

@@ -46,14 +46,11 @@ the same canonical fingerprints and version-stamped, so verdicts are
 bit-identical with the store hot, cold, disabled or deleted (see
 docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
-Schema edits are first-class: :meth:`ContainmentEngine.evolve` diffs two
-schemas (:class:`~repro.engine.delta.SchemaDelta`), migrates the
-schema-blind verdicts into the new fingerprint namespace across both cache
-tiers, and conservatively invalidates the rest (compiled automata need no
-migration: their memo is not keyed by schema);
-:meth:`ContainmentEngine.invalidate_schema` reports its per-tier counts as a
-structured :class:`~repro.engine.delta.InvalidationReport` (see
-docs/ARCHITECTURE.md, "Schema evolution").
+A schema edit needs no migration either: the edited schema fingerprints to
+fresh keys, so :meth:`ContainmentEngine.invalidate_schema` on the old one
+only reclaims its entries, in both tiers, and reports the per-tier counts
+as a structured :class:`InvalidationReport` (see docs/ARCHITECTURE.md,
+"Schema updates").
 """
 
 from __future__ import annotations
@@ -77,13 +74,13 @@ from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..store import ResultStore, StoreStats
 from .cache import CacheStats, LRUCache
-from .delta import REPORT_TIERS, EvolveReport, InvalidationReport, SchemaDelta
 
 __all__ = [
     "BACKENDS",
     "ContainmentEngine",
     "ContainmentRequest",
     "EngineStats",
+    "InvalidationReport",
     "default_engine",
     "reset_default_engine",
 ]
@@ -156,6 +153,51 @@ class EngineStats:
         if self.store is not None:
             lines.append(f"  {self.store}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class InvalidationReport:
+    """Per-tier counts dropped by :meth:`ContainmentEngine.invalidate_schema`.
+
+    ``store_rows`` counts persistent-tier rows deleted (best-effort over the
+    keys known in memory; the store is content-addressed, so any rows left
+    behind are dead weight, never stale).
+    """
+
+    schema_fingerprint: str
+    results: int = 0
+    completions: int = 0
+    schema_tboxes: int = 0
+    store_rows: int = 0
+
+    @property
+    def total(self) -> int:
+        """Entries dropped from the in-memory tiers (store rows excluded)."""
+        return self.results + self.completions + self.schema_tboxes
+
+    def tier_counts(self) -> Dict[str, int]:
+        return {
+            "results": self.results,
+            "completions": self.completions,
+            "schema-tboxes": self.schema_tboxes,
+        }
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Plain-dict form for ``/stats`` and the cache CLI."""
+        return {
+            "schema_fingerprint": self.schema_fingerprint,
+            "invalidated": self.tier_counts(),
+            "store_rows": self.store_rows,
+            "total": self.total,
+        }
+
+    def summary(self) -> str:
+        """A short human-readable report."""
+        tiers = ", ".join(f"{name}={count}" for name, count in self.tier_counts().items())
+        return (
+            f"invalidated schema {self.schema_fingerprint[:12]}…: "
+            f"{tiers}, store_rows={self.store_rows}"
+        )
 
 
 def _digest(*parts: str) -> str:
@@ -328,7 +370,7 @@ class ContainmentEngine:
         self._contains_calls = 0
         self._batches = 0
         # extended-schema fingerprint → base-schema fingerprint: lets
-        # invalidate_schema/evolve find the completion and schema-tbox
+        # invalidate_schema find the completion and schema-tbox
         # entries that belong to a base schema (their keys carry the
         # *extended* fingerprint, which also depends on the query's free
         # variable names)
@@ -640,16 +682,6 @@ class ContainmentEngine:
             while len(index) > _SCHEMA_INDEX_LIMIT:
                 index.pop(next(iter(index)))
 
-    def _extended_fingerprints(self, fingerprint: str) -> set:
-        """Every known extended fingerprint of the base *fingerprint* (incl. itself).
-
-        Must be called under :attr:`_lock`.  Arity-0 queries extend a schema
-        to itself, so the base fingerprint always belongs to the set.
-        """
-        extended = {ext for ext, base in self._schema_index.items() if base == fingerprint}
-        extended.add(fingerprint)
-        return extended
-
     def invalidate_schema(self, schema: Schema) -> InvalidationReport:
         """Drop every cached artefact under *schema*'s fingerprint, all tiers.
 
@@ -659,18 +691,21 @@ class ContainmentEngine:
         known extended fingerprints, plus a best-effort delete of the
         corresponding persistent-store rows (rows the engine
         no longer knows about stay behind as dead weight — content
-        addressing means they can never be replayed incorrectly).
+        addressing means they can never be replayed incorrectly).  It is
+        also the whole of a schema update: the edited schema fingerprints
+        to fresh keys, so dropping the old one's entries is all that is
+        left to do, and compiled automata (keyed by regex alone) stay warm.
 
-        Returns an :class:`~repro.engine.delta.InvalidationReport` with the
-        per-tier counts (``report.results`` is the dropped-result count).
+        Returns an :class:`InvalidationReport` with the per-tier counts
+        (``report.results`` is the dropped-result count).
         """
-        return self._invalidate_fingerprint(schema.canonical_fingerprint())
-
-    def _invalidate_fingerprint(self, fingerprint: str) -> InvalidationReport:
+        fingerprint = schema.canonical_fingerprint()
         with self._lock:
-            extended = self._extended_fingerprints(fingerprint)
-            result_keys = [key for key, _ in self._results.items() if key[0] == fingerprint]
-            results = self._results.prune(lambda key: key[0] == fingerprint)
+            # arity-0 queries extend a schema to itself, so the base
+            # fingerprint is one of its extended fingerprints
+            extended = {ext for ext, base in self._schema_index.items() if base == fingerprint}
+            extended.add(fingerprint)
+            result_keys = self._results.prune(lambda key: key[0] == fingerprint)
             completions = self._completions.prune(lambda key: key[0] in extended)
             schema_tboxes = self._schema_tboxes.prune(lambda key: key in extended)
             for ext in extended:
@@ -683,114 +718,10 @@ class ContainmentEngine:
             store_rows += self._store.delete("schema-tboxes", sorted(extended))
         return InvalidationReport(
             fingerprint,
-            results=results,
-            completions=completions,
-            schema_tboxes=schema_tboxes,
+            results=len(result_keys),
+            completions=len(completions),
+            schema_tboxes=len(schema_tboxes),
             store_rows=store_rows,
-        )
-
-    # ------------------------------------------------------------------ #
-    # schema evolution
-    # ------------------------------------------------------------------ #
-    def evolve(self, old_schema: Schema, new_schema: Schema) -> EvolveReport:
-        """Migrate cached artefacts from *old_schema* to *new_schema*.
-
-        The delta-aware counterpart of :meth:`invalidate_schema` for the
-        "one constraint changed, re-check everything" scenario: verdicts
-        that never consulted the schema (the empty-left short circuit) are
-        re-keyed into *new_schema*'s fingerprint namespace and written
-        through to the persistent store.  Compiled automata need no
-        migration: they are keyed by regex alone in the process-wide memo,
-        so the re-run after an evolve finds every one of them warm.
-        Everything else under the old namespace is dropped (conservative
-        rule: the Horn encoding ``T̂_S`` spans the schema's full domain, so
-        any semantic edit invalidates every completed TBox and with it every
-        non-trivial verdict — when in doubt, invalidate), which is exactly
-        what keeps post-evolve verdicts and ``result_fingerprint``s
-        bit-identical to a cold start.
-
-        A fingerprint-identical edit (rename, explicitly declaring a ZERO
-        constraint) is trivial: nothing moves, everything is kept.  The old
-        schema's entries are gone afterwards either way — evolve declares
-        *old_schema* superseded; keep using plain per-call caching if both
-        versions stay live.
-        """
-        self._ensure_open()
-        started = time.perf_counter()
-        delta = SchemaDelta.between(old_schema, new_schema)
-        old_fingerprint = delta.old_fingerprint
-        new_fingerprint = delta.new_fingerprint
-        if delta.is_empty:
-            with self._lock:
-                extended = self._extended_fingerprints(old_fingerprint)
-                kept = {
-                    "results": sum(
-                        1 for key, _ in self._results.items() if key[0] == old_fingerprint
-                    ),
-                    "completions": sum(
-                        1 for key, _ in self._completions.items() if key[0] in extended
-                    ),
-                    "schema-tboxes": sum(
-                        1 for key, _ in self._schema_tboxes.items() if key in extended
-                    ),
-                }
-            return EvolveReport(
-                delta=delta,
-                trivial=True,
-                kept=kept,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-
-        with self._lock:
-            old_results = [
-                (key, result) for key, result in self._results.items()
-                if key[0] == old_fingerprint
-            ]
-
-        # verdicts that never consulted the schema: the empty-left short
-        # circuit (no TBox, no patterns, no witness — replay refreshes the
-        # schema name, so the re-keyed result is bit-identical)
-        migrated_results = []
-        for (_, pair_digest, config), result in old_results:
-            if (
-                result.completion is None
-                and result.witness_pattern is None
-                and result.finite_counterexample is None
-                and result.tbox_size == 0
-                and result.patterns_checked == 0
-            ):
-                migrated_results.append(((new_fingerprint, pair_digest, config), result))
-        with self._lock:
-            for key, result in migrated_results:
-                self._results.put(key, result)
-        migrated = {tier: 0 for tier in REPORT_TIERS}
-        migrated["results"] = len(migrated_results)
-
-        store_written = 0
-        if self._store is not None:
-            store_written = self._store.put_many(
-                "results",
-                [(_store_token(key), result) for key, result in migrated_results],
-            )
-
-        # everything else under the old namespace is superseded
-        invalidation = self._invalidate_fingerprint(old_fingerprint)
-        invalidated = {
-            "results": max(invalidation.results - migrated["results"], 0),
-            "completions": invalidation.completions,
-            "schema-tboxes": invalidation.schema_tboxes,
-        }
-
-        return EvolveReport(
-            delta=delta,
-            trivial=False,
-            kept=dict(migrated),
-            invalidated=invalidated,
-            migrated=migrated,
-            invalidation=invalidation,
-            store_written=store_written,
-            store_deleted=invalidation.store_rows,
-            elapsed_seconds=time.perf_counter() - started,
         )
 
 

@@ -15,7 +15,7 @@ Expressions are immutable and hashable; the module also implements the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple, Union
 
 from ..exceptions import QueryError
 from ..graph.labels import SignedLabel
@@ -52,10 +52,11 @@ class Regex:
     """Base class of two-way regular expressions.
 
     Every traversal of a tree — hashing, equality, the canonical token,
-    reversal, the structural helpers and the Thompson builder of
-    :mod:`repro.rpq.automaton` — runs on an explicit stack, so the
-    left-nested trees that the parser and :func:`union` build for wide
-    unions and long concatenations work at any depth.
+    reversal, printing, pickling, the structural helpers and the Thompson
+    builder of :mod:`repro.rpq.automaton` — runs on an explicit stack, so
+    the left-nested trees that the parser and :func:`union` build for wide
+    unions and long concatenations work at any depth, in this process and
+    across a pickle.
     """
 
     #: the dataclass field names, in declaration order (read by hashing and
@@ -99,8 +100,18 @@ class Regex:
 
     def reverse(self) -> "Regex":
         """The reversed expression φ⁻ (Appendix F): words read right-to-left
-        with every edge step inverted."""
-        return fold(self, _reverse_node)
+        with every edge step inverted.
+
+        Cached on the (frozen) instance, like the structural hash: the
+        roll-up reverses the same atoms on every containment test, and the
+        cached tree also keeps its own cached hash for the compile memo.
+        """
+        cached = self.__dict__.get("_reversed")
+        if cached is None:
+            cached = fold(self, _reverse_node)
+            if cached is not self:  # ∅, ε and node tests reverse to themselves
+                object.__setattr__(self, "_reversed", cached)
+        return cached
 
     def nullable(self) -> bool:
         """``True`` when ε belongs to the language."""
@@ -151,13 +162,18 @@ class Regex:
                     return False
         return True
 
-    def __getstate__(self):
-        # the cached hash mixes per-process values (str hashing is seeded);
-        # drop both caches in transit so unpickled copies recompute locally
-        state = dict(self.__dict__)
-        state.pop("_structural_hash", None)
-        state.pop("_canonical_token", None)
-        return state
+    def __str__(self) -> str:
+        return fold(self, _text_node)
+
+    def __repr__(self) -> str:
+        return fold(self, _repr_node)
+
+    def __reduce__(self):
+        # a flat program instead of the pickler's recursion into the tree;
+        # it carries the fields only, so the caches (the hash mixes seeded
+        # per-process str hashes) never travel and unpickled copies
+        # recompute them locally
+        return (_from_program, (_to_program(self),))
 
 
 def fold(expr: Regex, combine: Callable[[Regex, Sequence[Any]], Any]) -> Any:
@@ -234,23 +250,98 @@ def _empty_node(expr: Regex, children: Sequence[bool]) -> bool:
     return isinstance(expr, EmptyLanguage)
 
 
-@dataclass(frozen=True, eq=False)
+def _text_node(expr: Regex, children: Sequence[str]) -> str:
+    if isinstance(expr, Concat):
+        left = _wrap(expr.left, children[0], Union)
+        right = _wrap(expr.right, children[1], Union)
+        return f"{left} . {right}"
+    if isinstance(expr, Union):
+        return f"{children[0]} + {children[1]}"
+    if isinstance(expr, Star):
+        return f"{_wrap(expr.inner, children[0], (Union, Concat))}*"
+    if isinstance(expr, EmptyLanguage):
+        return "<empty>"
+    if isinstance(expr, Epsilon):
+        return "<eps>"
+    if isinstance(expr, NodeTest):
+        return expr.label
+    return str(expr.signed)
+
+
+def _wrap(expr: Regex, text: str, kinds) -> str:
+    """Parenthesise sub-expressions of looser precedence when printing."""
+    if isinstance(expr, kinds):
+        return f"({text})"
+    return text
+
+
+def _repr_node(expr: Regex, children: Sequence[str]) -> str:
+    """The dataclass ``repr``, one node at a time."""
+    if children:
+        values = children
+    else:
+        values = [repr(getattr(expr, name)) for name in expr._fields]
+    fields = ", ".join(f"{name}={value}" for name, value in zip(expr._fields, values))
+    return f"{type(expr).__qualname__}({fields})"
+
+
+def _to_program(expr: Regex) -> Tuple[tuple, ...]:
+    """*expr* as a post-order program over its distinct nodes.
+
+    Each instruction is ``(class, *fields)`` for a leaf and ``(class,
+    *child positions)`` for an inner node; a subtree shared by several
+    parents is listed once, so the program is no larger than the tree.
+    """
+    position: Dict[int, int] = {}
+    program: List[tuple] = []
+    stack: List[Any] = [expr]  # nodes to visit, and 1-tuples of nodes to emit
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            node = node[0]
+            if id(node) not in position:
+                position[id(node)] = len(program)
+                program.append((node.__class__, *[position[id(c)] for c in node.children()]))
+        elif id(node) not in position:
+            children = node.children()
+            if children:
+                stack.append((node,))
+                stack.extend(children[::-1])
+            else:
+                position[id(node)] = len(program)
+                program.append((node.__class__, *[getattr(node, n) for n in node._fields]))
+    return tuple(program)
+
+
+def _from_program(program: Sequence[tuple]) -> Regex:
+    """Rebuild the tree a :func:`_to_program` program describes."""
+    built: List[Regex] = []
+    for instruction in program:
+        cls = instruction[0]
+        node = object.__new__(cls)
+        state = node.__dict__
+        if cls is Concat or cls is Union:
+            state["left"] = built[instruction[1]]
+            state["right"] = built[instruction[2]]
+        elif cls is Star:
+            state["inner"] = built[instruction[1]]
+        elif cls._fields:
+            state[cls._fields[0]] = instruction[1]
+        built.append(node)
+    return built[-1]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class EmptyLanguage(Regex):
     """``∅`` — matches no path at all."""
 
-    def __str__(self) -> str:
-        return "<empty>"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Epsilon(Regex):
     """``ε`` — matches the empty path (any node to itself)."""
 
-    def __str__(self) -> str:
-        return "<eps>"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class NodeTest(Regex):
     """``A`` — matches an empty path whose (single) node carries label ``A``."""
 
@@ -262,11 +353,8 @@ class NodeTest(Regex):
         if not isinstance(self.label, str) or not self.label:
             raise QueryError(f"invalid node label in regex: {self.label!r}")
 
-    def __str__(self) -> str:
-        return self.label
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EdgeStep(Regex):
     """``R`` for ``R ∈ Σ±`` — traverses one edge, forwards or backwards."""
 
@@ -278,11 +366,8 @@ class EdgeStep(Regex):
         if not isinstance(self.signed, SignedLabel):
             raise QueryError(f"EdgeStep expects a SignedLabel, got {self.signed!r}")
 
-    def __str__(self) -> str:
-        return str(self.signed)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Concat(Regex):
     """``φ·ψ`` — concatenation of paths."""
 
@@ -294,11 +379,8 @@ class Concat(Regex):
     def children(self) -> Tuple[Regex, ...]:
         return (self.left, self.right)
 
-    def __str__(self) -> str:
-        return f"{_wrap(self.left, Union)} . {_wrap(self.right, Union)}"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(Regex):
     """``φ+ψ`` — union of languages."""
 
@@ -310,11 +392,8 @@ class Union(Regex):
     def children(self) -> Tuple[Regex, ...]:
         return (self.left, self.right)
 
-    def __str__(self) -> str:
-        return f"{self.left} + {self.right}"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Star(Regex):
     """``φ*`` — zero or more repetitions."""
 
@@ -324,9 +403,6 @@ class Star(Regex):
 
     def children(self) -> Tuple[Regex, ...]:
         return (self.inner,)
-
-    def __str__(self) -> str:
-        return f"{_wrap(self.inner, (Union, Concat))}*"
 
 
 def canonical_token(expr: Regex) -> str:
@@ -371,13 +447,6 @@ def canonical_token(expr: Regex) -> str:
         cached = "".join(parts)
         object.__setattr__(expr, "_canonical_token", cached)
     return cached
-
-
-def _wrap(expr: Regex, kinds) -> str:
-    """Parenthesise sub-expressions of looser precedence when printing."""
-    if isinstance(expr, kinds):
-        return f"({expr})"
-    return str(expr)
 
 
 # --------------------------------------------------------------------------- #

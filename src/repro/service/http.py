@@ -18,8 +18,10 @@ Endpoints:
   (the whole body is queued before the first wait, so a client-side batch
   coalesces with itself and with other clients);
 * ``POST /schema-update`` — ``{"old": <schema DSL>, "new": <schema DSL>}``,
-  evolves the live engine between schemas without a restart and returns
-  the :class:`~repro.engine.EvolveReport` as JSON.
+  supersedes a schema without a restart: the old schema's cache entries
+  are invalidated (the new one keys fresh entries) and the
+  :class:`~repro.engine.InvalidationReport` comes back as JSON, with
+  ``trivial`` and ``new_fingerprint``.
 
 Malformed payloads are 400s with a JSON ``{"error": ...}`` body; an engine
 failure is a 500 carrying the exception text.  Keep-alive (HTTP/1.1 with

@@ -38,7 +38,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
-from ..engine import ContainmentEngine, result_fingerprint
+from ..engine import ContainmentEngine, InvalidationReport, result_fingerprint
 from ..engine.cache import LRUCache
 from ..rpq.parser import parse_c2rpq
 from ..schema.parser import parse_schema
@@ -116,8 +116,8 @@ class ContainmentService:
         self._closed = False
         self._requests = 0
         self._failures = 0
-        # the schema-evolution ledger behind POST /schema-update: how many
-        # live evolves ran, and the last EvolveReport (rendered in /stats)
+        # the ledger behind POST /schema-update: how many updates ran, and
+        # the last reply (rendered in /stats)
         self._schema_updates = 0
         self._last_evolve: Optional[Dict[str, Any]] = None
         # parse caches: service traffic repeats schema/query *text* verbatim
@@ -261,20 +261,22 @@ class ContainmentService:
         ]
 
     # ------------------------------------------------------------------ #
-    # live schema evolution
+    # live schema updates
     # ------------------------------------------------------------------ #
     def schema_update(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """``POST /schema-update``: evolve the live engine, no restart.
+        """``POST /schema-update``: supersede a schema on the live engine.
 
         The payload names the superseded and the replacement schema as DSL
-        text (``{"old": "schema S {...}", "new": "schema S {...}"}``); the
-        engine migrates every schema-content-independent artefact into the
-        new fingerprint namespace and invalidates the rest
-        (:meth:`~repro.engine.ContainmentEngine.evolve`), so in-flight and
-        subsequent requests against the new schema are bit-identical to a
-        cold-started service while keeping the migrated warmth.  Returns the
-        :class:`~repro.engine.EvolveReport` as a JSON dict; the last report
-        also shows up under ``evolve`` in :meth:`stats_report`.
+        text (``{"old": "schema S {...}", "new": "schema S {...}"}``).
+        Every engine cache key holds the schema's content fingerprint, so
+        requests against the new schema use fresh keys and are bit-identical
+        to a cold-started service; all that is left to do is reclaim the old
+        schema's entries (:meth:`~repro.engine.ContainmentEngine.invalidate_schema`).
+        A fingerprint-equal pair (a rename) is ``trivial`` and drops nothing.
+        Returns ``{"evolved": true, "trivial": ..., "new_fingerprint": ...}``
+        merged with the :class:`~repro.engine.InvalidationReport` as a JSON
+        dict; the last reply also shows up under ``evolve`` in
+        :meth:`stats_report`.
         """
         if self._closed:
             raise RuntimeError("the containment service has been closed")
@@ -288,12 +290,23 @@ class ContainmentService:
             )
         old = self._parse_schema_text(payload["old"], "old")
         new = self._parse_schema_text(payload["new"], "new")
-        report = self.engine.evolve(old, new)
-        rendered = report.as_dict()
+        old_fingerprint = old.canonical_fingerprint()
+        new_fingerprint = new.canonical_fingerprint()
+        trivial = old_fingerprint == new_fingerprint
+        if trivial:
+            report = InvalidationReport(old_fingerprint)
+        else:
+            report = self.engine.invalidate_schema(old)
+        rendered: Dict[str, Any] = {
+            "evolved": True,
+            "trivial": trivial,
+            "new_fingerprint": new_fingerprint,
+            **report.as_dict(),
+        }
         with self._lock:
             self._schema_updates += 1
             self._last_evolve = rendered
-        response: Dict[str, Any] = {"evolved": True, **rendered}
+        response = dict(rendered)
         if payload.get("id") is not None:
             response["id"] = payload["id"]
         return response
@@ -331,8 +344,7 @@ class ContainmentService:
         with self._lock:
             last_evolve = self._last_evolve
         if last_evolve is not None:
-            # the last live schema evolution, EvolveReport.as_dict() form
-            # (includes its nested InvalidationReport under "invalidation")
+            # the last /schema-update reply, InvalidationReport fields included
             report["evolve"] = last_evolve
         if self.backend == "process":
             process_stats = self.engine.process_stats()

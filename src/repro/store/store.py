@@ -476,7 +476,7 @@ class ResultStore:
     def delete(self, tier: str, keys: Iterable[str]) -> int:
         """Drop the given keys from *tier*; returns the number of rows removed.
 
-        The schema-evolution / invalidation path uses this to reclaim rows
+        ``ContainmentEngine.invalidate_schema`` uses this to reclaim rows
         superseded by a schema edit.  Best-effort like every store write: a
         read-only or disabled store deletes nothing (returns 0), and rows the
         caller does not know about simply stay — content-addressed keys mean

@@ -257,8 +257,8 @@ def single_axiom_edit(
 ) -> Schema:
     """A copy of *schema* with exactly one multiplicity axiom changed.
 
-    The "one constraint changed, re-check everything" scenario behind
-    :meth:`~repro.engine.ContainmentEngine.evolve`: same node and edge
+    The "one constraint changed, re-check everything" scenario of a schema
+    update (``POST /schema-update``): same node and edge
     labels (so every query stays well-formed), one declared constraint's
     multiplicity rewritten via a fixed non-identity cycle (so the canonical
     fingerprint always changes).  Deterministic in *seed*.
@@ -294,9 +294,9 @@ def evolution_corpus(
     label sets).  This is the fixture behind ``tests/test_evolve.py`` and
     the evolve smoke check: deep, star-heavy left regexes make automaton
     compilation and the pumped enumeration the dominant per-pair cost —
-    exactly the artefacts that stay warm across
-    :meth:`~repro.engine.ContainmentEngine.evolve` (the compile memo is keyed
-    by regex, not schema).
+    exactly the artefacts that stay warm when the old schema is invalidated
+    (:meth:`~repro.engine.ContainmentEngine.invalidate_schema`; the compile
+    memo is keyed by regex, not schema).
     """
     if queries < 1:
         raise ValueError("evolution_corpus needs queries >= 1")
@@ -348,9 +348,9 @@ def heavy_evolution_corpus(
     random length-*word_length* edge walks, so building (and trimming) its
     NFA dwarfs the chase — provided callers cap enumeration at
     :data:`HEAVY_EVOLUTION_WORD_CAP` words per atom.  This is the shape
-    where keeping compiled automata warm across
-    :meth:`~repro.engine.ContainmentEngine.evolve` pays: the ≥2x warm-vs-cold
-    gate of
+    where keeping compiled automata warm across a schema update
+    (:meth:`~repro.engine.ContainmentEngine.invalidate_schema` of the old
+    schema) pays: the ≥2x warm-vs-cold gate of
     ``benchmarks/bench_schema_evolution.py`` runs exactly this corpus.
     """
     if queries < 1:

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.schema.parser import schema_to_text
 from repro.workloads import medical
+from repro.workloads.batches import containment_batch
 
 
 def test_contain_text_summary(capsys):
@@ -187,6 +188,46 @@ def test_cache_subcommand_round_trip(tmp_path, capsys):
     assert "dropped 15 entries" in capsys.readouterr().out
     assert main(["cache", "stats", "--persist", str(store_file), "--json", "-"]) == 0
     assert "results" not in json.loads(capsys.readouterr().out)["tiers"]
+
+
+def test_cache_invalidate_schema_file_after_warm(tmp_path, capsys):
+    """``cache invalidate --schema-file`` reports against the file's schema.
+
+    The CLI's engine is fresh, so its in-memory tiers drop nothing; the
+    reported store rows are exactly the rows that left the file.
+    """
+    store_file = tmp_path / "cache.db"
+    schema, _ = containment_batch("medical")
+    schema_file = tmp_path / "medical.schema"
+    schema_file.write_text(schema_to_text(schema), encoding="utf-8")
+
+    assert main(["cache", "warm", "--persist", str(store_file), "--workload", "medical"]) == 0
+    capsys.readouterr()
+
+    def stored_entries():
+        assert main(["cache", "stats", "--persist", str(store_file), "--json", "-"]) == 0
+        return sum(json.loads(capsys.readouterr().out)["tiers"].values())
+
+    before = stored_entries()
+    code = main([
+        "cache", "invalidate",
+        "--persist", str(store_file),
+        "--schema-file", str(schema_file),
+        "--json", "-",
+    ])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["path"] == str(store_file)
+    assert report["schema_fingerprint"] == schema.canonical_fingerprint()
+    assert report["invalidated"] == {"results": 0, "completions": 0, "schema-tboxes": 0}
+    assert report["total"] == 0
+    assert before - stored_entries() == report["store_rows"]
+
+    # the human-readable form names the schema too
+    assert main([
+        "cache", "invalidate", "--persist", str(store_file), "--schema-file", str(schema_file),
+    ]) == 0
+    assert schema.canonical_fingerprint()[:12] in capsys.readouterr().out
 
 
 def test_cache_stats_on_missing_store_reports_unavailable(tmp_path, capsys):

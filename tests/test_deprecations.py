@@ -11,9 +11,12 @@ accelerator and the per-schema symbol tables), and the schema-partitioned
 automaton caches (the engine's ``automata`` tier with its
 ``automaton_cache_size`` knob, the worker pool's cache-size knobs, the
 compile memo's ``context`` and the ``rebase_compiled``/``install_compiled``
-migration hooks) — the first half of this file pins that down, so a shim
-cannot quietly come back.  The second half checks that the supported
-replacements stay silent.
+migration hooks), and the schema-evolution layer (``engine.evolve``, the
+``repro.engine.delta`` module with ``SchemaDelta``, ``ConstraintChange``,
+``EvolveReport`` and ``REPORT_TIERS``, and ``cache evolve``: a schema update
+is an ``invalidate_schema`` of the old schema) — the first half of this file
+pins that down, so a shim cannot quietly come back.  The second half checks
+that the supported replacements stay silent.
 """
 
 import importlib.util
@@ -21,6 +24,7 @@ import warnings
 
 import pytest
 
+import repro
 import repro.core
 import repro.core.kernels
 from repro.containment.solver import ContainmentSolver
@@ -105,6 +109,24 @@ def test_schema_partitioned_automaton_caches_are_gone():
     assert not hasattr(ContainmentSolver(medical.source_schema()), "_memo_context")
     with pytest.raises(TypeError):
         InvalidationReport("f" * 64, automata=5)
+
+
+def test_schema_evolution_layer_is_gone(tmp_path):
+    assert not hasattr(ContainmentEngine, "evolve")
+    assert importlib.util.find_spec("repro.engine.delta") is None
+    for name in ("SchemaDelta", "ConstraintChange", "EvolveReport", "REPORT_TIERS"):
+        assert not hasattr(repro.engine, name), name
+        assert not hasattr(repro, name), name
+    schema_file = tmp_path / "schema.txt"
+    schema_file.write_text("schema S { nodes A; }", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "cache", "evolve",
+            "--old", str(schema_file),
+            "--new", str(schema_file),
+            "--persist", str(tmp_path / "cache.db"),
+        ])
+    assert exit_info.value.code == 2  # an argparse usage error, not a migration
 
 
 def test_dfa_layer_is_gone():

@@ -344,3 +344,76 @@ class TestIterativeTraversals:
         second = union(*(edge(f"e{i}") for i in range(2000)))
         assert first is not second and first == second
         assert compile_regex(first) is compile_regex(second)
+
+    def test_reverse_is_cached_and_stays_out_of_pickles(self):
+        import pickle
+
+        from repro.rpq.regex import canonical_token
+
+        expr = parse_regex("a . (b- + A)* . c")
+        before = pickle.dumps(expr)
+        reversed_expr = expr.reverse()
+        assert expr.reverse() is reversed_expr
+        assert str(reversed_expr) == "c- . (b + A)* . a-"
+        hash(expr)
+        canonical_token(expr)
+        assert pickle.dumps(expr) == before
+        clone = pickle.loads(before)
+        assert "_reversed" not in clone.__dict__
+        assert clone.reverse() == reversed_expr
+        # ∅, ε and node tests reverse to themselves and cache nothing
+        for leaf in (EMPTY, EPSILON, node("A")):
+            assert leaf.reverse() is leaf
+            assert "_reversed" not in leaf.__dict__
+
+    def test_pickle_round_trip_keeps_shared_subtrees(self):
+        import pickle
+
+        inner = union(edge("a"), node("A"))
+        expr = concat(plus(inner), inner.reverse())
+        clone = pickle.loads(pickle.dumps(expr))
+        assert clone == expr and type(clone) is Concat
+        # plus(φ) = φ · φ*: one φ object in the original, one in the clone
+        assert clone.left.left is clone.left.right.inner
+        assert str(clone) == str(expr) and repr(clone) == repr(expr)
+
+    def test_wide_union_prints_and_pickles_at_the_default_recursion_limit(self):
+        import pickle
+
+        assert sys.getrecursionlimit() <= 1000
+        wide = union(*(edge(f"e{i}") for i in range(2000)))
+        text = str(wide)
+        assert text == " + ".join(f"e{i}" for i in range(2000))
+        assert parse_regex(text) == wide
+        assert repr(wide).startswith("Union(left=Union(left=")
+        assert repr(wide).count("EdgeStep(signed=") == 2000
+        clone = pickle.loads(pickle.dumps(wide, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone == wide and hash(clone) == hash(wide)
+        steps = concat(*(edge(f"e{i % 2}") for i in range(2000)))
+        assert pickle.loads(pickle.dumps(steps)) == steps
+        assert str(steps).count(" . ") == 1999
+
+    def test_wide_union_through_the_process_backend_and_the_store(self, tmp_path):
+        from repro.engine import ContainmentEngine, result_fingerprint
+        from repro.rpq import parse_c2rpq
+        from repro.schema import Schema
+
+        schema = Schema(["A", "B"], ["e0", "e1"], name="S")
+        schema.set_edge("A", "e0", "B", "*", "*")
+        schema.set_edge("A", "e1", "B", "*", "*")
+        alternatives = " + ".join(f"e{i}" for i in range(2000))
+        single = parse_c2rpq("P() := (e1)(x, y)")
+        wide = parse_c2rpq(f"Q() := ({alternatives})(x, y)")
+        pairs = [(single, wide), (wide, single)]
+        with ContainmentEngine() as engine:
+            serial = [result_fingerprint(r) for r in engine.check_many(pairs, schema=schema)]
+        path = tmp_path / "deep.db"
+        with ContainmentEngine(max_workers=2, persist=path) as engine:
+            results = engine.check_many(pairs, schema=schema, parallel="process")
+            assert [result.contained for result in results] == [True, False]
+            assert [result_fingerprint(r) for r in results] == serial
+            assert engine.stats.store.writes == len(pairs)
+        with ContainmentEngine(persist=path) as replay:
+            results = replay.check_many(pairs, schema=schema)
+            assert [result_fingerprint(r) for r in results] == serial
+            assert replay.stats.store.hits == len(pairs)

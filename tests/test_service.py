@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine import ContainmentEngine, result_fingerprint
 from repro.rpq.parser import parse_c2rpq
+from repro.schema.parser import schema_to_text
 from repro.service import (
     ContainmentService,
     RequestCoalescer,
@@ -26,6 +27,7 @@ from repro.service import (
 )
 from repro.workloads import medical
 from repro.workloads.streams import closed_loop, request_payloads, request_stream
+from repro.workloads.zoo import evolution_corpus
 
 
 def _fingerprints(results):
@@ -279,6 +281,63 @@ def test_service_borrowing_an_engine_leaves_it_open():
 
 
 # --------------------------------------------------------------------------- #
+# POST /schema-update: a schema update is an invalidation of the old schema
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def update_corpus():
+    old_schema, new_schema, pairs = evolution_corpus(queries=4)
+    texts = [schema_to_text(schema) for schema in (old_schema, new_schema)]
+    return (*texts, pairs, schema_to_text(old_schema.copy(name="renamed")))
+
+
+def _update_payloads(schema_text, pairs):
+    return [
+        {"schema": schema_text, "left": str(left), "right": str(right)} for left, right in pairs
+    ]
+
+
+def test_schema_update_of_a_rename_is_trivial_and_keeps_the_cache(update_corpus):
+    old_text, _, pairs, renamed_text = update_corpus
+    assert renamed_text != old_text
+    with ContainmentService(coalesce_window=0.0) as service:
+        service.handle_many(_update_payloads(old_text, pairs))
+        reply = service.schema_update({"old": old_text, "new": renamed_text, "id": "u1"})
+        assert reply["evolved"] is True and reply["trivial"] is True
+        assert reply["new_fingerprint"] == reply["schema_fingerprint"]
+        assert reply["total"] == 0 and reply["store_rows"] == 0
+        assert reply["id"] == "u1"
+        hits_before = service.engine.stats.results.hits
+        service.handle_many(_update_payloads(renamed_text, pairs))
+        assert service.engine.stats.results.hits == hits_before + len(pairs)
+
+
+def test_schema_update_drops_the_old_namespace_and_matches_a_cold_service(update_corpus):
+    old_text, new_text, pairs, _ = update_corpus
+    new_payloads = _update_payloads(new_text, pairs)
+    with ContainmentService(coalesce_window=0.0) as service:
+        service.handle_many(_update_payloads(old_text, pairs))
+        reply = service.schema_update({"old": old_text, "new": new_text})
+        assert reply["evolved"] is True and reply["trivial"] is False
+        assert reply["new_fingerprint"] != reply["schema_fingerprint"]
+        assert reply["invalidated"]["results"] == len(pairs)
+        assert reply["invalidated"]["completions"] > 0
+        # nothing of the old namespace is left behind
+        assert service.schema_update({"old": old_text, "new": new_text})["total"] == 0
+        updated = [response["fingerprint"] for response in service.handle_many(new_payloads)]
+    with ContainmentService(coalesce_window=0.0) as cold:
+        fresh = [response["fingerprint"] for response in cold.handle_many(new_payloads)]
+    assert updated == fresh
+
+
+@pytest.mark.parametrize("payload", [{"new": "schema S { nodes A; }"}, {"old": "x"}, {}, []])
+def test_schema_update_rejects_incomplete_payloads(payload):
+    with ContainmentService() as service:
+        with pytest.raises(ServiceError):
+            service.schema_update(payload)
+        assert service.stats_report()["service"]["schema_updates"] == 0
+
+
+# --------------------------------------------------------------------------- #
 # HTTP transport
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
@@ -322,6 +381,16 @@ def test_http_contain_healthz_and_stats(http_server):
         stats = json.loads(response.read())
     assert stats["coalescer"]["submitted"] >= 1 + len(payloads)
     assert "engine" in stats and "service" in stats
+
+
+def test_http_schema_update_is_counted_in_stats(http_server, update_corpus):
+    old_text, new_text, _, _ = update_corpus
+    status, reply = _post(http_server.url + "/schema-update", {"old": old_text, "new": new_text})
+    assert status == 200 and reply["trivial"] is False
+    with urllib.request.urlopen(http_server.url + "/stats", timeout=30) as response:
+        stats = json.loads(response.read())
+    assert stats["service"]["schema_updates"] == 1
+    assert stats["evolve"] == reply
 
 
 def test_http_concurrent_clients_match_serial_fingerprints(

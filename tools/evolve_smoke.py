@@ -1,21 +1,23 @@
 #!/usr/bin/env python
-"""Schema-evolution smoke check (the CI ``evolve-smoke`` step).
+"""Schema-update smoke check (the CI ``evolve-smoke`` step).
 
 End-to-end, over a real socket, against the real CLI:
 
 1. start ``python -m repro serve --port 0`` and warm it with ``POST
    /contain`` requests against the *old* zoo evolution schema;
 2. ``POST /schema-update`` the single-axiom edit mid-stream and require a
-   200 whose report says the evolve was non-trivial;
-3. replay the workload against the *new* schema on the evolved server,
+   200 whose reply says the update was non-trivial (the server invalidates
+   the old schema's cache entries; the new schema keys fresh ones);
+3. replay the workload against the *new* schema on the updated server,
    record every verdict fingerprint, and require the replay to compile no
    automaton (``/stats`` → ``engine.caches.automata.misses`` unchanged: the
    compile memo is keyed by regex, so the edit leaves every bundle warm);
 4. SIGINT the server, start a **fresh** one (the cold-restarted baseline —
    nothing survives the process boundary), replay the new-schema workload
    again, and require the two fingerprint sequences to be identical:
-   migration must never change a verdict bit;
-5. require ``GET /stats`` on the evolved server to carry the evolve report,
+   a schema update must never change a verdict bit;
+5. require ``GET /stats`` on the updated server to count the update and
+   carry its reply under ``evolve``,
    and both shutdowns to be clean (SIGINT → exit 0).
 
 Exits non-zero with a diagnostic on any failure.  Runs in a few seconds; no
@@ -126,7 +128,10 @@ def main() -> int:
         if status != 200 or not report.get("evolved"):
             fail(f"/schema-update returned {status}: {report}")
         if report.get("trivial"):
-            fail(f"the single-axiom edit evolved as trivial: {report['delta']}")
+            fail(
+                "the single-axiom edit was treated as trivial: "
+                f"{report['schema_fingerprint']} -> {report['new_fingerprint']}"
+            )
         print(
             "evolve-smoke: /schema-update OK "
             f"(invalidated results: {report['invalidated']['results']})"
@@ -148,7 +153,7 @@ def main() -> int:
         if process.poll() is None:
             process.kill()
 
-    # the cold-restarted baseline: a fresh process, nothing migrated
+    # the cold-restarted baseline: a fresh process, nothing carried over
     process, url = start_server()
     try:
         print(f"evolve-smoke: cold-restarted server up at {url}")
