@@ -11,9 +11,15 @@ prefix-path left × every start-label right, all requests distinct):
    acceptance gate; skipped, with a diagnostic line, on smaller machines
    where the GIL-free workers have no cores to run on).
 
-Worker start-up (interpreter spawn + import) is excluded from the timing by
-starting the pool before the clock; that cost is amortised over a pool's
-lifetime by design — the pool is persistent.
+Worker start-up (interpreter spawn + import) is excluded from the timing:
+before the clock starts, every worker answers a statistics request, which
+it can only do once it is up (``WorkerPool.start()`` alone returns as soon
+as the processes are spawned, before they have imported anything); that
+cost is amortised over a pool's lifetime by design — the pool is
+persistent.  Every arm starts by clearing
+the process-wide compile memo (:func:`repro.core.clear_compile_memo`), so
+no arm runs on automata an earlier arm or test compiled in this process:
+the serial arm is as cold as the freshly spawned workers.
 """
 
 import os
@@ -21,6 +27,7 @@ import time
 
 import pytest
 
+from repro.core import clear_compile_memo
 from repro.engine import ContainmentEngine, result_fingerprint
 from repro.workloads.batches import synthetic_batch
 
@@ -34,6 +41,7 @@ def _fingerprints(results):
 
 
 def _run_serial(schema, pairs):
+    clear_compile_memo()
     engine = ContainmentEngine()
     started = time.perf_counter()
     results = engine.check_many(pairs, schema=schema)
@@ -41,9 +49,10 @@ def _run_serial(schema, pairs):
 
 
 def _run_process(schema, pairs, workers):
+    clear_compile_memo()
     engine = ContainmentEngine(max_workers=workers)
     try:
-        engine.process_pool().start()  # spawn cost excluded from the timing
+        engine.process_pool().worker_stats()  # every worker up before the clock
         started = time.perf_counter()
         results = engine.check_many(pairs, schema=schema, parallel="process")
         return results, time.perf_counter() - started

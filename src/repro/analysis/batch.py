@@ -65,7 +65,7 @@ def _run_jobs(
                 keys.append((schema_fp, "", f"{schema_fp}\x1f{position}"))
             results, rows = pool.run_batch(kind, list(payloads), keys)
             if resolved_engine.store is not None:
-                resolved_engine.store.put_many("results", rows)
+                resolved_engine.store.put_many(rows)
             return results
         return [serial_runner(resolved_engine, payload) for payload in payloads]
     finally:

@@ -17,8 +17,8 @@ Seven subcommands over the library's hot paths:
   a ``context`` block (CPU count, Python version, platform, the fixed RNG
   seed) so numbers from different machines are interpretable;
 * ``cache`` — manage a persistent store file: ``stats``, ``clear``,
-  ``export`` (entry metadata as JSON) and ``warm`` (pre-populate from a
-  workload or spec file);
+  ``export`` (entry metadata as JSON), ``warm`` (pre-populate from a
+  workload or spec file) and ``invalidate`` (drop one schema's rows);
 * ``serve`` — the long-running containment service (:mod:`repro.service`):
   one warm engine behind a request coalescer, over HTTP
   (``--port``/``--host``, endpoints ``/contain``, ``/batch``, ``/healthz``,
@@ -70,7 +70,7 @@ from .engine.parallel import default_worker_count
 from .rpq.parser import parse_c2rpq
 from .schema.parser import parse_schema
 from .schema.schema import Schema
-from .store import TIERS, ResultStore
+from .store import ResultStore
 from .workloads.batches import BUILTIN_WORKLOADS, containment_batch, workload_schemas
 
 __all__ = ["main"]
@@ -497,7 +497,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     ``invalidate`` renders the structured
     :class:`~repro.engine.InvalidationReport` for a store-backed engine; it
     runs against a fresh engine, so the in-memory tiers are empty and the
-    interesting number is the store rows dropped.  It is also how a store
+    interesting number is the store rows dropped: every row filed under the
+    schema's fingerprint, whichever run wrote it.  It is also how a store
     follows a schema edit: invalidate the old schema, and the new one keys
     fresh rows.
     """
@@ -506,14 +507,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         store = ResultStore(path, mode="ro")
         report = store.describe()
-        tiers = report["tiers"]
         if store.disabled:
             summary = f"{path}: store unavailable ({store.disabled_reason})"
         else:
-            entries = sum(tiers.values())
-            tier_text = ", ".join(f"{tier}: {count}" for tier, count in tiers.items()) or "empty"
             summary = (
-                f"{path}: {entries} entries ({tier_text}), "
+                f"{path}: {report['entries']} entries, "
                 f"{report['file_bytes'] / 1024:.1f} KiB, "
                 f"format v{report['meta'].get('store_format_version', '?')} / "
                 f"library {report['meta'].get('library_version', '?')}"
@@ -528,11 +526,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"cache clear: {path}: {store.disabled_reason}", file=sys.stderr)
             store.close()
             return 1
-        dropped = store.clear(args.tier)
+        dropped = store.clear()
         store.close()
-        scope = f"tier {args.tier!r}" if args.tier else "all tiers"
-        _emit({"path": str(path), "dropped": dropped, "tier": args.tier},
-              args.json, f"{path}: dropped {dropped} entries ({scope})")
+        _emit({"path": str(path), "dropped": dropped},
+              args.json, f"{path}: dropped {dropped} entries")
         return 0
 
     if args.cache_command == "export":
@@ -561,10 +558,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 "elapsed_seconds": elapsed,
                 "store": store_block,
             }
-            entries = sum(store_block["tiers"].values())
             _emit(report, args.json,
                   f"{path}: warmed with {label} ({len(pairs)} tests, "
-                  f"{store_block['stats']['writes']} writes, {entries} entries total)")
+                  f"{store_block['stats']['writes']} writes, "
+                  f"{store_block['entries']} entries total)")
         return 0
 
     if args.cache_command == "invalidate":
@@ -821,18 +818,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_persist_argument(cache_stats, "the store file to inspect", required=True)
     _add_report_argument(cache_stats)
 
-    cache_clear = cache_commands.add_parser("clear", help="drop persisted entries")
+    cache_clear = cache_commands.add_parser("clear", help="drop every persisted entry")
     _add_persist_argument(cache_clear, "the store file to clear", required=True)
-    cache_clear.add_argument(
-        "--tier",
-        choices=TIERS,
-        default=None,
-        help="clear only one tier (default: everything)",
-    )
     _add_report_argument(cache_clear)
 
     cache_export = cache_commands.add_parser(
-        "export", help="dump entry metadata (tier, key, size, age) as JSON"
+        "export", help="dump entry metadata (schema, key, size, age) as JSON"
     )
     _add_persist_argument(cache_export, "the store file to export", required=True)
     _add_report_argument(cache_export)
@@ -847,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_invalidate = cache_commands.add_parser(
         "invalidate",
-        help="drop one schema's persisted rows, reported per tier",
+        help="drop one schema's cached entries and persisted rows",
     )
     _add_workload_arguments(cache_invalidate)
     cache_invalidate.add_argument(

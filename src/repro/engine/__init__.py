@@ -6,7 +6,7 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
 * :class:`ContainmentEngine` — owns the fingerprint-keyed caches (verdicts,
   completions + chase engines, schema TBox encodings) and the
   ``check_many`` batch API over :data:`BACKENDS` (serial, process); constructed
-  with ``persist=path`` it adds the disk-persistent second tier
+  with ``persist=path`` it adds the disk-persistent second tier of verdicts
   (:class:`repro.store.ResultStore`) that worker processes warm-start from;
 * :class:`ContainmentRequest` — one ``(left, right, schema, config)`` unit of
   work for a batch;

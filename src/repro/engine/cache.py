@@ -5,8 +5,8 @@ completions, schema encodings).  Each is an
 :class:`LRUCache` with its own :class:`CacheStats`, so benchmarks and
 operators can see exactly where batch workloads hit or miss (see
 docs/ARCHITECTURE.md, "The cached containment engine").  These are the
-*memory* tier; engines constructed with ``persist=`` back them with the
-disk tier of :mod:`repro.store`, whose :class:`~repro.store.StoreStats`
+*memory* tier; engines constructed with ``persist=`` back the verdict cache
+with the disk tier of :mod:`repro.store`, whose :class:`~repro.store.StoreStats`
 counters are reported alongside these in ``engine.stats``.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Optional
 
 __all__ = ["CacheStats", "LRUCache"]
 
@@ -93,8 +93,8 @@ class LRUCache:
             self._data.popitem(last=False)
             self.stats.evictions += 1
 
-    def prune(self, predicate) -> List[Hashable]:
-        """Drop every entry whose key satisfies *predicate*; returns the keys.
+    def prune(self, predicate) -> int:
+        """Drop every entry whose key satisfies *predicate*; returns the count.
 
         Pruned entries are deliberate invalidations, not capacity evictions,
         so they do not touch the eviction counter.
@@ -102,7 +102,7 @@ class LRUCache:
         doomed = [key for key in self._data if predicate(key)]
         for key in doomed:
             del self._data[key]
-        return doomed
+        return len(doomed)
 
     def clear(self) -> int:
         """Drop all entries (counters are kept); returns the count."""

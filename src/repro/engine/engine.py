@@ -21,8 +21,13 @@ composition and invalidation rules):
   ``(schema, left, right, config)``;
 * **completions** — the completed ``T̂_S ∪ T_¬Q`` choice lists *plus* their
   chase engines (whose tree-extendability memos stay warm) per
-  ``(extended schema, right query, completion config)``;
-* **schema-tboxes** — the Horn encoding ``T̂_S`` per extended schema.
+  ``(schema, extended schema, right query, completion config)``;
+* **schema-tboxes** — the Horn encoding ``T̂_S`` per
+  ``(schema, extended schema)``.
+
+Every key leads with the base schema's canonical fingerprint, so
+:meth:`ContainmentEngine.invalidate_schema` finds a schema's entries in all
+three caches by that one component.
 
 Compiled atom automata (:class:`repro.core.CompiledAutomaton`) are not an
 engine cache: they are functions of the regex alone, so they live once per
@@ -38,19 +43,19 @@ and :data:`default_engine` provides the process-wide instance behind the
 stateless :func:`repro.containment.contains` wrapper.
 
 ``ContainmentEngine(persist=path)`` adds a **second, disk-persistent tier**
-below the memory caches (:class:`repro.store.ResultStore`): result and
-schema-TBox lookups go memory → disk → solver, misses write back to both
-tiers, and worker processes of the ``"process"`` backend open the same file
-read-only so they warm-start instead of recomputing.  The store is keyed by
-the same canonical fingerprints and version-stamped, so verdicts are
-bit-identical with the store hot, cold, disabled or deleted (see
-docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
+below the results cache (:class:`repro.store.ResultStore`): verdict lookups
+go memory → disk → solver, misses write back to both, and worker processes
+of the ``"process"`` backend open the same file read-only so they
+warm-start instead of recomputing.  The store is keyed by the same
+canonical fingerprints and version-stamped, so verdicts are bit-identical
+with the store hot, cold, disabled or deleted; each row names its schema's
+fingerprint (see docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
 A schema edit needs no migration either: the edited schema fingerprints to
 fresh keys, so :meth:`ContainmentEngine.invalidate_schema` on the old one
-only reclaims its entries, in both tiers, and reports the per-tier counts
-as a structured :class:`InvalidationReport` (see docs/ARCHITECTURE.md,
-"Schema updates").
+only reclaims its entries, from memory and from the store, and reports the
+per-tier counts as a structured :class:`InvalidationReport` (see
+docs/ARCHITECTURE.md, "Schema updates").
 """
 
 from __future__ import annotations
@@ -84,12 +89,6 @@ __all__ = [
     "default_engine",
     "reset_default_engine",
 ]
-
-# extended-schema fingerprints (the booleanized schema with per-variable
-# marker labels) indexed back to their base schema — see _CachingSolver's
-# hooks; bounded FIFO so a service cycling through many schemas cannot
-# grow it without limit
-_SCHEMA_INDEX_LIMIT = 4096
 
 #: The ``check_many`` execution backends (``"serial"`` is the default).
 BACKENDS = ("serial", "process")
@@ -159,9 +158,10 @@ class EngineStats:
 class InvalidationReport:
     """Per-tier counts dropped by :meth:`ContainmentEngine.invalidate_schema`.
 
-    ``store_rows`` counts persistent-tier rows deleted (best-effort over the
-    keys known in memory; the store is content-addressed, so any rows left
-    behind are dead weight, never stale).
+    ``results``, ``completions`` and ``schema_tboxes`` count the in-memory
+    entries dropped; ``store_rows`` counts the persistent-store rows filed
+    under the schema's fingerprint that were deleted (0 without a writable
+    store).
     """
 
     schema_fingerprint: str
@@ -260,7 +260,7 @@ class _CachingSolver(ContainmentSolver):
             cached = engine._results.get(key)
         if cached is None and engine._store is not None:
             # second tier: the disk store (its own lock; never under ours)
-            cached = engine._store.get("results", _store_token(key))
+            cached = engine._store.get(_store_token(key))
             if cached is not None:
                 with engine._lock:
                     engine._results.put(key, cached)
@@ -270,9 +270,9 @@ class _CachingSolver(ContainmentSolver):
         with engine._lock:
             engine._results.put(key, result)
         if engine._store is not None:
-            engine._store.put("results", _store_token(key), result)
+            engine._store.put(key[0], _store_token(key), result)
         if engine._solved_rows is not None:
-            engine._solved_rows.append((_store_token(key), result))
+            engine._solved_rows.append((key[0], _store_token(key), result))
         return result
 
     def _replay(self, cached: ContainmentResult, elapsed: float) -> ContainmentResult:
@@ -298,33 +298,24 @@ class _CachingSolver(ContainmentSolver):
         )
 
     # -- cached pipeline stages ---------------------------------------------
+    # their keys lead with the base schema's fingerprint, so invalidation
+    # finds them without knowing which extended schemas (the booleanized
+    # schema plus per-variable marker labels) were derived from it
     def _schema_tbox(self, extended_schema: Schema):
         engine = self.engine
-        key = extended_schema.canonical_fingerprint()
-        engine._record_extended(key, self.schema.canonical_fingerprint())
+        key = (self.schema.canonical_fingerprint(), extended_schema.canonical_fingerprint())
         with engine._lock:
             cached = engine._schema_tboxes.get(key)
-        if cached is not None:
-            return cached
-        if engine._store is not None:
-            cached = engine._store.get("schema-tboxes", key)
-            if cached is not None:
-                with engine._lock:
-                    engine._schema_tboxes.put(key, cached)
-                return cached
-        cached = super()._schema_tbox(extended_schema)
-        with engine._lock:
-            engine._schema_tboxes.put(key, cached)
-        if engine._store is not None:
-            engine._store.put("schema-tboxes", key, cached)
+        if cached is None:
+            cached = super()._schema_tbox(extended_schema)
+            with engine._lock:
+                engine._schema_tboxes.put(key, cached)
         return cached
 
     def _prepared_choices(self, reduction, right_name: str):
         engine = self.engine
-        engine._record_extended(
-            reduction.schema.canonical_fingerprint(), self.schema.canonical_fingerprint()
-        )
         key = (
+            self.schema.canonical_fingerprint(),
             reduction.schema.canonical_fingerprint(),
             _digest(reduction.right.canonical_token(), right_name),
             self.config.completion,
@@ -369,12 +360,6 @@ class ContainmentEngine:
         self._schema_tboxes = LRUCache("schema-tboxes", schema_tbox_cache_size)
         self._contains_calls = 0
         self._batches = 0
-        # extended-schema fingerprint → base-schema fingerprint: lets
-        # invalidate_schema find the completion and schema-tbox
-        # entries that belong to a base schema (their keys carry the
-        # *extended* fingerprint, which also depends on the query's free
-        # variable names)
-        self._schema_index: Dict[str, str] = {}
         self._closed = False
         self._process_pool: Optional[Any] = None
         # the second cache tier: memory → disk → solver (never blocks answers
@@ -382,9 +367,10 @@ class ContainmentEngine:
         self._store: Optional[ResultStore] = (
             ResultStore(persist, mode=persist_mode) if persist is not None else None
         )
-        # a pool worker records the verdicts it solves here, for its parent
-        # to persist (repro.engine.parallel); None when not recording
-        self._solved_rows: Optional[List[Tuple[str, ContainmentResult]]] = None
+        # a pool worker records the (schema, store key, verdict) rows it
+        # solves here, for its parent to persist (repro.engine.parallel);
+        # None when not recording
+        self._solved_rows: Optional[List[Tuple[str, str, ContainmentResult]]] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -553,7 +539,7 @@ class ContainmentEngine:
             # uses, so a later run (or a warm-started worker) replays them;
             # one transaction, and already-persisted verdicts are skipped
             self._store.put_many(
-                "results", [(_store_token(key), result) for key, result in zip(keys, results)]
+                [(key[0], _store_token(key), result) for key, result in zip(keys, results)]
             )
         return results
 
@@ -672,55 +658,37 @@ class ContainmentEngine:
         with self._lock:
             for cache in (self._results, self._completions, self._schema_tboxes):
                 cache.clear()
-            self._schema_index.clear()
-
-    def _record_extended(self, extended_fingerprint: str, base_fingerprint: str) -> None:
-        """Remember which base schema an extended fingerprint derives from."""
-        with self._lock:
-            index = self._schema_index
-            index[extended_fingerprint] = base_fingerprint
-            while len(index) > _SCHEMA_INDEX_LIMIT:
-                index.pop(next(iter(index)))
 
     def invalidate_schema(self, schema: Schema) -> InvalidationReport:
         """Drop every cached artefact under *schema*'s fingerprint, all tiers.
 
         Content-keyed caches can never serve stale answers (a mutated schema
-        fingerprints to a new key), so this is a reclamation call: results
-        under the base fingerprint, completions and schema TBoxes under its
-        known extended fingerprints, plus a best-effort delete of the
-        corresponding persistent-store rows (rows the engine
-        no longer knows about stay behind as dead weight — content
-        addressing means they can never be replayed incorrectly).  It is
-        also the whole of a schema update: the edited schema fingerprints
-        to fresh keys, so dropping the old one's entries is all that is
-        left to do, and compiled automata (keyed by regex alone) stay warm.
+        fingerprints to a new key), so this is a reclamation call: every
+        memory entry whose key leads with the schema's fingerprint, and
+        every persistent-store row filed under it — also rows written by
+        other engines or earlier runs.  It is also the whole of a schema
+        update: the edited schema fingerprints to fresh keys, so dropping
+        the old one's entries is all that is left to do, and compiled
+        automata (keyed by regex alone) stay warm.
 
         Returns an :class:`InvalidationReport` with the per-tier counts
         (``report.results`` is the dropped-result count).
         """
         fingerprint = schema.canonical_fingerprint()
+
+        def owned(key) -> bool:
+            return key[0] == fingerprint
+
         with self._lock:
-            # arity-0 queries extend a schema to itself, so the base
-            # fingerprint is one of its extended fingerprints
-            extended = {ext for ext, base in self._schema_index.items() if base == fingerprint}
-            extended.add(fingerprint)
-            result_keys = self._results.prune(lambda key: key[0] == fingerprint)
-            completions = self._completions.prune(lambda key: key[0] in extended)
-            schema_tboxes = self._schema_tboxes.prune(lambda key: key in extended)
-            for ext in extended:
-                self._schema_index.pop(ext, None)
-        store_rows = 0
-        if self._store is not None:
-            store_rows += self._store.delete(
-                "results", [_store_token(key) for key in result_keys]
-            )
-            store_rows += self._store.delete("schema-tboxes", sorted(extended))
+            results = self._results.prune(owned)
+            completions = self._completions.prune(owned)
+            schema_tboxes = self._schema_tboxes.prune(owned)
+        store_rows = self._store.delete_schema(fingerprint) if self._store is not None else 0
         return InvalidationReport(
             fingerprint,
-            results=len(result_keys),
-            completions=len(completions),
-            schema_tboxes=len(schema_tboxes),
+            results=results,
+            completions=completions,
+            schema_tboxes=schema_tboxes,
             store_rows=store_rows,
         )
 

@@ -359,7 +359,7 @@ def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
 
     *persist* (a path or ``None``) is the parent engine's store file; the
     worker opens it **read-only**, so a spawned process warm-starts from
-    every verdict and schema TBox persisted by earlier runs without ever
+    every verdict persisted by earlier runs without ever
     contending for the write lock.  The parent writes fresh worker verdicts
     back (single-writer discipline): a containment batch's verdicts are its
     results, and an analysis batch's come back as rows with each reply.  A
@@ -391,7 +391,8 @@ def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
                         (index, "error", f"{type(error).__name__}: {error}", traceback.format_exc())
                     )
             rows = [
-                (token, _lighten_containment(result)) for token, result in engine._solved_rows or ()
+                (schema, token, _lighten_containment(result))
+                for schema, token, result in engine._solved_rows or ()
             ]
             engine._solved_rows = None
             outbox.put(("results", worker_id, reply, rows))
@@ -580,13 +581,14 @@ class WorkerPool:
         payloads: Sequence[Tuple],
         routing_keys: Sequence[Tuple[str, str, str]],
         transport_tokens: Optional[Sequence[Tuple[str, str, str]]] = None,
-    ) -> Tuple[List[Any], List[Tuple[str, ContainmentResult]]]:
+    ) -> Tuple[List[Any], List[Tuple[str, str, ContainmentResult]]]:
         """Route *payloads* to workers; returns ``(results, rows)``.
 
-        *results* keep request order.  *rows* are the ``(store key, result)``
-        verdicts the workers solved for an analysis batch, lightened like
-        every shipped result, for the caller to persist (a containment
-        batch's rows are its results, so it gets none).
+        *results* keep request order.  *rows* are the ``(schema
+        fingerprint, store key, result)`` verdicts the workers solved for an
+        analysis batch, lightened like every shipped result, for the caller
+        to persist (a containment batch's rows are its results, so it gets
+        none).
 
         Each participating worker receives its whole shard as **one** message
         and replies with one message.  With *transport_tokens* (one
@@ -641,7 +643,7 @@ class WorkerPool:
                 raise
             results: List[Any] = [None] * len(payloads)
             errors: List[Tuple[int, int, str, str]] = []
-            rows: List[Tuple[str, ContainmentResult]] = []
+            rows: List[Tuple[str, str, ContainmentResult]] = []
             try:
                 # the abort window opens before the first put: once any chunk
                 # is in flight, an un-aborted pool would hold replies a later
@@ -670,7 +672,7 @@ class WorkerPool:
         replies: int,
         results: List[Any],
         errors: List[Tuple[int, int, str, str]],
-        rows: List[Tuple[str, ContainmentResult]],
+        rows: List[Tuple[str, str, ContainmentResult]],
     ) -> None:
         """Collect *replies* worker messages into results, errors and rows."""
         for _ in range(replies):

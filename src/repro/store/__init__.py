@@ -1,12 +1,12 @@
 """Disk-persistent result store: the second cache tier behind the engine.
 
-* :class:`ResultStore` — one SQLite file (WAL mode) of pickled verdicts and
-  schema TBox encodings, content-addressed by the same canonical
-  fingerprints as the in-memory caches, stamped with the store format and
+* :class:`ResultStore` — one SQLite file (WAL mode) of pickled verdicts,
+  content-addressed by the same canonical fingerprints as the in-memory
+  result cache, each row filed under its schema's fingerprint so a schema
+  can name (and delete) its rows, and stamped with the store format and
   library versions so stale files invalidate instead of poisoning answers;
 * :class:`StoreStats` — disk hit/miss/write/error accounting;
-* :data:`STORE_FORMAT_VERSION` — the on-disk layout version in the stamp;
-* :data:`TIERS` — the persisted tiers, ``results`` and ``schema-tboxes``.
+* :data:`STORE_FORMAT_VERSION` — the on-disk layout version in the stamp.
 
 Wired in through ``ContainmentEngine(persist=path)`` (memory → disk →
 solver, write-back on miss), read-only worker warm-start in
@@ -14,6 +14,6 @@ solver, write-back on miss), read-only worker warm-start in
 See docs/ARCHITECTURE.md, "The two-tier cache hierarchy".
 """
 
-from .store import STORE_FORMAT_VERSION, TIERS, ResultStore, StoreStats
+from .store import STORE_FORMAT_VERSION, ResultStore, StoreStats
 
-__all__ = ["STORE_FORMAT_VERSION", "TIERS", "ResultStore", "StoreStats"]
+__all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]

@@ -1,21 +1,19 @@
 """The disk-persistent result store: SQLite-backed second cache tier.
 
-One :class:`ResultStore` is one SQLite file (WAL mode) holding pickled,
-content-addressed artefacts keyed by the same canonical fingerprints the
-in-memory engine caches use.  Two tiers are persisted (:data:`TIERS`):
+One :class:`ResultStore` is one SQLite file (WAL mode) holding pickled
+:class:`~repro.containment.solver.ContainmentResult` verdicts, keyed by a
+digest of the engine's results-cache key and lightened for storage exactly
+like the process backend lightens them for transport (the completed TBox
+travels as a :class:`~repro.engine.parallel.TBoxDigest`), so a verdict
+replayed from disk fingerprints bit-identically to one replayed from memory.
+Each row also names its schema (the canonical fingerprint of the schema the
+verdict was decided modulo), so :meth:`ResultStore.delete_schema` reclaims a
+schema's rows without knowing their keys.
 
-* ``results`` — full :class:`~repro.containment.solver.ContainmentResult`
-  verdicts, lightened for storage exactly like the process backend lightens
-  them for transport (the completed TBox travels as a
-  :class:`~repro.engine.parallel.TBoxDigest`), so a verdict replayed from
-  disk fingerprints bit-identically to one replayed from memory;
-* ``schema-tboxes`` — the Horn encodings ``T̂_S`` per extended schema.
-
-Completions (chase engines with live memos) and compiled automata are *not*
-persisted: a result-tier hit skips both entirely, and an automaton's pickle
-is just its regex — recompiling from disk would cost the same as
-recompiling from scratch (see docs/ARCHITECTURE.md, "The
-two-tier cache hierarchy").
+Nothing else is persisted.  A result hit skips every pipeline stage; the
+Horn encoding ``T̂_S``, completions (chase engines with live memos) and
+compiled automata cost about as much to load from disk as to rebuild (see
+docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
 Safety over speed, always:
 
@@ -41,17 +39,14 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-__all__ = ["STORE_FORMAT_VERSION", "TIERS", "ResultStore", "StoreStats"]
+__all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
 
 #: Bump when the on-disk layout or the pickled payload shapes change; every
 #: open compares it (together with the library version) against the file's
 #: stamp and treats any mismatch as "this file holds nothing for me".
-STORE_FORMAT_VERSION = 1
-
-#: The tiers :meth:`ResultStore.put` accepts (anything else is a bug).
-TIERS = ("results", "schema-tboxes")
+STORE_FORMAT_VERSION = 2
 
 
 def _library_version() -> str:
@@ -205,12 +200,12 @@ class ResultStore:
                 value TEXT NOT NULL
             );
             CREATE TABLE IF NOT EXISTS entries (
-                tier TEXT NOT NULL,
-                key TEXT NOT NULL,
+                key TEXT PRIMARY KEY,
+                schema TEXT NOT NULL,
                 payload BLOB NOT NULL,
-                created_at REAL NOT NULL,
-                PRIMARY KEY (tier, key)
+                created_at REAL NOT NULL
             );
+            CREATE INDEX IF NOT EXISTS entries_by_schema ON entries (schema);
             """
         )
         connection.executemany(
@@ -255,8 +250,8 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # the cache protocol
     # ------------------------------------------------------------------ #
-    def get(self, tier: str, key: str) -> Optional[Any]:
-        """The stored value under ``(tier, key)``, or ``None`` on any miss.
+    def get(self, key: str) -> Optional[Any]:
+        """The stored verdict under *key*, or ``None`` on any miss.
 
         Failures (corrupt rows, locked file, stale unpicklable payloads)
         count as errors *and* misses — a degraded store behaves exactly like
@@ -268,7 +263,7 @@ class ResultStore:
                 return None
             try:
                 row = self._connection.execute(
-                    "SELECT payload FROM entries WHERE tier = ? AND key = ?", (tier, key)
+                    "SELECT payload FROM entries WHERE key = ?", (key,)
                 ).fetchone()
             except sqlite3.Error as error:
                 self._disable(f"read failed: {type(error).__name__}: {error}")
@@ -286,44 +281,20 @@ class ResultStore:
             self.stats.hits += 1
             return value
 
-    def put(self, tier: str, key: str, value: Any) -> bool:
-        """Persist *value* under ``(tier, key)``; returns ``True`` on a write.
+    def put(self, schema: str, key: str, value: Any) -> bool:
+        """Persist *value* under *key*, filed under *schema*'s fingerprint;
+        returns ``True`` on a write.
 
-        No-op (``False``) on read-only or disabled stores and on values that
-        refuse to pickle; a locked database skips the write rather than
-        blocking the solve path beyond the busy timeout.
+        No-op (``False``) on read-only or disabled stores, on keys already
+        on disk and on values that refuse to pickle; a locked database skips
+        the write rather than blocking the solve path beyond the busy
+        timeout.
         """
-        if tier not in TIERS:
-            raise ValueError(f"unknown store tier {tier!r} (expected one of {TIERS})")
-        with self._lock:
-            if self._connection is None or self.mode == "ro":
-                return False
-            try:
-                payload = pickle.dumps(
-                    self._lighten_for_storage(tier, value), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except Exception:  # noqa: BLE001 - unpicklable artefacts stay memory-only
-                self.stats.errors += 1
-                return False
-            try:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO entries (tier, key, payload, created_at) "
-                    "VALUES (?, ?, ?, ?)",
-                    (tier, key, payload, time.time()),
-                )
-                self._connection.commit()
-            except sqlite3.Error:
-                # a concurrent writer holding the lock past the busy timeout
-                # (or a disk that filled up) loses us one write-back, nothing
-                # else; reads may still be fine, so the store stays enabled
-                self.stats.errors += 1
-                return False
-            self.stats.writes += 1
-            return True
+        return self.put_many([(schema, key, value)]) == 1
 
-    def put_many(self, tier: str, items: List[tuple]) -> int:
-        """Persist many ``(key, value)`` pairs in one transaction; returns the
-        number written.
+    def put_many(self, rows: List[Tuple[str, str, Any]]) -> int:
+        """Persist many ``(schema, key, value)`` rows in one transaction;
+        returns the number written.
 
         The batch write-back path (a process-backend merge of hundreds of
         worker verdicts, possibly mostly replayed from this very store):
@@ -331,89 +302,69 @@ class ResultStore:
         even pickling — content-addressed entries never need rewriting —
         and the rest land under a single commit instead of one per row.
         """
-        if tier not in TIERS:
-            raise ValueError(f"unknown store tier {tier!r} (expected one of {TIERS})")
         with self._lock:
-            if self._connection is None or self.mode == "ro" or not items:
+            if self._connection is None or self.mode == "ro" or not rows:
                 return 0
             try:
                 existing = set()
-                keys = [key for key, _ in items]
+                keys = [key for _, key, _ in rows]
                 for start in range(0, len(keys), 500):  # stay under the variable limit
                     chunk = keys[start : start + 500]
                     placeholders = ",".join("?" * len(chunk))
                     existing.update(
                         row[0]
                         for row in self._connection.execute(
-                            f"SELECT key FROM entries WHERE tier = ? AND key IN ({placeholders})",
-                            (tier, *chunk),
+                            f"SELECT key FROM entries WHERE key IN ({placeholders})", chunk
                         )
                     )
             except sqlite3.Error as error:
                 self._disable(f"read failed: {type(error).__name__}: {error}")
                 return 0
-            rows = []
+            records = []
             now = time.time()
-            for key, value in items:
+            for schema, key, value in rows:
                 if key in existing:
                     continue
                 try:
                     payload = pickle.dumps(
-                        self._lighten_for_storage(tier, value), protocol=pickle.HIGHEST_PROTOCOL
+                        _lighten_for_storage(value), protocol=pickle.HIGHEST_PROTOCOL
                     )
                 except Exception:  # noqa: BLE001 - unpicklable artefacts stay memory-only
                     self.stats.errors += 1
                     continue
-                rows.append((tier, key, payload, now))
-            if not rows:
+                records.append((key, schema, payload, now))
+            if not records:
                 return 0
             try:
                 self._connection.executemany(
-                    "INSERT OR REPLACE INTO entries (tier, key, payload, created_at) "
+                    "INSERT OR REPLACE INTO entries (key, schema, payload, created_at) "
                     "VALUES (?, ?, ?, ?)",
-                    rows,
+                    records,
                 )
                 self._connection.commit()
             except sqlite3.Error:
+                # a concurrent writer holding the lock past the busy timeout
+                # (or a disk that filled up) loses us these write-backs,
+                # nothing else; reads may still be fine, so the store stays
+                # enabled
                 self.stats.errors += 1
                 return 0
-            self.stats.writes += len(rows)
-            return len(rows)
-
-    def _lighten_for_storage(self, tier: str, value: Any) -> Any:
-        """Shrink *value* to its storable form (fingerprint-preserving).
-
-        Results get the process backend's transport treatment
-        (:func:`~repro.engine.parallel._lighten_containment`): the completed
-        TBox becomes its :class:`~repro.engine.parallel.TBoxDigest`, so what
-        comes back from disk is indistinguishable (by ``result_fingerprint``)
-        from what comes back from a worker.  The TBox memoises its
-        fingerprint, so a completion shared by many write-backs is
-        canonicalised once.  Imported lazily: ``repro.engine.parallel``
-        imports the engine, which imports this module.
-        """
-        if tier != "results":
-            return value
-        from ..engine.parallel import _lighten_containment
-
-        return _lighten_containment(value)
+            self.stats.writes += len(records)
+            return len(records)
 
     # ------------------------------------------------------------------ #
     # inspection and management (the CLI `cache` subcommand's backend)
     # ------------------------------------------------------------------ #
-    def counts(self) -> Dict[str, int]:
-        """Entry counts per tier (empty when disabled)."""
+    def count(self) -> int:
+        """The number of stored verdicts (0 when disabled)."""
         with self._lock:
             if self._connection is None:
-                return {}
+                return 0
             try:
-                rows = self._connection.execute(
-                    "SELECT tier, COUNT(*) FROM entries GROUP BY tier ORDER BY tier"
-                ).fetchall()
+                return self._connection.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
             except sqlite3.Error as error:
                 self._disable(f"read failed: {type(error).__name__}: {error}")
-                return {}
-            return dict(rows)
+                return 0
 
     def meta(self) -> Dict[str, str]:
         """The version stamp recorded in the file (empty when disabled)."""
@@ -434,7 +385,7 @@ class ResultStore:
             return 0
 
     def entries(self) -> List[Dict[str, Any]]:
-        """Metadata for every entry — tier, key, payload size, creation time.
+        """Metadata for every entry — schema, key, payload size, creation time.
 
         Payloads themselves are deliberately not exported: they are pickles,
         meaningful only to the exact library version that wrote them.
@@ -444,65 +395,43 @@ class ResultStore:
                 return []
             try:
                 rows = self._connection.execute(
-                    "SELECT tier, key, LENGTH(payload), created_at FROM entries "
-                    "ORDER BY tier, key"
+                    "SELECT schema, key, LENGTH(payload), created_at FROM entries "
+                    "ORDER BY schema, key"
                 ).fetchall()
             except sqlite3.Error as error:
                 self._disable(f"read failed: {type(error).__name__}: {error}")
                 return []
             return [
-                {"tier": tier, "key": key, "payload_bytes": size, "created_at": created}
-                for tier, key, size, created in rows
+                {"schema": schema, "key": key, "payload_bytes": size, "created_at": created}
+                for schema, key, size, created in rows
             ]
 
-    def clear(self, tier: Optional[str] = None) -> int:
-        """Drop every entry (of *tier*, when given); returns the count."""
+    def clear(self) -> int:
+        """Drop every entry; returns the count."""
+        return self._delete("DELETE FROM entries", ())
+
+    def delete_schema(self, fingerprint: str) -> int:
+        """Drop every row filed under the schema *fingerprint*; returns the
+        number removed.
+
+        ``ContainmentEngine.invalidate_schema`` uses this to reclaim a
+        schema's rows after an edit — any engine can, since the rows name
+        their schema.  Best-effort like every store write: a read-only or
+        disabled store deletes nothing (returns 0).
+        """
+        return self._delete("DELETE FROM entries WHERE schema = ?", (fingerprint,))
+
+    def _delete(self, statement: str, parameters: Tuple) -> int:
         with self._lock:
             if self._connection is None or self.mode == "ro":
                 return 0
             try:
-                if tier is None:
-                    cursor = self._connection.execute("DELETE FROM entries")
-                else:
-                    cursor = self._connection.execute(
-                        "DELETE FROM entries WHERE tier = ?", (tier,)
-                    )
+                cursor = self._connection.execute(statement, parameters)
                 self._connection.commit()
             except sqlite3.Error:
                 self.stats.errors += 1
                 return 0
             return cursor.rowcount
-
-    def delete(self, tier: str, keys: Iterable[str]) -> int:
-        """Drop the given keys from *tier*; returns the number of rows removed.
-
-        ``ContainmentEngine.invalidate_schema`` uses this to reclaim rows
-        superseded by a schema edit.  Best-effort like every store write: a
-        read-only or disabled store deletes nothing (returns 0), and rows the
-        caller does not know about simply stay — content-addressed keys mean
-        leftover rows are dead weight, never stale answers.
-        """
-        key_list = [key for key in keys if key]
-        if not key_list:
-            return 0
-        removed = 0
-        with self._lock:
-            if self._connection is None or self.mode == "ro":
-                return 0
-            try:
-                for start in range(0, len(key_list), 500):
-                    chunk = key_list[start : start + 500]
-                    placeholders = ",".join("?" for _ in chunk)
-                    cursor = self._connection.execute(
-                        f"DELETE FROM entries WHERE tier = ? AND key IN ({placeholders})",
-                        (tier, *chunk),
-                    )
-                    removed += cursor.rowcount
-                self._connection.commit()
-            except sqlite3.Error:
-                self.stats.errors += 1
-                return removed
-            return removed
 
     def describe(self) -> Dict[str, Any]:
         """One JSON-ready block: path, mode, health, stamp, sizes, counters."""
@@ -513,9 +442,27 @@ class ResultStore:
             "disabled_reason": self.disabled_reason,
             "file_bytes": self.file_size(),
             "meta": self.meta(),
-            "tiers": self.counts(),
+            "entries": self.count(),
             "stats": self.stats.as_dict(),
         }
+
+
+def _lighten_for_storage(value: Any) -> Any:
+    """Shrink a verdict to its storable form (fingerprint-preserving).
+
+    Results get the process backend's transport treatment
+    (:func:`~repro.engine.parallel._lighten_containment`): the completed
+    TBox becomes its :class:`~repro.engine.parallel.TBoxDigest`, so what
+    comes back from disk is indistinguishable (by ``result_fingerprint``)
+    from what comes back from a worker.  The TBox memoises its fingerprint,
+    so a completion shared by many write-backs is canonicalised once.
+    Imported lazily: ``repro.engine.parallel`` imports the engine, which
+    imports this module.
+    """
+    from ..containment.solver import ContainmentResult
+    from ..engine.parallel import _lighten_containment
+
+    return _lighten_containment(value) if isinstance(value, ContainmentResult) else value
 
 
 class _Restamp(Exception):

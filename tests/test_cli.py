@@ -163,7 +163,7 @@ def test_batch_with_persist_reports_and_reuses_the_store(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["stats"]["engine"]["store"]["hits"] == report["tasks"]
-    assert report["store"]["tiers"]["results"] == report["tasks"]
+    assert report["store"]["entries"] == report["tasks"]
 
 
 def test_cache_subcommand_round_trip(tmp_path, capsys):
@@ -174,27 +174,29 @@ def test_cache_subcommand_round_trip(tmp_path, capsys):
 
     assert main(["cache", "stats", "--persist", str(store_file), "--json", "-"]) == 0
     stats_report = json.loads(capsys.readouterr().out)
-    assert stats_report["tiers"]["results"] == 15
+    assert stats_report["entries"] == 15
     assert stats_report["disabled"] is False
 
     assert main(["cache", "export", "--persist", str(store_file)]) == 0
     export_report = json.loads(capsys.readouterr().out)
-    assert len(export_report["entries"]) == sum(stats_report["tiers"].values())
-    assert {entry["tier"] for entry in export_report["entries"]} == {
-        "results", "schema-tboxes",
+    assert len(export_report["entries"]) == 15
+    schema, _ = containment_batch("medical")
+    assert {entry["schema"] for entry in export_report["entries"]} == {
+        schema.canonical_fingerprint(),
     }
 
-    assert main(["cache", "clear", "--persist", str(store_file), "--tier", "results"]) == 0
+    assert main(["cache", "clear", "--persist", str(store_file)]) == 0
     assert "dropped 15 entries" in capsys.readouterr().out
     assert main(["cache", "stats", "--persist", str(store_file), "--json", "-"]) == 0
-    assert "results" not in json.loads(capsys.readouterr().out)["tiers"]
+    assert json.loads(capsys.readouterr().out)["entries"] == 0
 
 
 def test_cache_invalidate_schema_file_after_warm(tmp_path, capsys):
     """``cache invalidate --schema-file`` reports against the file's schema.
 
     The CLI's engine is fresh, so its in-memory tiers drop nothing; the
-    reported store rows are exactly the rows that left the file.
+    store rows name their schema, so all 15 verdicts the warm wrote leave
+    the file.
     """
     store_file = tmp_path / "cache.db"
     schema, _ = containment_batch("medical")
@@ -206,9 +208,9 @@ def test_cache_invalidate_schema_file_after_warm(tmp_path, capsys):
 
     def stored_entries():
         assert main(["cache", "stats", "--persist", str(store_file), "--json", "-"]) == 0
-        return sum(json.loads(capsys.readouterr().out)["tiers"].values())
+        return json.loads(capsys.readouterr().out)["entries"]
 
-    before = stored_entries()
+    assert stored_entries() == 15
     code = main([
         "cache", "invalidate",
         "--persist", str(store_file),
@@ -221,7 +223,8 @@ def test_cache_invalidate_schema_file_after_warm(tmp_path, capsys):
     assert report["schema_fingerprint"] == schema.canonical_fingerprint()
     assert report["invalidated"] == {"results": 0, "completions": 0, "schema-tboxes": 0}
     assert report["total"] == 0
-    assert before - stored_entries() == report["store_rows"]
+    assert report["store_rows"] == 15
+    assert stored_entries() == 0
 
     # the human-readable form names the schema too
     assert main([

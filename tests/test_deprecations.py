@@ -14,12 +14,16 @@ compile memo's ``context`` and the ``rebase_compiled``/``install_compiled``
 migration hooks), and the schema-evolution layer (``engine.evolve``, the
 ``repro.engine.delta`` module with ``SchemaDelta``, ``ConstraintChange``,
 ``EvolveReport`` and ``REPORT_TIERS``, and ``cache evolve``: a schema update
-is an ``invalidate_schema`` of the old schema) — the first half of this file
+is an ``invalidate_schema`` of the old schema), and the store's
+``schema-tboxes`` tier (``repro.store.TIERS``, the ``tier`` argument of the
+store calls, ``cache clear --tier``) with the engine's extended-fingerprint
+index (``_record_extended``, ``_schema_index``) — the first half of this file
 pins that down, so a shim cannot quietly come back.  The second half checks
 that the supported replacements stay silent.
 """
 
 import importlib.util
+import inspect
 import warnings
 
 import pytest
@@ -30,11 +34,15 @@ import repro.core.kernels
 from repro.containment.solver import ContainmentSolver
 from repro.core import CompiledAutomaton
 import repro.engine
+import repro.engine.engine
+import repro.store
+import repro.store.store
 from repro.cli import main
 from repro.engine import ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
 from repro.rpq import NFA, build_nfa, parse_regex
 from repro.service import ContainmentService
+from repro.store import ResultStore
 from repro.workloads import medical
 from repro.workloads.batches import containment_batch
 
@@ -127,6 +135,25 @@ def test_schema_evolution_layer_is_gone(tmp_path):
             "--persist", str(tmp_path / "cache.db"),
         ])
     assert exit_info.value.code == 2  # an argparse usage error, not a migration
+
+
+def test_store_tiers_are_gone(tmp_path):
+    assert not hasattr(repro.store, "TIERS")
+    assert not hasattr(repro.store.store, "TIERS")
+    assert list(inspect.signature(ResultStore.get).parameters) == ["self", "key"]
+    store = ResultStore(tmp_path / "cache.db")
+    with pytest.raises(TypeError):
+        store.get("results", "key")
+    store.close()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cache", "clear", "--persist", str(tmp_path / "cache.db"), "--tier", "results"])
+    assert exit_info.value.code == 2  # an argparse usage error
+
+
+def test_extended_fingerprint_index_is_gone():
+    assert not hasattr(ContainmentEngine, "_record_extended")
+    assert not hasattr(ContainmentEngine(), "_schema_index")
+    assert not hasattr(repro.engine.engine, "_SCHEMA_INDEX_LIMIT")
 
 
 def test_dfa_layer_is_gone():

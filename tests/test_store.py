@@ -1,6 +1,7 @@
 """The disk-persistent result store: round trips, warm starts, and every
 failure mode degrading to in-memory behaviour with identical verdicts."""
 
+import pickle
 import sqlite3
 import threading
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.engine import ContainmentEngine, result_fingerprint
 from repro.store import STORE_FORMAT_VERSION, ResultStore
-from repro.workloads.batches import medical_batch, mixed_batch
+from repro.workloads.batches import medical_batch, mixed_batch, social_batch
 
 
 @pytest.fixture()
@@ -50,20 +51,20 @@ def test_round_trip_serves_identical_verdicts_from_disk(store_path, medical_base
     reader.close()
 
 
-def test_store_tiers_and_stamp(store_path, medical_baseline):
+def test_store_rows_name_their_schema_and_stamp(store_path, medical_baseline):
     schema, pairs, _ = medical_baseline
     engine = ContainmentEngine(persist=store_path)
     engine.check_many(pairs, schema=schema)
     engine.close()
 
     store = ResultStore(store_path, mode="ro")
-    counts = store.counts()
-    assert counts["results"] == len(pairs)
-    assert counts["schema-tboxes"] >= 1
-    assert store.meta()["store_format_version"] == str(STORE_FORMAT_VERSION)
+    # verdicts only: one row per pair, none for the schema's Horn encoding
+    assert store.count() == len(pairs)
+    assert store.meta()["store_format_version"] == str(STORE_FORMAT_VERSION) == "2"
     assert store.file_size() > 0
     entries = store.entries()
-    assert len(entries) == sum(counts.values())
+    assert len(entries) == len(pairs)
+    assert {entry["schema"] for entry in entries} == {schema.canonical_fingerprint()}
     assert all(entry["payload_bytes"] > 0 for entry in entries)
     store.close()
 
@@ -92,14 +93,13 @@ def test_read_only_mode_never_writes(store_path, medical_baseline):
     results = reader.check_many(pairs, schema=schema)  # 5 on disk, 10 solved
     assert _fingerprints(results) == baseline
     stats = reader.stats.store
-    # 5 result replays + 1 schema-TBox hit while solving the missing 10
-    assert stats.hits == 6
+    assert stats.hits == 5  # the result replays; nothing else is persisted
     assert stats.writes == 0
     reader.close()
 
     store = ResultStore(store_path, mode="ro")
-    assert store.counts()["results"] == 5  # the solved 10 were not written back
-    assert store.put("results", "k", object()) is False
+    assert store.count() == 5  # the solved 10 were not written back
+    assert store.put("schema", "k", object()) is False
     store.close()
 
 
@@ -130,7 +130,7 @@ def test_version_stamp_mismatch_wipes_on_writable_open(store_path, medical_basel
 
     reopened = ContainmentEngine(persist=store_path)
     assert not reopened.store.disabled
-    assert reopened.store.counts() == {}  # stale entries were wiped, not served
+    assert reopened.store.count() == 0  # stale entries were wiped, not served
     results = reopened.check_many(pairs, schema=schema)
     assert _fingerprints(results) == baseline
     assert reopened.stats.store.hits == 0
@@ -154,8 +154,60 @@ def test_version_stamp_mismatch_disables_read_only_open(store_path, medical_base
     store = ResultStore(store_path, mode="ro")
     assert store.disabled
     assert "version stamp mismatch" in store.disabled_reason
-    assert store.get("results", "anything") is None
+    assert store.get("anything") is None
     store.close()
+
+
+def _write_v1_store(path):
+    """A store file as format 1 left it: a ``tier`` column, a schema-TBox row."""
+    from repro.store.store import _library_version
+
+    with sqlite3.connect(path) as connection:
+        connection.executescript(
+            """
+            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+            CREATE TABLE entries (
+                tier TEXT NOT NULL,
+                key TEXT NOT NULL,
+                payload BLOB NOT NULL,
+                created_at REAL NOT NULL,
+                PRIMARY KEY (tier, key)
+            );
+            """
+        )
+        connection.executemany(
+            "INSERT INTO meta (key, value) VALUES (?, ?)",
+            [("store_format_version", "1"), ("library_version", _library_version())],
+        )
+        connection.execute(
+            "INSERT INTO entries VALUES ('schema-tboxes', 'extended-fp', ?, 0.0)",
+            (pickle.dumps({"statements": []}),),
+        )
+    connection.close()
+
+
+def test_format_1_file_is_disabled_read_only_and_wiped_read_write(store_path, medical_baseline):
+    schema, pairs, baseline = medical_baseline
+    _write_v1_store(store_path)
+
+    reader = ResultStore(store_path, mode="ro")
+    assert reader.disabled
+    assert "store_format_version is '1', expected '2'" in reader.disabled_reason
+    assert reader.get("extended-fp") is None
+    reader.close()
+
+    engine = ContainmentEngine(persist=store_path)
+    assert not engine.store.disabled
+    assert engine.store.count() == 0  # the schema-tboxes row was wiped, not served
+    assert engine.store.meta()["store_format_version"] == "2"
+    assert _fingerprints(engine.check_many(pairs, schema=schema)) == baseline
+    assert engine.store.count() == len(pairs)
+    engine.close()
+
+    with sqlite3.connect(store_path) as connection:
+        columns = [row[1] for row in connection.execute("PRAGMA table_info(entries)")]
+    connection.close()
+    assert columns == ["key", "schema", "payload", "created_at"]
 
 
 def test_unwritable_store_location_degrades_gracefully(tmp_path, medical_baseline):
@@ -189,8 +241,8 @@ def test_read_only_open_of_missing_file_is_a_clean_no_store_state(store_path):
     assert "no store file yet" in store.disabled_reason
     assert "OperationalError" not in store.disabled_reason
     assert store.stats.errors == 0
-    assert store.get("results", "anything") is None  # counts a miss, not an error
-    assert store.put("results", "key", 1) is False
+    assert store.get("anything") is None  # counts a miss, not an error
+    assert store.put("schema", "key", 1) is False
     assert store.stats.errors == 0
     store.close()
 
@@ -238,36 +290,37 @@ def test_concurrent_writers_degrade_gracefully(store_path, medical_baseline):
 
 def test_unpicklable_values_stay_memory_only(store_path):
     store = ResultStore(store_path)
-    assert store.put("schema-tboxes", "key", lambda: None) is False  # unpicklable
+    assert store.put("schema", "key", lambda: None) is False  # unpicklable
     assert store.stats.errors == 1
-    assert store.put("schema-tboxes", "key", {"fine": 1}) is True
-    assert store.get("schema-tboxes", "key") == {"fine": 1}
-    with pytest.raises(ValueError, match="unknown store tier"):
-        store.put("automata", "key", 1)
+    assert store.put("schema", "key", {"fine": 1}) is True
+    assert store.get("key") == {"fine": 1}
     store.close()
 
 
 def test_put_many_writes_once_and_skips_existing_keys(store_path):
     store = ResultStore(store_path)
-    assert store.put_many("schema-tboxes", [("a", 1), ("b", 2)]) == 2
+    assert store.put_many([("s", "a", 1), ("s", "b", 2)]) == 2
     # content-addressed: an existing key is never re-pickled or rewritten
-    assert store.put_many("schema-tboxes", [("a", 9), ("c", 3)]) == 1
-    assert store.get("schema-tboxes", "a") == 1
-    assert store.counts()["schema-tboxes"] == 3
+    assert store.put_many([("s", "a", 9), ("t", "c", 3)]) == 1
+    assert store.get("a") == 1
+    assert store.count() == 3
     assert store.stats.writes == 3
-    assert store.put_many("schema-tboxes", []) == 0
+    assert store.put_many([]) == 0
+    assert store.delete_schema("s") == 2
+    assert [entry["key"] for entry in store.entries()] == ["c"]
     store.close()
-    assert store.put_many("schema-tboxes", [("d", 4)]) == 0  # disabled: no-op
+    assert store.put_many([("s", "d", 4)]) == 0  # disabled: no-op
+    assert store.delete_schema("t") == 0
 
 
 def test_closed_store_behaves_like_a_disabled_one(store_path):
     store = ResultStore(store_path)
-    store.put("results", "key", {"value": 1})
+    store.put("schema", "key", {"value": 1})
     store.close()
     assert store.disabled
-    assert store.get("results", "key") is None
-    assert store.put("results", "key2", {"value": 2}) is False
-    assert store.counts() == {}
+    assert store.get("key") is None
+    assert store.put("schema", "key2", {"value": 2}) is False
+    assert store.count() == 0
 
 
 def test_analysis_batches_accept_persist(store_path):
@@ -281,7 +334,7 @@ def test_analysis_batches_accept_persist(store_path):
     first = check_equivalence_many(jobs, persist=store_path)
     assert first[0].equivalent
     store = ResultStore(store_path, mode="ro")
-    assert store.counts().get("results", 0) > 0  # verdicts survived the call
+    assert store.count() > 0  # verdicts survived the call
     store.close()
     second = check_equivalence_many(jobs, persist=store_path)
     assert [r.equivalent for r in second] == [r.equivalent for r in first]
@@ -363,3 +416,57 @@ def test_process_analysis_batches_write_worker_verdicts_to_the_store(store_path)
         assert replayed[0].well_typed == processed[0].well_typed
     finally:
         fresh.close()
+
+
+# --------------------------------------------------------------------------- #
+# invalidation: rows name their schema, so any engine can reclaim them
+# --------------------------------------------------------------------------- #
+def _rows_by_schema(store_path):
+    store = ResultStore(store_path, mode="ro")
+    try:
+        rows = {}
+        for entry in store.entries():
+            rows[entry["schema"]] = rows.get(entry["schema"], 0) + 1
+        return rows
+    finally:
+        store.close()
+
+
+def test_fresh_engine_invalidates_exactly_one_schemas_rows(store_path):
+    medical_schema, medical_pairs = medical_batch()
+    social_schema, social_pairs = social_batch()
+    with ContainmentEngine(persist=store_path) as warmer:
+        warmer.check_many(medical_pairs, schema=medical_schema)
+        warmer.check_many(social_pairs, schema=social_schema)
+    medical_fp = medical_schema.canonical_fingerprint()
+    social_fp = social_schema.canonical_fingerprint()
+    assert _rows_by_schema(store_path) == {
+        medical_fp: len(medical_pairs), social_fp: len(social_pairs),
+    }
+
+    # a fresh engine knows no keys of either schema, yet names their rows
+    with ContainmentEngine(persist=store_path) as fresh:
+        report = fresh.invalidate_schema(medical_schema)
+    assert report.store_rows == len(medical_pairs)
+    assert report.total == 0  # its memory tiers were empty
+    assert _rows_by_schema(store_path) == {social_fp: len(social_pairs)}
+
+
+def test_invalidate_schema_removes_rows_solved_by_process_workers(store_path):
+    from repro.analysis import type_check_many
+    from repro.workloads import medical
+
+    source, target = medical.source_schema(), medical.target_schema()
+    jobs = [(medical.migration(), source, target)]
+    with ContainmentEngine(persist=store_path, max_workers=2) as engine:
+        type_check_many(jobs, parallel="process", engine=engine)
+        written = engine.stats.store.writes
+    rows = _rows_by_schema(store_path)
+    assert written > 0
+    assert sum(rows.values()) == written
+    assert set(rows) <= {source.canonical_fingerprint(), target.canonical_fingerprint()}
+
+    with ContainmentEngine(persist=store_path) as fresh:
+        dropped = sum(fresh.invalidate_schema(schema).store_rows for schema in (source, target))
+    assert dropped == written
+    assert _rows_by_schema(store_path) == {}
