@@ -9,8 +9,13 @@ where ``K``, ``K'`` are (possibly empty) conjunctions of concept names and
 ``R ∈ Σ±``.  Full ALCIF is recovered by additionally allowing disjunctive
 inclusions ``K ⊑ A₁ ⊔ … ⊔ A_n`` — which the paper needs only for the single
 statement ``⊤ ⊑ ⊔Γ`` ("every node has a label").  This module defines the
-normal-form statements directly as small frozen dataclasses; conjunctions of
+normal-form statements directly as small immutable values; conjunctions of
 concept names are plain ``frozenset``\\ s of strings (the empty set is ⊤).
+
+Each statement is a tuple ``(kind, field, …)`` whose first item is its class
+name, read through read-only field properties: TBoxes and their indexes hash
+and compare statements on every lookup, and a tuple does both in C, while the
+kind tag keeps statements of different kinds with the same fields unequal.
 
 Every statement knows how to check itself over a finite graph
 (:meth:`ConceptInclusion.holds_in`), which implements the interpretation
@@ -19,7 +24,8 @@ function of Section 3 for the fragment the paper uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import itemgetter
 from typing import FrozenSet, Iterable, Tuple, Union
 
 from ..graph.graph import Graph
@@ -48,6 +54,8 @@ TOP: ConceptNames = frozenset()
 
 def conj(*names: Union[str, Iterable[str]]) -> ConceptNames:
     """Build a conjunction of concept names from strings and/or iterables."""
+    if len(names) == 1 and isinstance(names[0], str):
+        return frozenset(names)
     result = set()
     for name in names:
         if isinstance(name, str):
@@ -71,8 +79,22 @@ def _nodes_satisfying(graph: Graph, names: ConceptNames):
             yield node
 
 
-class ConceptInclusion:
-    """Base class of all concept inclusions."""
+_new = tuple.__new__
+
+
+class ConceptInclusion(tuple):
+    """Base class of all concept inclusions.
+
+    A statement is the tuple ``(kind, *fields)``; ``_fields`` names its fields
+    in order, for :func:`repr`.  Statements are immutable: assigning any
+    attribute raises :class:`dataclasses.FrozenInstanceError`.  The only
+    instance attribute is the token that
+    :func:`repro.dl.tbox.canonical_statement_token` caches.
+    """
+
+    _fields: Tuple[str, ...] = ("body",)
+
+    body = property(itemgetter(1), doc="The conjunction ``K`` on the left.")
 
     def holds_in(self, graph: Graph) -> bool:
         """``G ⊨ CI`` over a finite graph."""
@@ -86,22 +108,35 @@ class ConceptInclusion:
         """All base role (edge-label) names mentioned by the statement."""
         return frozenset()
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getnewargs__(self):
+        return self[1:]
+
     def __getstate__(self):
-        # drop the token repro.dl.tbox.canonical_statement_token caches here,
-        # so pickles (store rows, worker transfers) do not grow with it
-        state = self.__dict__
-        if "_canonical_token" in state:
-            state = dict(state)
-            del state["_canonical_token"]
-        return state
+        # the fields travel as __new__ arguments; the token
+        # repro.dl.tbox.canonical_statement_token caches here stays out, so
+        # pickles (store rows, worker transfers) do not grow with it
+        return None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
 class SubclassOf(ConceptInclusion):
     """``K ⊑ A`` — every node satisfying K carries concept name A."""
 
-    body: ConceptNames
-    head: str
+    _fields = ("body", "head")
+
+    def __new__(cls, body: ConceptNames, head: str) -> "SubclassOf":
+        return _new(cls, ("SubclassOf", body, head))
+
+    head = property(itemgetter(2), doc="The concept name ``A``.")
 
     def holds_in(self, graph: Graph) -> bool:
         return all(graph.has_label(node, self.head) for node in _nodes_satisfying(graph, self.body))
@@ -113,11 +148,11 @@ class SubclassOf(ConceptInclusion):
         return f"{format_conjunction(self.body)} ⊑ {self.head}"
 
 
-@dataclass(frozen=True)
 class SubclassOfBottom(ConceptInclusion):
     """``K ⊑ ⊥`` — no node satisfies K."""
 
-    body: ConceptNames
+    def __new__(cls, body: ConceptNames) -> "SubclassOfBottom":
+        return _new(cls, ("SubclassOfBottom", body))
 
     def holds_in(self, graph: Graph) -> bool:
         return not any(True for _ in _nodes_satisfying(graph, self.body))
@@ -129,13 +164,36 @@ class SubclassOfBottom(ConceptInclusion):
         return f"{format_conjunction(self.body)} ⊑ ⊥"
 
 
-@dataclass(frozen=True)
-class ForAllCI(ConceptInclusion):
+class _RoleInclusion(ConceptInclusion):
+    """The four kinds ``K ⊑ Q R.K'`` over a role ``R ∈ Σ±``."""
+
+    _fields = ("body", "role", "head")
+    # the quantifier as __str__ prints it
+    _quantifier = ""
+
+    role = property(itemgetter(2), doc="The role ``R``.")
+    head = property(itemgetter(3), doc="The conjunction ``K'``.")
+
+    def concept_names(self) -> ConceptNames:
+        return self.body | self.head
+
+    def role_names(self) -> FrozenSet[str]:
+        return frozenset((self.role.label,))
+
+    def __str__(self) -> str:
+        return (
+            f"{format_conjunction(self.body)} ⊑ "
+            f"{self._quantifier}{self.role}.{format_conjunction(self.head)}"
+        )
+
+
+class ForAllCI(_RoleInclusion):
     """``K ⊑ ∀R.K'`` — every R-successor of a K-node satisfies K'."""
 
-    body: ConceptNames
-    role: SignedLabel
-    head: ConceptNames
+    _quantifier = "∀"
+
+    def __new__(cls, body: ConceptNames, role: SignedLabel, head: ConceptNames) -> "ForAllCI":
+        return _new(cls, ("ForAllCI", body, role, head))
 
     def holds_in(self, graph: Graph) -> bool:
         for node in _nodes_satisfying(graph, self.body):
@@ -144,23 +202,14 @@ class ForAllCI(ConceptInclusion):
                     return False
         return True
 
-    def concept_names(self) -> ConceptNames:
-        return self.body | self.head
 
-    def role_names(self) -> FrozenSet[str]:
-        return frozenset({self.role.label})
-
-    def __str__(self) -> str:
-        return f"{format_conjunction(self.body)} ⊑ ∀{self.role}.{format_conjunction(self.head)}"
-
-
-@dataclass(frozen=True)
-class ExistsCI(ConceptInclusion):
+class ExistsCI(_RoleInclusion):
     """``K ⊑ ∃R.K'`` — every K-node has an R-successor satisfying K'."""
 
-    body: ConceptNames
-    role: SignedLabel
-    head: ConceptNames
+    _quantifier = "∃"
+
+    def __new__(cls, body: ConceptNames, role: SignedLabel, head: ConceptNames) -> "ExistsCI":
+        return _new(cls, ("ExistsCI", body, role, head))
 
     def holds_in(self, graph: Graph) -> bool:
         for node in _nodes_satisfying(graph, self.body):
@@ -171,23 +220,14 @@ class ExistsCI(ConceptInclusion):
                 return False
         return True
 
-    def concept_names(self) -> ConceptNames:
-        return self.body | self.head
 
-    def role_names(self) -> FrozenSet[str]:
-        return frozenset({self.role.label})
-
-    def __str__(self) -> str:
-        return f"{format_conjunction(self.body)} ⊑ ∃{self.role}.{format_conjunction(self.head)}"
-
-
-@dataclass(frozen=True)
-class NoExistsCI(ConceptInclusion):
+class NoExistsCI(_RoleInclusion):
     """``K ⊑ ¬∃R.K'`` — no K-node has an R-successor satisfying K'."""
 
-    body: ConceptNames
-    role: SignedLabel
-    head: ConceptNames
+    _quantifier = "¬∃"
+
+    def __new__(cls, body: ConceptNames, role: SignedLabel, head: ConceptNames) -> "NoExistsCI":
+        return _new(cls, ("NoExistsCI", body, role, head))
 
     def holds_in(self, graph: Graph) -> bool:
         for node in _nodes_satisfying(graph, self.body):
@@ -198,23 +238,14 @@ class NoExistsCI(ConceptInclusion):
                 return False
         return True
 
-    def concept_names(self) -> ConceptNames:
-        return self.body | self.head
 
-    def role_names(self) -> FrozenSet[str]:
-        return frozenset({self.role.label})
-
-    def __str__(self) -> str:
-        return f"{format_conjunction(self.body)} ⊑ ¬∃{self.role}.{format_conjunction(self.head)}"
-
-
-@dataclass(frozen=True)
-class AtMostOneCI(ConceptInclusion):
+class AtMostOneCI(_RoleInclusion):
     """``K ⊑ ∃≤1 R.K'`` — every K-node has at most one R-successor satisfying K'."""
 
-    body: ConceptNames
-    role: SignedLabel
-    head: ConceptNames
+    _quantifier = "∃≤1"
+
+    def __new__(cls, body: ConceptNames, role: SignedLabel, head: ConceptNames) -> "AtMostOneCI":
+        return _new(cls, ("AtMostOneCI", body, role, head))
 
     def holds_in(self, graph: Graph) -> bool:
         for node in _nodes_satisfying(graph, self.body):
@@ -227,22 +258,16 @@ class AtMostOneCI(ConceptInclusion):
                 return False
         return True
 
-    def concept_names(self) -> ConceptNames:
-        return self.body | self.head
 
-    def role_names(self) -> FrozenSet[str]:
-        return frozenset({self.role.label})
-
-    def __str__(self) -> str:
-        return f"{format_conjunction(self.body)} ⊑ ∃≤1{self.role}.{format_conjunction(self.head)}"
-
-
-@dataclass(frozen=True)
 class DisjunctionCI(ConceptInclusion):
     """``K ⊑ A₁ ⊔ … ⊔ A_n`` — the non-Horn statement needed for ⊤ ⊑ ⊔Γ."""
 
-    body: ConceptNames
-    alternatives: Tuple[str, ...]
+    _fields = ("body", "alternatives")
+
+    def __new__(cls, body: ConceptNames, alternatives: Tuple[str, ...]) -> "DisjunctionCI":
+        return _new(cls, ("DisjunctionCI", body, alternatives))
+
+    alternatives = property(itemgetter(2), doc="The concept names ``A₁ … A_n``.")
 
     def holds_in(self, graph: Graph) -> bool:
         for node in _nodes_satisfying(graph, self.body):

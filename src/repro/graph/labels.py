@@ -6,13 +6,18 @@ labels together with their inverses is written Σ±.  In this library both node
 and edge labels are plain strings; inverse edge labels are represented by the
 :class:`Direction`-aware :class:`SignedLabel` wrapper, which the rest of the
 code base uses whenever a label may be traversed in either direction.
+
+A :class:`SignedLabel` is a tuple ``(label, "+" | "-")``: the Horn encoding
+and the chase key dicts and sets by signed labels on every lookup, and a
+tuple hashes, compares and orders in C.  Its order is the tuple order, which
+is ``(label, direction.value)`` because ``"+"`` sorts before ``"-"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -59,37 +64,49 @@ class Direction(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class SignedLabel:
+_SIGN = {Direction.FORWARD: "+", Direction.INVERSE: "-"}
+_DIRECTION = {"+": Direction.FORWARD, "-": Direction.INVERSE}
+
+
+class SignedLabel(tuple):
     """An edge label from Σ± — a base label plus a traversal direction.
 
     ``SignedLabel("knows")`` matches an edge ``u -knows-> v`` from ``u`` to
     ``v``; ``SignedLabel("knows", Direction.INVERSE)`` matches the same edge
-    traversed from ``v`` to ``u``.
+    traversed from ``v`` to ``u``.  The value is the tuple
+    ``(label, direction.value)``.
     """
 
-    label: str
-    direction: Direction = Direction.FORWARD
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_valid_label(self.label):
-            raise ValueError(f"invalid edge label: {self.label!r}")
+    def __new__(cls, label: str, direction: Direction = Direction.FORWARD) -> "SignedLabel":
+        if not is_valid_label(label):
+            raise ValueError(f"invalid edge label: {label!r}")
+        sign = _SIGN.get(direction)
+        if sign is None:
+            raise ValueError(f"invalid direction: {direction!r}")
+        return tuple.__new__(cls, (label, sign))
 
-    def __lt__(self, other: "SignedLabel") -> bool:
-        if not isinstance(other, SignedLabel):
-            return NotImplemented
-        return (self.label, self.direction.value) < (other.label, other.direction.value)
+    def __getnewargs__(self):
+        return (self[0], _DIRECTION[self[1]])
+
+    label = property(itemgetter(0), doc="The base edge label from Σ.")
+
+    @property
+    def direction(self) -> Direction:
+        """The traversal direction."""
+        return _DIRECTION[self[1]]
 
     @property
     def is_inverse(self) -> bool:
         """``True`` when the label is traversed backwards."""
-        return self.direction is Direction.INVERSE
+        return self[1] == "-"
 
     def inverse(self) -> "SignedLabel":
         """Return the same base label traversed in the opposite direction."""
-        if self.direction is Direction.FORWARD:
-            return inverse(self.label)
-        return forward(self.label)
+        if self[1] == "+":
+            return inverse(self[0])
+        return forward(self[0])
 
     @classmethod
     def parse(cls, text: str) -> "SignedLabel":
@@ -100,8 +117,7 @@ class SignedLabel:
         return cls(text)
 
     def __str__(self) -> str:
-        suffix = "-" if self.is_inverse else ""
-        return f"{self.label}{suffix}"
+        return self[0] + "-" if self[1] == "-" else self[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SignedLabel({str(self)!r})"

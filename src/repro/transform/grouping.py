@@ -13,6 +13,9 @@ labels ``A, B``:
 
 All groupings use the canonical free-variable names ``x1,…,xk`` (and
 ``y1,…,ym``), so queries of different rules can be combined and compared.
+``Q_{A,R,B}`` reads its rules from the transformation's edge-rule index
+(:meth:`~repro.transform.transformation.Transformation.edge_rules_between`),
+so an empty one costs one lookup rather than a scan of every edge rule.
 The module also provides the variable-capture-safe conjunction of such
 unions, needed for the entailment tests of Lemma B.7, and trimming modulo a
 schema (Appendix B).
@@ -79,39 +82,24 @@ def edge_query(
     name = f"Q_{source_label},{role},{target_label}"
     if source_constructor is None or target_constructor is None:
         return UC2RPQ([], name=name)
-    x_vars = canonical_variables("x", source_constructor.arity)
-    y_vars = canonical_variables("y", target_constructor.arity)
+    inverse = role.is_inverse
+    names = (source_constructor.name, target_constructor.name)
+    if inverse:
+        names = names[::-1]
+    rules = transformation.edge_rules_between(role.label, *names)
+    if not rules:
+        return UC2RPQ([], name=name)
+    canonical = canonical_variables("x", source_constructor.arity) + canonical_variables(
+        "y", target_constructor.arity
+    )
     disjuncts: List[C2RPQ] = []
-    for index, rule in enumerate(transformation.edge_rules):
-        if rule.edge_label != role.label:
-            continue
-        if not role.is_inverse:
-            if (
-                rule.source_constructor.name == source_constructor.name
-                and rule.target_constructor.name == target_constructor.name
-            ):
-                disjuncts.append(
-                    _canonicalise(
-                        rule.body,
-                        rule.source_variables + rule.target_variables,
-                        x_vars + y_vars,
-                        f"e{index}",
-                    )
-                )
+    for index, rule in rules:
+        if inverse:
+            # r(f_B(ȳ), f_A(x̄)) ← q(ȳ, x̄): the A-side is the rule's target
+            head_variables = rule.target_variables + rule.source_variables
         else:
-            if (
-                rule.source_constructor.name == target_constructor.name
-                and rule.target_constructor.name == source_constructor.name
-            ):
-                # r(f_B(ȳ), f_A(x̄)) ← q(ȳ, x̄): the A-side is the rule's target
-                disjuncts.append(
-                    _canonicalise(
-                        rule.body,
-                        rule.target_variables + rule.source_variables,
-                        x_vars + y_vars,
-                        f"e{index}",
-                    )
-                )
+            head_variables = rule.source_variables + rule.target_variables
+        disjuncts.append(_canonicalise(rule.body, head_variables, canonical, f"e{index}"))
     return UC2RPQ(disjuncts, name=name)
 
 

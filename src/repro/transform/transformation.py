@@ -11,11 +11,16 @@ transformation ``T`` to a graph ``G`` yields the graph ``T(G)`` whose
 Note that edge rules may create nodes that no node rule labels; such nodes
 are unlabeled in ``T(G)`` (they make type checking fail and schema
 elicitation report an error, exactly as discussed in the paper).
+
+The analyses ask a transformation for its edge rules between two
+constructors thousands of times per run, so it indexes its edge rules by
+(edge label, source constructor, target constructor) on first use and
+memoises its node labels Γ_T; :meth:`Transformation.add` drops both.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import TransformationError
 from ..graph.graph import Graph
@@ -27,6 +32,9 @@ __all__ = ["Transformation"]
 
 Rule = Union[NodeRule, EdgeRule]
 
+# (edge label, source constructor name, target constructor name)
+EdgeKey = Tuple[str, str, str]
+
 
 class Transformation:
     """A finite set of node and edge rules."""
@@ -36,6 +44,9 @@ class Transformation:
         self.node_rules: List[NodeRule] = []
         self.edge_rules: List[EdgeRule] = []
         self.registry = ConstructorRegistry()
+        # built on first use, dropped by add()
+        self._edge_index: Optional[Dict[EdgeKey, List[Tuple[int, EdgeRule]]]] = None
+        self._node_labels: Optional[FrozenSet[str]] = None
         for rule in rules:
             self.add(rule)
 
@@ -44,6 +55,8 @@ class Transformation:
     # ------------------------------------------------------------------ #
     def add(self, rule: Rule) -> None:
         """Add a rule, enforcing the constructor discipline of the paper."""
+        self._edge_index = None
+        self._node_labels = None
         if isinstance(rule, NodeRule):
             registered = self.registry.register(
                 NodeConstructor(rule.constructor.name, rule.constructor.arity, rule.label)
@@ -67,11 +80,28 @@ class Transformation:
     # ------------------------------------------------------------------ #
     def node_labels(self) -> FrozenSet[str]:
         """Γ_T — node labels used in rule heads."""
-        return frozenset(rule.label for rule in self.node_rules)
+        if self._node_labels is None:
+            self._node_labels = frozenset(rule.label for rule in self.node_rules)
+        return self._node_labels
 
     def edge_labels(self) -> FrozenSet[str]:
         """Σ_T — edge labels used in rule heads."""
         return frozenset(rule.edge_label for rule in self.edge_rules)
+
+    def edge_rules_between(
+        self, edge_label: str, source_constructor: str, target_constructor: str
+    ) -> Sequence[Tuple[int, EdgeRule]]:
+        """The edge rules ``r(f(x̄), f'(ȳ)) ← q`` with ``r`` = *edge_label* and
+        ``f``, ``f'`` named *source_constructor*, *target_constructor*, as
+        ``(position in edge_rules, rule)`` pairs in rule order."""
+        index = self._edge_index
+        if index is None:
+            index = {}
+            for position, rule in enumerate(self.edge_rules):
+                key = (rule.edge_label, rule.source_constructor.name, rule.target_constructor.name)
+                index.setdefault(key, []).append((position, rule))
+            self._edge_index = index
+        return index.get((edge_label, source_constructor, target_constructor), ())
 
     def constructor_for_label(self, label: str) -> Optional[NodeConstructor]:
         """The dedicated constructor f_A of a node label, if any rule defines it."""

@@ -470,3 +470,131 @@ def test_invalidate_schema_removes_rows_solved_by_process_workers(store_path):
         dropped = sum(fresh.invalidate_schema(schema).store_rows for schema in (source, target))
     assert dropped == written
     assert _rows_by_schema(store_path) == {}
+
+
+# --------------------------------------------------------------------------- #
+# pickled layouts: what a format-2 file written by an older library holds
+# --------------------------------------------------------------------------- #
+#: classes whose pickled layout changed within format 2: a signed label and
+#: the seven statement kinds once pickled as a no-argument NEWOBJ followed by
+#: a BUILD of their field dict, and now pickle as a NEWOBJ of their fields
+_VALUE_TYPES = {("repro.graph.labels", "SignedLabel")} | {
+    ("repro.dl.concepts", name)
+    for name in (
+        "SubclassOf", "SubclassOfBottom", "ForAllCI", "ExistsCI", "NoExistsCI",
+        "AtMostOneCI", "DisjunctionCI",
+    )
+}
+
+
+def _class_pushes(blob):
+    """``((module, name), next opcode)`` for every global a pickle pushes,
+    by GLOBAL, STACK_GLOBAL or a memo get."""
+    import pickletools
+
+    pushed = []  # what each pushing opcode put on the stack, as far as known
+    memo = {}
+    found = []
+    pending = None  # a global whose following opcode is not yet known
+    for opcode, arg, _ in pickletools.genops(blob):
+        name = opcode.name
+        if name == "MEMOIZE":
+            memo[len(memo)] = pushed[-1]
+            continue
+        if name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = pushed[-1]
+            continue
+        if pending is not None:
+            found.append((pending, name))
+            pending = None
+        if name == "GLOBAL":
+            value = tuple(arg.split(" ", 1))
+        elif name == "STACK_GLOBAL":
+            value = (pushed[-2], pushed[-1])
+        elif name in ("GET", "BINGET", "LONG_BINGET"):
+            value = memo[arg]
+        else:
+            value = arg if isinstance(arg, str) else None
+        if name in ("GLOBAL", "STACK_GLOBAL") or (
+            isinstance(value, tuple) and name.endswith("GET")
+        ):
+            pending = value
+        pushed.append(value)
+    return found
+
+
+#: ``pickle.dumps(ExistsCI(conj("A"), forward("r"), conj("B")), 4)`` as the
+#: library wrote it while statements and signed labels were dataclasses
+_OLD_LAYOUT = (
+    b"\x80\x04\x95\xaa\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.dl.concepts\x94\x8c\x08"
+    b"ExistsCI\x94\x93\x94)\x81\x94}\x94(\x8c\x04body\x94(\x8c\x01A\x94\x91\x94\x8c\x04"
+    b"role\x94\x8c\x12repro.graph.labels\x94\x8c\x0bSignedLabel\x94\x93\x94)\x81\x94}\x94("
+    b"\x8c\x05label\x94\x8c\x01r\x94\x8c\tdirection\x94h\t\x8c\tDirection\x94\x93\x94\x8c"
+    b"\x01+\x94\x85\x94R\x94ub\x8c\x04head\x94(\x8c\x01B\x94\x91\x94ub."
+)
+
+
+def test_the_scanner_flags_the_old_layout_which_no_longer_loads():
+    from repro.dl.concepts import ExistsCI, conj
+    from repro.graph.labels import forward
+
+    old = [pair for pair in _class_pushes(_OLD_LAYOUT) if pair[0] in _VALUE_TYPES]
+    assert old == [
+        (("repro.dl.concepts", "ExistsCI"), "EMPTY_TUPLE"),
+        (("repro.graph.labels", "SignedLabel"), "EMPTY_TUPLE"),
+    ]
+    with pytest.raises(TypeError):
+        pickle.loads(_OLD_LAYOUT)
+    statement = ExistsCI(conj("A"), forward("r"), conj("B"))
+    new = [pair for pair in _class_pushes(pickle.dumps(statement, 4)) if pair[0] in _VALUE_TYPES]
+    assert [value for value, _ in new] == [value for value, _ in old]
+    assert all(following != "EMPTY_TUPLE" for _, following in new)
+
+
+def test_store_rows_and_worker_replies_hold_no_value_type_in_the_old_layout(
+    store_path, monkeypatch
+):
+    """A medical type check on the process backend with a store: its rows
+    reference no signed label or statement at all, so format-2 files written
+    before these became tuples load unchanged and ``STORE_FORMAT_VERSION``
+    stays (a row that held one would need a bump); its worker replies carry
+    statements and signed labels, each built from its fields."""
+    from multiprocessing.reduction import ForkingPickler
+
+    from repro.analysis import type_check_many
+    from repro.engine.parallel import WorkerPool
+    from repro.workloads import medical
+
+    replies = []
+    receive = WorkerPool._receive
+
+    def recording(self):
+        message = receive(self)
+        replies.append(bytes(ForkingPickler.dumps(message)))
+        return message
+
+    monkeypatch.setattr(WorkerPool, "_receive", recording)
+    source, target = medical.source_schema(), medical.target_schema()
+    jobs = [(medical.migration(), source, target), (medical.broken_migration(), source, target)]
+    results = type_check_many(jobs, parallel="process", persist=store_path)
+    assert [result.well_typed for result in results] == [True, False]
+    connection = sqlite3.connect(store_path)
+    try:
+        rows = [bytes(payload) for (payload,) in connection.execute("SELECT payload FROM entries")]
+    finally:
+        connection.close()
+    assert rows and replies
+    assert STORE_FORMAT_VERSION == 2
+
+    in_rows = [value for blob in rows for value, _ in _class_pushes(blob) if value in _VALUE_TYPES]
+    assert in_rows == []
+    in_replies = [
+        (value, following)
+        for blob in replies
+        for value, following in _class_pushes(blob)
+        if value in _VALUE_TYPES
+    ]
+    assert {value for value, _ in in_replies} >= {
+        ("repro.graph.labels", "SignedLabel"), ("repro.dl.concepts", "ExistsCI"),
+    }
+    assert [pair for pair in in_replies if pair[1] == "EMPTY_TUPLE"] == []
