@@ -16,8 +16,8 @@ Re-exports:
 * :class:`StatementChecker` / :class:`StatementEntailment` — the Lemma B.7
   entailment tests for individual L0 statements;
 * :func:`type_check_many` / :func:`check_equivalence_many` — batch variants
-  running whole job lists on the serial or process backend of the
-  containment engine (:mod:`repro.analysis.batch`).
+  running whole job lists serially on one shared engine
+  (:mod:`repro.analysis.batch`).
 
 All entry points accept an ``engine`` argument and otherwise share the
 process-wide :func:`repro.engine.default_engine`, so their many containment

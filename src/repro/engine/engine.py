@@ -233,6 +233,23 @@ def _store_token(key: Tuple[str, str, ContainmentConfig]) -> str:
     return _digest(schema_fingerprint, pair_digest, repr(config))
 
 
+def _independent_copy(result: ContainmentResult, **changes: Any) -> ContainmentResult:
+    """*result* with its own copies of the witness graphs, plus *changes*.
+
+    A caller mutating its counterexample (e.g. relabelling nodes for
+    display) cannot corrupt a cached verdict or another caller's copy; the
+    ``completion`` bookkeeping object stays shared and must be treated as
+    read-only, and ``result_fingerprint`` is unchanged.
+    """
+    witness = result.witness_pattern.copy() if result.witness_pattern is not None else None
+    counterexample = result.finite_counterexample
+    if counterexample is not None:
+        counterexample = Counterexample(counterexample.graph.copy(), counterexample.answer)
+    return dataclasses.replace(
+        result, witness_pattern=witness, finite_counterexample=counterexample, **changes
+    )
+
+
 class _CachingSolver(ContainmentSolver):
     """A drop-in :class:`ContainmentSolver` whose pipeline stages consult the
     engine's caches.
@@ -271,31 +288,16 @@ class _CachingSolver(ContainmentSolver):
             engine._results.put(key, result)
         if engine._store is not None:
             engine._store.put(key[0], _store_token(key), result)
-        if engine._solved_rows is not None:
-            engine._solved_rows.append((key[0], _store_token(key), result))
         return result
 
     def _replay(self, cached: ContainmentResult, elapsed: float) -> ContainmentResult:
         """Re-issue a cached verdict as an independent result.
 
-        The witness graphs are copied so a caller mutating its counterexample
-        (e.g. relabelling nodes for display) cannot corrupt later hits; the
-        ``completion`` bookkeeping object stays shared and must be treated as
-        read-only.  ``schema_name`` is refreshed because the cache key is
-        name-insensitive for schemas (renamed-but-equal schemas hit the same
-        entry) while query names are part of the key already.
+        ``schema_name`` is refreshed because the cache key is name-insensitive
+        for schemas (renamed-but-equal schemas hit the same entry) while query
+        names are part of the key already.
         """
-        witness = cached.witness_pattern.copy() if cached.witness_pattern is not None else None
-        counterexample = cached.finite_counterexample
-        if counterexample is not None:
-            counterexample = Counterexample(counterexample.graph.copy(), counterexample.answer)
-        return dataclasses.replace(
-            cached,
-            schema_name=self.schema.name,
-            witness_pattern=witness,
-            finite_counterexample=counterexample,
-            elapsed_seconds=elapsed,
-        )
+        return _independent_copy(cached, schema_name=self.schema.name, elapsed_seconds=elapsed)
 
     # -- cached pipeline stages ---------------------------------------------
     # their keys lead with the base schema's fingerprint, so invalidation
@@ -367,10 +369,6 @@ class ContainmentEngine:
         self._store: Optional[ResultStore] = (
             ResultStore(persist, mode=persist_mode) if persist is not None else None
         )
-        # a pool worker records the (schema, store key, verdict) rows it
-        # solves here, for its parent to persist (repro.engine.parallel);
-        # None when not recording
-        self._solved_rows: Optional[List[Tuple[str, str, ContainmentResult]]] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -467,7 +465,9 @@ class ContainmentEngine:
           :class:`~repro.engine.parallel.TBoxDigest` — it answers
           ``canonical_fingerprint()``/``size()`` exactly like the real
           completed TBox but does not carry the statements themselves.
-          An empty batch starts no pool.
+          An empty batch starts no pool.  The pool decides containment
+          requests only: the analyses run their containment tests on the
+          engine they are given.
 
         Any other value (see :data:`BACKENDS`) raises :class:`ValueError`.
         Both backends return bit-identical results (asserted by fingerprint
@@ -521,12 +521,11 @@ class ContainmentEngine:
         exactly like a serial one (witnesses are still served as independent
         copies via the usual replay path).
         """
-        pool = self.process_pool(max_workers)
         tasks = [
             (_as_union(left, "P"), _as_union(right, "Q"), task_schema, task_config)
             for left, right, task_schema, task_config in normalized
         ]
-        results = pool.check_many(tasks)
+        results = self.process_pool(max_workers).check_many(tasks)
         keys = [
             _result_key(task_schema, left, right, task_config or self.default_config)
             for (left, right, task_schema, task_config) in tasks

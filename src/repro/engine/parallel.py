@@ -1,31 +1,29 @@
-"""Process-parallel batch execution for the containment engine.
+"""Process-parallel containment batches for the containment engine.
 
 :class:`~repro.engine.ContainmentEngine.check_many` cannot beat the GIL on
 the CPU-bound chase within one interpreter, so this module supplies the
 *process* backend: a persistent :class:`WorkerPool` whose workers each own a
-warm :class:`~repro.engine.ContainmentEngine` in a separate interpreter.
+warm :class:`~repro.engine.ContainmentEngine` in a separate interpreter.  The
+pool decides containment requests and nothing else; the analyses run their
+containment tests on the caller's engine.
 
 Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
 
-* **Routing is sharded by schema fingerprint.**  Every request carries the
-  routing key ``(schema fp, right-query token, request digest)``; requests
-  for the same schema land on the same worker so its schema-TBox and
-  completion caches stay hot.  When a batch holds fewer distinct schemas than
-  workers (the common single-schema case), each schema receives a contiguous
-  *range* of workers proportional to its share of the batch and requests are
-  sub-sharded by right-query token (the completion-cache key) — falling back
-  to the full request digest when even the right queries do not spread —
-  so parallelism never collapses while cache affinity degrades gracefully.
-  :func:`plan_routing` is a pure, deterministic function of the batch.
+* **One routing rule.**  Every request carries the routing key ``(schema
+  fp, right-query token, request digest)``.  :func:`plan_routing` spreads a
+  batch by schema when it holds at least as many schemas as workers (so a
+  worker's schema-TBox and completion caches stay hot), else by right
+  query (the completion-cache key), else by request digest.  It is a pure,
+  deterministic function of the batch.
 
 * **The process boundary is cheap: references out, digests back.**
   Workers are started via the ``spawn`` method so they never inherit locks
   or caches from the parent; each receives its whole shard as one message
   (pickled in the calling thread, so an unpicklable payload raises at once)
-  and replies with one message.  Containment requests ship through the
-  reference protocol of :mod:`repro.engine.transport`: a schema or query the
-  worker already holds crosses as a canonical-fingerprint *token* instead
-  of a pickled object.  The parent's per-worker ledger mirrors the worker's
+  and replies with one message.  Requests ship through the reference
+  protocol of :mod:`repro.engine.transport`: a schema or query the worker
+  already holds crosses as a canonical-fingerprint *token* instead of a
+  pickled object.  The parent's per-worker ledger mirrors the worker's
   bounded catalog operation for operation, so a reference always resolves.
   Workers compile their own automata from the shipped regexes.  On the way
   back, a result's ``completion.tbox`` — the completed Horn TBox, easily
@@ -33,10 +31,9 @@ Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
   ``canonical_fingerprint()``/``size()`` — is replaced by a
   :class:`TBoxDigest` carrying exactly those two answers (computed
   worker-side from the real bits); the full TBox stays in the worker's
-  completion cache.  Workers open the parent's store read-only, so the
-  verdicts an analysis job solves travel back with its reply and the
-  parent writes them.  Worker-side exceptions travel back as
-  :class:`WorkerError` with the remote traceback attached.
+  completion cache.  Workers open the parent's store read-only; the parent
+  writes the verdicts a batch returns.  Worker-side exceptions travel back
+  as :class:`WorkerError` with the remote traceback attached.
 
 * **Verdicts are bit-identical to the serial path.**  Workers run the exact
   same ``ContainmentEngine.contains`` code; :func:`result_fingerprint`
@@ -65,7 +62,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..containment.solver import ContainmentConfig, ContainmentResult, _as_union
+from ..containment.solver import ContainmentConfig, ContainmentResult
 from .cache import CacheStats
 from .engine import ContainmentEngine, EngineStats
 from .transport import (
@@ -105,60 +102,18 @@ def _stable_hash(text: str) -> int:
 def plan_routing(keys: Sequence[Tuple[str, str, str]], workers: int) -> List[int]:
     """Assign each request to a worker; deterministic in the batch contents.
 
-    *keys* holds one ``(schema fingerprint, secondary token, tertiary digest)``
-    triple per request.  Requests sharing a schema fingerprint are routed to
-    the same worker when there are at least as many distinct schemas as
-    workers.  Otherwise every schema gets a contiguous worker range sized
-    proportionally to its request count (largest-remainder apportionment, at
-    least one worker each) and requests spread inside the range by secondary
-    token — or by tertiary digest when the range is wider than the number of
-    distinct secondary tokens, so a single-(schema, right) batch still uses
-    every worker in its range.
+    *keys* holds one ``(schema fingerprint, right-query token, request
+    digest)`` triple per request.  The batch is spread by the first of those
+    components that has at least as many distinct values as there are
+    workers: by schema, else by right query (the completion cache's key),
+    else by request digest.
     """
     if workers < 1:
         raise ValueError("plan_routing needs at least one worker")
-    if workers == 1 or not keys:
-        return [0] * len(keys)
-
-    groups: Dict[str, List[int]] = {}
-    for index, (schema_fp, _, _) in enumerate(keys):
-        groups.setdefault(schema_fp, []).append(index)
-
-    assignment = [0] * len(keys)
-    if len(groups) >= workers:
-        for schema_fp, members in groups.items():
-            worker = _stable_hash(schema_fp) % workers
-            for index in members:
-                assignment[index] = worker
-        return assignment
-
-    # fewer schemas than workers: contiguous ranges, proportional widths
-    ordered = sorted(groups.items())
-    total = len(keys)
-    widths = [1] * len(ordered)
-    spare = workers - len(ordered)
-    if spare > 0:
-        quotas = [len(members) * spare / total for _, members in ordered]
-        floors = [int(quota) for quota in quotas]
-        for position, floor in enumerate(floors):
-            widths[position] += floor
-        remainder = spare - sum(floors)
-        by_fraction = sorted(
-            range(len(ordered)),
-            key=lambda position: (floors[position] - quotas[position], ordered[position][0]),
-        )
-        for position in by_fraction[:remainder]:
-            widths[position] += 1
-
-    start = 0
-    for (schema_fp, members), width in zip(ordered, widths):
-        secondaries = {keys[index][1] for index in members}
-        spread_by_secondary = len(secondaries) >= width
-        for index in members:
-            token = keys[index][1] if spread_by_secondary else keys[index][2]
-            assignment[index] = start + _stable_hash(token) % width
-        start += width
-    return assignment
+    position = next(
+        (position for position in (0, 1) if len({key[position] for key in keys}) >= workers), 2
+    )
+    return [_stable_hash(key[position]) % workers for key in keys]
 
 
 # --------------------------------------------------------------------------- #
@@ -261,29 +216,6 @@ def _lighten_containment(result: ContainmentResult) -> ContainmentResult:
     return dataclasses.replace(result, completion=dataclasses.replace(completion, tbox=digest))
 
 
-def _lighten_for_transport(kind: str, value: Any) -> Any:
-    """Swap completed TBoxes for digests in every nested containment result."""
-    if kind == "contain":
-        return _lighten_containment(value)
-    if kind == "typecheck":
-        for entailment in value.statement_results:
-            if entailment.containment is not None:
-                entailment.containment = _lighten_containment(entailment.containment)
-        if value.coverage is not None:
-            for check in value.coverage.checks:
-                if check.result is not None:
-                    check.result = _lighten_containment(check.result)
-        return value
-    if kind == "equivalence":
-        for difference in value.differences:
-            if difference.left_result is not None:
-                difference.left_result = _lighten_containment(difference.left_result)
-            if difference.right_result is not None:
-                difference.right_result = _lighten_containment(difference.right_result)
-        return value
-    return value
-
-
 # --------------------------------------------------------------------------- #
 # statistics merging
 # --------------------------------------------------------------------------- #
@@ -332,40 +264,16 @@ class WorkerError(RuntimeError):
         self.remote_traceback = remote_traceback
 
 
-def _run_task(engine: ContainmentEngine, kind: str, payload: Tuple) -> Any:
-    """Execute one unit of work against the worker's warm engine.
-
-    The analysis handlers import lazily: :mod:`repro.analysis` itself imports
-    the engine package, so a module-level import would be circular.
-    """
-    if kind == "contain":
-        left, right, schema, config = payload
-        return engine.contains(left, right, schema, config)
-    if kind == "typecheck":
-        from ..analysis.typecheck import type_check
-
-        transformation, source, target, config = payload
-        return type_check(transformation, source, target, config=config, engine=engine)
-    if kind == "equivalence":
-        from ..analysis.equivalence import check_equivalence
-
-        left, right, schema, config = payload
-        return check_equivalence(left, right, schema, config=config, engine=engine)
-    raise ValueError(f"unknown task kind {kind!r}")
-
-
 def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
-    """The worker loop: one warm engine, tasks in, results out.
+    """The worker loop: one warm engine, containment requests in, verdicts out.
 
     *persist* (a path or ``None``) is the parent engine's store file; the
     worker opens it **read-only**, so a spawned process warm-starts from
-    every verdict persisted by earlier runs without ever
-    contending for the write lock.  The parent writes fresh worker verdicts
-    back (single-writer discipline): a containment batch's verdicts are its
-    results, and an analysis batch's come back as rows with each reply.  A
-    reference the catalog cannot resolve would mean the mirror broke; it
-    kills the worker, and the parent's dead-worker detection replaces the
-    pool.
+    every verdict persisted by earlier runs without ever contending for the
+    write lock.  The parent writes the verdicts a batch returns
+    (single-writer discipline).  A reference the catalog cannot resolve
+    would mean the mirror broke; it kills the worker, and the parent's
+    dead-worker detection replaces the pool.
     """
     engine = ContainmentEngine(config, persist=persist, persist_mode="ro")
     catalog = TokenCatalog()
@@ -373,35 +281,20 @@ def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
         message = inbox.get()
         if message is None:
             break
-        command = message[0]
-        if command == "tasks":
-            kind, chunk, mode = pickle.loads(message[1])
-            reply: List[Tuple] = []
-            # record the verdicts an analysis job solves, for the parent to
-            # persist; a containment batch's results already are its verdicts
-            engine._solved_rows = [] if kind != "contain" and engine.store is not None else None
-            for index, payload in chunk:
-                if mode == "ref":
-                    payload = decode_payload(payload, catalog)
-                try:
-                    value = _lighten_for_transport(kind, _run_task(engine, kind, payload))
-                    reply.append((index, "ok", value))
-                except Exception as error:  # noqa: BLE001 - relayed to the parent
-                    reply.append(
-                        (index, "error", f"{type(error).__name__}: {error}", traceback.format_exc())
-                    )
-            rows = [
-                (schema, token, _lighten_containment(result))
-                for schema, token, result in engine._solved_rows or ()
-            ]
-            engine._solved_rows = None
-            outbox.put(("results", worker_id, reply, rows))
-        elif command == "stats":
+        if message[0] == "stats":
             outbox.put(("stats", worker_id, engine.stats))
-        else:  # pragma: no cover - defensive: unknown control message
-            outbox.put(
-                ("results", worker_id, [(None, "error", f"unknown command {command!r}", "")], [])
-            )
+            continue
+        reply: List[Tuple] = []
+        for index, payload in pickle.loads(message[1]):
+            left, right, schema, request_config = decode_payload(payload, catalog)
+            try:
+                result = engine.contains(left, right, schema, request_config)
+                reply.append((index, "ok", _lighten_containment(result)))
+            except Exception as error:  # noqa: BLE001 - relayed to the parent
+                reply.append(
+                    (index, "error", f"{type(error).__name__}: {error}", traceback.format_exc())
+                )
+        outbox.put(("results", worker_id, reply))
 
 
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
@@ -430,7 +323,6 @@ class WorkerPool:
         workers: Optional[int] = None,
         config: Optional[ContainmentConfig] = None,
         *,
-        start_method: str = "spawn",
         persist: Optional[Any] = None,
     ) -> None:
         self.workers = workers or default_worker_count()
@@ -438,7 +330,7 @@ class WorkerPool:
         # workers open this store file read-only and warm-start from it; the
         # parent engine remains the only writer
         self.persist = str(persist) if persist is not None else None
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._processes: List[Any] = []
         self._inboxes: List[Any] = []
@@ -577,29 +469,22 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def run_batch(
         self,
-        kind: str,
         payloads: Sequence[Tuple],
         routing_keys: Sequence[Tuple[str, str, str]],
-        transport_tokens: Optional[Sequence[Tuple[str, str, str]]] = None,
-    ) -> Tuple[List[Any], List[Tuple[str, str, ContainmentResult]]]:
-        """Route *payloads* to workers; returns ``(results, rows)``.
-
-        *results* keep request order.  *rows* are the ``(schema
-        fingerprint, store key, result)`` verdicts the workers solved for an
-        analysis batch, lightened like every shipped result, for the caller
-        to persist (a containment batch's rows are its results, so it gets
-        none).
+        transport_tokens: Sequence[Tuple[str, str, str]],
+    ) -> List[ContainmentResult]:
+        """Route ``(left, right, schema, config)`` *payloads* to workers;
+        the results keep request order.
 
         Each participating worker receives its whole shard as **one** message
-        and replies with one message.  With *transport_tokens* (one
-        ``(left, right, schema)`` token triple per payload — the ``contain``
-        path) payloads are encoded through the reference protocol against
-        the worker's ledger: slots the worker already holds ship as bare
-        tokens, the rest ship once as values.  Without tokens (the analysis
-        kinds) payloads ship raw.  Chunks are pickled here, before any is
-        sent: a payload that cannot be pickled (or an interrupt while
-        encoding) closes the pool, whose ledgers already count the batch as
-        sent, and the error propagates.
+        and replies with one message.  Payloads are encoded through the
+        reference protocol against the worker's ledger, with one ``(left,
+        right, schema)`` token triple per payload in *transport_tokens*:
+        slots the worker already holds ship as bare tokens, the rest ship
+        once as values.  Chunks are pickled here, before any is sent: a
+        payload that cannot be pickled (or an interrupt while encoding)
+        closes the pool, whose ledgers already count the batch as sent, and
+        the error propagates.
 
         One batch at a time: submissions are serialised under the pool lock
         so interleaved batches cannot steal each other's replies.  A
@@ -611,29 +496,25 @@ class WorkerPool:
         ``atexit`` hook's serial 5-second joins — and the interrupt
         propagates.
         """
-        if len(payloads) != len(routing_keys):
-            raise ValueError("run_batch: payloads and routing keys must align")
-        if transport_tokens is not None and len(transport_tokens) != len(payloads):
-            raise ValueError("run_batch: payloads and transport tokens must align")
+        if not len(payloads) == len(routing_keys) == len(transport_tokens):
+            raise ValueError("run_batch: payloads, routing keys and transport tokens must align")
         if not payloads:
-            return [], []
+            return []
         with self._lock:
             self._ensure_started()
             assignment = plan_routing(routing_keys, self.workers)
-            mode = "raw" if transport_tokens is None else "ref"
             chunks: Dict[int, List[Tuple[int, Tuple]]] = {}
             try:
                 for index, (payload, worker) in enumerate(zip(payloads, assignment)):
-                    if transport_tokens is not None:
-                        payload = encode_payload(
-                            payload, transport_tokens[index], self._ledgers[worker],
-                            self.transport_stats,
-                        )
+                    payload = encode_payload(
+                        payload, transport_tokens[index], self._ledgers[worker],
+                        self.transport_stats,
+                    )
                     chunks.setdefault(worker, []).append((index, payload))
                 # pickled here rather than in the queue's feeder thread, which
                 # would drop an unpicklable chunk and leave its worker idle
                 blobs = {
-                    worker: pickle.dumps((kind, chunk, mode), pickle.HIGHEST_PROTOCOL)
+                    worker: pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
                     for worker, chunk in chunks.items()
                 }
             except BaseException:
@@ -643,14 +524,13 @@ class WorkerPool:
                 raise
             results: List[Any] = [None] * len(payloads)
             errors: List[Tuple[int, int, str, str]] = []
-            rows: List[Tuple[str, str, ContainmentResult]] = []
             try:
                 # the abort window opens before the first put: once any chunk
                 # is in flight, an un-aborted pool would hold replies a later
                 # batch could misattribute to its own indices
                 for worker, blob in blobs.items():
                     self._inboxes[worker].put(("tasks", blob))
-                self._gather(len(blobs), results, errors, rows)
+                self._gather(len(blobs), results, errors)
             except (KeyboardInterrupt, SystemExit):
                 # the workers are mid-chase and their replies are now
                 # unclaimable; leaving them alive would burn CPU until the
@@ -665,27 +545,22 @@ class WorkerPool:
                     f"worker {worker_id} failed on request {index}: {description}{suffix}",
                     remote_traceback,
                 )
-            return results, rows
+            return results
 
     def _gather(
-        self,
-        replies: int,
-        results: List[Any],
-        errors: List[Tuple[int, int, str, str]],
-        rows: List[Tuple[str, str, ContainmentResult]],
+        self, replies: int, results: List[Any], errors: List[Tuple[int, int, str, str]]
     ) -> None:
-        """Collect *replies* worker messages into results, errors and rows."""
+        """Collect *replies* worker messages into results and errors."""
         for _ in range(replies):
             message = self._receive()
             if message[0] != "results":  # pragma: no cover - defensive
                 raise WorkerError(f"unexpected reply while running a batch: {message[0]!r}")
-            _, worker_id, reply, worker_rows = message
+            _, worker_id, reply = message
             for entry in reply:
                 if entry[1] == "ok":
                     results[entry[0]] = entry[2]
                 else:
                     errors.append((entry[0], worker_id, entry[2], entry[3]))
-            rows.extend(worker_rows)
 
     def _receive(self) -> Tuple:
         """One reply from the outbox, watching for dead workers.
@@ -720,20 +595,18 @@ class WorkerPool:
         self,
         requests: Sequence[Tuple[Any, Any, Any, Optional[ContainmentConfig]]],
     ) -> List[ContainmentResult]:
-        """Decide normalised ``(left, right, schema, config)`` requests.
+        """Decide ``(left, right, schema, config)`` requests whose queries
+        the caller has normalised (:meth:`ContainmentEngine.check_many` does).
 
-        The routing key is ``(schema fp, right token, full request digest)``:
-        schema-major sharding, completion-affine sub-sharding (the completion
-        cache is keyed by the right query) — see :func:`plan_routing`.  The
-        same canonical tokens double as the reference-protocol tokens, so
-        repeated schemas and queries cross the process boundary as compact
-        references rather than pickled objects (see :meth:`run_batch`).
+        The routing key is ``(schema fp, right token, full request digest)``
+        (see :func:`plan_routing`).  The same canonical tokens double as the
+        reference-protocol tokens, so repeated schemas and queries cross the
+        process boundary as compact references rather than pickled objects
+        (see :meth:`run_batch`).
         """
         keys = []
-        tasks = []
         tokens = []
         for left, right, schema, config in requests:
-            left, right = _as_union(left, "P"), _as_union(right, "Q")
             schema_fp = schema.canonical_fingerprint()
             right_canonical = right.canonical_token()
             left_canonical = left.canonical_token()
@@ -748,9 +621,7 @@ class WorkerPool:
                     schema_token(schema.name, schema_fp),
                 )
             )
-            tasks.append((left, right, schema, config))
-        results, _ = self.run_batch("contain", tasks, keys, transport_tokens=tokens)
-        return results
+        return self.run_batch(requests, keys, tokens)
 
     # ------------------------------------------------------------------ #
     # statistics

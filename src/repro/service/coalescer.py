@@ -34,7 +34,6 @@ computes (asserted by fingerprint in ``tests/test_service.py`` and
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from collections import deque
@@ -42,9 +41,8 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..containment.counterexample import Counterexample
 from ..containment.solver import ContainmentConfig, _as_union
-from ..engine.engine import ContainmentEngine, _result_key
+from ..engine.engine import ContainmentEngine, _independent_copy, _result_key
 
 __all__ = ["CoalescerStats", "RequestCoalescer"]
 
@@ -108,22 +106,6 @@ def _reject(future: "Future[Any]", error: BaseException) -> None:
         future.set_exception(error)
     except InvalidStateError:  # pragma: no cover - client cancelled the future
         pass
-
-
-def _independent_copy(result: Any) -> Any:
-    """A result whose witness payloads the client may freely mutate.
-
-    The same copy discipline as the engine's cache-replay path: the graphs
-    are copied, the bookkeeping ``completion`` stays shared (read-only by
-    contract), and ``result_fingerprint`` is unchanged.
-    """
-    witness = result.witness_pattern.copy() if result.witness_pattern is not None else None
-    counterexample = result.finite_counterexample
-    if counterexample is not None:
-        counterexample = Counterexample(counterexample.graph.copy(), counterexample.answer)
-    return dataclasses.replace(
-        result, witness_pattern=witness, finite_counterexample=counterexample
-    )
 
 
 class RequestCoalescer:

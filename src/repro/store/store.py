@@ -255,7 +255,8 @@ class ResultStore:
 
         Failures (corrupt rows, locked file, stale unpicklable payloads)
         count as errors *and* misses — a degraded store behaves exactly like
-        a cold one.
+        a cold one.  A writable store also deletes a row that no longer
+        unpickles, so the next write-back of that key rewrites it.
         """
         with self._lock:
             if self._connection is None:
@@ -277,6 +278,7 @@ class ResultStore:
             except Exception:  # noqa: BLE001 - any stale/corrupt payload is a miss
                 self.stats.errors += 1
                 self.stats.misses += 1
+                self._delete_locked("DELETE FROM entries WHERE key = ?", (key,))
                 return None
             self.stats.hits += 1
             return value
@@ -423,15 +425,20 @@ class ResultStore:
 
     def _delete(self, statement: str, parameters: Tuple) -> int:
         with self._lock:
-            if self._connection is None or self.mode == "ro":
-                return 0
-            try:
-                cursor = self._connection.execute(statement, parameters)
-                self._connection.commit()
-            except sqlite3.Error:
-                self.stats.errors += 1
-                return 0
-            return cursor.rowcount
+            return self._delete_locked(statement, parameters)
+
+    def _delete_locked(self, statement: str, parameters: Tuple) -> int:
+        """Run one ``DELETE``; the caller holds the lock.  A read-only or
+        disabled store deletes nothing (returns 0)."""
+        if self._connection is None or self.mode == "ro":
+            return 0
+        try:
+            cursor = self._connection.execute(statement, parameters)
+            self._connection.commit()
+        except sqlite3.Error:
+            self.stats.errors += 1
+            return 0
+        return cursor.rowcount
 
     def describe(self) -> Dict[str, Any]:
         """One JSON-ready block: path, mode, health, stamp, sizes, counters."""

@@ -17,7 +17,11 @@ migration hooks), and the schema-evolution layer (``engine.evolve``, the
 is an ``invalidate_schema`` of the old schema), and the store's
 ``schema-tboxes`` tier (``repro.store.TIERS``, the ``tier`` argument of the
 store calls, ``cache clear --tier``) with the engine's extended-fingerprint
-index (``_record_extended``, ``_schema_index``) — the first half of this file
+index (``_record_extended``, ``_schema_index``), and the process backend's
+analysis jobs (``parallel=`` and ``max_workers=`` of ``type_check_many`` and
+``check_equivalence_many``, the ``typecheck``/``equivalence`` task kinds with
+the raw wire mode and the worker's solved-row recorder) together with
+``WorkerPool(start_method=)`` — the first half of this file
 pins that down, so a shim cannot quietly come back.  The second half checks
 that the supported replacements stay silent.
 """
@@ -35,8 +39,10 @@ from repro.containment.solver import ContainmentSolver
 from repro.core import CompiledAutomaton
 import repro.engine
 import repro.engine.engine
+import repro.engine.parallel
 import repro.store
 import repro.store.store
+from repro.analysis import check_equivalence_many, type_check_many
 from repro.cli import main
 from repro.engine import ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
@@ -154,6 +160,26 @@ def test_extended_fingerprint_index_is_gone():
     assert not hasattr(ContainmentEngine, "_record_extended")
     assert not hasattr(ContainmentEngine(), "_schema_index")
     assert not hasattr(repro.engine.engine, "_SCHEMA_INDEX_LIMIT")
+
+
+def test_process_analysis_jobs_are_gone():
+    source, target = medical.source_schema(), medical.target_schema()
+    for knob, value in (("parallel", "process"), ("max_workers", 2)):
+        with pytest.raises(TypeError, match=knob):
+            type_check_many([(medical.migration(), source, target)], **{knob: value})
+        with pytest.raises(TypeError, match=knob):
+            check_equivalence_many(
+                [(medical.migration(), medical.migration(), source)], **{knob: value}
+            )
+    with pytest.raises(TypeError, match="start_method"):
+        WorkerPool(workers=1, start_method="fork")
+    for name in ("_run_task", "_lighten_for_transport"):
+        assert not hasattr(repro.engine.parallel, name), name
+    assert not hasattr(ContainmentEngine(), "_solved_rows")
+    # one task kind, one wire mode: no kind argument, no raw (token-less) path
+    assert list(inspect.signature(WorkerPool.run_batch).parameters) == [
+        "self", "payloads", "routing_keys", "transport_tokens",
+    ]
 
 
 def test_dfa_layer_is_gone():

@@ -9,24 +9,36 @@ the `ContainmentResult`s must be bit-identical, which
 counterexamples and the completed-TBox fingerprint; wall-clock excluded).
 """
 
+import importlib.util
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import check_equivalence_many, type_check_many
+from repro.analysis import check_equivalence, check_equivalence_many, type_check, type_check_many
 from repro.containment import ContainmentConfig
 from repro.engine import (
     ContainmentEngine,
     EngineStats,
     WorkerError,
+    WorkerPool,
     merge_stats,
     result_fingerprint,
 )
 from repro.engine.cache import CacheStats
-from repro.engine.parallel import graph_token, plan_routing
+from repro.engine.parallel import _stable_hash, graph_token, plan_routing
 from repro.rpq import parse_c2rpq
 from repro.workloads import medical
-from repro.workloads.batches import containment_batch, synthetic_batch
+from repro.workloads.batches import BUILTIN_WORKLOADS, containment_batch, synthetic_batch
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_SPEC = importlib.util.spec_from_file_location("perfbench_inputs", _PERFBENCH / "inputs.py")
+perfbench_inputs = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = perfbench_inputs  # its dataclasses look their module up there
+_SPEC.loader.exec_module(perfbench_inputs)
 
 @pytest.fixture(scope="module")
 def shared_process_engine():
@@ -91,15 +103,105 @@ def test_plan_routing_falls_back_to_request_digest_when_rights_do_not_spread():
     assert set(assignment) == {0, 1, 2, 3}
 
 
-def test_plan_routing_gives_bigger_schemas_wider_ranges():
-    keys = [("big", f"r{i}", f"t{i}") for i in range(30)]
-    keys += [("small", f"r{i}", f"t{i}") for i in range(2)]
-    assignment = plan_routing(keys, 8)
-    big_workers = {worker for (schema, _, _), worker in zip(keys, assignment) if schema == "big"}
-    small_workers = {worker for (schema, _, _), worker in zip(keys, assignment) if schema == "small"}
-    assert not big_workers & small_workers  # contiguous, disjoint ranges
-    assert len(big_workers) > len(small_workers)
-    assert len(big_workers) + len(small_workers) <= 8
+def proportional_plan_routing(keys, workers):
+    """The rule ``plan_routing`` replaced, kept as the reference it must
+    match wherever a batch holds one schema or at least *workers* schemas:
+    with fewer schemas than workers, each schema got a contiguous worker
+    range sized by its share of the batch (largest remainder), spread by
+    right-query token, or by request digest when the rights did not spread."""
+    if workers == 1 or not keys:
+        return [0] * len(keys)
+    groups = {}
+    for index, (schema_fp, _, _) in enumerate(keys):
+        groups.setdefault(schema_fp, []).append(index)
+    assignment = [0] * len(keys)
+    if len(groups) >= workers:
+        for schema_fp, members in groups.items():
+            for index in members:
+                assignment[index] = _stable_hash(schema_fp) % workers
+        return assignment
+    ordered = sorted(groups.items())
+    widths = [1] * len(ordered)
+    spare = workers - len(ordered)
+    quotas = [len(members) * spare / len(keys) for _, members in ordered]
+    floors = [int(quota) for quota in quotas]
+    for position, floor in enumerate(floors):
+        widths[position] += floor
+    by_fraction = sorted(
+        range(len(ordered)),
+        key=lambda position: (floors[position] - quotas[position], ordered[position][0]),
+    )
+    for position in by_fraction[: spare - sum(floors)]:
+        widths[position] += 1
+    start = 0
+    for (schema_fp, members), width in zip(ordered, widths):
+        spread_by_right = len({keys[index][1] for index in members}) >= width
+        for index in members:
+            token = keys[index][1] if spread_by_right else keys[index][2]
+            assignment[index] = start + _stable_hash(token) % width
+        start += width
+    return assignment
+
+
+def routing_keys(requests):
+    """The routing keys ``WorkerPool.check_many`` builds for *requests*
+    (``(left, right, schema)`` triples), captured without starting a worker."""
+    engine = ContainmentEngine()
+    pool = WorkerPool(2)
+    captured = []
+    pool.run_batch = lambda payloads, keys, tokens: captured.append(list(keys)) or []
+    engine._process_pool = pool
+    engine.check_many(requests, parallel="process")
+    pool.close()
+    return captured[0]
+
+
+def zoo_process_batches(seed=0):
+    """The 18 batches of perfbench's zoo-process workload, built as it
+    builds them: batch ``j`` takes every 18th zoo pair from the ``j``-th."""
+    items = perfbench_inputs.zoo_items(seed)
+    count = -(-len(items) // 8)
+    return [
+        [(item.left, item.right, item.schema) for item in items[start::count]]
+        for start in range(count)
+    ]
+
+
+def test_plan_routing_matches_the_proportional_rule_on_the_zoo_process_batches():
+    batches = zoo_process_batches()
+    assert len(batches) == 18
+    for batch in batches:
+        keys = routing_keys(batch)
+        assert len({schema for schema, _, _ in keys}) >= 2  # 7-8 schemas each
+        assert plan_routing(keys, 2) == proportional_plan_routing(keys, 2)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 8])
+def test_plan_routing_matches_the_proportional_rule_on_single_schema_batches(workers):
+    batches = [containment_batch(name) for name in BUILTIN_WORKLOADS] + [synthetic_batch(12)]
+    for schema, pairs in batches:
+        keys = routing_keys([(left, right, schema) for left, right in pairs])
+        assert plan_routing(keys, workers) == proportional_plan_routing(keys, workers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    workers=st.integers(min_value=1, max_value=8),
+    enough_schemas=st.booleans(),
+    extra=st.integers(min_value=0, max_value=3),
+    picks=st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, 5), st.integers(0, 40)), max_size=40
+    ),
+)
+def test_plan_routing_matches_the_proportional_rule_with_one_or_enough_schemas(
+    workers, enough_schemas, extra, picks
+):
+    # exactly one schema, or at least as many as workers: only batches with
+    # 2 to workers-1 schemas are routed differently by the two rules
+    schemas = workers + extra if enough_schemas else 1
+    keys = [(f"s{index}", f"r{index}", f"d{index}") for index in range(schemas)]
+    keys += [(f"s{schema % schemas}", f"r{right}", f"d{digest}") for schema, right, digest in picks]
+    assert plan_routing(keys, workers) == proportional_plan_routing(keys, workers)
 
 
 # --------------------------------------------------------------------------- #
@@ -239,17 +341,6 @@ def test_unknown_backend_is_rejected():
     schema, pairs = containment_batch("medical")
     with pytest.raises(ValueError):
         ContainmentEngine().check_many(pairs, schema=schema, parallel="fork")
-    # the analysis batches share the engine's backends: the removed "auto"
-    # fails loudly there too instead of running serially
-    jobs = [(medical.migration(), medical.source_schema(), medical.target_schema())]
-    with pytest.raises(ValueError, match="unknown backend 'auto'"):
-        type_check_many(jobs, parallel="auto", engine=ContainmentEngine())
-    with pytest.raises(ValueError, match="unknown backend 'auto'"):
-        check_equivalence_many(
-            [(medical.migration(), medical.migration(), medical.source_schema())],
-            parallel="auto",
-            engine=ContainmentEngine(),
-        )
 
 
 def test_engine_replaces_a_pool_whose_worker_died():
@@ -362,32 +453,47 @@ def test_shutdown_is_idempotent_and_pool_recreatable():
 # --------------------------------------------------------------------------- #
 # the analysis batch layer
 # --------------------------------------------------------------------------- #
-def test_type_check_many_matches_serial_across_backends(shared_process_engine):
-    jobs = [
-        (medical.migration(), medical.source_schema(), medical.target_schema()),
-        (medical.broken_migration(), medical.source_schema(), medical.target_schema()),
-        (medical.redundant_migration(), medical.source_schema(), medical.target_schema()),
-    ]
-    serial = type_check_many(jobs, engine=ContainmentEngine())
-    processed = type_check_many(jobs, parallel="process", engine=shared_process_engine)
-    assert [r.well_typed for r in serial] == [True, False, True]
-    assert [r.well_typed for r in processed] == [r.well_typed for r in serial]
-    assert [r.containment_calls for r in processed] == [r.containment_calls for r in serial]
-    # the pickled result still carries the structured failure detail
-    assert processed[1].failed_statements()
-    assert processed[1].failed_statements()[0].statement is not None
+def _containment_fingerprints(results):
+    """Every containment verdict inside type-check or equivalence results."""
+    verdicts = []
+    for result in results:
+        verdicts += [entailment.containment for entailment in getattr(result, "statement_results", ())]
+        coverage = getattr(result, "coverage", None)
+        if coverage is not None:
+            verdicts += [check.result for check in coverage.checks]
+        for difference in getattr(result, "differences", ()):
+            verdicts += [difference.left_result, difference.right_result]
+    return [result_fingerprint(verdict) for verdict in verdicts if verdict is not None]
 
 
-def test_check_equivalence_many_matches_serial(shared_process_engine):
+def test_type_check_many_matches_per_job_type_check():
+    source, target = medical.source_schema(), medical.target_schema()
+    migrations = [medical.migration(), medical.broken_migration(), medical.redundant_migration()]
+    batched = type_check_many(
+        [(migration, source, target) for migration in migrations], engine=ContainmentEngine()
+    )
+    single = [type_check(migration, source, target, engine=ContainmentEngine())
+              for migration in migrations]
+    assert [r.well_typed for r in batched] == [True, False, True]
+    assert [r.well_typed for r in batched] == [r.well_typed for r in single]
+    assert [r.containment_calls for r in batched] == [r.containment_calls for r in single]
+    assert _containment_fingerprints(batched) == _containment_fingerprints(single)
+    assert batched[1].failed_statements()[0].statement is not None
+
+
+def test_check_equivalence_many_matches_per_job_check_equivalence():
+    schema = medical.source_schema()
     jobs = [
-        (medical.migration(), medical.redundant_migration(), medical.source_schema()),
-        (medical.migration(), medical.broken_migration(), medical.source_schema()),
+        (medical.migration(), medical.redundant_migration(), schema),
+        (medical.migration(), medical.broken_migration(), schema),
     ]
-    serial = check_equivalence_many(jobs, engine=ContainmentEngine())
-    processed = check_equivalence_many(jobs, parallel="process", engine=shared_process_engine)
-    assert [r.equivalent for r in serial] == [True, False]
-    assert [r.equivalent for r in processed] == [r.equivalent for r in serial]
-    assert [len(r.differences) for r in processed] == [len(r.differences) for r in serial]
+    batched = check_equivalence_many(jobs, engine=ContainmentEngine())
+    single = [check_equivalence(left, right, schema, engine=ContainmentEngine())
+              for left, right, schema in jobs]
+    assert [r.equivalent for r in batched] == [True, False]
+    assert [r.equivalent for r in batched] == [r.equivalent for r in single]
+    assert [len(r.differences) for r in batched] == [len(r.differences) for r in single]
+    assert _containment_fingerprints(batched) == _containment_fingerprints(single)
 
 
 def test_analysis_jobs_validate_their_shape():

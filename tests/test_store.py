@@ -288,6 +288,29 @@ def test_concurrent_writers_degrade_gracefully(store_path, medical_baseline):
     reader.close()
 
 
+def test_a_row_that_no_longer_unpickles_is_rewritten(store_path, medical_baseline):
+    """A writable store deletes an unreadable row when it reads it, so the
+    write-back rewrites it; a read-only store only counts the error."""
+    schema, pairs, baseline = medical_baseline
+    with ContainmentEngine(persist=store_path) as warmer:
+        warmer.check_many(pairs, schema=schema)
+    with sqlite3.connect(store_path) as connection:
+        connection.execute("UPDATE entries SET payload = ?", (b"not a pickle",))
+
+    reader = ResultStore(store_path, mode="ro")
+    assert reader.get(reader.entries()[0]["key"]) is None
+    assert (reader.stats.errors, reader.stats.misses) == (1, 1)
+    reader.close()
+
+    counters = []
+    for _ in range(2):
+        with ContainmentEngine(persist=store_path) as engine:
+            assert _fingerprints(engine.check_many(pairs, schema=schema)) == baseline
+            store = engine.stats.store
+            counters.append((store.hits, store.misses, store.errors, store.writes))
+    assert counters == [(0, len(pairs), len(pairs), len(pairs)), (len(pairs), 0, 0, 0)]
+
+
 def test_unpicklable_values_stay_memory_only(store_path):
     store = ResultStore(store_path)
     assert store.put("schema", "key", lambda: None) is False  # unpicklable
@@ -377,47 +400,6 @@ def test_process_backend_merges_worker_verdicts_into_the_store(store_path):
     reader.close()
 
 
-def _nested_fingerprints(type_check_result):
-    """Every containment verdict inside a type-check result, fingerprinted."""
-    results = [
-        entailment.containment
-        for entailment in type_check_result.statement_results
-        if entailment.containment is not None
-    ]
-    if type_check_result.coverage is not None:
-        results.extend(
-            check.result for check in type_check_result.coverage.checks if check.result is not None
-        )
-    return _fingerprints(results)
-
-
-def test_process_analysis_batches_write_worker_verdicts_to_the_store(store_path):
-    """Workers return the verdicts an analysis job solved and the parent
-    persists them, so a fresh engine answers the same job from disk alone."""
-    from repro.analysis import type_check_many
-    from repro.workloads import medical
-
-    jobs = [(medical.migration(), medical.source_schema(), medical.target_schema())]
-    engine = ContainmentEngine(persist=store_path, max_workers=2)
-    try:
-        processed = type_check_many(jobs, parallel="process", engine=engine)
-        solved = engine.process_stats().results.misses
-        assert solved > 0
-        assert engine.stats.store.writes == solved
-    finally:
-        engine.close()
-
-    fresh = ContainmentEngine(persist=store_path)
-    try:
-        replayed = type_check_many(jobs, engine=fresh)
-        assert fresh.stats.store.misses == 0
-        assert fresh.stats.store.hits == solved
-        assert _nested_fingerprints(replayed[0]) == _nested_fingerprints(processed[0])
-        assert replayed[0].well_typed == processed[0].well_typed
-    finally:
-        fresh.close()
-
-
 # --------------------------------------------------------------------------- #
 # invalidation: rows name their schema, so any engine can reclaim them
 # --------------------------------------------------------------------------- #
@@ -453,21 +435,22 @@ def test_fresh_engine_invalidates_exactly_one_schemas_rows(store_path):
 
 
 def test_invalidate_schema_removes_rows_solved_by_process_workers(store_path):
-    from repro.analysis import type_check_many
-    from repro.workloads import medical
-
-    source, target = medical.source_schema(), medical.target_schema()
-    jobs = [(medical.migration(), source, target)]
+    medical_schema, medical_pairs = medical_batch()
+    social_schema, social_pairs = social_batch()
+    requests = [(left, right, medical_schema) for left, right in medical_pairs]
+    requests += [(left, right, social_schema) for left, right in social_pairs]
     with ContainmentEngine(persist=store_path, max_workers=2) as engine:
-        type_check_many(jobs, parallel="process", engine=engine)
+        engine.check_many(requests, parallel="process")
         written = engine.stats.store.writes
     rows = _rows_by_schema(store_path)
-    assert written > 0
+    assert written == len(requests)
     assert sum(rows.values()) == written
-    assert set(rows) <= {source.canonical_fingerprint(), target.canonical_fingerprint()}
+    assert set(rows) == {medical_schema.canonical_fingerprint(), social_schema.canonical_fingerprint()}
 
     with ContainmentEngine(persist=store_path) as fresh:
-        dropped = sum(fresh.invalidate_schema(schema).store_rows for schema in (source, target))
+        dropped = sum(
+            fresh.invalidate_schema(schema).store_rows for schema in (medical_schema, social_schema)
+        )
     assert dropped == written
     assert _rows_by_schema(store_path) == {}
 
@@ -554,16 +537,14 @@ def test_the_scanner_flags_the_old_layout_which_no_longer_loads():
 def test_store_rows_and_worker_replies_hold_no_value_type_in_the_old_layout(
     store_path, monkeypatch
 ):
-    """A medical type check on the process backend with a store: its rows
-    reference no signed label or statement at all, so format-2 files written
-    before these became tuples load unchanged and ``STORE_FORMAT_VERSION``
-    stays (a row that held one would need a bump); its worker replies carry
-    statements and signed labels, each built from its fields."""
+    """A medical containment batch on the process backend with a store: its
+    rows and its worker replies reference no signed label or statement at
+    all (the lightened completion carries only a digest), so format-2 files
+    written before these became tuples load unchanged and
+    ``STORE_FORMAT_VERSION`` stays (a row that held one would need a bump)."""
     from multiprocessing.reduction import ForkingPickler
 
-    from repro.analysis import type_check_many
     from repro.engine.parallel import WorkerPool
-    from repro.workloads import medical
 
     replies = []
     receive = WorkerPool._receive
@@ -574,27 +555,18 @@ def test_store_rows_and_worker_replies_hold_no_value_type_in_the_old_layout(
         return message
 
     monkeypatch.setattr(WorkerPool, "_receive", recording)
-    source, target = medical.source_schema(), medical.target_schema()
-    jobs = [(medical.migration(), source, target), (medical.broken_migration(), source, target)]
-    results = type_check_many(jobs, parallel="process", persist=store_path)
-    assert [result.well_typed for result in results] == [True, False]
+    schema, pairs = medical_batch()
+    with ContainmentEngine(persist=store_path, max_workers=2) as engine:
+        results = engine.check_many(pairs, schema=schema, parallel="process")
+    assert all(result.completion is not None for result in results)
     connection = sqlite3.connect(store_path)
     try:
         rows = [bytes(payload) for (payload,) in connection.execute("SELECT payload FROM entries")]
     finally:
         connection.close()
-    assert rows and replies
+    assert len(rows) == len(pairs) and replies
     assert STORE_FORMAT_VERSION == 2
 
-    in_rows = [value for blob in rows for value, _ in _class_pushes(blob) if value in _VALUE_TYPES]
-    assert in_rows == []
-    in_replies = [
-        (value, following)
-        for blob in replies
-        for value, following in _class_pushes(blob)
-        if value in _VALUE_TYPES
-    ]
-    assert {value for value, _ in in_replies} >= {
-        ("repro.graph.labels", "SignedLabel"), ("repro.dl.concepts", "ExistsCI"),
-    }
-    assert [pair for pair in in_replies if pair[1] == "EMPTY_TUPLE"] == []
+    pushed = [value for blob in rows + replies for value, _ in _class_pushes(blob)]
+    assert ("repro.engine.parallel", "TBoxDigest") in pushed  # the scan sees the payloads
+    assert [value for value in pushed if value in _VALUE_TYPES] == []

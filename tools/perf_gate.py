@@ -3,9 +3,11 @@
 
 Runs perfbench on zoo-cold, zoo-process and analysis in PAIRS alternating
 runs of BASE_SHA (checked out into a temporary ``git worktree``) and of this
-checkout.  Fails when a run is not ``correct``, or when head's median
-throughput_per_s is below base's by more than its bound in BENCHMARK.json.
-Writes both sides' median of every metric to ``$GITHUB_STEP_SUMMARY``.
+checkout, after byte-compiling ``src`` in both so that neither side's
+``setup_s`` includes compiling the package from source.  Fails when a run
+is not ``correct``, or when head's median throughput_per_s is below base's
+by more than its bound in BENCHMARK.json.  Writes both sides' median of
+every metric to ``$GITHUB_STEP_SUMMARY``.
 """
 
 import json
@@ -33,6 +35,10 @@ def parse_result(stdout: str) -> dict:
         return json.loads(stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
         return {"correct": False, "metrics": {}}
+
+
+def compile_sources(checkout: Path) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
 
 
 def run_perfbench(checkout: Path, workload: str) -> dict:
@@ -64,6 +70,8 @@ def main(base_sha: str) -> int:
         base_dir = Path(scratch) / "base"
         subprocess.run(["git", "worktree", "add", "--detach", str(base_dir), base_sha], cwd=ROOT, check=True)
         try:
+            for checkout in (base_dir, ROOT):
+                compile_sources(checkout)
             for workload in WORKLOADS:
                 runs = {base_dir: [], ROOT: []}
                 for pair in range(PAIRS):
