@@ -670,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_persist_argument(
         batch,
-        "disk-persistent result store file; process-backend workers warm-start from it",
+        "disk-persistent result store file; process batches ship only what it misses",
     )
     _add_report_argument(batch)
     batch.set_defaults(handler=_cmd_batch)

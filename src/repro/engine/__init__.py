@@ -7,7 +7,8 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
   completions + chase engines, schema TBox encodings) and the
   ``check_many`` batch API over :data:`BACKENDS` (serial, process); constructed
   with ``persist=path`` it adds the disk-persistent second tier of verdicts
-  (:class:`repro.store.ResultStore`) that worker processes warm-start from;
+  (:class:`repro.store.ResultStore`), which only the engine opens: a
+  process batch ships just the requests memory and store miss;
 * :class:`ContainmentRequest` — one ``(left, right, schema, config)`` unit of
   work for a batch;
 * :class:`EngineStats` / :class:`CacheStats` — hit/miss/eviction accounting;

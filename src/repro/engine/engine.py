@@ -43,12 +43,13 @@ and :data:`default_engine` provides the process-wide instance behind the
 stateless :func:`repro.containment.contains` wrapper.
 
 ``ContainmentEngine(persist=path)`` adds a **second, disk-persistent tier**
-below the results cache (:class:`repro.store.ResultStore`): verdict lookups
-go memory → disk → solver, misses write back to both, and worker processes
-of the ``"process"`` backend open the same file read-only so they
-warm-start instead of recomputing.  The store is keyed by the same
-canonical fingerprints and version-stamped, so verdicts are bit-identical
-with the store hot, cold, disabled or deleted; each row names its schema's
+below the results cache (:class:`repro.store.ResultStore`).  Both backends
+share one read path (memory, then disk) and one write path (memory, then
+disk): a serial call solves what the read path misses, a process batch
+ships only its misses to the worker pool.  Only the engine opens the store;
+workers hold no store at all.  The store is keyed by the same canonical
+fingerprints and version-stamped, so verdicts are bit-identical with the
+store hot, cold, disabled or deleted; each row names its schema's
 fingerprint (see docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
 A schema edit needs no migration either: the edited schema fingerprints to
@@ -117,7 +118,7 @@ class EngineStats:
     counts, whichever engine (if any) asked for it, and
     :func:`repro.core.clear_compile_memo` resets them.  ``store`` is the
     persistent tier's counters, present only on engines constructed with
-    ``persist=`` (and in worker snapshots of warm-started pools).
+    ``persist=``.
     """
 
     results: CacheStats
@@ -210,9 +211,9 @@ def _result_key(
 ) -> Tuple[str, str, ContainmentConfig]:
     """The results-cache key for one (already ``_as_union``-normalised) call.
 
-    Shared by :class:`_CachingSolver` and the process backend's merge-back
-    path, so results computed in worker processes land under exactly the key
-    a later serial call will look up.
+    Computed by the engine's read path for both backends (and by the
+    service's coalescer to deduplicate), so results computed in worker
+    processes land under exactly the key a later serial call will look up.
     """
     return (
         schema.canonical_fingerprint(),
@@ -250,6 +251,16 @@ def _independent_copy(result: ContainmentResult, **changes: Any) -> ContainmentR
     )
 
 
+def _replay(cached: ContainmentResult, schema: Schema, elapsed: float) -> ContainmentResult:
+    """Re-issue a cached verdict as an independent result for *schema*.
+
+    ``schema_name`` is refreshed because the cache key is name-insensitive
+    for schemas (renamed-but-equal schemas hit the same entry) while query
+    names are part of the key already.
+    """
+    return _independent_copy(cached, schema_name=schema.name, elapsed_seconds=elapsed)
+
+
 class _CachingSolver(ContainmentSolver):
     """A drop-in :class:`ContainmentSolver` whose pipeline stages consult the
     engine's caches.
@@ -270,34 +281,13 @@ class _CachingSolver(ContainmentSolver):
         started = time.perf_counter()
         left = _as_union(left, "P")
         right = _as_union(right, "Q")
-        key = _result_key(self.schema, left, right, self.config)
         engine = self.engine
-        with engine._lock:
-            engine._contains_calls += 1
-            cached = engine._results.get(key)
-        if cached is None and engine._store is not None:
-            # second tier: the disk store (its own lock; never under ours)
-            cached = engine._store.get(_store_token(key))
-            if cached is not None:
-                with engine._lock:
-                    engine._results.put(key, cached)
+        key, token, cached = engine._lookup(self.schema, left, right, self.config)
         if cached is not None:
-            return self._replay(cached, time.perf_counter() - started)
+            return _replay(cached, self.schema, time.perf_counter() - started)
         result = super().contains(left, right)
-        with engine._lock:
-            engine._results.put(key, result)
-        if engine._store is not None:
-            engine._store.put(key[0], _store_token(key), result)
-        return result
-
-    def _replay(self, cached: ContainmentResult, elapsed: float) -> ContainmentResult:
-        """Re-issue a cached verdict as an independent result.
-
-        ``schema_name`` is refreshed because the cache key is name-insensitive
-        for schemas (renamed-but-equal schemas hit the same entry) while query
-        names are part of the key already.
-        """
-        return _independent_copy(cached, schema_name=self.schema.name, elapsed_seconds=elapsed)
+        engine._remember([(key, token, result)])
+        return _independent_copy(result)
 
     # -- cached pipeline stages ---------------------------------------------
     # their keys lead with the base schema's fingerprint, so invalidation
@@ -352,7 +342,6 @@ class ContainmentEngine:
         schema_tbox_cache_size: int = 128,
         max_workers: Optional[int] = None,
         persist: Optional[Any] = None,
-        persist_mode: str = "rw",
     ) -> None:
         self.default_config = config or ContainmentConfig()
         self.max_workers = max_workers
@@ -367,7 +356,7 @@ class ContainmentEngine:
         # the second cache tier: memory → disk → solver (never blocks answers
         # — an unopenable store is a disabled one, see repro.store)
         self._store: Optional[ResultStore] = (
-            ResultStore(persist, mode=persist_mode) if persist is not None else None
+            ResultStore(persist) if persist is not None else None
         )
 
     # ------------------------------------------------------------------ #
@@ -397,6 +386,41 @@ class ContainmentEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    # ------------------------------------------------------------------ #
+    # the verdict tiers: one read path and one write path for both backends
+    # ------------------------------------------------------------------ #
+    def _lookup(
+        self, schema: Schema, left: UC2RPQ, right: UC2RPQ, config: ContainmentConfig
+    ) -> Tuple[Tuple, Optional[str], Optional[ContainmentResult]]:
+        """The read path: memory, then the store (a disk hit warms memory).
+
+        Returns the results-cache key, the store token (``None`` without a
+        store; computed once, for the lookup and the write-back) and the
+        cached verdict or ``None``.  Counts one containment call; the caller
+        replays a hit.
+        """
+        key = _result_key(schema, left, right, config)
+        token = _store_token(key) if self._store is not None else None
+        with self._lock:
+            self._contains_calls += 1
+            cached = self._results.get(key)
+        if cached is None and token is not None:
+            # the store has its own lock; never taken under ours
+            cached = self._store.get(token)
+            if cached is not None:
+                with self._lock:
+                    self._results.put(key, cached)
+        return key, token, cached
+
+    def _remember(self, entries: List[Tuple[Tuple, Optional[str], ContainmentResult]]) -> None:
+        """The write path: ``(key, token, result)`` entries into memory, then
+        into the store in one transaction (already-persisted rows skipped)."""
+        with self._lock:
+            for key, _, result in entries:
+                self._results.put(key, result)
+        if self._store is not None:
+            self._store.put_many([(key[0], token, result) for key, token, result in entries])
 
     # ------------------------------------------------------------------ #
     # solver facade
@@ -456,9 +480,12 @@ class ContainmentEngine:
         * ``"serial"`` (the default) — this thread, in request order;
         * ``"process"`` — the engine's persistent
           :class:`~repro.engine.parallel.WorkerPool` of worker processes,
-          sharded by schema fingerprint (see docs/ARCHITECTURE.md).  Worker
-          verdicts are merged back into this engine's result cache, so a
-          later serial call replays them warm; worker-side cache counters
+          sharded by schema fingerprint (see docs/ARCHITECTURE.md).  Every
+          request is first looked up in this engine's memory and store
+          tiers, and hits replay here; only the misses go to the workers,
+          which open no store, so a fully warm batch starts no pool.
+          Worker verdicts are written back to both tiers, so later calls
+          on either backend replay them warm; worker-side cache counters
           are reported by :meth:`process_stats`, not :attr:`stats`.  One
           transport difference: in these results (and their cached
           replays) ``completion.tbox`` is a
@@ -514,32 +541,34 @@ class ContainmentEngine:
         normalized: List[Tuple[Any, Any, Schema, Optional[ContainmentConfig]]],
         max_workers: Optional[int],
     ) -> List[ContainmentResult]:
-        """Fan the batch out over the persistent worker pool and merge back.
+        """Answer what the tiers hold, fan the misses out over the worker
+        pool and merge them back.
 
-        Results are inserted into this engine's result cache under the same
-        keys the serial path uses, so a process batch warms the parent
-        exactly like a serial one (witnesses are still served as independent
-        copies via the usual replay path).
+        Every request goes through the read path first; hits replay here
+        exactly as on the serial path, so a fully warm batch starts no pool.
+        Worker verdicts go through the write path under the same keys the
+        serial path uses, so a process batch warms memory and store exactly
+        like a serial one.
         """
-        tasks = [
-            (_as_union(left, "P"), _as_union(right, "Q"), task_schema, task_config)
-            for left, right, task_schema, task_config in normalized
-        ]
-        results = self.process_pool(max_workers).check_many(tasks)
-        keys = [
-            _result_key(task_schema, left, right, task_config or self.default_config)
-            for (left, right, task_schema, task_config) in tasks
-        ]
-        with self._lock:
-            for key, result in zip(keys, results):
-                self._results.put(key, result)
-        if self._store is not None:
-            # worker verdicts persist under the same keys the serial path
-            # uses, so a later run (or a warm-started worker) replays them;
-            # one transaction, and already-persisted verdicts are skipped
-            self._store.put_many(
-                [(key[0], _store_token(key), result) for key, result in zip(keys, results)]
+        results: List[Optional[ContainmentResult]] = [None] * len(normalized)
+        misses = []
+        for index, (left, right, task_schema, task_config) in enumerate(normalized):
+            started = time.perf_counter()
+            left, right = _as_union(left, "P"), _as_union(right, "Q")
+            key, token, cached = self._lookup(
+                task_schema, left, right, task_config or self.default_config
             )
+            if cached is not None:
+                results[index] = _replay(cached, task_schema, time.perf_counter() - started)
+            else:
+                misses.append((index, key, token, (left, right, task_schema, task_config)))
+        if misses:
+            solved = self.process_pool(max_workers).check_many([task for *_, task in misses])
+            self._remember(
+                [(key, token, result) for (_, key, token, _), result in zip(misses, solved)]
+            )
+            for (index, *_), result in zip(misses, solved):
+                results[index] = _independent_copy(result)
         return results
 
     def process_pool(self, max_workers: Optional[int] = None):
@@ -559,15 +588,7 @@ class ContainmentEngine:
                 self._process_pool = None
             if self._process_pool is None:
                 workers = max_workers or self.max_workers or default_worker_count()
-                # a persisting engine hands its store path to the pool so the
-                # spawned workers warm-start from disk (read-only: the parent
-                # stays the only writer)
-                persist = (
-                    self._store.path
-                    if self._store is not None and not self._store.disabled
-                    else None
-                )
-                self._process_pool = WorkerPool(workers, self.default_config, persist=persist)
+                self._process_pool = WorkerPool(workers, self.default_config)
             return self._process_pool
 
     def process_stats(self) -> Optional[EngineStats]:

@@ -31,9 +31,10 @@ Three design points (docs/ARCHITECTURE.md, "The process-parallel backend"):
   ``canonical_fingerprint()``/``size()`` — is replaced by a
   :class:`TBoxDigest` carrying exactly those two answers (computed
   worker-side from the real bits); the full TBox stays in the worker's
-  completion cache.  Workers open the parent's store read-only; the parent
-  writes the verdicts a batch returns.  Worker-side exceptions travel back
-  as :class:`WorkerError` with the remote traceback attached.
+  completion cache.  Workers open no store: the parent answers what its
+  memory and store tiers hold before it ships a batch, and writes back the
+  verdicts the workers return.  Worker-side exceptions travel back as
+  :class:`WorkerError` with the remote traceback attached.
 
 * **Verdicts are bit-identical to the serial path.**  Workers run the exact
   same ``ContainmentEngine.contains`` code; :func:`result_fingerprint`
@@ -229,19 +230,7 @@ def _merge_cache_stats(name: str, snapshots: Sequence[CacheStats]) -> CacheStats
 
 
 def merge_stats(snapshots: Sequence[EngineStats]) -> EngineStats:
-    """Sum per-worker :class:`EngineStats` into one pool-wide aggregate.
-
-    The ``store`` block is merged only when at least one snapshot carries
-    one (i.e. the pool was warm-started from a persistent store).
-    """
-    store_snapshots = [s.store for s in snapshots if s.store is not None]
-    store = None
-    if store_snapshots:
-        from ..store import StoreStats
-
-        store = StoreStats()
-        for snapshot in store_snapshots:
-            store.merge(snapshot)
+    """Sum per-worker :class:`EngineStats` into one pool-wide aggregate."""
     return EngineStats(
         results=_merge_cache_stats("results", [s.results for s in snapshots]),
         completions=_merge_cache_stats("completions", [s.completions for s in snapshots]),
@@ -249,7 +238,6 @@ def merge_stats(snapshots: Sequence[EngineStats]) -> EngineStats:
         automata=_merge_cache_stats("automata", [s.automata for s in snapshots]),
         contains_calls=sum(s.contains_calls for s in snapshots),
         batches=sum(s.batches for s in snapshots),
-        store=store,
     )
 
 
@@ -264,18 +252,15 @@ class WorkerError(RuntimeError):
         self.remote_traceback = remote_traceback
 
 
-def _worker_main(worker_id: int, config, persist, inbox, outbox) -> None:
+def _worker_main(worker_id: int, config, inbox, outbox) -> None:
     """The worker loop: one warm engine, containment requests in, verdicts out.
 
-    *persist* (a path or ``None``) is the parent engine's store file; the
-    worker opens it **read-only**, so a spawned process warm-starts from
-    every verdict persisted by earlier runs without ever contending for the
-    write lock.  The parent writes the verdicts a batch returns
-    (single-writer discipline).  A reference the catalog cannot resolve
-    would mean the mirror broke; it kills the worker, and the parent's
-    dead-worker detection replaces the pool.
+    The engine holds memory tiers only; the parent owns the store.  A
+    reference the catalog cannot resolve would mean the mirror broke; it
+    kills the worker, and the parent's dead-worker detection replaces the
+    pool.
     """
-    engine = ContainmentEngine(config, persist=persist, persist_mode="ro")
+    engine = ContainmentEngine(config)
     catalog = TokenCatalog()
     while True:
         message = inbox.get()
@@ -311,8 +296,8 @@ class WorkerPool:
 
     Workers are started lazily on the first batch (or eagerly via
     :meth:`start`) with the ``spawn`` method, so each runs a fresh interpreter
-    with nothing inherited from the parent but the pickled *config* and the
-    store path.  The pool survives across batches — that is the whole point:
+    with nothing inherited from the parent but the pickled *config*.  The
+    pool survives across batches — that is the whole point:
     per-worker caches accumulate heat exactly like a long-lived serial
     engine's.  Use as a context manager or call :meth:`close` to tear down;
     live pools are also closed at interpreter exit.
@@ -322,14 +307,9 @@ class WorkerPool:
         self,
         workers: Optional[int] = None,
         config: Optional[ContainmentConfig] = None,
-        *,
-        persist: Optional[Any] = None,
     ) -> None:
         self.workers = workers or default_worker_count()
         self.config = config
-        # workers open this store file read-only and warm-start from it; the
-        # parent engine remains the only writer
-        self.persist = str(persist) if persist is not None else None
         self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._processes: List[Any] = []
@@ -386,7 +366,7 @@ class WorkerPool:
             inbox = self._context.Queue()
             process = self._context.Process(
                 target=_worker_main,
-                args=(worker_id, self.config, self.persist, inbox, self._outbox),
+                args=(worker_id, self.config, inbox, self._outbox),
                 daemon=True,
                 name=f"repro-engine-worker-{worker_id}",
             )

@@ -23,8 +23,9 @@ concurrent traffic:
 3. **Route.**  The unique requests go through
    :meth:`~repro.engine.ContainmentEngine.check_many` on the configured
    backend — ``"process"`` for GIL-free parallelism across the pool, with
-   all the shard-affinity and warm-start behaviour of PRs 1–4 now applying
-   *across independent clients*, not just within one caller's batch.
+   the engine's cache lookups and the pool's schema-affinity routing now
+   applying *across independent clients*, not just within one caller's
+   batch.
 
 Verdicts are bit-identical to serial calls by construction: the coalescer
 only re-groups *when* requests reach the engine, never what the engine
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..containment.solver import ContainmentConfig, _as_union
-from ..engine.engine import ContainmentEngine, _independent_copy, _result_key
+from ..engine.engine import ContainmentEngine, _replay, _result_key
 
 __all__ = ["CoalescerStats", "RequestCoalescer"]
 
@@ -132,7 +133,6 @@ class RequestCoalescer:
         window: float = 0.005,
         max_batch: int = 64,
         parallel: Any = "serial",
-        max_workers: Optional[int] = None,
     ) -> None:
         if window < 0:
             raise ValueError("coalescing window must be >= 0 seconds")
@@ -142,7 +142,6 @@ class RequestCoalescer:
         self.window = window
         self.max_batch = max_batch
         self.parallel = ContainmentEngine._normalise_backend(parallel)
-        self.max_workers = max_workers
         self.stats = CoalescerStats()
         self._cond = threading.Condition()
         self._queue: Deque[_Pending] = deque()
@@ -262,21 +261,20 @@ class RequestCoalescer:
             results = self.engine.check_many(
                 [(p.left, p.right, p.schema, p.config) for p in leaders],
                 parallel=self.parallel,
-                max_workers=self.max_workers,
             )
         except BaseException as error:  # noqa: BLE001 - relayed to every waiter
             for pending in batch:
                 _reject(pending.future, error)
             return
         for leader, result in zip(leaders, results):
-            # one decision per key, but each *duplicate* waiter gets an
-            # independent witness copy — same discipline as the engine's
-            # cache-replay path, so no client can mutate another's result
-            # (or the engine's cached object) through a shared graph
+            # one decision per key, but each *duplicate* waiter gets the
+            # engine's cache replay: its own witness copy, so no client can
+            # mutate another's result through a shared graph, and its own
+            # schema's name, since the key ignores schema names
             waiters = groups[leader.key]
             _resolve(waiters[0].future, result)
             for pending in waiters[1:]:
-                _resolve(pending.future, _independent_copy(result))
+                _resolve(pending.future, _replay(result, pending.schema, result.elapsed_seconds))
 
     # ------------------------------------------------------------------ #
     # lifecycle

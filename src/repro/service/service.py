@@ -80,7 +80,6 @@ class ContainmentService:
         parallel: Any = "serial",
         workers: Optional[int] = None,
         persist: Optional[Any] = None,
-        persist_mode: str = "rw",
         coalesce_window: float = 0.005,
         max_batch: int = 64,
         engine: Optional[ContainmentEngine] = None,
@@ -93,7 +92,7 @@ class ContainmentService:
         backend = ContainmentEngine._normalise_backend(parallel)
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else ContainmentEngine(
-            config, max_workers=workers, persist=persist, persist_mode=persist_mode
+            config, max_workers=workers, persist=persist
         )
         try:
             if backend == "process":
@@ -104,7 +103,6 @@ class ContainmentService:
                 window=coalesce_window,
                 max_batch=max_batch,
                 parallel=backend,
-                max_workers=workers,
             )
         except BaseException:
             if self._owns_engine:

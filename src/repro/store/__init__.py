@@ -9,8 +9,8 @@
 * :data:`STORE_FORMAT_VERSION` — the on-disk layout version in the stamp.
 
 Wired in through ``ContainmentEngine(persist=path)`` (memory → disk →
-solver, write-back on miss), read-only worker warm-start in
-``repro.engine.parallel``, and the ``python -m repro cache`` subcommand.
+solver or worker pool, write-back on miss; the engine is the store's only
+user) and the ``python -m repro cache`` subcommand.
 See docs/ARCHITECTURE.md, "The two-tier cache hierarchy".
 """
 

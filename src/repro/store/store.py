@@ -26,9 +26,12 @@ Safety over speed, always:
   disables the affected side (reads, writes, or both) and falls back to
   in-memory behaviour.  The store changes where answers come from, never
   what they are — and never whether they arrive.
-* **Single-writer discipline.**  Parent engines open read-write; worker
-  processes open ``mode="ro"`` so a pool warm-starts from disk without ever
-  contending for the write lock; the parent writes the verdicts they solve.
+* **One owner.**  Only a :class:`~repro.engine.ContainmentEngine` opens
+  the store for use, read-write; its process-backend workers open none —
+  the engine looks every request up before it ships a batch and writes
+  back what the workers solve.  ``mode="ro"`` is for inspection only
+  (``cache stats``, ``cache export``): it never creates, wipes or writes a
+  file.
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ class StoreStats:
         """An independent copy (the live object keeps counting)."""
         return StoreStats(self.hits, self.misses, self.writes, self.errors)
 
-    def merge(self, other: "StoreStats") -> None:
-        """Fold *other*'s counters into this one (pool-wide aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.writes += other.writes
-        self.errors += other.errors
-
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict form for logging and benchmark reports."""
         lookups = self.hits + self.misses
@@ -99,7 +95,7 @@ class ResultStore:
     """A content-addressed persistent cache in one SQLite file.
 
     ``mode`` is ``"rw"`` (create/open for read and write) or ``"ro"`` (open
-    existing for read only — the worker warm-start mode).  A store that
+    existing for read only — inspection without wiping).  A store that
     cannot be opened, or whose version stamp does not match, degrades to a
     disabled store: :meth:`get` always misses, :meth:`put` is a no-op, and
     ``disabled_reason`` says why.  All access is serialised by an internal
@@ -118,10 +114,9 @@ class ResultStore:
         try:
             self._connection = self._open()
         except _NoStoreYet as reason:
-            # a read-only open of a file nobody has created yet — the normal
-            # state of a worker warm-starting before the parent's first
-            # write-back.  Disabled, but *clean*: no error is counted, so
-            # merged pool stats stay noise-free.
+            # a read-only open of a file nobody has created yet (inspecting
+            # a store before its first write-back).  Disabled, but *clean*:
+            # no error is counted.
             self.disabled_reason = str(reason)
         except (sqlite3.Error, OSError) as error:
             self._disable(f"{type(error).__name__}: {error}")
@@ -138,7 +133,7 @@ class ResultStore:
                 # perfectly ordinary cold start
                 raise _NoStoreYet(f"no store file yet at {self.path}")
             # URI mode=ro refuses to create a file and rejects writes at the
-            # sqlite level, so a worker can never corrupt the parent's store
+            # sqlite level, so an inspection can never alter the store
             uri = f"file:{self.path.as_posix()}?mode=ro"
             connection = sqlite3.connect(uri, uri=True, check_same_thread=False)
         else:
@@ -298,11 +293,12 @@ class ResultStore:
         """Persist many ``(schema, key, value)`` rows in one transaction;
         returns the number written.
 
-        The batch write-back path (a process-backend merge of hundreds of
-        worker verdicts, possibly mostly replayed from this very store):
-        keys already on disk are detected with one query and skipped without
-        even pickling — content-addressed entries never need rewriting —
-        and the rest land under a single commit instead of one per row.
+        The engine's write path (a process-backend merge writes a whole
+        batch of worker verdicts at once): keys already on disk — another
+        engine may have written them since the lookup — are detected with
+        one query and skipped without even pickling (content-addressed
+        entries never need rewriting), and the rest land under a single
+        commit instead of one per row.
         """
         with self._lock:
             if self._connection is None or self.mode == "ro" or not rows:

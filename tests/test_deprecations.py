@@ -21,7 +21,10 @@ index (``_record_extended``, ``_schema_index``), and the process backend's
 analysis jobs (``parallel=`` and ``max_workers=`` of ``type_check_many`` and
 ``check_equivalence_many``, the ``typecheck``/``equivalence`` task kinds with
 the raw wire mode and the worker's solved-row recorder) together with
-``WorkerPool(start_method=)`` — the first half of this file
+``WorkerPool(start_method=)``, and the workers' read-only store opens
+(``persist_mode=`` on the engine and the service, ``WorkerPool(persist=)``)
+with the coalescer's duplicate worker count ``RequestCoalescer(max_workers=)``
+— the first half of this file
 pins that down, so a shim cannot quietly come back.  The second half checks
 that the supported replacements stay silent.
 """
@@ -47,7 +50,7 @@ from repro.cli import main
 from repro.engine import ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
 from repro.rpq import NFA, build_nfa, parse_regex
-from repro.service import ContainmentService
+from repro.service import ContainmentService, RequestCoalescer
 from repro.store import ResultStore
 from repro.workloads import medical
 from repro.workloads.batches import containment_batch
@@ -180,6 +183,23 @@ def test_process_analysis_jobs_are_gone():
     assert list(inspect.signature(WorkerPool.run_batch).parameters) == [
         "self", "payloads", "routing_keys", "transport_tokens",
     ]
+
+
+def test_worker_store_opens_are_gone(tmp_path):
+    path = tmp_path / "cache.db"
+    with pytest.raises(TypeError, match="persist_mode"):
+        ContainmentEngine(persist=path, persist_mode="ro")
+    with pytest.raises(TypeError, match="persist_mode"):
+        ContainmentService(persist=path, persist_mode="ro")
+    with pytest.raises(TypeError, match="persist"):
+        WorkerPool(workers=1, persist=path)
+    assert list(inspect.signature(repro.engine.parallel._worker_main).parameters) == [
+        "worker_id", "config", "inbox", "outbox",
+    ]
+    assert not hasattr(repro.store.StoreStats, "merge")
+    with ContainmentEngine() as engine:
+        with pytest.raises(TypeError, match="max_workers"):
+            RequestCoalescer(engine, max_workers=2)
 
 
 def test_dfa_layer_is_gone():

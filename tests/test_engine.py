@@ -119,6 +119,32 @@ def test_cache_hits_return_independent_witness_graphs():
     assert not any("Tampered" in third.witness_pattern.labels(n) for n in third.witness_pattern.nodes())
 
 
+def tamper(result):
+    """Mutate every graph *result* carries, as a careless caller might."""
+    counterexample = result.finite_counterexample
+    for graph in (result.witness_pattern, counterexample.graph if counterexample else None):
+        if graph is not None:
+            graph.add_node("tampered", ["Tampered"])
+
+
+def test_cache_misses_return_independent_witness_graphs():
+    """A miss hands out its own copy too: mutating a first answer must not
+    change what later replays of it carry."""
+    schema, pairs = containment_batch("medical")
+    baseline = [
+        result_fingerprint(result)
+        for result in ContainmentEngine().check_many(pairs, schema=schema)
+    ]
+    engine = ContainmentEngine()
+    first = engine.check_many(pairs, schema=schema)
+    assert any(result.witness_pattern is not None for result in first)
+    for result in first:
+        tamper(result)
+    replayed = engine.check_many(pairs, schema=schema)
+    assert engine.stats.results.hits == len(pairs)
+    assert [result_fingerprint(result) for result in replayed] == baseline
+
+
 def test_cache_hit_reports_current_schema_name():
     """The result cache is name-insensitive for schemas, but a served result
     must still carry the calling schema's name."""

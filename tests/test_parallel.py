@@ -304,6 +304,30 @@ def test_process_batch_warms_the_parent_result_cache(shared_process_engine):
     assert fingerprints(replayed) == fingerprints(serial)
 
 
+def test_process_batch_ships_misses_and_hands_out_copies(medical_serial):
+    """The parent answers what it holds, ships only its misses, and every
+    result is the caller's own: mutating a worker verdict must not change
+    what later replays of it carry."""
+    schema, pairs, baseline = medical_serial
+    with ContainmentEngine(max_workers=1) as engine:
+        engine.check_many(pairs[:3], schema=schema)  # serial: the parent holds these
+        first = engine.check_many(pairs, schema=schema, parallel="process")
+        assert fingerprints(first) == baseline
+        assert engine.transport_report()["items"] == len(pairs) - 3
+        assert engine.stats.contains_calls == 3 + len(pairs)
+        assert any(result.witness_pattern is not None for result in first)
+        for result in first:
+            counterexample = result.finite_counterexample
+            for graph in (result.witness_pattern, counterexample.graph if counterexample else None):
+                if graph is not None:
+                    graph.add_node("tampered", ["Tampered"])
+        hits = engine.stats.results.hits
+        replayed = engine.check_many(pairs, schema=schema, parallel="process")
+        assert fingerprints(replayed) == baseline
+        assert engine.stats.results.hits == hits + len(pairs)
+        assert engine.transport_report()["items"] == len(pairs) - 3  # nothing shipped
+
+
 def test_pool_stats_aggregate_worker_counters(shared_process_engine):
     stats = shared_process_engine.process_stats()
     assert stats is not None

@@ -550,6 +550,25 @@ def test_duplicate_waiters_get_independent_witness_copies():
     assert graphs[0] is not graphs[1] and graphs[1] is not graphs[2]
 
 
+def test_duplicates_across_renamed_schemas_keep_their_own_names():
+    """Schema fingerprints ignore names, so the coalescer merges requests
+    whose schemas differ only by name; every waiter still gets its own
+    schema's name and the serial fingerprint."""
+    source = medical.source_schema()
+    schemas = [source.copy(name="A"), source.copy(name="B")]
+    left = parse_c2rpq("p(x) := (designTarget)(x, y)")
+    right = parse_c2rpq("q(x) := Vaccine(x)")
+    with ContainmentEngine() as engine:
+        serial = [engine.contains(left, right, schema) for schema in schemas]
+    with ContainmentEngine() as engine:
+        with RequestCoalescer(engine, window=0.05, max_batch=8) as coalescer:
+            futures = [coalescer.submit(left, right, schema) for schema in schemas]
+            results = [future.result(timeout=30) for future in futures]
+        assert coalescer.stats.deduplicated == 1
+    assert [result.schema_name for result in results] == ["A", "B"]
+    assert _fingerprints(results) == _fingerprints(serial)
+
+
 def test_http_invalid_content_length_is_a_400_not_a_500(http_server):
     """A malformed Content-Length (duplicate headers folded by a proxy) must
     be a client error, and the desynced connection must not be reused."""

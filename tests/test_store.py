@@ -1,5 +1,6 @@
-"""The disk-persistent result store: round trips, warm starts, and every
-failure mode degrading to in-memory behaviour with identical verdicts."""
+"""The disk-persistent result store: round trips, warm starts of a fresh
+engine, and every failure mode degrading to in-memory behaviour with
+identical verdicts."""
 
 import pickle
 import sqlite3
@@ -84,23 +85,27 @@ def test_mixed_batch_multi_schema_round_trip(store_path):
 
 
 def test_read_only_mode_never_writes(store_path, medical_baseline):
+    """``mode="ro"`` (the ``cache stats``/``cache export`` open) serves what
+    is on disk and refuses every write, delete and wipe."""
     schema, pairs, baseline = medical_baseline
     writer = ContainmentEngine(persist=store_path)
     writer.check_many(pairs[:5], schema=schema)
     writer.close()
 
-    reader = ContainmentEngine(persist=store_path, persist_mode="ro")
-    results = reader.check_many(pairs, schema=schema)  # 5 on disk, 10 solved
-    assert _fingerprints(results) == baseline
-    stats = reader.stats.store
-    assert stats.hits == 5  # the result replays; nothing else is persisted
-    assert stats.writes == 0
-    reader.close()
-
     store = ResultStore(store_path, mode="ro")
-    assert store.count() == 5  # the solved 10 were not written back
+    keys = [entry["key"] for entry in store.entries()]
+    assert sorted(_fingerprints([store.get(key) for key in keys])) == sorted(baseline[:5])
+    assert (store.stats.hits, store.stats.misses) == (5, 0)
     assert store.put("schema", "k", object()) is False
+    assert store.put_many([("schema", "k", {"value": 1})]) == 0
+    assert store.delete_schema(schema.canonical_fingerprint()) == 0
+    assert store.clear() == 0
+    assert store.stats.writes == 0
     store.close()
+
+    reader = ResultStore(store_path, mode="ro")
+    assert reader.count() == 5  # nothing was written, deleted or wiped
+    reader.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -224,12 +229,19 @@ def test_unwritable_store_location_degrades_gracefully(tmp_path, medical_baselin
 
 
 def test_read_only_open_of_missing_file_degrades_gracefully(store_path, medical_baseline):
+    """Inspecting a store nobody has written yet creates no file, and the
+    engine that later opens the path starts from a clean store."""
     schema, pairs, baseline = medical_baseline
-    engine = ContainmentEngine(persist=store_path, persist_mode="ro")
-    assert engine.store.disabled
-    assert engine.store.stats.errors == 0  # a cold start is not an error
-    assert _fingerprints(engine.check_many(pairs, schema=schema)) == baseline
-    engine.close()
+    inspected = ResultStore(store_path, mode="ro")
+    assert inspected.disabled
+    assert inspected.stats.errors == 0  # a cold start is not an error
+    inspected.close()
+    assert not store_path.exists()
+
+    with ContainmentEngine(persist=store_path) as engine:
+        assert _fingerprints(engine.check_many(pairs, schema=schema)) == baseline
+        stats = engine.stats.store
+        assert (stats.hits, stats.misses, stats.errors) == (0, len(pairs), 0)
 
 
 def test_read_only_open_of_missing_file_is_a_clean_no_store_state(store_path):
@@ -245,21 +257,6 @@ def test_read_only_open_of_missing_file_is_a_clean_no_store_state(store_path):
     assert store.put("schema", "key", 1) is False
     assert store.stats.errors == 0
     store.close()
-
-
-def test_pool_warm_start_before_first_write_back_is_noise_free(store_path):
-    """A pool pointed at a store file nobody has created yet must report
-    clean merged stats — no error noise from the workers' read-only opens."""
-    from repro.engine import WorkerPool
-
-    schema, pairs = medical_batch()
-    with WorkerPool(1, persist=store_path) as pool:
-        results = pool.check_many([(left, right, schema, None) for left, right in pairs[:2]])
-        stats = pool.stats()
-    assert len(results) == 2
-    assert stats.store is not None
-    assert stats.store.errors == 0
-    assert stats.store.hits == 0
 
 
 def test_concurrent_writers_degrade_gracefully(store_path, medical_baseline):
@@ -364,24 +361,37 @@ def test_analysis_batches_accept_persist(store_path):
 
 
 # --------------------------------------------------------------------------- #
-# the process backend: workers warm-start read-only
+# the process backend: the parent owns the store, workers open none
 # --------------------------------------------------------------------------- #
-def test_workers_warm_start_from_disk(store_path, medical_baseline):
+def test_warm_process_batch_is_served_by_the_parent_store(store_path, medical_baseline):
     schema, pairs, baseline = medical_baseline
-    warmer = ContainmentEngine(persist=store_path)
-    warmer.check_many(pairs, schema=schema)
-    warmer.close()
+    with ContainmentEngine(persist=store_path) as warmer:
+        warmer.check_many(pairs, schema=schema)
 
-    engine = ContainmentEngine(persist=store_path, max_workers=2)
-    try:
+    with ContainmentEngine(persist=store_path, max_workers=2) as engine:
         results = engine.check_many(pairs, schema=schema, parallel="process")
         assert _fingerprints(results) == baseline
-        pool_stats = engine.process_stats()
-        assert pool_stats.store is not None
-        assert pool_stats.store.hits == len(pairs)
-        assert pool_stats.store.writes == 0  # read-only: workers never write
-    finally:
-        engine.close()
+        assert engine.stats.store.hits == len(pairs)
+        assert engine.stats.contains_calls == len(pairs)
+        assert engine.process_stats() is None  # every request hit: no pool started
+
+
+def test_workers_open_no_store(store_path):
+    """A persisting engine's workers hold memory tiers only; the parent
+    looks each request up once, before shipping, and writes back once."""
+    schema, pairs = medical_batch()
+    with ContainmentEngine(persist=store_path, max_workers=2) as engine:
+        engine.check_many(pairs, schema=schema, parallel="process")
+        stats = engine.stats
+        assert (stats.store.hits, stats.store.misses, stats.store.writes) == (
+            0, len(pairs), len(pairs),
+        )
+        assert stats.contains_calls == len(pairs)
+        assert stats.results.misses == len(pairs)
+        snapshots = engine.process_pool().worker_stats()
+        assert len(snapshots) == 2
+        assert all(snapshot.store is None for snapshot in snapshots)
+        assert engine.process_stats().store is None
 
 
 def test_process_backend_merges_worker_verdicts_into_the_store(store_path):

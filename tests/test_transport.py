@@ -157,6 +157,7 @@ def test_same_fingerprint_schemas_and_renamed_queries_keep_their_names():
     engine = ContainmentEngine(max_workers=1)
     try:
         for _ in range(2):
+            engine.clear()  # a warm parent would answer the second pass itself
             results = engine.check_many(requests, parallel="process")
             assert fingerprints(results) == fingerprints(serial)
             assert [(r.schema_name, r.left_name, r.right_name) for r in results] == [

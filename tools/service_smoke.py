@@ -10,8 +10,12 @@ End-to-end, over a real socket, against the real CLI:
    require every response to be a 200 whose ``fingerprint`` matches the
    serial in-process baseline for the same request — the serving stack must
    not change a single verdict bit;
-3. check ``GET /healthz`` and ``GET /stats`` answer sensibly;
-4. send SIGINT and require a clean, prompt exit (the lifecycle ordering
+3. send one ``POST /batch`` of two payloads whose schema texts differ only
+   in the schema's name: the coalescer merges them (schema fingerprints
+   ignore names), yet each response must carry its own ``schema`` name and
+   the ``fingerprint`` of a serial in-process engine;
+4. check ``GET /healthz`` and ``GET /stats`` answer sensibly;
+5. send SIGINT and require a clean, prompt exit (the lifecycle ordering
    under test: coalescer drains, pool terminates, store closes, no zombie
    children, exit code 0).
 
@@ -53,6 +57,26 @@ def serial_fingerprints(payloads) -> List[str]:
     with ContainmentEngine() as engine:
         results = engine.check_many([(left, right, schema) for left, right, schema in stream])
     return [result_fingerprint(result) for result in results]
+
+
+def renamed_schema_payloads() -> Tuple[List[dict], List[Tuple[str, str]]]:
+    """Two ``/batch`` payloads differing only in the schema's name, and the
+    ``(schema, fingerprint)`` pairs a serial engine answers them with."""
+    from repro.engine import ContainmentEngine, result_fingerprint
+    from repro.rpq.parser import parse_c2rpq
+    from repro.schema.parser import parse_schema, schema_to_text
+    from repro.workloads import medical
+
+    source = medical.source_schema()
+    texts = [schema_to_text(source.copy(name=name)) for name in ("SmokeA", "SmokeB")]
+    left, right = "p(x) := (designTarget)(x, y)", "q(x) := Vaccine(x)"
+    payloads = [{"schema": text, "left": left, "right": right} for text in texts]
+    with ContainmentEngine() as engine:
+        results = [
+            engine.contains(parse_c2rpq(left), parse_c2rpq(right), parse_schema(text))
+            for text in texts
+        ]
+    return payloads, [(result.schema_name, result_fingerprint(result)) for result in results]
 
 
 def main() -> int:
@@ -114,13 +138,29 @@ def main() -> int:
             "all fingerprints match the serial baseline"
         )
 
+        renamed, expected = renamed_schema_payloads()
+        request = urllib.request.Request(
+            url + "/batch",
+            data=json.dumps({"requests": renamed}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=120) as response:
+                answers = json.loads(response.read())["results"]
+        except urllib.error.HTTPError as error:
+            fail(f"POST /batch of renamed schemas answered {error.code}")
+        got = [(answer["schema"], answer["fingerprint"]) for answer in answers]
+        if got != expected:
+            fail(f"renamed-schema batch answered {got}, serial engine {expected}")
+        print("service-smoke: renamed-schema batch keeps each schema's name and fingerprint")
+
         with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
             health = json.loads(response.read())
         if health.get("status") != "ok":
             fail(f"unhealthy: {health}")
         with urllib.request.urlopen(url + "/stats", timeout=30) as response:
             stats = json.loads(response.read())
-        if stats["coalescer"]["submitted"] < len(payloads):
+        if stats["coalescer"]["submitted"] < len(payloads) + len(renamed):
             fail(f"stats undercount traffic: {stats['coalescer']}")
         print(
             f"service-smoke: healthz/stats OK "
