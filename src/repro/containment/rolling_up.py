@@ -8,9 +8,9 @@ fresh names making all statements true — iff ``G ⊭ Q``.
 Construction (per connected component of each disjunct):
 
 * the component is a tree; a leaf variable is chosen as the *root*;
-* every atom is oriented away from the root towards the leaves?  No — towards
-  the root: an atom connecting a variable ``y`` to its tree parent ``x`` is
-  read as a regular expression from ``y`` to ``x`` (reversing it if needed);
+* every atom is oriented towards the root: an atom connecting a variable
+  ``y`` to its tree parent ``x`` is read as a regular expression from ``y``
+  to ``x`` (reversing it if needed);
 * each atom ``α`` gets the states of a linear-size NFA ``A_α`` as fresh
   concept names plus one acceptance marker ``acc_α``;
 * the TBox simulates the automata (rules ``q ⊑ ∀R.q'`` and ``q ⊓ A ⊑ q'``),
@@ -21,6 +21,9 @@ Construction (per connected component of each disjunct):
 In the minimal valuation the fresh concepts mark exactly the partial matches
 of the query, so the ⊥-rule fires iff the query has a match — which is the
 statement of Lemma C.2.
+
+``¬Q`` is a disjunction of Horn TBoxes, one per choice of a component to
+refute in every disjunct: :func:`roll_up_choices` returns all of them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class _NameSource:
 
     def __init__(self, prefix: str) -> None:
         self.prefix = prefix
-        self.counter = itertools.count()
 
     def state(self, atom_index: int, state: int) -> str:
         return f"{self.prefix}#st{atom_index}_{state}"
@@ -61,43 +63,24 @@ class _NameSource:
 
 
 def roll_up(query: UC2RPQ, prefix: str = "Q") -> RollingUp:
-    """Compute ``T_¬Q`` for an acyclic Boolean UC2RPQ whose disjuncts are
-    connected (Lemma C.2).
-
-    For a *disconnected* disjunct ``C₁ ∧ C₂``, the negation ``¬C₁ ∨ ¬C₂`` is a
-    disjunction and cannot be captured by a single Horn TBox; use
-    :func:`roll_up_choices`, which enumerates one TBox per choice of the
-    component to refute (the containment solver does).  This function keeps
-    the simple behaviour for the common connected case and takes the union of
-    the component TBoxes otherwise (which refutes *every* component and is
-    therefore only an under-approximation of ¬Q).
-    """
-    if not query.is_boolean():
-        raise QueryError("rolling up requires a Boolean query; apply booleanization first")
-    tbox = TBox(name=f"T_¬{query.name}")
-    fresh: Set[str] = set()
-    for disjunct_index, disjunct in enumerate(query.disjuncts):
-        if not disjunct.is_acyclic():
-            raise AcyclicityError(
-                f"disjunct {disjunct.name} is not acyclic; rolling up is inapplicable"
-            )
-        for component_index, component in enumerate(disjunct.connected_components()):
-            names = _NameSource(f"{prefix}{disjunct_index}c{component_index}")
-            statements, component_fresh = _roll_up_component(component, names)
-            tbox.extend(statements)
-            fresh |= component_fresh
-    return RollingUp(tbox, fresh)
+    """``T_¬Q`` for an acyclic Boolean UC2RPQ with connected disjuncts
+    (Lemma C.2): the one choice of :func:`roll_up_choices`.  A disconnected
+    disjunct has a disjunction ``¬C₁ ∨ ¬C₂`` as its negation, which no single
+    Horn TBox captures, so it raises :class:`QueryError`."""
+    choices = roll_up_choices(query, prefix)
+    if len(choices) != 1:
+        raise QueryError(f"¬{query.name} is not one Horn TBox; use roll_up_choices")
+    return choices[0]
 
 
-def roll_up_choices(query: UC2RPQ, prefix: str = "Q", max_choices: int = 256) -> List[RollingUp]:
-    """All Horn TBoxes ``T_¬Q^σ`` obtained by choosing, for every disjunct,
+def roll_up_choices(query: UC2RPQ, prefix: str = "Q") -> List[RollingUp]:
+    """Every Horn TBox ``T_¬Q^σ`` obtained by choosing, for every disjunct,
     one connected component to refute.
 
-    A graph satisfies ``¬Q`` iff it satisfies at least one of the returned
-    TBoxes, so the containment solver declares ``P ⊆_S Q`` exactly when the
-    left query is unsatisfiable modulo *every* choice.  Disjuncts are almost
-    always connected, in which case there is exactly one choice and the
-    result coincides with :func:`roll_up`.
+    A graph satisfies ``¬Q`` iff it satisfies at least one of them, so
+    ``P ⊆_S Q`` holds exactly when ``P`` is unsatisfiable modulo *every*
+    choice.  The choices are listed in ``itertools.product`` order, with no
+    cap.  Connected disjuncts make exactly one choice.
     """
     if not query.is_boolean():
         raise QueryError("rolling up requires a Boolean query; apply booleanization first")
@@ -107,23 +90,13 @@ def roll_up_choices(query: UC2RPQ, prefix: str = "Q", max_choices: int = 256) ->
             raise AcyclicityError(
                 f"disjunct {disjunct.name} is not acyclic; rolling up is inapplicable"
             )
-        component_boxes = []
-        for component_index, component in enumerate(disjunct.connected_components()):
-            names = _NameSource(f"{prefix}{disjunct_index}c{component_index}")
-            component_boxes.append(_roll_up_component(component, names))
-        if not component_boxes:
-            # a disjunct with no atoms and no variables matches every graph;
-            # it can never be refuted, so no choice exists at all
-            component_boxes.append(None)  # type: ignore[arg-type]
-        per_disjunct.append(component_boxes)
-
-    if any(choices == [None] for choices in per_disjunct):
-        return []
-
+        per_disjunct.append([
+            _roll_up_component(component, _NameSource(f"{prefix}{disjunct_index}c{index}"))
+            for index, component in enumerate(disjunct.connected_components())
+        ])
+    # a disjunct without components matches every graph: the product is empty
     results: List[RollingUp] = []
     for combination in itertools.product(*per_disjunct):
-        if len(results) >= max_choices:
-            break
         tbox = TBox(name=f"T_¬{query.name}")
         fresh: Set[str] = set()
         for statements, component_fresh in combination:
@@ -197,13 +170,11 @@ def _roll_up_component(component: C2RPQ, names: _NameSource) -> Tuple[List, Set[
     # process atoms bottom-up: for the atom connecting child y to parent x we
     # need the acceptance markers of y's own child atoms first
     atom_index_of: Dict[Tuple[Variable, Variable], int] = {}
-    indexed_atoms: List[Tuple[int, Atom, Variable, Variable]] = []
     counter = itertools.count()
     for x in order:
         for atom, y in children[x]:
             index = next(counter)
             atom_index_of[(x, y)] = index
-            indexed_atoms.append((index, atom, x, y))
 
     def start_body(variable: Variable) -> frozenset:
         markers = {accept_marker[atom_index_of[(variable, child)]] for _, child in children[variable]}

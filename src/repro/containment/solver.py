@@ -5,8 +5,10 @@ The :class:`ContainmentSolver` wires together the reductions of the paper:
 1. booleanization of the free variables (Lemma D.1);
 2. restriction of the left query to the schema alphabet and encoding of the
    schema as the Horn TBox ``T̂_S`` (Theorem 5.6 / Lemma D.3);
-3. rolling up of the acyclic right query into ``T_¬Q`` (Lemma C.2);
-4. completion of ``T̂_S ∪ T_¬Q`` by cycle reversing (Theorem 5.4 / Lemma D.7);
+3. rolling up of the acyclic right query into ``T_¬Q`` (Lemma C.2), one
+   TBox per choice of the component to refute in each disjunct, uncapped;
+4. completion of each choice's ``T̂_S ∪ T_¬Q`` by cycle reversing (Theorem
+   5.4 / Lemma D.7);
 5. unrestricted satisfiability of the rewritten left query modulo the
    completion, decided by the Horn chase over enumerated witness patterns
    (:func:`repro.chase.solver.search_witnesses`).
@@ -132,7 +134,7 @@ class ContainmentSolver:
                 elapsed_seconds=time.perf_counter() - started,
             )
 
-        reduction = self._booleanize(left, right)
+        reduction = booleanize(self.schema, left, right)
         extended_schema = reduction.schema
         filtered_left = filter_uc2rpq(reduction.left, extended_schema)
 
@@ -196,10 +198,6 @@ class ContainmentSolver:
     # ------------------------------------------------------------------ #
     # pipeline stages — overridable hooks for the caching engine
     # ------------------------------------------------------------------ #
-    def _booleanize(self, left: UC2RPQ, right: UC2RPQ):
-        """Stage 1 — the Lemma D.1 reduction to Boolean queries."""
-        return booleanize(self.schema, left, right)
-
     def _schema_tbox(self, extended_schema: Schema) -> TBox:
         """Stage 2 — the Horn TBox ``T̂_S`` of the (extended) schema.
 

@@ -49,7 +49,9 @@ __all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
 #: Bump when the on-disk layout or the pickled payload shapes change; every
 #: open compares it (together with the library version) against the file's
 #: stamp and treats any mismatch as "this file holds nothing for me".
-STORE_FORMAT_VERSION = 2
+#: 3: earlier solvers decided at most 256 roll-up choices, so a format-2
+#: "contained" row for a right query with more choices may be wrong.
+STORE_FORMAT_VERSION = 3
 
 
 def _library_version() -> str:

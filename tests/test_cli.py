@@ -166,6 +166,19 @@ def test_batch_with_persist_reports_and_reuses_the_store(tmp_path, capsys):
     assert report["store"]["entries"] == report["tasks"]
 
 
+def test_warm_process_batch_starts_no_pool(tmp_path, capsys):
+    argv = ["batch", "--workload", "social", "--backend", "process", "--workers", "2",
+            "--persist", str(tmp_path / "v.db"), "--json", "-"]
+    assert main(argv) == 0
+    cold = json.loads(capsys.readouterr().out)
+    assert "workers" in cold["stats"]
+    assert main(argv) == 0
+    warm = json.loads(capsys.readouterr().out)
+    assert warm["stats"]["engine"]["store"]["hits"] == warm["tasks"]
+    assert "workers" not in warm["stats"] and "transport" not in warm["stats"]
+    assert warm["fingerprint"] == cold["fingerprint"]
+
+
 def test_cache_subcommand_round_trip(tmp_path, capsys):
     store_file = tmp_path / "cache.db"
 

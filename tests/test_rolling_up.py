@@ -36,6 +36,12 @@ class TestConstruction:
         with pytest.raises(QueryError):
             roll_up(parse_uc2rpq(["q(x) := A(x)"]))
 
+    def test_disconnected_disjunct_is_refused(self):
+        # ¬(C1 ∧ C2) is no single Horn TBox; the union of the component
+        # TBoxes would refute both components, an under-approximation
+        with pytest.raises(QueryError, match="roll_up_choices"):
+            roll_up(parse_uc2rpq(["q() := (r)(x, y), (s)(u, v)"]).boolean())
+
     def test_requires_acyclic_query(self):
         with pytest.raises(AcyclicityError):
             roll_up(parse_uc2rpq(["q() := (r)(x, x)"]))

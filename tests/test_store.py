@@ -61,7 +61,7 @@ def test_store_rows_name_their_schema_and_stamp(store_path, medical_baseline):
     store = ResultStore(store_path, mode="ro")
     # verdicts only: one row per pair, none for the schema's Horn encoding
     assert store.count() == len(pairs)
-    assert store.meta()["store_format_version"] == str(STORE_FORMAT_VERSION) == "2"
+    assert store.meta()["store_format_version"] == str(STORE_FORMAT_VERSION) == "3"
     assert store.file_size() > 0
     entries = store.entries()
     assert len(entries) == len(pairs)
@@ -126,24 +126,27 @@ def test_corrupted_database_file_degrades_gracefully(store_path, medical_baselin
 
 def test_version_stamp_mismatch_wipes_on_writable_open(store_path, medical_baseline):
     schema, pairs, baseline = medical_baseline
-    engine = ContainmentEngine(persist=store_path)
-    engine.check_many(pairs, schema=schema)
-    engine.close()
+    # format 2 was written by solvers that decided at most 256 roll-up
+    # choices, so its "contained" rows may be wrong
+    for key, stale in (("library_version", "0.0.0"), ("store_format_version", "2")):
+        engine = ContainmentEngine(persist=store_path)
+        engine.check_many(pairs, schema=schema)
+        engine.close()
 
-    with sqlite3.connect(store_path) as connection:
-        connection.execute("UPDATE meta SET value = '0.0.0' WHERE key = 'library_version'")
+        with sqlite3.connect(store_path) as connection:
+            connection.execute("UPDATE meta SET value = ? WHERE key = ?", (stale, key))
 
-    reopened = ContainmentEngine(persist=store_path)
-    assert not reopened.store.disabled
-    assert reopened.store.count() == 0  # stale entries were wiped, not served
-    results = reopened.check_many(pairs, schema=schema)
-    assert _fingerprints(results) == baseline
-    assert reopened.stats.store.hits == 0
-    reopened.close()
+        reopened = ContainmentEngine(persist=store_path)
+        assert not reopened.store.disabled
+        assert reopened.store.count() == 0  # stale entries were wiped, not served
+        results = reopened.check_many(pairs, schema=schema)
+        assert _fingerprints(results) == baseline
+        assert reopened.stats.store.hits == 0
+        reopened.close()
 
-    store = ResultStore(store_path, mode="ro")
-    assert store.meta()["library_version"] != "0.0.0"  # restamped
-    store.close()
+        store = ResultStore(store_path, mode="ro")
+        assert store.meta()[key] != stale  # restamped
+        store.close()
 
 
 def test_version_stamp_mismatch_disables_read_only_open(store_path, medical_baseline):
@@ -197,14 +200,14 @@ def test_format_1_file_is_disabled_read_only_and_wiped_read_write(store_path, me
 
     reader = ResultStore(store_path, mode="ro")
     assert reader.disabled
-    assert "store_format_version is '1', expected '2'" in reader.disabled_reason
+    assert f"store_format_version is '1', expected '{STORE_FORMAT_VERSION}'" in reader.disabled_reason
     assert reader.get("extended-fp") is None
     reader.close()
 
     engine = ContainmentEngine(persist=store_path)
     assert not engine.store.disabled
     assert engine.store.count() == 0  # the schema-tboxes row was wiped, not served
-    assert engine.store.meta()["store_format_version"] == "2"
+    assert engine.store.meta()["store_format_version"] == str(STORE_FORMAT_VERSION)
     assert _fingerprints(engine.check_many(pairs, schema=schema)) == baseline
     assert engine.store.count() == len(pairs)
     engine.close()
@@ -549,9 +552,9 @@ def test_store_rows_and_worker_replies_hold_no_value_type_in_the_old_layout(
 ):
     """A medical containment batch on the process backend with a store: its
     rows and its worker replies reference no signed label or statement at
-    all (the lightened completion carries only a digest), so format-2 files
-    written before these became tuples load unchanged and
-    ``STORE_FORMAT_VERSION`` stays (a row that held one would need a bump)."""
+    all (the lightened completion carries only a digest), so their tuple
+    layout never reaches a row and needs no ``STORE_FORMAT_VERSION`` of its
+    own (a row that held one would need a bump)."""
     from multiprocessing.reduction import ForkingPickler
 
     from repro.engine.parallel import WorkerPool
@@ -575,7 +578,7 @@ def test_store_rows_and_worker_replies_hold_no_value_type_in_the_old_layout(
     finally:
         connection.close()
     assert len(rows) == len(pairs) and replies
-    assert STORE_FORMAT_VERSION == 2
+    assert STORE_FORMAT_VERSION == 3
 
     pushed = [value for blob in rows + replies for value, _ in _class_pushes(blob)]
     assert ("repro.engine.parallel", "TBoxDigest") in pushed  # the scan sees the payloads
