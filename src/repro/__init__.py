@@ -41,15 +41,12 @@ from .analysis import (
     EquivalenceResult,
     TypeCheckResult,
     check_equivalence,
-    check_equivalence_many,
     elicit_schema,
     type_check,
-    type_check_many,
 )
 from .containment import ContainmentResult, contains
 from .engine import (
     ContainmentEngine,
-    ContainmentRequest,
     InvalidationReport,
     default_engine,
 )
@@ -79,14 +76,11 @@ __all__ = [
     "EquivalenceResult",
     "TypeCheckResult",
     "check_equivalence",
-    "check_equivalence_many",
     "elicit_schema",
     "type_check",
-    "type_check_many",
     "ContainmentResult",
     "contains",
     "ContainmentEngine",
-    "ContainmentRequest",
     "InvalidationReport",
     "default_engine",
     "ResultStore",

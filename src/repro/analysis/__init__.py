@@ -14,14 +14,18 @@ Re-exports:
   :class:`CoverageCheck` — the "every output node is labeled" premise
   (Lemma B.6);
 * :class:`StatementChecker` / :class:`StatementEntailment` — the Lemma B.7
-  entailment tests for individual L0 statements;
-* :func:`type_check_many` / :func:`check_equivalence_many` — batch variants
-  running whole job lists serially on one shared engine
-  (:mod:`repro.analysis.batch`).
+  entailment tests for individual L0 statements.
 
 All entry points accept an ``engine`` argument and otherwise share the
 process-wide :func:`repro.engine.default_engine`, so their many containment
-tests reuse per-schema caches.
+tests reuse per-schema caches; a batch of analyses is a loop over one
+engine, ``[type_check(t, s, s2, engine=e) for t, s, s2 in jobs]``.  Each
+analysis builds one solver from its engine and reports that solver's
+``contains_calls`` as its ``containment_calls``, so the count is the number
+of containment tests it issued, trimming included.  The grouped queries
+``Q_A`` and ``Q_{A,R,B}`` are memoised on the transformation
+(:mod:`repro.transform.grouping`), so every analysis of one transformation
+object builds each once.
 """
 
 from .coverage import CoverageCheck, CoverageResult, check_label_coverage
@@ -29,7 +33,6 @@ from .statements import StatementChecker, StatementEntailment
 from .typecheck import TypeCheckResult, type_check
 from .elicitation import ElicitationResult, elicit_schema
 from .equivalence import EquivalenceDifference, EquivalenceResult, check_equivalence
-from .batch import check_equivalence_many, type_check_many
 
 __all__ = [
     "CoverageCheck",
@@ -39,11 +42,9 @@ __all__ = [
     "StatementEntailment",
     "TypeCheckResult",
     "type_check",
-    "type_check_many",
     "ElicitationResult",
     "elicit_schema",
     "EquivalenceDifference",
     "EquivalenceResult",
     "check_equivalence",
-    "check_equivalence_many",
 ]

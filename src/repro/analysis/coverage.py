@@ -12,11 +12,10 @@ satisfies some ``A``-node rule.  Lemma B.6 phrases this as the containments
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..containment.solver import ContainmentResult, ContainmentSolver
 from ..graph.labels import SignedLabel, signed_closure
-from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..transform.grouping import edge_query, node_query
 from ..transform.transformation import Transformation
@@ -46,7 +45,6 @@ class CoverageResult:
     covered: bool
     checks: List[CoverageCheck] = field(default_factory=list)
     unassociated_constructors: List[str] = field(default_factory=list)
-    containment_calls: int = 0
 
     def __bool__(self) -> bool:
         return self.covered
@@ -86,9 +84,6 @@ def check_label_coverage(
 
     node_labels = sorted(transformation.node_labels())
     edge_labels = sorted(transformation.edge_labels())
-    node_queries: Dict[str, UC2RPQ] = {
-        label: node_query(transformation, label) for label in node_labels
-    }
     for source_label in node_labels:
         for role in signed_closure(edge_labels):
             for target_label in node_labels:
@@ -100,8 +95,7 @@ def check_label_coverage(
                         [v for v in disjunct.free_variables if v.startswith("x")]
                     )
                 )
-                containment = solver.contains(projected, node_queries[source_label])
-                result.containment_calls += 1
+                containment = solver.contains(projected, node_query(transformation, source_label))
                 check = CoverageCheck(source_label, role, target_label, bool(containment), containment)
                 result.checks.append(check)
                 if not containment:

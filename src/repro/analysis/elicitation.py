@@ -101,7 +101,7 @@ def elicit_schema(
         schema=schema,
         coverage=coverage,
         statements=entailments,
-        containment_calls=coverage.containment_calls + checker.containment_calls,
+        containment_calls=solver.contains_calls,
         elapsed_seconds=time.perf_counter() - started,
     )
     return result

@@ -64,17 +64,17 @@ class EquivalenceResult:
 
 def _queries_equivalent(
     solver: ContainmentSolver, left: UC2RPQ, right: UC2RPQ
-) -> Tuple[bool, Optional[ContainmentResult], Optional[ContainmentResult], int]:
+) -> Tuple[bool, Optional[ContainmentResult], Optional[ContainmentResult]]:
     if left.is_empty() and right.is_empty():
-        return True, None, None, 0
+        return True, None, None
     if left.is_empty() or right.is_empty():
         # one side never produces the object, the other might (trimmed rules do)
-        return False, None, None, 0
+        return False, None, None
     forward_result = solver.contains(left, right)
     if not forward_result:
-        return False, forward_result, None, 1
+        return False, forward_result, None
     backward_result = solver.contains(right, left)
-    return bool(backward_result), forward_result, backward_result, 2
+    return bool(backward_result), forward_result, backward_result
 
 
 def check_equivalence(
@@ -97,8 +97,6 @@ def check_equivalence(
     right_trimmed = right if pre_trimmed else trim(right, schema, solver)
 
     result = EquivalenceResult(True, left.name, right.name)
-    if not pre_trimmed:
-        result.containment_calls += len(left.rules()) + len(right.rules())
 
     # (1) identical output signatures
     if left_trimmed.node_labels() != right_trimmed.node_labels():
@@ -113,6 +111,7 @@ def check_equivalence(
         )
     if result.differences:
         result.equivalent = False
+        result.containment_calls = solver.contains_calls
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -123,10 +122,9 @@ def check_equivalence(
     for label in node_labels:
         left_query = node_query(left_trimmed, label)
         right_query = node_query(right_trimmed, label)
-        equivalent, forward_result, backward_result, calls = _queries_equivalent(
+        equivalent, forward_result, backward_result = _queries_equivalent(
             solver, left_query, right_query
         )
-        result.containment_calls += calls
         if not equivalent:
             result.equivalent = False
             result.differences.append(
@@ -144,10 +142,9 @@ def check_equivalence(
             for target_label in node_labels:
                 left_query = edge_query(left_trimmed, source_label, forward(edge_label), target_label)
                 right_query = edge_query(right_trimmed, source_label, forward(edge_label), target_label)
-                equivalent, forward_result, backward_result, calls = _queries_equivalent(
+                equivalent, forward_result, backward_result = _queries_equivalent(
                     solver, left_query, right_query
                 )
-                result.containment_calls += calls
                 if not equivalent:
                     result.equivalent = False
                     result.differences.append(
@@ -162,5 +159,6 @@ def check_equivalence(
                         )
                     )
 
+    result.containment_calls = solver.contains_calls
     result.elapsed_seconds = time.perf_counter() - started
     return result

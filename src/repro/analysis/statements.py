@@ -16,12 +16,11 @@ queries ``Q_A`` and ``Q_{A,R,B}``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..containment.solver import ContainmentResult, ContainmentSolver
 from ..dl.concepts import AtMostOneCI, ConceptInclusion, ExistsCI, NoExistsCI, conj
 from ..graph.labels import SignedLabel
-from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..transform.grouping import (
     conjoin_unions,
@@ -51,8 +50,9 @@ class StatementEntailment:
 
 
 class StatementChecker:
-    """Caches the grouped queries of a transformation and answers the
-    Lemma B.7 entailment questions."""
+    """Answers the Lemma B.7 entailment questions for one transformation
+    and source schema; the grouped queries come from the transformation's
+    memo (:mod:`repro.transform.grouping`)."""
 
     def __init__(
         self,
@@ -63,34 +63,13 @@ class StatementChecker:
         self.transformation = transformation
         self.schema = schema
         self.solver = solver or ContainmentSolver(schema)
-        self._node_queries: Dict[str, UC2RPQ] = {}
-        self._edge_queries: Dict[Tuple[str, SignedLabel, str], UC2RPQ] = {}
-        self.containment_calls = 0
-
-    # ------------------------------------------------------------------ #
-    def node_query(self, label: str) -> UC2RPQ:
-        """``Q_A`` with caching."""
-        if label not in self._node_queries:
-            self._node_queries[label] = node_query(self.transformation, label)
-        return self._node_queries[label]
-
-    def edge_query(self, source: str, role: SignedLabel, target: str) -> UC2RPQ:
-        """``Q_{A,R,B}`` with caching."""
-        key = (source, role, target)
-        if key not in self._edge_queries:
-            self._edge_queries[key] = edge_query(self.transformation, source, role, target)
-        return self._edge_queries[key]
-
-    def _contains(self, left: UC2RPQ, right: UC2RPQ) -> ContainmentResult:
-        self.containment_calls += 1
-        return self.solver.contains(left, right)
 
     # ------------------------------------------------------------------ #
     def entails_exists(self, source: str, role: SignedLabel, target: str) -> StatementEntailment:
         """``(T,S) ⊨ A ⊑ ∃R.B``."""
         statement = ExistsCI(conj(source), role, conj(target))
-        q_node = self.node_query(source)
-        q_edge = self.edge_query(source, role, target)
+        q_node = node_query(self.transformation, source)
+        q_edge = edge_query(self.transformation, source, role, target)
         if q_node.is_empty():
             # no A-node is ever produced: the statement holds vacuously
             return StatementEntailment(statement, True)
@@ -102,29 +81,27 @@ class StatementChecker:
                 [v for v in disjunct.free_variables if v.startswith("x")]
             )
         )
-        containment = self._contains(q_node, projected)
+        containment = self.solver.contains(q_node, projected)
         return StatementEntailment(statement, bool(containment), containment)
 
     def entails_no_exists(self, source: str, role: SignedLabel, target: str) -> StatementEntailment:
         """``(T,S) ⊨ A ⊑ ¬∃R.B``."""
         statement = NoExistsCI(conj(source), role, conj(target))
-        q_node = self.node_query(source)
-        q_edge = self.edge_query(source, role, target)
+        q_node = node_query(self.transformation, source)
+        q_edge = edge_query(self.transformation, source, role, target)
         if q_node.is_empty() or q_edge.is_empty():
             return StatementEntailment(statement, True)
         conjunction = conjoin_unions(q_node, q_edge).boolean()
         satisfiability = self.solver.satisfiable(conjunction)
-        self.containment_calls += 1
         return StatementEntailment(statement, bool(satisfiability.contained), satisfiability)
 
     def entails_at_most(self, source: str, role: SignedLabel, target: str) -> StatementEntailment:
         """``(T,S) ⊨ A ⊑ ∃≤1R.B``."""
         statement = AtMostOneCI(conj(source), role, conj(target))
-        q_node = self.node_query(source)
-        q_edge = self.edge_query(source, role, target)
+        q_node = node_query(self.transformation, source)
+        q_edge = edge_query(self.transformation, source, role, target)
         if q_node.is_empty() or q_edge.is_empty():
             return StatementEntailment(statement, True)
-        arity = q_edge.disjuncts[0].arity() - q_node.arity() if q_node.arity() else None
         y_vars = [v for v in q_edge.disjuncts[0].free_variables if v.startswith("y")]
         z_vars = [f"z{index + 1}" for index in range(len(y_vars))]
         second_copy = q_edge.map(
@@ -141,7 +118,7 @@ class StatementChecker:
         left = conjoin_unions(conjoin_unions(q_node, q_edge), second_copy)
         left = left.map(lambda disjunct: disjunct.project(y_vars + z_vars))
         right = equality_query(y_vars, z_vars)
-        containment = self._contains(left, right)
+        containment = self.solver.contains(left, right)
         return StatementEntailment(statement, bool(containment), containment)
 
     # ------------------------------------------------------------------ #

@@ -89,7 +89,6 @@ def type_check(
     )
 
     trimmed = transformation if pre_trimmed else trim(transformation, source_schema, solver)
-    result.containment_calls += 0 if pre_trimmed else len(transformation.rules())
 
     # (2) signature inclusion
     foreign_nodes = sorted(trimmed.node_labels() - target_schema.node_labels)
@@ -103,7 +102,6 @@ def type_check(
 
     # (3) label coverage
     result.coverage = check_label_coverage(trimmed, source_schema, solver)
-    result.containment_calls += result.coverage.containment_calls
     if not result.coverage.covered:
         result.well_typed = False
 
@@ -121,7 +119,7 @@ def type_check(
             result.statement_results.append(entailment)
             if not entailment.entailed:
                 result.well_typed = False
-        result.containment_calls += checker.containment_calls
 
+    result.containment_calls = solver.contains_calls
     result.elapsed_seconds = time.perf_counter() - started
     return result

@@ -46,7 +46,7 @@ from ..chase.solver import (
     search_witnesses,
     weakest_regime,
 )
-from ..core import CompiledAutomaton, compile_regex
+from ..core import compile_regex
 from ..dl.schema_tbox import schema_to_extended_tbox
 from ..dl.tbox import TBox
 from ..exceptions import AcyclicityError, QueryError
@@ -114,6 +114,9 @@ class ContainmentSolver:
     def __init__(self, schema: Schema, config: Optional[ContainmentConfig] = None) -> None:
         self.schema = schema
         self.config = config or ContainmentConfig()
+        #: containment tests asked of this solver (``satisfiable`` and
+        #: ``equivalent`` included); the analyses report it as their count
+        self.contains_calls = 0
 
     # ------------------------------------------------------------------ #
     # public API
@@ -121,6 +124,7 @@ class ContainmentSolver:
     def contains(self, left, right) -> ContainmentResult:
         """Decide ``left ⊆_S right`` (over finite graphs conforming to S)."""
         started = time.perf_counter()
+        self.contains_calls += 1
         left = _as_union(left, "P")
         right = _as_union(right, "Q")
         if not right.is_acyclic():
@@ -236,16 +240,6 @@ class ContainmentSolver:
             prepared.append((choice_completion, ChaseEngine(choice_completion.tbox)))
         return prepared
 
-    def _compile_automaton(self, regex) -> CompiledAutomaton:
-        """Stage 5 prerequisite — compile one atom regex (cacheable).
-
-        Returns the process-wide :class:`repro.core.CompiledAutomaton` bundle
-        (NFA, cycle/emptiness flags, memoized pumped word lists) for *regex*;
-        the schema never enters it.  Subclasses substitute automata by
-        overriding this method.
-        """
-        return compile_regex(regex)
-
     # ------------------------------------------------------------------ #
     # satisfiability of the reduced left-hand side
     # ------------------------------------------------------------------ #
@@ -257,8 +251,10 @@ class ContainmentSolver:
             for labelled in self._label_assignments(pattern, schema):
                 yield None if labelled is None else (labelled, assignment)
 
+        # compile_regex is read from this module on every call, so a wrapper
+        # bound to repro.containment.solver.compile_regex sees each compile
         return search_witnesses(
-            left, engine, self.config.satisfiability, self._compile_automaton, patterns
+            left, engine, self.config.satisfiability, compile_regex, patterns
         )
 
     def _label_candidates(

@@ -9,8 +9,6 @@ docs/ARCHITECTURE.md, "The cached containment engine"):
   with ``persist=path`` it adds the disk-persistent second tier of verdicts
   (:class:`repro.store.ResultStore`), which only the engine opens: a
   process batch ships just the requests memory and store miss;
-* :class:`ContainmentRequest` — one ``(left, right, schema, config)`` unit of
-  work for a batch;
 * :class:`EngineStats` / :class:`CacheStats` — hit/miss/eviction accounting;
 * :class:`LRUCache` — the bounded cache primitive;
 * :class:`WorkerPool` / :class:`WorkerError` — the process-parallel backend:
@@ -34,7 +32,6 @@ from .cache import CacheStats, LRUCache
 from .engine import (
     BACKENDS,
     ContainmentEngine,
-    ContainmentRequest,
     EngineStats,
     InvalidationReport,
     default_engine,
@@ -48,7 +45,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "ContainmentEngine",
-    "ContainmentRequest",
     "EngineStats",
     "InvalidationReport",
     "TransportStats",

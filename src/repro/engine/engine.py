@@ -66,7 +66,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..containment.counterexample import Counterexample
 from ..containment.solver import (
@@ -84,7 +84,6 @@ from .cache import CacheStats, LRUCache
 __all__ = [
     "BACKENDS",
     "ContainmentEngine",
-    "ContainmentRequest",
     "EngineStats",
     "InvalidationReport",
     "default_engine",
@@ -93,20 +92,6 @@ __all__ = [
 
 #: The ``check_many`` execution backends (``"serial"`` is the default).
 BACKENDS = ("serial", "process")
-
-
-@dataclass(frozen=True)
-class ContainmentRequest:
-    """One unit of work for :meth:`ContainmentEngine.check_many`.
-
-    ``schema`` and ``config`` may be left ``None`` when the batch call
-    supplies defaults for the whole batch.
-    """
-
-    left: Any
-    right: Any
-    schema: Optional[Schema] = None
-    config: Optional[ContainmentConfig] = None
 
 
 @dataclass
@@ -284,6 +269,7 @@ class _CachingSolver(ContainmentSolver):
         engine = self.engine
         key, token, cached = engine._lookup(self.schema, left, right, self.config)
         if cached is not None:
+            self.contains_calls += 1  # a miss is counted once, by ContainmentSolver.contains
             return _replay(cached, self.schema, time.perf_counter() - started)
         result = super().contains(left, right)
         engine._remember([(key, token, result)])
@@ -447,24 +433,12 @@ class ContainmentEngine:
         """Decide ``left ⊆_schema right`` through the caches."""
         return self.solver(schema, config).contains(left, right)
 
-    def satisfiable(
-        self, query, schema: Schema, config: Optional[ContainmentConfig] = None
-    ) -> ContainmentResult:
-        """Satisfiability of *query* modulo *schema* (``q ⊄_S ∅``)."""
-        return self.solver(schema, config).satisfiable(query)
-
-    def equivalent(
-        self, left, right, schema: Schema, config: Optional[ContainmentConfig] = None
-    ) -> bool:
-        """``True`` when both containments hold (both sides acyclic)."""
-        return self.solver(schema, config).equivalent(left, right)
-
     # ------------------------------------------------------------------ #
     # batch API
     # ------------------------------------------------------------------ #
     def check_many(
         self,
-        requests: Iterable[Union[ContainmentRequest, Sequence]],
+        requests: Iterable[Sequence],
         schema: Optional[Schema] = None,
         config: Optional[ContainmentConfig] = None,
         parallel: str = "serial",
@@ -472,8 +446,8 @@ class ContainmentEngine:
     ) -> List[ContainmentResult]:
         """Decide a batch of containment tests; results keep request order.
 
-        Each request is a :class:`ContainmentRequest` or a ``(left, right)`` /
-        ``(left, right, schema)`` / ``(left, right, schema, config)`` tuple;
+        Each request is a ``(left, right)`` / ``(left, right, schema)`` /
+        ``(left, right, schema, config)`` tuple;
         ``schema`` and ``config`` arguments fill in whatever a request leaves
         unset.  ``parallel`` selects the execution backend:
 
@@ -504,19 +478,14 @@ class ContainmentEngine:
         backend = self._normalise_backend(parallel)
         normalized: List[Tuple[Any, Any, Schema, Optional[ContainmentConfig]]] = []
         for request in requests:
-            if isinstance(request, ContainmentRequest):
-                left, right = request.left, request.right
-                request_schema, request_config = request.schema, request.config
-            else:
-                parts = tuple(request)
-                if not 2 <= len(parts) <= 4:
-                    raise TypeError(
-                        "check_many expects (left, right[, schema[, config]]) "
-                        f"tuples or ContainmentRequest, got {request!r}"
-                    )
-                left, right = parts[0], parts[1]
-                request_schema = parts[2] if len(parts) >= 3 else None
-                request_config = parts[3] if len(parts) == 4 else None
+            parts = tuple(request)
+            if not 2 <= len(parts) <= 4:
+                raise TypeError(
+                    f"check_many expects (left, right[, schema[, config]]) tuples, got {request!r}"
+                )
+            left, right = parts[0], parts[1]
+            request_schema = parts[2] if len(parts) >= 3 else None
+            request_config = parts[3] if len(parts) == 4 else None
             resolved_schema = request_schema or schema
             if resolved_schema is None:
                 raise TypeError("check_many: no schema given for a request and no batch default")
@@ -576,20 +545,27 @@ class ContainmentEngine:
 
         The pool inherits the engine's default config; its size is fixed at
         creation (``max_workers``, then the engine's ``max_workers``, then
-        one per CPU).  Call :meth:`shutdown` to stop the workers; the pool
-        is also closed at interpreter exit.  A pool that closed itself
-        after a worker death is replaced by a fresh one here.
+        one per CPU).  Once it lives, ``max_workers`` must be ``None`` or
+        its size: any other count raises :class:`ValueError` (call
+        :meth:`shutdown` first to resize).  Call :meth:`shutdown` to stop
+        the workers; the pool is also closed at interpreter exit.  A pool
+        that closed itself after a worker death is replaced by a fresh one
+        here.
         """
         from .parallel import WorkerPool, default_worker_count
 
         self._ensure_open()
         with self._lock:
-            if self._process_pool is not None and self._process_pool.closed:
-                self._process_pool = None
-            if self._process_pool is None:
+            pool = self._process_pool
+            if pool is None or pool.closed:
                 workers = max_workers or self.max_workers or default_worker_count()
-                self._process_pool = WorkerPool(workers, self.default_config)
-            return self._process_pool
+                pool = self._process_pool = WorkerPool(workers, self.default_config)
+            elif max_workers and max_workers != pool.workers:
+                raise ValueError(
+                    f"max_workers={max_workers} asks for another size than the live "
+                    f"pool's {pool.workers} workers; shutdown() the pool first"
+                )
+            return pool
 
     def process_stats(self) -> Optional[EngineStats]:
         """Aggregated worker-side cache counters, ``None`` before first use."""

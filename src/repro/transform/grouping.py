@@ -16,6 +16,13 @@ All groupings use the canonical free-variable names ``x1,…,xk`` (and
 ``Q_{A,R,B}`` reads its rules from the transformation's edge-rule index
 (:meth:`~repro.transform.transformation.Transformation.edge_rules_between`),
 so an empty one costs one lookup rather than a scan of every edge rule.
+Both groupings are memoised on the transformation
+(:attr:`~repro.transform.transformation.Transformation.grouped_queries`,
+keyed by ``A`` and by ``(A, R, B)``), so the coverage check, the statement
+entailments and the equivalence sweep of one transformation share each
+query, and a repeat costs one dict lookup.  Callers share the returned
+unions, so they treat them as read-only and derive new ones
+(:meth:`UC2RPQ.map`, :func:`conjoin_unions`).
 The module also provides the variable-capture-safe conjunction of such
 unions, needed for the entailment tests of Lemma B.7, and trimming modulo a
 schema (Appendix B).
@@ -61,6 +68,24 @@ def _canonicalise(body: C2RPQ, head_variables: Sequence[str], canonical: Sequenc
 
 def node_query(transformation: Transformation, label: str) -> UC2RPQ:
     """``Q^T_A(x̄)`` — the union of the bodies of the ``A``-node rules."""
+    memo = transformation.grouped_queries
+    if label not in memo:
+        memo[label] = _node_query(transformation, label)
+    return memo[label]
+
+
+def edge_query(
+    transformation: Transformation, source_label: str, role: SignedLabel, target_label: str
+) -> UC2RPQ:
+    """``Q^T_{A,R,B}(x̄, ȳ)`` for ``R ∈ Σ±`` (Section 4)."""
+    memo = transformation.grouped_queries
+    key = (source_label, role, target_label)
+    if key not in memo:
+        memo[key] = _edge_query(transformation, source_label, role, target_label)
+    return memo[key]
+
+
+def _node_query(transformation: Transformation, label: str) -> UC2RPQ:
     rules = [rule for rule in transformation.node_rules if rule.label == label]
     if not rules:
         return UC2RPQ([], name=f"Q_{label}")
@@ -73,10 +98,9 @@ def node_query(transformation: Transformation, label: str) -> UC2RPQ:
     return UC2RPQ(disjuncts, name=f"Q_{label}")
 
 
-def edge_query(
+def _edge_query(
     transformation: Transformation, source_label: str, role: SignedLabel, target_label: str
 ) -> UC2RPQ:
-    """``Q^T_{A,R,B}(x̄, ȳ)`` for ``R ∈ Σ±`` (Section 4)."""
     source_constructor = transformation.constructor_for_label(source_label)
     target_constructor = transformation.constructor_for_label(target_label)
     name = f"Q_{source_label},{role},{target_label}"

@@ -15,7 +15,10 @@ elicitation report an error, exactly as discussed in the paper).
 The analyses ask a transformation for its edge rules between two
 constructors thousands of times per run, so it indexes its edge rules by
 (edge label, source constructor, target constructor) on first use and
-memoises its node labels Γ_T; :meth:`Transformation.add` drops both.
+memoises its node labels Γ_T.  It also holds the memo of its grouped queries
+``Q_A`` and ``Q_{A,R,B}``, which :mod:`repro.transform.grouping` fills, so
+every analysis of the same transformation object builds each query once.
+:meth:`Transformation.add` drops all three.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..exceptions import TransformationError
 from ..graph.graph import Graph
+from ..graph.labels import SignedLabel
 from ..rpq.evaluation import eval_c2rpq
+from ..rpq.queries import UC2RPQ
 from .constructors import ConstructorRegistry, NodeConstructor
 from .rules import EdgeRule, NodeRule
 
@@ -34,6 +39,9 @@ Rule = Union[NodeRule, EdgeRule]
 
 # (edge label, source constructor name, target constructor name)
 EdgeKey = Tuple[str, str, str]
+
+# a node label A for Q_A, or (A, R, B) for Q_{A,R,B}
+GroupKey = Union[str, Tuple[str, SignedLabel, str]]
 
 
 class Transformation:
@@ -47,6 +55,8 @@ class Transformation:
         # built on first use, dropped by add()
         self._edge_index: Optional[Dict[EdgeKey, List[Tuple[int, EdgeRule]]]] = None
         self._node_labels: Optional[FrozenSet[str]] = None
+        #: Q_A and Q_{A,R,B} by GroupKey, filled by repro.transform.grouping
+        self.grouped_queries: Dict[GroupKey, UC2RPQ] = {}
         for rule in rules:
             self.add(rule)
 
@@ -57,6 +67,7 @@ class Transformation:
         """Add a rule, enforcing the constructor discipline of the paper."""
         self._edge_index = None
         self._node_labels = None
+        self.grouped_queries = {}
         if isinstance(rule, NodeRule):
             registered = self.registry.register(
                 NodeConstructor(rule.constructor.name, rule.constructor.arity, rule.label)

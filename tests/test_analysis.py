@@ -3,6 +3,10 @@ entailment (Lemma B.7), type checking (Lemma B.2), schema elicitation
 (Lemma B.5) and equivalence (Lemma B.8) — exercised on the paper's medical
 example and on the FHIR and social workloads."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -12,6 +16,7 @@ from repro.analysis import (
     elicit_schema,
     type_check,
 )
+from repro.engine import ContainmentEngine
 from repro.exceptions import ElicitationError
 from repro.graph import forward
 from repro.schema import conforms, schema_equivalent
@@ -275,3 +280,26 @@ class TestEquivalence:
         for seed in range(4):
             instance = medical.random_instance(seed=seed)
             assert left.apply(instance) == right.apply(instance)
+
+
+# --------------------------------------------------------------------------- #
+# the reported call count is the number of containment calls issued
+# --------------------------------------------------------------------------- #
+def _perfbench_analysis_jobs():
+    """perfbench's type checking, equivalence and elicitation jobs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up there
+    spec.loader.exec_module(inputs)
+    return inputs.analysis_jobs()
+
+
+@pytest.mark.parametrize("job", _perfbench_analysis_jobs(), ids=lambda job: job.key)
+def test_reported_calls_are_the_calls_issued(job):
+    # cold on a fresh engine, then a warm repeat on the same one
+    engine = ContainmentEngine()
+    for _ in range(2):
+        before = engine.stats.contains_calls
+        _, reported = job.run(engine)
+        assert reported == engine.stats.contains_calls - before > 0

@@ -5,10 +5,8 @@ import pickle
 import repro.containment.rolling_up as rolling_up
 import repro.core
 from repro.core import clear_compile_memo, compile_memo_stats, compile_regex, has_productive_cycle
-from repro.engine import ContainmentEngine
 from repro.graph import Graph
 from repro.rpq import UC2RPQ, build_nfa, eval_uc2rpq, parse_c2rpq, parse_regex
-from repro.workloads import medical
 
 
 # --------------------------------------------------------------------------- #
@@ -24,7 +22,7 @@ class TestCompileRegex:
     def test_one_bundle_per_regex_in_the_solver_roll_up_and_evaluation(self, monkeypatch):
         clear_compile_memo()
         regex = parse_regex("a . b*")
-        bundle = ContainmentEngine().solver(medical.source_schema())._compile_automaton(regex)
+        bundle = compile_regex(regex)
 
         seen = []
 

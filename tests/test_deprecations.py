@@ -23,8 +23,13 @@ analysis jobs (``parallel=`` and ``max_workers=`` of ``type_check_many`` and
 the raw wire mode and the worker's solved-row recorder) together with
 ``WorkerPool(start_method=)``, and the workers' read-only store opens
 (``persist_mode=`` on the engine and the service, ``WorkerPool(persist=)``)
-with the coalescer's duplicate worker count ``RequestCoalescer(max_workers=)``
-— the first half of this file
+with the coalescer's duplicate worker count ``RequestCoalescer(max_workers=)``,
+and the analysis wrappers (the serial batch module ``repro.analysis.batch``
+with ``type_check_many`` and ``check_equivalence_many``, the
+``StatementChecker`` query caches and call tally, ``CoverageResult``'s call
+tally) with the engine surface nothing called (``ContainmentEngine.satisfiable``
+and ``.equivalent``, ``ContainmentRequest``, the ``_compile_automaton`` solver
+hook) — the first half of this file
 pins that down, so a shim cannot quietly come back.  The second half checks
 that the supported replacements stay silent.
 """
@@ -39,13 +44,13 @@ import repro
 import repro.core
 import repro.core.kernels
 from repro.containment.solver import ContainmentSolver
-from repro.core import CompiledAutomaton
+from repro.core import CompiledAutomaton, compile_regex
 import repro.engine
 import repro.engine.engine
 import repro.engine.parallel
 import repro.store
 import repro.store.store
-from repro.analysis import check_equivalence_many, type_check_many
+from repro.analysis import CoverageResult, StatementChecker
 from repro.cli import main
 from repro.engine import ContainmentEngine, InvalidationReport
 from repro.engine.parallel import WorkerPool
@@ -166,14 +171,8 @@ def test_extended_fingerprint_index_is_gone():
 
 
 def test_process_analysis_jobs_are_gone():
-    source, target = medical.source_schema(), medical.target_schema()
-    for knob, value in (("parallel", "process"), ("max_workers", 2)):
-        with pytest.raises(TypeError, match=knob):
-            type_check_many([(medical.migration(), source, target)], **{knob: value})
-        with pytest.raises(TypeError, match=knob):
-            check_equivalence_many(
-                [(medical.migration(), medical.migration(), source)], **{knob: value}
-            )
+    # the batch helpers that carried parallel=/max_workers= went next, whole
+    assert importlib.util.find_spec("repro.analysis.batch") is None
     with pytest.raises(TypeError, match="start_method"):
         WorkerPool(workers=1, start_method="fork")
     for name in ("_run_task", "_lighten_for_transport"):
@@ -200,6 +199,29 @@ def test_worker_store_opens_are_gone(tmp_path):
     with ContainmentEngine() as engine:
         with pytest.raises(TypeError, match="max_workers"):
             RequestCoalescer(engine, max_workers=2)
+
+
+def test_analysis_wrappers_are_gone():
+    import repro.analysis
+
+    assert importlib.util.find_spec("repro.analysis.batch") is None
+    for name in ("type_check_many", "check_equivalence_many"):
+        assert not hasattr(repro.analysis, name), name
+        assert not hasattr(repro, name), name
+    # the grouped queries live on the transformation, the count on the solver
+    checker = StatementChecker(medical.migration(), medical.source_schema())
+    for name in ("node_query", "edge_query", "_contains", "containment_calls",
+                 "_node_queries", "_edge_queries"):
+        assert not hasattr(checker, name), name
+    assert "containment_calls" not in CoverageResult.__dataclass_fields__
+
+
+def test_uncalled_engine_surface_is_gone():
+    for name in ("satisfiable", "equivalent"):
+        assert not hasattr(ContainmentEngine, name), name
+    for module in (repro, repro.engine, repro.engine.engine):
+        assert not hasattr(module, "ContainmentRequest"), module
+    assert not hasattr(ContainmentSolver, "_compile_automaton")
 
 
 def test_dfa_layer_is_gone():
@@ -234,11 +256,10 @@ def test_modern_paths_emit_no_deprecation_warnings():
     """The supported APIs must stay silent."""
     schema = medical.source_schema()
     engine = ContainmentEngine()
-    solver = engine.solver(schema)
     regex = parse_regex("designTarget . crossReacting*")
     with warnings.catch_warnings(record=True) as recorded:
         warnings.simplefilter("always")
-        solver._compile_automaton(regex)
+        compile_regex(regex)
         build_nfa(regex).trim()
         report = engine.invalidate_schema(schema)
         report.as_dict()

@@ -21,7 +21,6 @@ from repro.dl import schema_to_extended_tbox
 from repro.engine import (
     CacheStats,
     ContainmentEngine,
-    ContainmentRequest,
     LRUCache,
     default_engine,
     reset_default_engine,
@@ -360,9 +359,7 @@ def test_check_many_accepts_requests_and_mixed_schemas():
     medical_schema = medical.source_schema()
     chain = synthetic.chain_schema(2)
     requests = [
-        ContainmentRequest(
-            parse_c2rpq("p(x) := Vaccine(x)"), parse_c2rpq("q(x) := Vaccine(x)"), medical_schema
-        ),
+        (parse_c2rpq("p(x) := Vaccine(x)"), parse_c2rpq("q(x) := Vaccine(x)"), medical_schema),
         (
             C2RPQ([Atom(concat(edge("e0"), edge("e1")), "x", "y")], ["x"], name="p"),
             parse_c2rpq("q(x) := L0(x)"),
@@ -478,38 +475,34 @@ def test_tbox_fingerprint_ignores_statement_order():
     assert tbox.canonical_fingerprint() != smaller.canonical_fingerprint()
 
 
-def test_one_bundle_per_regex_across_schemas_and_engines():
-    """A compiled automaton depends on its regex alone, never on the schema."""
-    regex = parse_c2rpq("p(x) := (a . b*)(x, y)").atoms[0].regex
-    schema_a = medical.source_schema()
-    schema_b = medical.target_schema()
-    bundle = ContainmentEngine().solver(schema_a)._compile_automaton(regex)
-    # another schema, another engine: the same bundle
-    assert ContainmentEngine().solver(schema_b)._compile_automaton(regex) is bundle
-    # a bound solver whose schema changes afterwards still shares it
-    solver = ContainmentEngine().solver(schema_a.copy())
-    solver.schema.set("Vaccine", "designTarget", "Antigen", "?")
-    assert solver._compile_automaton(regex) is bundle
-
-
-def test_compile_automaton_override_substitutes_bundles():
-    """Subclasses substitute automata by overriding _compile_automaton."""
+def test_one_bundle_per_regex_across_schemas_and_engines(monkeypatch):
+    """A compiled automaton depends on its regex alone, never on the schema:
+    solvers of different schemas on different engines get the same bundle
+    from the process-wide memo."""
+    import repro.containment.solver as solver_module
     from repro.core import compile_regex
 
     compiled = []
 
-    class CountingSolver(ContainmentSolver):
-        def _compile_automaton(self, regex):
-            bundle = compile_regex(regex)
-            compiled.append(bundle)
-            return bundle
+    def recording(regex):
+        bundle = compile_regex(regex)
+        compiled.append((regex, bundle))
+        return bundle
 
-    solver = CountingSolver(medical.source_schema())
-    result = solver.contains(
-        parse_c2rpq("p(x) := (designTarget)(x, y)"), parse_c2rpq("q(x) := Vaccine(x)")
-    )
-    assert result.contained
-    assert compiled  # the pipeline routed through the override
+    # the solver looks compile_regex up in its module on every call
+    monkeypatch.setattr(solver_module, "compile_regex", recording)
+    left = parse_c2rpq("p(x) := (designTarget . crossReacting*)(x, y)")
+    right = parse_c2rpq("q(x) := Vaccine(x)")
+    schema_a = medical.source_schema()
+    schema_b = schema_a.copy()
+    schema_b.set("Vaccine", "designTarget", "Antigen", "?")
+    assert schema_a.canonical_fingerprint() != schema_b.canonical_fingerprint()
+    for schema in (schema_a, schema_b):
+        ContainmentEngine().contains(left, right, schema)
+    bundles = {}
+    for regex, bundle in compiled:
+        assert bundles.setdefault(regex, bundle) is bundle
+    assert len(compiled) > len(bundles)  # the second schema's solver met them again
 
 
 # --------------------------------------------------------------------------- #

@@ -3,6 +3,7 @@ trimming (Section 4, Appendix B)."""
 
 import pytest
 
+from repro.analysis import type_check
 from repro.graph import forward, inverse
 from repro.rpq import eval_uc2rpq
 from repro.transform import (
@@ -122,3 +123,58 @@ class TestTrimming:
         assert len(trimmed.edge_rules) == 0
         assert len(trimmed.node_rules) == 2
         assert "targets" not in trimmed.edge_labels()
+
+
+class TestGroupedQueryMemo:
+    def test_repeats_return_the_memoised_union(self):
+        transformation = medical.migration()
+        q_node = node_query(transformation, "Vaccine")
+        q_edge = edge_query(transformation, "Vaccine", forward("targets"), "Antigen")
+        q_empty = edge_query(transformation, "Vaccine", forward("unknown"), "Antigen")
+        assert node_query(transformation, "Vaccine") is q_node
+        assert edge_query(transformation, "Vaccine", forward("targets"), "Antigen") is q_edge
+        assert edge_query(transformation, "Vaccine", forward("unknown"), "Antigen") is q_empty
+        assert transformation.grouped_queries == {
+            "Vaccine": q_node,
+            ("Vaccine", forward("targets"), "Antigen"): q_edge,
+            ("Vaccine", forward("unknown"), "Antigen"): q_empty,
+        }
+        # the inverse role is another key, with the sides swapped
+        q_inverse = edge_query(transformation, "Antigen", inverse("targets"), "Vaccine")
+        assert q_inverse is not q_edge and not q_inverse.is_empty()
+
+    def test_add_drops_the_memo(self):
+        transformation = medical.migration()
+        before = edge_query(transformation, "Vaccine", forward("targets"), "Antigen")
+        node_query(transformation, "Vaccine")
+        (extra,) = parse_transformation(
+            """
+            transformation X {
+              targets(fV(x), fA(y)) <- (designTarget . crossReacting)(x, y);
+            }
+            """
+        ).edge_rules
+        transformation.add(extra)
+        assert transformation.grouped_queries == {}
+        after = edge_query(transformation, "Vaccine", forward("targets"), "Antigen")
+        assert len(after) == len(before) + 1
+
+    def test_one_build_per_query_across_coverage_and_entailment(
+        self, medical_source_schema, medical_target_schema, monkeypatch
+    ):
+        # coverage and the statement checker used to keep a cache each, so
+        # every Q_A the two shared was built twice
+        import repro.transform.grouping as grouping
+
+        built = []
+        for name in ("_node_query", "_edge_query"):
+            def counting(*args, _build=getattr(grouping, name)):
+                built.append(args[1:])
+                return _build(*args)
+
+            monkeypatch.setattr(grouping, name, counting)
+        result = type_check(
+            medical.migration(), medical_source_schema, medical_target_schema, pre_trimmed=True
+        )
+        assert result.well_typed and result.statement_results
+        assert built and len(built) == len(set(built))

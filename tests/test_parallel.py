@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import check_equivalence, check_equivalence_many, type_check, type_check_many
+from repro.analysis import check_equivalence, type_check
 from repro.containment import ContainmentConfig
 from repro.engine import (
     ContainmentEngine,
@@ -389,6 +389,39 @@ def test_engine_replaces_a_pool_whose_worker_died():
         engine.shutdown()
 
 
+def test_an_explicit_worker_count_must_match_the_live_pool():
+    """max_workers=None means the live pool; another explicit count raises
+    rather than handing back a pool of the wrong size."""
+    schema, pairs = containment_batch("social")
+    engine = ContainmentEngine()
+    try:
+        pool = engine.process_pool(1)
+        assert pool.workers == 1
+        assert engine.process_pool(1) is pool
+        assert engine.process_pool() is pool
+        with pytest.raises(ValueError, match="max_workers=2.*1 workers"):
+            engine.process_pool(2)
+        with pytest.raises(ValueError, match="max_workers=2.*1 workers"):
+            engine.check_many(pairs[:1], schema=schema, parallel="process", max_workers=2)
+        assert not pool.started  # refused before any worker was spawned
+        # 1 and None both run on the live pool (distinct pairs, so both miss)
+        results = [
+            engine.check_many([pair], schema=schema, parallel="process", max_workers=workers)[0]
+            for pair, workers in zip(pairs[:2], (1, None))
+        ]
+        assert engine.process_pool() is pool and pool.started
+        assert fingerprints(results) == fingerprints(
+            ContainmentEngine().check_many(pairs[:2], schema=schema)
+        )
+    finally:
+        engine.shutdown()
+    # after a shutdown the next count sizes a fresh pool
+    try:
+        assert engine.process_pool(2).workers == 2
+    finally:
+        engine.shutdown()
+
+
 def test_unpicklable_payload_raises_and_the_next_batch_runs(medical_serial):
     """A payload that cannot be pickled raises at once instead of leaving
     the parent waiting on a worker that never got its chunk, and the
@@ -475,7 +508,7 @@ def test_shutdown_is_idempotent_and_pool_recreatable():
 
 
 # --------------------------------------------------------------------------- #
-# the analysis batch layer
+# a batch of analyses is a loop over one shared engine
 # --------------------------------------------------------------------------- #
 def _containment_fingerprints(results):
     """Every containment verdict inside type-check or equivalence results."""
@@ -490,12 +523,11 @@ def _containment_fingerprints(results):
     return [result_fingerprint(verdict) for verdict in verdicts if verdict is not None]
 
 
-def test_type_check_many_matches_per_job_type_check():
+def test_type_checks_on_a_shared_engine_match_fresh_engines():
     source, target = medical.source_schema(), medical.target_schema()
     migrations = [medical.migration(), medical.broken_migration(), medical.redundant_migration()]
-    batched = type_check_many(
-        [(migration, source, target) for migration in migrations], engine=ContainmentEngine()
-    )
+    engine = ContainmentEngine()
+    batched = [type_check(migration, source, target, engine=engine) for migration in migrations]
     single = [type_check(migration, source, target, engine=ContainmentEngine())
               for migration in migrations]
     assert [r.well_typed for r in batched] == [True, False, True]
@@ -505,28 +537,20 @@ def test_type_check_many_matches_per_job_type_check():
     assert batched[1].failed_statements()[0].statement is not None
 
 
-def test_check_equivalence_many_matches_per_job_check_equivalence():
+def test_equivalence_checks_on_a_shared_engine_match_fresh_engines():
     schema = medical.source_schema()
     jobs = [
         (medical.migration(), medical.redundant_migration(), schema),
         (medical.migration(), medical.broken_migration(), schema),
     ]
-    batched = check_equivalence_many(jobs, engine=ContainmentEngine())
+    engine = ContainmentEngine()
+    batched = [check_equivalence(left, right, schema, engine=engine) for left, right, schema in jobs]
     single = [check_equivalence(left, right, schema, engine=ContainmentEngine())
               for left, right, schema in jobs]
     assert [r.equivalent for r in batched] == [True, False]
     assert [r.equivalent for r in batched] == [r.equivalent for r in single]
     assert [len(r.differences) for r in batched] == [len(r.differences) for r in single]
     assert _containment_fingerprints(batched) == _containment_fingerprints(single)
-
-
-def test_analysis_jobs_validate_their_shape():
-    with pytest.raises(TypeError):
-        type_check_many([(medical.migration(), medical.source_schema())])
-    with pytest.raises(TypeError):
-        check_equivalence_many(
-            [(medical.migration(), medical.redundant_migration(), "not-a-schema")]
-        )
 
 
 def test_interrupted_batch_shuts_the_pool_down_promptly(monkeypatch):

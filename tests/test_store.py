@@ -346,21 +346,27 @@ def test_closed_store_behaves_like_a_disabled_one(store_path):
     assert store.count() == 0
 
 
-def test_analysis_batches_accept_persist(store_path):
-    """type_check_many/check_equivalence_many run on a one-shot persisting
-    engine when given ``persist=`` and no engine."""
-    from repro.analysis import check_equivalence_many
+def test_analyses_on_a_persisting_engine_reuse_the_store(store_path):
+    """An analysis on ``ContainmentEngine(persist=...)`` files its
+    containment verdicts in the store, and a later engine on the same file
+    replays them instead of solving."""
+    from repro.analysis import check_equivalence
     from repro.workloads import medical
 
     schema = medical.source_schema()
-    jobs = [(medical.migration(), medical.migration(), schema)]
-    first = check_equivalence_many(jobs, persist=store_path)
-    assert first[0].equivalent
+    with ContainmentEngine(persist=store_path) as engine:
+        first = check_equivalence(medical.migration(), medical.migration(), schema, engine=engine)
+    assert first.equivalent
     store = ResultStore(store_path, mode="ro")
-    assert store.count() > 0  # verdicts survived the call
+    assert store.count() > 0  # verdicts survived the engine
     store.close()
-    second = check_equivalence_many(jobs, persist=store_path)
-    assert [r.equivalent for r in second] == [r.equivalent for r in first]
+    with ContainmentEngine(persist=store_path) as engine:
+        second = check_equivalence(medical.migration(), medical.migration(), schema, engine=engine)
+        stats = engine.stats
+        # every call is a memory or store hit: nothing was solved or written
+        assert stats.results.hits + stats.store.hits == second.containment_calls
+        assert stats.store.misses == stats.store.writes == 0
+    assert second.equivalent == first.equivalent
 
 
 # --------------------------------------------------------------------------- #
