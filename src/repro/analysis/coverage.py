@@ -7,6 +7,12 @@ creates a node with constructor ``f_A``, the same argument tuple also
 satisfies some ``A``-node rule.  Lemma B.6 phrases this as the containments
 
     ∃ȳ. Q_{A,R,B}(x̄, ȳ)  ⊆_S  Q_A(x̄)      for all A, B ∈ Γ_T, R ∈ Σ±_T.
+
+The containment holds trivially when ``Q_{A,R,B}`` is empty, which is the
+case exactly for the cells no edge rule produces
+(:meth:`~repro.transform.transformation.Transformation.producible_cells`):
+the sweep skips those without building their queries and tests the others
+in the same ``(A, R, B)`` order.
 """
 
 from __future__ import annotations
@@ -84,12 +90,13 @@ def check_label_coverage(
 
     node_labels = sorted(transformation.node_labels())
     edge_labels = sorted(transformation.edge_labels())
+    producible = transformation.producible_cells()
     for source_label in node_labels:
         for role in signed_closure(edge_labels):
             for target_label in node_labels:
-                lhs = edge_query(transformation, source_label, role, target_label)
-                if lhs.is_empty():
+                if (source_label, role, target_label) not in producible:
                     continue  # no edge rule creates such edges; nothing to check
+                lhs = edge_query(transformation, source_label, role, target_label)
                 projected = lhs.map(
                     lambda disjunct: disjunct.project(
                         [v for v in disjunct.free_variables if v.startswith("x")]

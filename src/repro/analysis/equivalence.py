@@ -8,6 +8,9 @@ output on every graph conforming to ``S``.  After trimming, this holds iff
 3. for every ``A, B ∈ Γ`` and ``r ∈ Σ``: ``Q^{T₁}_{A,r,B} ≡_S Q^{T₂}_{A,r,B}``.
 
 Equivalence of unions of (acyclic) queries is decided as two containments.
+The edge sweep of (3) skips the cells that neither transformation produces
+(:meth:`~repro.transform.transformation.Transformation.producible_cells`):
+both of their queries are empty.
 """
 
 from __future__ import annotations
@@ -136,12 +139,19 @@ def check_equivalence(
                 )
             )
 
-    # (3) edge queries agree
+    # (3) edge queries agree; a cell neither transformation produces has two
+    # empty queries, which agree
+    left_cells = left_trimmed.producible_cells()
+    right_cells = right_trimmed.producible_cells()
     for source_label in node_labels:
         for edge_label in edge_labels:
+            role = forward(edge_label)
             for target_label in node_labels:
-                left_query = edge_query(left_trimmed, source_label, forward(edge_label), target_label)
-                right_query = edge_query(right_trimmed, source_label, forward(edge_label), target_label)
+                cell = (source_label, role, target_label)
+                if cell not in left_cells and cell not in right_cells:
+                    continue
+                left_query = edge_query(left_trimmed, *cell)
+                right_query = edge_query(right_trimmed, *cell)
                 equivalent, forward_result, backward_result = _queries_equivalent(
                     solver, left_query, right_query
                 )

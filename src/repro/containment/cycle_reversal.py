@@ -41,7 +41,7 @@ from ..chase.labelsets import TBoxIndex
 from ..dl.concepts import AtMostOneCI, ConceptNames, ExistsCI
 from ..dl.tbox import TBox
 from ..graph.labels import SignedLabel
-from ..schema.schema import Schema
+from ..schema.schema import Multiplicity, Schema
 from .entailment import EntailmentChecker
 
 __all__ = ["CompletionResult", "CompletionConfig", "complete", "schema_has_finmod_cycle", "simplify_s_driven"]
@@ -91,14 +91,19 @@ def schema_has_finmod_cycle(schema: Schema) -> bool:
     the TBox itself.
 
     Only declared entries can require a successor (an undeclared one is
-    ``0``), so the edges come from one walk over the declared δ entries, and
-    the cycle search is an iterative DFS, safe on arbitrarily long schemas.
+    ``0``), so the edges come from one walk over δ as declared, unsorted
+    (whether a cycle exists does not depend on the order the search visits
+    labels in), and the cycle search is an iterative DFS, safe on
+    arbitrarily long schemas.
     """
+    delta = schema.delta
+    zero = Multiplicity.ZERO
     adjacency: Dict[str, Set[str]] = {label: set() for label in schema.node_labels}
-    for source, signed, target, forward_mult in schema.declared_constraints():
-        if not forward_mult.requires_at_least_one:
-            continue
-        if schema.multiplicity(target, signed.inverse(), source).requires_at_most_one:
+    for (source, signed, target), forward_mult in delta.items():
+        if (
+            forward_mult.requires_at_least_one
+            and delta.get((target, signed.inverse(), source), zero).requires_at_most_one
+        ):
             adjacency[source].add(target)
     # detect a cycle (self-loops included) with a DFS colouring: 1 while a
     # label is on the DFS path, 2 once everything below it is explored

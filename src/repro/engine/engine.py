@@ -21,7 +21,9 @@ composition and invalidation rules):
   ``(schema, left, right, config)``;
 * **completions** — the completed ``T̂_S ∪ T_¬Q`` choice lists *plus* their
   chase engines (whose tree-extendability memos stay warm) per
-  ``(schema, extended schema, right query, completion config)``;
+  ``(schema, extended schema, right query, completion config)``; concurrent
+  cold callers of one key wait for the first one's list instead of each
+  completing their own;
 * **schema-tboxes** — the Horn encoding ``T̂_S`` per
   ``(schema, extended schema)``.
 
@@ -66,7 +68,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..containment.counterexample import Counterexample
 from ..containment.solver import (
@@ -299,13 +301,41 @@ class _CachingSolver(ContainmentSolver):
             self.config.completion,
             self.config.apply_completion,
         )
-        with engine._lock:
-            cached = engine._completions.get(key)
-        if cached is None:
-            cached = super()._prepared_choices(reduction, right_name)
+        # one caller computes a missing list; the others wait for it, and
+        # look again if that computation raised (it files nothing)
+        while True:
             with engine._lock:
-                engine._completions.put(key, cached)
-        return cached
+                cached = engine._completions.get(key)
+                if cached is not None:
+                    return cached
+                flight = engine._completing.get(key)
+                if flight is None:
+                    flight = engine._completing[key] = _InFlight()
+                    break
+            flight.done.wait()
+            if flight.choices is not None:
+                return flight.choices
+        try:
+            choices = super()._prepared_choices(reduction, right_name)
+            with engine._lock:
+                engine._completions.put(key, choices)
+            flight.choices = choices
+        finally:
+            with engine._lock:
+                del engine._completing[key]
+            flight.done.set()
+        return choices
+
+
+class _InFlight:
+    """A completion list that one caller computes while others wait for it;
+    ``choices`` stays ``None`` when the computation raised."""
+
+    __slots__ = ("done", "choices")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.choices = None
 
 
 class ContainmentEngine:
@@ -334,6 +364,8 @@ class ContainmentEngine:
         self._lock = threading.RLock()
         self._results = LRUCache("results", result_cache_size)
         self._completions = LRUCache("completions", completion_cache_size)
+        # completions keys being computed, each with the entry its waiters block on
+        self._completing: Dict[Hashable, _InFlight] = {}
         self._schema_tboxes = LRUCache("schema-tboxes", schema_tbox_cache_size)
         self._contains_calls = 0
         self._batches = 0

@@ -16,6 +16,11 @@ All groupings use the canonical free-variable names ``x1,…,xk`` (and
 ``Q_{A,R,B}`` reads its rules from the transformation's edge-rule index
 (:meth:`~repro.transform.transformation.Transformation.edge_rules_between`),
 so an empty one costs one lookup rather than a scan of every edge rule.
+``Q_{A,R,B}`` is non-empty exactly for the cells ``(A, R, B)`` in
+:meth:`~repro.transform.transformation.Transformation.producible_cells`,
+and the analyses in :mod:`repro.analysis` ask for no other: they decide
+the other cells without a query, so a seed-0 perfbench ``analysis`` pass
+builds 162 edge queries where sweeping every cell built 3,237.
 Both groupings are memoised on the transformation
 (:attr:`~repro.transform.transformation.Transformation.grouped_queries`,
 keyed by ``A`` and by ``(A, R, B)``), so the coverage check, the statement

@@ -14,11 +14,12 @@ elicitation report an error, exactly as discussed in the paper).
 
 The analyses ask a transformation for its edge rules between two
 constructors thousands of times per run, so it indexes its edge rules by
-(edge label, source constructor, target constructor) on first use and
+(edge label, source constructor, target constructor) on first use, derives
+from that index the cells ``(A, R, B)`` some edge rule produces, and
 memoises its node labels Γ_T.  It also holds the memo of its grouped queries
 ``Q_A`` and ``Q_{A,R,B}``, which :mod:`repro.transform.grouping` fills, so
 every analysis of the same transformation object builds each query once.
-:meth:`Transformation.add` drops all three.
+:meth:`Transformation.add` drops all four.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..exceptions import TransformationError
 from ..graph.graph import Graph
-from ..graph.labels import SignedLabel
+from ..graph.labels import SignedLabel, forward, inverse
 from ..rpq.evaluation import eval_c2rpq
 from ..rpq.queries import UC2RPQ
 from .constructors import ConstructorRegistry, NodeConstructor
@@ -40,8 +41,11 @@ Rule = Union[NodeRule, EdgeRule]
 # (edge label, source constructor name, target constructor name)
 EdgeKey = Tuple[str, str, str]
 
-# a node label A for Q_A, or (A, R, B) for Q_{A,R,B}
-GroupKey = Union[str, Tuple[str, SignedLabel, str]]
+# (A, R, B): a cell of Γ_T × Σ±_T × Γ_T
+Cell = Tuple[str, SignedLabel, str]
+
+# a node label A for Q_A, or a cell (A, R, B) for Q_{A,R,B}
+GroupKey = Union[str, Cell]
 
 
 class Transformation:
@@ -54,6 +58,7 @@ class Transformation:
         self.registry = ConstructorRegistry()
         # built on first use, dropped by add()
         self._edge_index: Optional[Dict[EdgeKey, List[Tuple[int, EdgeRule]]]] = None
+        self._producible_cells: Optional[FrozenSet[Cell]] = None
         self._node_labels: Optional[FrozenSet[str]] = None
         #: Q_A and Q_{A,R,B} by GroupKey, filled by repro.transform.grouping
         self.grouped_queries: Dict[GroupKey, UC2RPQ] = {}
@@ -66,6 +71,7 @@ class Transformation:
     def add(self, rule: Rule) -> None:
         """Add a rule, enforcing the constructor discipline of the paper."""
         self._edge_index = None
+        self._producible_cells = None
         self._node_labels = None
         self.grouped_queries = {}
         if isinstance(rule, NodeRule):
@@ -99,12 +105,7 @@ class Transformation:
         """Σ_T — edge labels used in rule heads."""
         return frozenset(rule.edge_label for rule in self.edge_rules)
 
-    def edge_rules_between(
-        self, edge_label: str, source_constructor: str, target_constructor: str
-    ) -> Sequence[Tuple[int, EdgeRule]]:
-        """The edge rules ``r(f(x̄), f'(ȳ)) ← q`` with ``r`` = *edge_label* and
-        ``f``, ``f'`` named *source_constructor*, *target_constructor*, as
-        ``(position in edge_rules, rule)`` pairs in rule order."""
+    def _edge_rule_index(self) -> Dict[EdgeKey, List[Tuple[int, EdgeRule]]]:
         index = self._edge_index
         if index is None:
             index = {}
@@ -112,7 +113,34 @@ class Transformation:
                 key = (rule.edge_label, rule.source_constructor.name, rule.target_constructor.name)
                 index.setdefault(key, []).append((position, rule))
             self._edge_index = index
-        return index.get((edge_label, source_constructor, target_constructor), ())
+        return index
+
+    def edge_rules_between(
+        self, edge_label: str, source_constructor: str, target_constructor: str
+    ) -> Sequence[Tuple[int, EdgeRule]]:
+        """The edge rules ``r(f(x̄), f'(ȳ)) ← q`` with ``r`` = *edge_label* and
+        ``f``, ``f'`` named *source_constructor*, *target_constructor*, as
+        ``(position in edge_rules, rule)`` pairs in rule order."""
+        return self._edge_rule_index().get((edge_label, source_constructor, target_constructor), ())
+
+    def producible_cells(self) -> FrozenSet[Cell]:
+        """The cells ``(A, R, B)`` whose ``Q_{A,R,B}`` has a disjunct.
+
+        A cell is producible when some edge rule links the dedicated
+        constructors ``f_A`` and ``f_B``: a rule ``r(f_A(x̄), f_B(ȳ)) ← q``
+        produces ``(A, r, B)`` and, read backwards, ``(B, r⁻, A)``.  A rule
+        whose constructor is dedicated to no label produces no cell.
+        """
+        if self._producible_cells is None:
+            cells = set()
+            for edge_label, source_name, target_name in self._edge_rule_index():
+                source = self.label_of_constructor(source_name)
+                target = self.label_of_constructor(target_name)
+                if source is not None and target is not None:
+                    cells.add((source, forward(edge_label), target))
+                    cells.add((target, inverse(edge_label), source))
+            self._producible_cells = frozenset(cells)
+        return self._producible_cells
 
     def constructor_for_label(self, label: str) -> Optional[NodeConstructor]:
         """The dedicated constructor f_A of a node label, if any rule defines it."""

@@ -18,6 +18,7 @@ from repro.containment import (
     triple_satisfiable,
 )
 from repro.containment import cycle_reversal
+from repro.containment.booleanize import booleanize
 from repro.containment import solver as containment_solver
 from repro.containment.cycle_reversal import CompletionConfig
 from repro.containment.entailment import EntailmentChecker
@@ -37,7 +38,9 @@ from repro.dl import (
 from repro.exceptions import SolverError
 from repro.graph import Graph, forward, inverse
 from repro.schema import Schema
-from repro.workloads import medical, synthetic
+from repro.rpq import parse_c2rpq
+from repro.rpq.queries import UC2RPQ
+from repro.workloads import fhir, medical, social, synthetic
 from repro.workloads.zoo import ZOO_SEED, zoo_corpus
 
 
@@ -157,6 +160,37 @@ class TestFinmodCycleDetection:
         schema.set_edge(labels[-1], "r", labels[0], "1", "?")
         assert schema_has_finmod_cycle(schema)
 
+    def test_unsorted_delta_walk_matches_the_sorted_walk_on_every_packaged_schema(self):
+        # the check walks δ in declaration order; the sorted walk over
+        # declared_constraints() and multiplicity() is the one it replaced
+        schemas = [
+            medical.source_schema(), medical.target_schema(),
+            fhir.schema_v3(), fhir.schema_v4(),
+            social.schema_v1(), social.schema_v2(),
+        ]
+        schemas += [synthetic.chain_schema(length) for length in range(1, 9)]
+        schemas += [synthetic.cycle_schema(size) for size in range(1, 6)]
+        boolean = [
+            UC2RPQ.from_query(parse_c2rpq(text))
+            for text in ("p() := (r)(x, y)", "p(x) := (r)(x, y)", "p(x, y) := (r)(x, y)")
+        ]
+        extended = [booleanize(schema, query, query).schema for schema in schemas for query in boolean]
+        for seed in range(3):
+            for pairs in zoo_corpus(seed).values():
+                for left, right, schema in pairs:
+                    schemas.append(schema)
+                    left, right = (
+                        query if isinstance(query, UC2RPQ) else UC2RPQ.from_query(query)
+                        for query in (left, right)
+                    )
+                    extended.append(booleanize(schema, left, right).schema)
+        found = {True: 0, False: 0}
+        for schema in schemas + extended:
+            expected = _all_triples_finmod_cycle(schema, schema.declared_constraints())
+            assert schema_has_finmod_cycle(schema) is expected, schema.describe()
+            found[expected] += 1
+        assert len(schemas) > 200 and min(found.values()) >= 20, (len(schemas), found)
+
     def test_declared_walk_matches_all_triples_definition(self):
         rng = random.Random(20)
         found = {True: 0, False: 0}
@@ -168,11 +202,14 @@ class TestFinmodCycleDetection:
         assert min(found.values()) >= 50, found
 
 
-def _all_triples_finmod_cycle(schema):
-    """The definition read off every triple of Γ × Σ± × Γ, with a recursive
-    DFS: the reference for :func:`schema_has_finmod_cycle`."""
+def _all_triples_finmod_cycle(schema, constraints=None):
+    """The definition read off every triple of Γ × Σ± × Γ (or off the
+    *constraints* given), with a recursive DFS in sorted label order: the
+    reference for :func:`schema_has_finmod_cycle`."""
     adjacency = {label: set() for label in schema.node_labels}
-    for source, signed, target, forward_mult in schema.all_constraints():
+    if constraints is None:
+        constraints = schema.all_constraints()
+    for source, signed, target, forward_mult in constraints:
         backward_mult = schema.multiplicity(target, signed.inverse(), source)
         if forward_mult.requires_at_least_one and backward_mult.requires_at_most_one:
             adjacency[source].add(target)

@@ -4,12 +4,15 @@ A disjunct ``C₁ ∧ C₂`` is refuted by refuting either component, so ``¬Q``
 one Horn TBox per choice of a component in every disjunct and ``P ⊆_S Q``
 holds only if ``P`` is unsatisfiable modulo every choice.  The tests pin that
 no choice is cut, that the engine's ``completions`` tier completes each
-choice once per right query, and that a failed completion leaves no shorter
-list behind.  The seeded family at the end checks the solver against the
-bounded counterexample search.
+choice once per right query, also for concurrent cold callers, and that a
+failed completion leaves no shorter list behind.  The seeded family at the
+end checks the solver against the bounded counterexample search.
 """
 
 import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -100,6 +103,65 @@ def test_a_failed_completion_leaves_no_cut_list(monkeypatch, completions):
     assert result_fingerprint(result) == result_fingerprint(
         ContainmentSolver(schema).contains(left, right)
     )
+
+
+def test_concurrent_cold_callers_complete_each_choice_once(monkeypatch, completions):
+    # twelve cold requests on eight threads: one caller completes the right's
+    # four choices and the others wait for its list; the slow completion
+    # keeps the computation open while the other threads arrive
+    counting = solver_module.complete
+
+    def slow(*args, **kwargs):
+        time.sleep(0.01)
+        return counting(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "complete", slow)
+    schema, right = labels_schema(), parse_uc2rpq(RIGHT)
+    lefts = [
+        parse_uc2rpq(CONTAINED if index % 2 else NOT_CONTAINED, name=f"P{index}")
+        for index in range(12)
+    ]
+    engine = ContainmentEngine()
+    with ThreadPoolExecutor(8) as pool:
+        results = list(pool.map(lambda left: engine.contains(left, right, schema), lefts))
+    assert len(completions) == 4
+    assert [result.contained for result in results] == [bool(index % 2) for index in range(12)]
+    assert engine.cache_sizes()["completions"] == 1
+    assert not engine._completing
+
+
+def test_a_raising_computation_releases_its_waiters_and_files_nothing(monkeypatch, completions):
+    # the first caller's completion raises while three others wait for it:
+    # it files nothing, and the waiters look again and complete the list once
+    counting, entered, release = solver_module.complete, threading.Event(), threading.Event()
+
+    def failing_first(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            release.wait(10)
+            raise RuntimeError("completion failed")
+        return counting(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "complete", failing_first)
+    schema, right = labels_schema(), parse_uc2rpq(RIGHT)
+    lefts = [parse_uc2rpq(CONTAINED, name=f"P{index}") for index in range(4)]
+    engine = ContainmentEngine()
+    with ThreadPoolExecutor(4) as pool:
+        first = pool.submit(engine.contains, lefts[0], right, schema)
+        assert entered.wait(10)
+        waiters = [pool.submit(engine.contains, left, right, schema) for left in lefts[1:]]
+        deadline = time.monotonic() + 10
+        while engine.stats.completions.misses < 4 and time.monotonic() < deadline:
+            time.sleep(0.001)  # every waiter has looked the list up
+        assert engine.stats.completions.misses == 4
+        assert engine.cache_sizes()["completions"] == 0
+        release.set()
+        with pytest.raises(RuntimeError, match="completion failed"):
+            first.result()
+        assert all(waiter.result(timeout=10).contained for waiter in waiters)
+    assert len(completions) == 4
+    assert engine.cache_sizes()["completions"] == 1
+    assert not engine._completing
 
 
 # --------------------------------------------------------------------------- #
